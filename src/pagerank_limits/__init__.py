@@ -44,6 +44,8 @@ from .graph import (
     write_edgelist,
 )
 from .limits import (
+    GwTreeSampler,
+    LimitForest,
     LimitTree,
     PolyaParams,
     attach_generalized_weights,
@@ -52,6 +54,7 @@ from .limits import (
     root_pagerank,
     root_pagerank_generalized,
     sample_ctbp_limit,
+    sample_gw_forest,
     sample_gw_limit,
     sample_polya_limit,
     solve_fixed_point_mc,

@@ -12,13 +12,19 @@ from __future__ import annotations
 
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import SizeError, UsageError
-from .graph import DirectedMultigraph, canonical_code, explore_neighborhood
-from .limits import tree_neighborhood
+from .graph import (
+    DEFAULT_CODE_NODE_LIMIT,
+    DirectedMultigraph,
+    canonical_code,
+    explore_neighborhood,
+)
+from .limits import LimitForest, tree_neighborhood
 
 __all__ = [
     "NeighborhoodCensus",
@@ -38,9 +44,16 @@ __all__ = [
 
 @dataclass
 class NeighborhoodCensus:
+    """Counts of canonical codes at one depth.
+
+    ``paths`` says how many roots took the batched tree path and how many
+    the exact per-root path (empty for censuses read back from CSV).
+    """
+
     depth: int
     counts: Counter
     total: int
+    paths: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
         if sum(self.counts.values()) != self.total:
@@ -48,15 +61,6 @@ class NeighborhoodCensus:
 
     def frequencies(self) -> dict:
         return {code: cnt / self.total for code, cnt in self.counts.items()}
-
-    def merge(self, other: "NeighborhoodCensus") -> "NeighborhoodCensus":
-        if other.depth != self.depth:
-            raise UsageError("cannot merge censuses at different depths")
-        return NeighborhoodCensus(
-            depth=self.depth,
-            counts=self.counts + other.counts,
-            total=self.total + other.total,
-        )
 
 
 def _census_chunk(g, k, roots):
@@ -75,8 +79,11 @@ def census(g: DirectedMultigraph, k: int, sample_count: int | None = None,
     """Tally canonical codes of depth-k neighborhoods, marks = out-degrees.
 
     Full sweep over all vertices by default; with ``sample_count`` the roots
-    are drawn uniformly without replacement.  Root explorations are
-    independent, so ``workers > 1`` splits them across processes.
+    are drawn uniformly without replacement.  Roots whose neighborhood is a
+    tree of at most ``DEFAULT_CODE_NODE_LIMIT`` nodes are classed together by
+    level-wise color refinement, and one representative per class is
+    canonicalized.  Every other root takes the exact per-root path, which
+    ``workers > 1`` splits across processes.
     """
     if sample_count is None:
         roots = np.arange(g.n)
@@ -86,26 +93,166 @@ def census(g: DirectedMultigraph, k: int, sample_count: int | None = None,
         if not 1 <= sample_count <= g.n:
             raise UsageError(f"sample_count must be in [1, {g.n}]")
         roots = rng.choice(g.n, size=sample_count, replace=False)
-    if workers > 1 and roots.size > 4 * workers:
-        chunks = np.array_split(roots, workers)
+    tree = np.ones(roots.size, dtype=bool) if k == 0 else _tree_roots(g, k, roots)
+    exact = roots[~tree]
+    if workers > 1 and exact.size > 4 * workers:
+        chunks = np.array_split(exact, workers)
         counts = Counter()
         with ProcessPoolExecutor(max_workers=workers) as pool:
             for part in pool.map(_census_chunk, [g] * len(chunks), [k] * len(chunks), chunks):
                 counts += part
     else:
-        counts = _census_chunk(g, k, roots)
-    return NeighborhoodCensus(depth=k, counts=counts, total=int(roots.size))
+        counts = _census_chunk(g, k, exact)
+    batched = roots[tree]
+    if batched.size:
+        src = np.repeat(g.src, g.mult)
+        tgt = np.repeat(g.tgt, g.mult)
+        colors = _refine(g.d_out, src, tgt, k)[batched]
+        counts += _tally(colors, lambda i: canonical_code(
+            explore_neighborhood(g, int(batched[i]), k)))
+    return NeighborhoodCensus(depth=k, counts=counts, total=int(roots.size),
+                              paths={"batched": int(batched.size), "exact": int(exact.size)})
+
+
+def _walk_sums(g, k, start, cap):
+    """Per vertex v, the sum of ``start[u]`` over the walks u -> ... -> v of
+    length <= k (as often as edge multiplicities allow), saturated at ``cap``."""
+    w = np.minimum(start.astype(np.float64), cap)
+    total = w.copy()
+    for _ in range(k):
+        w = np.minimum(np.bincount(g.tgt, weights=g.mult * w[g.src], minlength=g.n), cap)
+        total = np.minimum(total + w, cap)
+    return total.astype(np.int64)
+
+
+# budget of sparse entries per root chunk when testing for tree neighborhoods
+_CHUNK_ENTRIES = 1 << 16
+
+
+def _tree_roots(g, k, roots, limit=DEFAULT_CODE_NODE_LIMIT):
+    """Mask of roots whose depth-k neighborhood is a tree of <= limit nodes.
+
+    The neighborhood is such a tree exactly when the root's in-walks of
+    length <= k (with multiplicity) end at distinct vertices, at most
+    ``limit`` of them, and the edges among those vertices carry total
+    multiplicity one less than their number.
+    """
+    walks = _walk_sums(g, k, np.ones(g.n), limit + 1)[roots]
+    cand = np.nonzero(walks <= limit)[0]
+    mask = np.zeros(roots.size, dtype=bool)
+    if cand.size == 0:
+        return mask
+    n = g.n
+    a_in = sp.csr_matrix((g.mult[g.in_order], g.src[g.in_order], g.in_indptr), shape=(n, n))
+    a_out = sp.csr_matrix((g.mult, g.tgt, g.out_indptr), shape=(n, n))
+    # sparse entries a root's test touches: its walks plus their out-pairs
+    cost = walks[cand] + _walk_sums(g, k, np.diff(g.out_indptr), n)[roots[cand]]
+    bounds = np.searchsorted(np.cumsum(cost), np.arange(_CHUNK_ENTRIES, int(cost.sum()),
+                                                        _CHUNK_ENTRIES))
+    for part in np.split(cand, bounds):
+        if part.size == 0:
+            continue
+        r = roots[part]
+        front = sp.csr_matrix((np.ones(r.size, dtype=np.int64), r, np.arange(r.size + 1)),
+                              shape=(r.size, n))
+        reach = front
+        for _ in range(k):
+            front = front @ a_in
+            reach = reach + front
+        reach.data[:] = 1
+        distinct = np.diff(reach.indptr)
+        internal = np.asarray((reach @ a_out).multiply(reach).sum(axis=1)).ravel()
+        mask[part] = (distinct == walks[part]) & (internal == distinct - 1)
+    return mask
+
+
+def _refine(marks, src, tgt, k):
+    """Depth-k colors by level-wise color refinement of edges src -> tgt.
+
+    ``col_0 = mark`` and ``col_j(v)`` ranks (mark(v), sorted multiset of
+    ``col_{j-1}(u)`` over the edges u -> v), one edge per unit of
+    multiplicity.  The ranking is exact, with no hashing: vertices are
+    grouped by in-degree and their rows sorted and compared whole, so two
+    vertices share a color iff their depth-k in-unfoldings are isomorphic
+    marked rooted trees.
+    """
+    n = marks.size
+    col = np.asarray(marks, dtype=np.int64)
+    if k == 0:
+        return col
+    indeg = np.bincount(tgt, minlength=n)
+    ptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(indeg, out=ptr[1:])
+    by_tgt = np.argsort(tgt, kind="stable")
+    src, tgt = src[by_tgt], tgt[by_tgt]
+    by_deg = np.argsort(indeg, kind="stable")
+    degs, firsts = np.unique(indeg[by_deg], return_index=True)
+    groups = list(zip(degs.tolist(), np.split(by_deg, firsts[1:])))
+    for _ in range(k):
+        nb = col[src]
+        nb = nb[np.lexsort((nb, tgt))]
+        new = np.empty(n, dtype=np.int64)
+        offset = 0
+        for d, verts in groups:
+            rows = np.empty((verts.size, d + 1), dtype=np.int64)
+            rows[:, 0] = marks[verts]
+            rows[:, 1:] = nb[ptr[verts, None] + np.arange(d)]
+            ranks, distinct = _rank_rows(rows)
+            new[verts] = offset + ranks
+            offset += distinct
+        col = new
+    return col
+
+
+def _rank_rows(rows):
+    """Dense lexicographic ranks of the rows and their number of distinct
+    values (``np.unique(rows, axis=0)`` without its slow void-typed sort)."""
+    order = np.lexsort(rows.T[::-1])
+    srt = rows[order]
+    step = np.zeros(len(rows), dtype=np.int64)
+    step[1:] = (srt[1:] != srt[:-1]).any(axis=1)
+    ranks = np.empty(len(rows), dtype=np.int64)
+    ranks[order] = np.cumsum(step)
+    return ranks, int(step.sum()) + 1
+
+
+def _tally(colors, code_of):
+    """Counter of codes over color classes; ``code_of(i)`` encodes item i
+    and is called once per class, on its first item."""
+    _, first, sizes = np.unique(colors, return_index=True, return_counts=True)
+    counts = Counter()
+    for i, size in zip(first.tolist(), sizes.tolist()):
+        counts[code_of(i)] += size
+    return counts
+
+
+# trees sampled and classed together by census_limit, which bounds its memory
+_FOREST_TREES = 1 << 12
 
 
 def census_limit(sampler, k: int, M: int, rng) -> NeighborhoodCensus:
-    """Sample M limit trees, truncate to depth k, canonicalize, tally."""
+    """Sample M limit trees, truncate to depth k, canonicalize, tally.
+
+    A sampler with a ``forest(m, rng)`` method draws m trees at once; any
+    other sampler is called once per tree.  Trees are classed by the same
+    refinement as :func:`census`, a block of trees at a time, with one
+    representative canonicalized per class and block.
+    """
     if M < 1:
         raise UsageError(f"M must be >= 1, got {M}")
     counts = Counter()
-    for _ in range(M):
-        tree = sampler(rng)
-        counts[canonical_code(tree_neighborhood(tree, k))] += 1
-    return NeighborhoodCensus(depth=k, counts=counts, total=M)
+    for first in range(0, M, _FOREST_TREES):
+        m = min(_FOREST_TREES, M - first)
+        if hasattr(sampler, "forest"):
+            forest = sampler.forest(m, rng)
+        else:
+            forest = LimitForest.of_trees((sampler(rng) for _ in range(m)), k)
+        inner = np.nonzero((forest.node_depth > 0) & (forest.node_depth <= k))[0]
+        colors = _refine(forest.mark, inner, forest.parent[inner], k)[forest.roots]
+        counts += _tally(colors, lambda i: canonical_code(
+            tree_neighborhood(forest.tree(i), k)))
+    return NeighborhoodCensus(depth=k, counts=counts, total=M,
+                              paths={"batched": M, "exact": 0})
 
 
 def tv_distance(a: NeighborhoodCensus, b: NeighborhoodCensus) -> float:

@@ -297,12 +297,12 @@ def _sample_ctbp_retry(theta, alpha, rng, attempts=10):
 
 
 def limit_census_sampler(cfg, k):
-    """Per-tree sampler used for the limit-side census at depth k."""
+    """Sampler used for the limit-side census at depth k (a forest sampler
+    for the branching-tree limit, per-tree otherwise)."""
     model = cfg["model"]
     sampler = cfg["limit"]["sampler"]
     if sampler in ("fixed_point", "gw"):
-        law = model["law"]
-        return lambda rng: limits_mod.sample_gw_limit(law, k, rng)
+        return limits_mod.GwTreeSampler(model["law"], k)
     if sampler == "ctbp":
         alpha = limits_mod.malthusian(model["theta"])
         return lambda rng: _sample_ctbp_retry(model["theta"], alpha, rng)
@@ -424,9 +424,11 @@ def run_experiment(config_path, output_dir, threads=None):
 
             if not genspec:
                 entry["census_tv"] = {}
+                entry["census_paths"] = {}
                 for k in cfg["comparison"]["census_depths"]:
                     cen = census(g, k, workers=cfg["threads"])
                     write_census_csv(cen, out / f"census_{n}_{k}.csv")
+                    entry["census_paths"][str(k)] = cen.paths
                     entry["census_tv"][str(k)] = tv_distance(
                         cen, limit_censuses[k])
 
@@ -589,7 +591,7 @@ def _cmd_limit_sample(args):
         if args.sampler in ("fixed-point", "gw"):
             if law is None:
                 raise ConfigError("law: --law required for this sampler")
-            sampler = lambda r: limits_mod.sample_gw_limit(law, k, r)
+            sampler = limits_mod.GwTreeSampler(law, k)
         elif args.sampler == "ctbp":
             alpha = limits_mod.malthusian(args.theta)
             sampler = lambda r: _sample_ctbp_retry(args.theta, alpha, r)

@@ -127,15 +127,21 @@ class BiDegreeLaw:
             raise ConfigError("size-biased law undefined: mean out-degree is 0")
 
     def sample(self, rng, size):
-        idx = np.searchsorted(self._cum, rng.random(size), side="right")
-        idx = np.minimum(idx, self._H.size - 1)
-        return self._H[idx], self._L[idx]
+        return self.from_uniforms(rng.random(size))
 
     def sample_star(self, rng, size):
         self._require_star()
-        idx = np.searchsorted(self._cum_star, rng.random(size), side="right")
-        idx = np.minimum(idx, self._Hs.size - 1)
-        return self._Hs[idx], self._Ls[idx]
+        return self.from_uniforms(rng.random(size), star=True)
+
+    def from_uniforms(self, u, star: bool = False):
+        """(h, l) by inverse CDF of p (or p* when ``star``), one pair per uniform."""
+        if star:
+            self._require_star()
+            cum, H, L = self._cum_star, self._Hs, self._Ls
+        else:
+            cum, H, L = self._cum, self._H, self._L
+        idx = np.minimum(np.searchsorted(cum, u, side="right"), H.size - 1)
+        return H[idx], L[idx]
 
 
 @dataclass

@@ -17,6 +17,7 @@ deliberately distinct so each can check the other.
 
 from __future__ import annotations
 
+import copy
 import logging
 from dataclasses import dataclass
 
@@ -28,9 +29,12 @@ from .graph import MarkedNeighborhood
 
 __all__ = [
     "LimitTree",
+    "LimitForest",
+    "GwTreeSampler",
     "PolyaParams",
     "malthusian",
     "sample_gw_limit",
+    "sample_gw_forest",
     "sample_ctbp_limit",
     "sample_polya_limit",
     "root_pagerank",
@@ -87,6 +91,53 @@ class LimitTree:
         if self.size > 1:
             counts += np.bincount(self.parent[1:], minlength=self.size)
         return counts
+
+
+@dataclass
+class LimitForest:
+    """Rooted marked trees stored back to back.
+
+    Tree i is nodes ``start[i]:start[i+1]``, parents before children, rooted
+    at node ``start[i]``; ``parent`` holds forest-wide indices and -1 at the
+    roots.  ``truncation_depth`` is as for :class:`LimitTree`, shared by all
+    trees.
+    """
+
+    parent: np.ndarray
+    mark: np.ndarray
+    node_depth: np.ndarray
+    start: np.ndarray
+    truncation_depth: int | None
+
+    @property
+    def roots(self) -> np.ndarray:
+        return self.start[:-1]
+
+    def tree(self, i: int) -> LimitTree:
+        a, b = int(self.start[i]), int(self.start[i + 1])
+        parent = self.parent[a:b] - a
+        parent[0] = -1
+        return LimitTree(parent=parent, mark=self.mark[a:b],
+                         node_depth=self.node_depth[a:b],
+                         truncation_depth=self.truncation_depth)
+
+    @classmethod
+    def of_trees(cls, trees, k: int) -> "LimitForest":
+        """Depth-k truncations of the given trees, back to back."""
+        parents, marks, depths = [], [], []
+        for t in trees:
+            _check_depth(t.truncation_depth, k)
+            cut = int(np.searchsorted(t.node_depth, k, side="right"))
+            parents.append(t.parent[:cut])
+            marks.append(t.mark[:cut])
+            depths.append(t.node_depth[:cut])
+        sizes = np.array([p.size for p in parents], dtype=np.int64)
+        start = np.zeros(sizes.size + 1, dtype=np.int64)
+        np.cumsum(sizes, out=start[1:])
+        parent = np.concatenate(parents) + np.repeat(start[:-1], sizes)
+        parent[start[:-1]] = -1
+        return cls(parent=parent, mark=np.concatenate(marks),
+                   node_depth=np.concatenate(depths), start=start, truncation_depth=k)
 
 
 @dataclass(frozen=True)
@@ -206,6 +257,105 @@ def sample_gw_limit(law: BiDegreeLaw, depth: int, rng) -> LimitTree:
         node_depth=np.asarray(depths, dtype=np.int32),
         truncation_depth=depth,
     )
+
+
+def sample_gw_forest(law: BiDegreeLaw, depth: int, M: int, rng) -> LimitForest:
+    """M trees of :func:`sample_gw_limit`, drawn in one batch.
+
+    Consumes ``rng`` exactly as M sequential ``sample_gw_limit`` calls do, so
+    tree i equals the i-th of those calls.  Each call draws one uniform for
+    the root and then one contiguous block per level, as long as the level
+    has nodes, so the M trees read one run of uniforms in which every tree's
+    levels follow from prefix sums of the star in-degrees.  The run's length
+    is found on a copy of the bit generator; then exactly that many uniforms
+    are drawn from ``rng``, which leaves it where the sequential calls would.
+    """
+    if depth < 0:
+        raise ConfigError(f"depth must be >= 0, got {depth}")
+    if M < 1:
+        raise ConfigError(f"forest needs M >= 1 trees, got {M}")
+    probe = np.random.Generator(copy.deepcopy(rng.bit_generator))
+    starts, total = _gw_tree_starts(law, depth, M, probe)
+    u = rng.random(total)
+    # level d of tree i is nodes bounds[i, d]:bounds[i, d + 1]; level 0 is the root
+    bounds = np.stack(list(_gw_level_starts(law, u, starts, depth)), axis=1)
+    node_depth = np.repeat(np.tile(np.arange(depth + 1, dtype=np.int32), M),
+                           np.diff(bounds, axis=1).ravel())
+    is_root = node_depth == 0
+    mark = np.empty(total, dtype=np.int64)
+    kids = np.empty(total, dtype=np.int64)
+    mark[is_root], kids[is_root] = law.from_uniforms(u[is_root])
+    if not is_root.all():
+        mark[~is_root], kids[~is_root] = law.from_uniforms(u[~is_root], star=True)
+    kids[node_depth == depth] = 0
+    # in node order, the non-roots are the children of the nodes in node order
+    parent = np.full(total, -1, dtype=np.int64)
+    parent[~is_root] = np.repeat(np.arange(total), kids)
+    return LimitForest(parent=parent, mark=mark, node_depth=node_depth,
+                       start=np.append(starts, total), truncation_depth=depth)
+
+
+# uniforms the probe draws at a time while locating trees in the stream
+_PROBE_CHUNK = 1 << 13
+
+
+def _gw_tree_starts(law, depth, M, probe):
+    """Stream offsets where M consecutive trees start, and where the last ends.
+
+    The probe's uniforms are read through a window that slides past every
+    whole tree it holds and at least doubles when the next tree overruns it,
+    so memory stays at a few chunks however large the forest.
+    """
+    starts = []
+    offset = 0  # stream position of window[0]
+    window = np.zeros(0)
+    while len(starts) < M:
+        window = np.concatenate([window, probe.random(max(window.size, _PROBE_CHUNK))])
+        for end in _gw_level_starts(law, window, np.arange(window.size), depth):
+            pass  # only the tree ends are needed; earlier levels are dropped as they go
+        p = 0
+        while len(starts) < M and p < window.size and end[p] <= window.size:
+            starts.append(offset + p)
+            p = int(end[p])
+        offset += p
+        window = window[p:]
+    return np.asarray(starts, dtype=np.int64), offset
+
+
+def _gw_level_starts(law, u, p, depth):
+    """Yield, for the trees whose root uniform is ``u[p]``, the start of each
+    level 0..depth and then the tree's end.
+
+    Reads past ``u`` are clipped; the boundaries only grow, so a tree that
+    needs more uniforms than ``u`` holds ends beyond ``u.size``.
+    """
+    B = u.size
+    l_star = law.from_uniforms(u, star=True)[1] if law.mean_out > 0 else np.zeros(B, np.int64)
+    csum = np.zeros(B + 1, dtype=np.int64)
+    np.cumsum(l_star, out=csum[1:])
+    lo, hi = p, p + 1
+    yield lo
+    yield hi
+    width = law.from_uniforms(u[p])[1]
+    for d in range(1, depth + 1):
+        lo, hi = hi, hi + width
+        yield hi
+        if d < depth:
+            width = csum[np.minimum(hi, B)] - csum[np.minimum(lo, B)]
+
+
+@dataclass(frozen=True)
+class GwTreeSampler:
+    """Branching-tree limit at a fixed depth, one tree or a forest at a time."""
+
+    law: BiDegreeLaw
+    depth: int
+
+    def __call__(self, rng) -> LimitTree:
+        return sample_gw_limit(self.law, self.depth, rng)
+
+    def forest(self, M: int, rng) -> LimitForest:
+        return sample_gw_forest(self.law, self.depth, M, rng)
 
 
 def sample_ctbp_limit(rate_base: float, alpha_star: float, rng,
@@ -488,14 +638,18 @@ def gw_root_rank_pool(law: BiDegreeLaw, c: float | None, depth: int, M: int, rng
 # conversions and I/O
 
 
-def tree_neighborhood(t: LimitTree, k: int) -> MarkedNeighborhood:
-    """Depth-k truncation of the tree as a rooted marked neighborhood."""
+def _check_depth(truncation_depth, k):
     if k < 0:
         raise UsageError(f"depth must be >= 0, got {k}")
-    if t.truncation_depth is not None and k > t.truncation_depth:
+    if truncation_depth is not None and k > truncation_depth:
         raise UsageError(
-            f"tree truncated at depth {t.truncation_depth}, cannot take depth {k}"
+            f"tree truncated at depth {truncation_depth}, cannot take depth {k}"
         )
+
+
+def tree_neighborhood(t: LimitTree, k: int) -> MarkedNeighborhood:
+    """Depth-k truncation of the tree as a rooted marked neighborhood."""
+    _check_depth(t.truncation_depth, k)
     keep = np.nonzero(t.node_depth <= k)[0]
     local = {int(v): i for i, v in enumerate(keep)}
     edges = []

@@ -2,16 +2,24 @@
 
 Everything here is deliberately dumb: exhaustive bijection search for
 isomorphism, literal walk enumeration for truncated scores, dense linear
-solves for exact scores, and Fraction arithmetic for the branching-tree mean.
+solves for exact scores, Fraction arithmetic for the branching-tree mean,
+and one exploration plus one canonical code per root or tree for censuses.
 None of it shares code with the implementation paths it checks.
 """
 
+from collections import Counter
 from fractions import Fraction
 from itertools import permutations
 
 import numpy as np
 
-from pagerank_limits.graph import DirectedMultigraph, MarkedNeighborhood
+from pagerank_limits.graph import (
+    DirectedMultigraph,
+    MarkedNeighborhood,
+    canonical_code,
+    explore_neighborhood,
+)
+from pagerank_limits.limits import tree_neighborhood
 
 
 def brute_force_isomorphic(a: MarkedNeighborhood, b: MarkedNeighborhood) -> bool:
@@ -149,3 +157,14 @@ def exact_gw_mean(entries, c: Fraction, N: int) -> Fraction:
     for _ in range(N - 1):
         xi = (one - c) * t0 + c * beta * xi
     return (one - c) + c * mean_in * xi
+
+
+def per_root_census(g: DirectedMultigraph, k: int, roots=None) -> Counter:
+    """Canonical-code counts with one exploration per root (all by default)."""
+    roots = range(g.n) if roots is None else roots
+    return Counter(canonical_code(explore_neighborhood(g, int(v), k)) for v in roots)
+
+
+def per_tree_census_limit(sampler, k: int, M: int, rng) -> Counter:
+    """Canonical-code counts of M trees drawn one by one and truncated to depth k."""
+    return Counter(canonical_code(tree_neighborhood(sampler(rng), k)) for _ in range(M))

@@ -1,3 +1,4 @@
+import importlib
 from collections import Counter
 
 import numpy as np
@@ -16,7 +17,8 @@ from pagerank_limits.census import (
     tv_distance,
     write_census_csv,
 )
-from pagerank_limits.errors import UsageError
+from _oracles import per_root_census, per_tree_census_limit
+from pagerank_limits.errors import SizeError, UsageError
 from pagerank_limits.generators import (
     BiDegreeLaw,
     PamParams,
@@ -26,7 +28,17 @@ from pagerank_limits.generators import (
     sample_bidegree_sequence,
 )
 from pagerank_limits.graph import build_graph
-from pagerank_limits.limits import sample_ctbp_limit, sample_gw_limit
+from pagerank_limits.limits import (
+    GwTreeSampler,
+    PolyaParams,
+    malthusian,
+    sample_ctbp_limit,
+    sample_gw_limit,
+    sample_polya_limit,
+)
+
+# the package attribute `census` is the function, so fetch the module itself
+census_module = importlib.import_module("pagerank_limits.census")
 
 UNIFORM33 = BiDegreeLaw([(h, l, 1 / 9) for h in (1, 2, 3) for l in (1, 2, 3)])
 
@@ -84,6 +96,53 @@ class TestCensus:
         assert tv_distance(a, b) < 0.05
 
 
+def random_multigraph(rng, n, mean_out):
+    """Multigraph with self-loops, multi-edges and dangling vertices; sparse
+    enough at small ``mean_out`` that most neighborhoods are trees."""
+    src = np.repeat(np.arange(n), rng.poisson(mean_out, n) * (rng.random(n) > 0.15))
+    tgt = rng.integers(0, n, src.size)
+    mult = np.where(rng.random(src.size) < 0.1, 2, 1)
+    loops = rng.integers(0, n, max(1, n // 50))
+    return build_graph((np.concatenate([src, loops]), np.concatenate([tgt, loops]),
+                        np.concatenate([mult, np.ones(loops.size, dtype=np.int64)])), n)
+
+
+class TestBatchedCensus:
+    @pytest.mark.parametrize("k", [0, 1, 2, 3])
+    def test_matches_per_root_oracle(self, k):
+        rng = RngStream(120).generator()
+        batched = 0
+        for n, mean_out in [(1, 1.0), (7, 2.0), (60, 0.7), (300, 1.0), (300, 2.5)]:
+            g = random_multigraph(rng, n, mean_out)
+            c = census(g, k)
+            assert c.counts == per_root_census(g, k) and c.total == n
+            assert c.paths["batched"] + c.paths["exact"] == n
+            batched += c.paths["batched"]
+            if k == 0:
+                assert c.paths["exact"] == 0
+        assert batched > 300  # the tree path is exercised, not just the fallback
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_sampled_roots_match_oracle(self, k):
+        g = random_multigraph(RngStream(121).generator(), 400, 1.2)
+        c = census(g, k, sample_count=150, rng=RngStream(122).generator())
+        roots = RngStream(122).generator().choice(g.n, size=150, replace=False)
+        assert c.counts == per_root_census(g, k, roots) and c.total == 150
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_workers_split_exact_roots(self, k):
+        g = random_multigraph(RngStream(123).generator(), 400, 1.5)
+        c = census(g, k, workers=2)
+        assert c.paths["exact"] > 8  # enough fallback roots to reach the pool
+        assert c.counts == per_root_census(g, k)
+
+    def test_oversized_tree_names_root(self):
+        # a 10 001-leaf in-star is a tree neighborhood above the node limit
+        g = build_graph([(i, 0) for i in range(1, 10_002)], 10_002)
+        with pytest.raises(SizeError, match=r"^root 0: neighborhood has 10002 nodes"):
+            census(g, 1)
+
+
 class TestCensusLimit:
     def test_path_law_single_class(self):
         law = BiDegreeLaw([(1, 1, 1.0)])
@@ -96,6 +155,37 @@ class TestCensusLimit:
                          RngStream(89).generator())
         assert len(c.counts) == 1
         assert list(c.counts.values()) == [50]
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 3])
+    @pytest.mark.parametrize("seed", [130, 131])
+    def test_gw_forest_matches_per_tree(self, k, seed, monkeypatch):
+        # 700-tree blocks: four full blocks and a partial one
+        monkeypatch.setattr(census_module, "_FOREST_TREES", 700)
+        law = BiDegreeLaw([(1, 1, 0.3), (2, 3, 0.4), (3, 1, 0.2), (4, 4, 0.1)])
+        rf, rt, ro = (RngStream(seed).generator() for _ in range(3))
+        forest = census_limit(GwTreeSampler(law, k), k, 3000, rf)
+        per_tree = census_limit(lambda r: sample_gw_limit(law, k, r), k, 3000, rt)
+        assert forest.counts == per_tree.counts
+        assert forest.counts == per_tree_census_limit(GwTreeSampler(law, k), k, 3000, ro)
+        # the forest leaves the stream where the per-tree calls did
+        assert rf.random() == rt.random() == ro.random()
+
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_ctbp_and_polya_match_per_tree_oracle(self, k):
+        alpha = malthusian(1.0)
+        pp = PolyaParams(m=2, delta=1.0)
+        samplers = [lambda r: sample_ctbp_limit(1.0, alpha, r),
+                    lambda r: sample_polya_limit(pp, 3, r)]
+        for i, sampler in enumerate(samplers):
+            got = census_limit(sampler, k, 1500, RngStream(132, i).generator())
+            want = per_tree_census_limit(sampler, k, 1500, RngStream(132, i).generator())
+            assert got.counts == want
+
+    def test_depth_beyond_truncation_rejected(self):
+        law = BiDegreeLaw([(1, 1, 1.0)])
+        with pytest.raises(UsageError, match="truncated at depth 1"):
+            census_limit(lambda r: sample_gw_limit(law, 1, r), 2, 5,
+                         RngStream(133).generator())
 
 
 class TestTvDistance:

@@ -246,6 +246,35 @@ class TestRunExperiment:
         assert (tmp_path / "out" / "tails_200.csv").exists()
         assert (tmp_path / "out" / "limit_tails.csv").exists()
 
+    def test_record_census_paths(self, tmp_path):
+        cfg = tmp_path / "config.json"
+        write_config(cfg, comparison={"census_depths": [0, 1, 2]})
+        record, code = cli.run_experiment(cfg, tmp_path / "out")
+        assert code == 0
+        rec = json.loads((tmp_path / "out" / "record.json").read_text())
+        for entry in rec["per_size"]:
+            assert set(entry["census_paths"]) == {"0", "1", "2"}
+            for k, paths in entry["census_paths"].items():
+                assert paths["batched"] + paths["exact"] == entry["n"]
+                assert paths["batched"] > 0
+            assert entry["census_paths"]["0"]["exact"] == 0
+
+    def test_limit_sample_census_mode_matches_per_tree(self, tmp_path):
+        from _oracles import per_tree_census_limit
+        from pagerank_limits.census import NeighborhoodCensus, write_census_csv
+        from pagerank_limits.generators import RngStream
+        from pagerank_limits.limits import sample_gw_limit
+
+        out = tmp_path / "lc.csv"
+        assert cli.main(["limit-sample", "--sampler", "gw", "--mode", "census",
+                         "--law", json.dumps(DCM_LAW), "--M", "2000", "--k", "2",
+                         "--seed", "5", "--output", str(out)]) == 0
+        law = cli._parse_law(DCM_LAW, "law")
+        counts = per_tree_census_limit(lambda r: sample_gw_limit(law, 2, r), 2, 2000,
+                                       RngStream(5, cli.STREAM_LIMITS).generator())
+        write_census_csv(NeighborhoodCensus(2, counts, 2000), tmp_path / "want.csv")
+        assert out.read_bytes() == (tmp_path / "want.csv").read_bytes()
+
     def test_limit_sample_tree_mode(self, tmp_path):
         out = tmp_path / "tree.txt"
         rc = cli.main(["limit-sample", "--sampler", "gw", "--mode", "tree",

@@ -5,8 +5,10 @@ import pytest
 
 from pagerank_limits.errors import ConfigError, ResourceError, UsageError
 from pagerank_limits.generators import BiDegreeLaw, RngStream
+from pagerank_limits import limits as limits_mod
 from pagerank_limits.graph import canonical_code
 from pagerank_limits.limits import (
+    LimitForest,
     LimitTree,
     PolyaParams,
     attach_generalized_weights,
@@ -16,6 +18,7 @@ from pagerank_limits.limits import (
     root_pagerank,
     root_pagerank_generalized,
     sample_ctbp_limit,
+    sample_gw_forest,
     sample_gw_limit,
     sample_polya_limit,
     solve_fixed_point_mc,
@@ -97,6 +100,53 @@ class TestGwSampler:
                 for _ in range(4000)]
         se = np.std(vals) / np.sqrt(len(vals))
         assert abs(np.mean(vals) - float(want)) < 3 * se
+
+
+class TestGwForest:
+    LAWS = [
+        UNIFORM33,
+        BiDegreeLaw([(1, 1, 0.5), (2, 2, 0.5)]),
+        BiDegreeLaw([(0, 0, 0.3), (1, 1, 0.4), (2, 2, 0.3)]),  # extinct trees
+        BiDegreeLaw([(1, 3, 0.5), (3, 1, 0.5)]),
+    ]
+
+    @pytest.mark.parametrize("depth", [0, 1, 2, 4])
+    def test_trees_and_stream_match_sequential_calls(self, depth):
+        for i, law in enumerate(self.LAWS):
+            rf, rs = RngStream(60, i).generator(), RngStream(60, i).generator()
+            forest = sample_gw_forest(law, depth, 400, rf)
+            assert forest.roots.size == 400 and forest.truncation_depth == depth
+            for j in range(400):
+                want, got = sample_gw_limit(law, depth, rs), forest.tree(j)
+                assert np.array_equal(got.parent, want.parent)
+                assert np.array_equal(got.mark, want.mark)
+                assert np.array_equal(got.node_depth, want.node_depth)
+            assert rf.random() == rs.random()
+
+    def test_probe_window_slides_and_grows(self, monkeypatch):
+        # one-uniform chunks make trees overrun the probe's window again and again
+        monkeypatch.setattr(limits_mod, "_PROBE_CHUNK", 1)
+        law = BiDegreeLaw([(1, 0, 0.9), (10, 19, 0.1)])
+        rf, rs = RngStream(61).generator(), RngStream(61).generator()
+        forest = sample_gw_forest(law, 3, 50, rf)
+        assert forest.start[-1] == sum(sample_gw_limit(law, 3, rs).size for _ in range(50))
+        assert rf.random() == rs.random()
+
+    def test_of_trees_truncates(self):
+        rng = RngStream(62).generator()
+        trees = [sample_ctbp_limit(1.0, 2.0, rng) for _ in range(30)]
+        forest = LimitForest.of_trees(trees, 2)
+        for j, t in enumerate(trees):
+            cut = int((t.node_depth <= 2).sum())
+            assert np.array_equal(forest.tree(j).parent, t.parent[:cut])
+        with pytest.raises(UsageError):
+            LimitForest.of_trees([sample_gw_limit(UNIFORM33, 1, rng)], 2)
+
+    def test_bad_arguments(self):
+        with pytest.raises(ConfigError):
+            sample_gw_forest(UNIFORM33, -1, 5, RngStream(63).generator())
+        with pytest.raises(ConfigError):
+            sample_gw_forest(UNIFORM33, 2, 0, RngStream(63).generator())
 
 
 class TestRootRank:

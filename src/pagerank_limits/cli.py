@@ -656,9 +656,10 @@ def _cmd_verify(args):
         check("mass-identity",
               lambda: _assert(abs(float(exact.values.sum()) - g.n) <= 1e-8 * g.n,
                               "sum differs from n"))
-    for N in range(args.max_order + 1):
-        check(f"truncation-bound-N{N}",
-              lambda N=N: pr.truncation_gap(g, params, N, exact=exact))
+    sweep = pr.truncation_sweep(g, params, args.max_order) if args.max_order >= 0 else ()
+    for vec in sweep:
+        check(f"truncation-bound-N{vec.order}",
+              lambda: pr.truncation_gap(g, params, vec.order, exact=exact, truncated=vec))
     check("lower-bound", lambda: pr.lower_bound_check(g, params, exact=exact))
     print(f"{'OK' if failures == 0 else 'FAILED'}: {failures} violations")
     return EXIT_OK if failures == 0 else EXIT_INVARIANT

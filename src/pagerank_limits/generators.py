@@ -53,10 +53,6 @@ class RngStream:
         if isinstance(self.stream, int):
             object.__setattr__(self, "stream", (self.stream,))
 
-    @property
-    def stream_id(self) -> int:
-        return self.stream[0]
-
     def generator(self) -> np.random.Generator:
         seq = np.random.SeedSequence(entropy=self.master_seed, spawn_key=self.stream)
         return np.random.Generator(np.random.Philox(seq))
@@ -282,14 +278,9 @@ def gen_dpa(n: int, p: PamParams, rng) -> DirectedMultigraph:
 
 @dataclass(frozen=True)
 class CtbpParams:
-    """Pure-birth process with rate k + rate_base after k children.
-
-    ``horizon`` is the target population size used by pipeline code; the
-    generator takes the size explicitly.
-    """
+    """Pure-birth process with rate k + rate_base after k children."""
 
     rate_base: float
-    horizon: int | None = None
 
     def __post_init__(self):
         if not self.rate_base > 0:

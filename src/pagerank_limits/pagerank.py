@@ -13,6 +13,7 @@ score at most 1.
 from __future__ import annotations
 
 import json
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +28,7 @@ __all__ = [
     "GeneralizedWeights",
     "solve_pagerank",
     "pagerank_truncated",
+    "truncation_sweep",
     "truncation_gap",
     "solve_generalized",
     "lower_bound_check",
@@ -95,8 +97,12 @@ class GeneralizedWeights:
 
 def pull_matrix(g: DirectedMultigraph) -> sp.csr_matrix:
     """Sparse P with P[i, j] = e_{j,i} / d_out_j (dangling columns are zero)."""
-    data = g.mult / g.d_out[g.src]
-    return sp.csr_matrix((data, (g.tgt, g.src)), shape=(g.n, g.n))
+    return sp.csr_matrix((_edge_shares(g), (g.tgt, g.src)), shape=(g.n, g.n))
+
+
+def _edge_shares(g):
+    """e_{j,i} / d_out_j for each distinct edge j -> i, in edge order."""
+    return g.mult / g.d_out[g.src]
 
 
 def _iterate(mat, offset, start, factor_desc, tol, max_iter):
@@ -142,16 +148,37 @@ def _check_solution(g, p, vec):
             )
 
 
-def pagerank_truncated(g: DirectedMultigraph, p: PageRankParams, N: int) -> PageRankVector:
-    """Weighted sum over directed paths of length <= N, via N pull iterations."""
+def truncation_sweep(g: DirectedMultigraph, p: PageRankParams, N: int):
+    """Iterator over R^(0), R^(1), ..., R^(N), one pull iteration apart.
+
+    The pull matrix is built once, on the call; each step yields a new
+    vector, so a caller that keeps only the current one holds O(n) memory.
+    """
+    _check_order(N)
+    return _sweep(p.c * pull_matrix(g), np.full(g.n, 1.0 - p.c), N, p)
+
+
+def _check_order(N):
     if N < 0:
         raise ConfigError(f"truncation order must be >= 0, got {N}")
-    mat = p.c * pull_matrix(g)
-    offset = np.full(g.n, 1.0 - p.c)
+
+
+def _sweep(mat, offset, N, params):
+    """Yield R^(k) = mat @ R^(k-1) + offset for k = 0..N, from R^(0) = offset."""
     r = offset.copy()
-    for _ in range(N):
+    yield PageRankVector(values=r, order=0, params=params, iterations=0)
+    for k in range(1, N + 1):
         r = mat @ r + offset
-    return PageRankVector(values=r, order=N, params=p, iterations=N, residual=None)
+        yield PageRankVector(values=r, order=k, params=params, iterations=k)
+
+
+def _last(sweep) -> PageRankVector:
+    return deque(sweep, maxlen=1)[0]
+
+
+def pagerank_truncated(g: DirectedMultigraph, p: PageRankParams, N: int) -> PageRankVector:
+    """Weighted sum over directed paths of length <= N, via N pull iterations."""
+    return _last(truncation_sweep(g, p, N))
 
 
 def truncation_gap(g, p, N, exact: PageRankVector | None = None,
@@ -182,16 +209,12 @@ def solve_generalized(g: DirectedMultigraph, w: GeneralizedWeights,
         raise ConfigError(f"weights have length {w.C.size}, graph has {g.n} vertices")
     # same evaluation order as c * pull_matrix so constant C reproduces the
     # standard solver bit for bit
-    data = w.C[g.src] * (g.mult / g.d_out[g.src])
+    data = w.C[g.src] * _edge_shares(g)
     mat = sp.csr_matrix((data, (g.tgt, g.src)), shape=(g.n, g.n))
     b = w.B.astype(np.float64)
     if order is not None:
-        if order < 0:
-            raise ConfigError(f"truncation order must be >= 0, got {order}")
-        r = b.copy()
-        for _ in range(order):
-            r = mat @ r + b
-        return PageRankVector(values=r, order=order, params=w, iterations=order, residual=None)
+        _check_order(order)
+        return _last(_sweep(mat, b, order, w))
     r, it, delta = _iterate(mat, b, b.copy(), f"generalized(c_max={w.c_max})", tol, max_iter)
     return PageRankVector(values=r, order="exact", params=w, iterations=it, residual=delta)
 
@@ -205,7 +228,8 @@ def lower_bound_check(g: DirectedMultigraph, p: PageRankParams,
     """
     if exact is None:
         exact = solve_pagerank(g, p)
-    in_weight = pull_matrix(g) @ np.ones(g.n)
+    # the row sums of pull_matrix(g), added in the same (source) order
+    in_weight = np.bincount(g.tgt, weights=_edge_shares(g), minlength=g.n)
     bound = (1.0 - p.c) * (1.0 + p.c * in_weight)
     slack = 1e-10 * (1.0 + np.abs(bound))
     bad = np.nonzero(exact.values < bound - slack)[0]

@@ -3,16 +3,19 @@
 Everything here is deliberately dumb: exhaustive bijection search for
 isomorphism, literal walk enumeration for truncated scores, dense linear
 solves for exact scores, Fraction arithmetic for the branching-tree mean,
-and one exploration plus one canonical code per root or tree for censuses.
+one exploration plus one canonical code per root or tree for censuses, and
+the line-by-line str-method edge-list parser.
 None of it shares code with the implementation paths it checks.
 """
 
+import re
 from collections import Counter
 from fractions import Fraction
 from itertools import permutations
 
 import numpy as np
 
+from pagerank_limits.errors import InputError
 from pagerank_limits.graph import (
     DirectedMultigraph,
     MarkedNeighborhood,
@@ -168,3 +171,35 @@ def per_root_census(g: DirectedMultigraph, k: int, roots=None) -> Counter:
 def per_tree_census_limit(sampler, k: int, M: int, rng) -> Counter:
     """Canonical-code counts of M trees drawn one by one and truncated to depth k."""
     return Counter(canonical_code(tree_neighborhood(sampler(rng), k)) for _ in range(M))
+
+
+_HEADER_RE = re.compile(r"#\s*n\s*=\s*(\d+)\s*$")
+
+
+def parse_edgelist_reference(text: str):
+    """The edge-list grammar spelled with str methods, one line at a time.
+
+    Returns ``(edges, n)`` like ``parse_edgelist``.  Fields go through
+    ``int``, so values are unbounded and ``int``'s extras (``_`` separators,
+    non-ASCII digits) are accepted.
+    """
+    n = None
+    edges = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        if line.startswith("#"):
+            m = _HEADER_RE.match(line)
+            if m:
+                n = int(m.group(1))
+            continue
+        parts = line.split()
+        if len(parts) not in (2, 3):
+            raise InputError(f"line {lineno}: expected '<source> <target> [multiplicity]'")
+        try:
+            vals = [int(p) for p in parts]
+        except ValueError:
+            raise InputError(f"line {lineno}: non-integer field in {line!r}") from None
+        edges.append((vals[0], vals[1], vals[2] if len(vals) == 3 else 1))
+    return edges, n

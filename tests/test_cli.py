@@ -102,6 +102,25 @@ class TestSubcommands:
         assert rc == 0
         assert "FAIL" not in out and "PASS mass-identity" in out
 
+    def test_verify_builds_pull_matrix_at_most_twice(self, tmp_path, capsys, monkeypatch):
+        g = tmp_path / "g.txt"
+        cli.main(["generate", "--model", "dcm", "--law", json.dumps(DCM_LAW),
+                  "--n", "300", "--seed", "6", "--output", str(g)])
+        builds = []
+        pull_matrix = cli.pr.pull_matrix
+
+        def counted(graph):
+            builds.append(graph.n)
+            return pull_matrix(graph)
+
+        monkeypatch.setattr(cli.pr, "pull_matrix", counted)
+        capsys.readouterr()
+        rc = cli.main(["verify", "--graph", str(g), "--c", "0.5", "--max-order", "6"])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert [f"PASS truncation-bound-N{N}" in out for N in range(8)] == [True] * 7 + [False]
+        assert len(builds) <= 2  # the exact solve and the truncation sweep
+
     def test_missing_graph_is_operational_error(self, capsys):
         rc = cli.main(["pagerank", "--graph", "/nonexistent/g.txt", "--c", "0.5"])
         assert rc == 1

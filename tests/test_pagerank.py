@@ -7,12 +7,15 @@ from pagerank_limits.graph import build_graph
 from pagerank_limits.pagerank import (
     GeneralizedWeights,
     PageRankParams,
+    PageRankVector,
     lower_bound_check,
     pagerank_truncated,
+    pull_matrix,
     read_scores_csv,
     solve_generalized,
     solve_pagerank,
     truncation_gap,
+    truncation_sweep,
     write_scores_csv,
 )
 
@@ -124,6 +127,52 @@ class TestTruncated:
                 assert (cur >= prev - 1e-12).all()
                 assert (cur <= exact.values + 1e-12).all()
                 prev = cur
+
+
+def random_graph(rng, n, dangling):
+    """Random multigraph with self-loops; every vertex has an out-edge unless
+    ``dangling``, in which case vertices 0, 5, 10, ... have none."""
+    src = rng.integers(0, n, 4 * n)
+    if dangling:
+        src = src[src % 5 != 0]
+    else:
+        src = np.concatenate([np.arange(n), src])
+    tgt = rng.integers(0, n, src.size)
+    return build_graph((src, tgt), n)
+
+
+class TestTruncationSweep:
+    @pytest.mark.parametrize("dangling", [True, False])
+    def test_iterates_bitwise_equal_per_order_solves(self, dangling):
+        rng = RngStream(15).generator()
+        for n in (1, 7, 300):
+            g = random_graph(rng, n, dangling)
+            assert g.has_dangling() == dangling
+            p = PageRankParams(c=float(rng.choice([0.5, 0.85])))
+            mat = p.c * pull_matrix(g)
+            offset = np.full(g.n, 1.0 - p.c)
+            sweep = list(truncation_sweep(g, p, 20))
+            assert [v.order for v in sweep] == list(range(21))
+            for N, vec in enumerate(sweep):
+                # N pull iterations, each order solved from scratch
+                r = offset.copy()
+                for _ in range(N):
+                    r = mat @ r + offset
+                assert np.array_equal(vec.values, r)
+                assert np.array_equal(vec.values, pagerank_truncated(g, p, N).values)
+                assert vec.iterations == N
+
+    def test_bad_order_raises_on_call(self):
+        with pytest.raises(ConfigError, match="order"):
+            truncation_sweep(cycle3(), PageRankParams(c=0.5), -1)
+
+    def test_iterates_are_distinct_arrays(self):
+        sweep = truncation_sweep(star(), PageRankParams(c=0.5), 2)
+        first = next(sweep).values.copy()
+        held = next(sweep)
+        next(sweep)
+        assert np.array_equal(first, [0.5, 0.5, 0.5])
+        assert np.array_equal(held.values, [1.0, 0.5, 0.5])
 
 
 class TestTruncationGap:
@@ -239,6 +288,18 @@ class TestGeneralized:
 
 
 class TestLowerBound:
+    def test_bound_is_order_one_from_pull_matrix(self):
+        rng = RngStream(16).generator()
+        for dangling in (True, False):
+            g = random_graph(rng, 300, dangling)
+            p = PageRankParams(c=0.85)
+            bound = (1.0 - p.c) * (1.0 + p.c * (pull_matrix(g) @ np.ones(g.n)))
+            on = PageRankVector(bound, "exact", p, 0)
+            assert lower_bound_check(g, p, exact=on) == 1.0
+            below = PageRankVector(bound - 1e-9 * (1.0 + bound), "exact", p, 0)
+            with pytest.raises(InvariantViolation, match="300 vertices"):
+                lower_bound_check(g, p, exact=below)
+
     def test_examples(self):
         assert lower_bound_check(build_graph([], 3), PageRankParams(c=0.85)) == 1.0
         assert lower_bound_check(cycle3(), PageRankParams(c=0.5)) == 1.0

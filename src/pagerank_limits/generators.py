@@ -12,7 +12,10 @@ Every generator consumes a ``numpy.random.Generator``; use
 
 from __future__ import annotations
 
+import contextvars
 import heapq
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,8 +36,8 @@ __all__ = [
     "gen_ctbp_tree",
 ]
 
-# rows materialized per block when sampling IRG edge indicators
-_IRG_BLOCK_CELLS = 4_000_000
+# cells (rows x n raw words) drawn per block when sampling IRG edges
+_IRG_BLOCK_CELLS = 1 << 21
 
 
 @dataclass(frozen=True)
@@ -194,31 +197,82 @@ def gen_dcm(seq: BiDegreeSequence, rng) -> DirectedMultigraph:
 
 
 def gen_irg(w_out, w_in, theta: float, rng) -> DirectedMultigraph:
-    """Independent edges i->j (i != j) with probability min{1, w_out_i w_in_j/(theta n)}."""
+    """Independent edges i->j (i != j) with probability min{1, w_out_i w_in_j/(theta n)}.
+
+    Cell (i, j) is decided by uniform number i n + j of ``rng``, which must be
+    Philox-backed (as :class:`RngStream` generators are), and the edge is
+    present when that uniform is below p_ij.  The raw 64-bit words x are
+    screened per row against the row's largest probability (the double is
+    ``(x >> 11) 2^-53``, so ``u < p`` iff ``x >> 11 < ceil(p 2^53)``); only
+    the few words that pass get p_ij computed.  Blocks of rows are drawn in
+    parallel threads, each on its own Philox copy positioned at its first
+    cell, and ``rng`` is left n^2 draws further on: the graph and every later
+    draw are those of drawing all n^2 uniforms in order, whatever the thread
+    count.
+    """
     w_out = np.asarray(w_out, dtype=np.float64)
     w_in = np.asarray(w_in, dtype=np.float64)
     if w_out.shape != w_in.shape or w_out.ndim != 1:
         raise ConfigError("weight arrays must be 1-d and of equal length")
-    if (w_out <= 0).any() or (w_in <= 0).any():
-        raise ConfigError("weights must be positive")
-    if theta <= 0:
-        raise ConfigError(f"theta must be positive, got {theta}")
+    if not all(((w > 0) & (w < np.inf)).all() for w in (w_out, w_in)):
+        raise ConfigError("weights must be positive and finite")
+    if not 0 < theta < np.inf:
+        raise ConfigError(f"theta must be positive and finite, got {theta}")
+    bit_gen = getattr(rng, "bit_generator", None)
+    if not isinstance(bit_gen, np.random.Philox):
+        raise ConfigError(
+            f"gen_irg needs a Philox-backed generator, got {type(bit_gen or rng).__name__}")
     n = w_out.size
+    if n == 0:
+        return build_graph([], 0)
     scale = 1.0 / (theta * n)
-    block = max(1, _IRG_BLOCK_CELLS // max(n, 1))
-    srcs, tgts = [], []
-    for start in range(0, n, block):
-        stop = min(n, start + block)
-        probs = np.minimum(1.0, np.outer(w_out[start:stop], w_in) * scale)
-        rows = np.arange(start, stop)
-        probs[rows - start, rows] = 0.0
-        hit = rng.random(probs.shape) < probs
-        bi, bj = np.nonzero(hit)
-        srcs.append(bi + start)
-        tgts.append(bj)
-    src = np.concatenate(srcs) if srcs else np.zeros(0, dtype=np.int64)
-    tgt = np.concatenate(tgts) if tgts else np.zeros(0, dtype=np.int64)
+    # fmin takes a NaN row bound (0 * inf where scale overflows) to 1 instead
+    # of casting NaN below; that row's p_ij are all NaN, so it has no edges
+    rowmax = np.fmin(1.0, (w_out * w_in.max()) * scale)
+    # u < rowmax iff x >> 11 < t = ceil(rowmax 2^53) iff x <= bound = t 2^11 - 1;
+    # t >= 1 only adds candidates, and t = 2^53 (rowmax 1) wraps bound to 2^64 - 1
+    t = np.maximum(np.ceil(rowmax * 2.0**53).astype(np.uint64), np.uint64(1))
+    bound = (t << np.uint64(11)) - np.uint64(1)
+    rows = max(1, _IRG_BLOCK_CELLS // n)
+
+    def draw(r0):
+        r1 = min(n, r0 + rows)
+        words = _philox_at(start, r0 * n).random_raw((r1 - r0) * n).reshape(r1 - r0, n)
+        bi, bj = np.nonzero(words <= bound[r0:r1, None])
+        u = (words[bi, bj] >> np.uint64(11)) * 2.0**-53
+        bi += r0
+        hit = (u < np.minimum(1.0, (w_out[bi] * w_in[bj]) * scale)) & (bi != bj)
+        return bi[hit], bj[hit]
+
+    start = bit_gen.state
+    starts = range(0, n, rows)
+    with ThreadPoolExecutor(min(len(os.sched_getaffinity(0)), len(starts), 8)) as pool:
+        # each block runs in a copy of the caller's context, which holds np.errstate
+        futures = [pool.submit(contextvars.copy_context().run, draw, r0) for r0 in starts]
+        parts = [f.result() for f in futures]
+    end = _philox_at(start, n * n).state
+    # advance() clears the cached half word of 32-bit draws; uniforms never touch it
+    end["has_uint32"], end["uinteger"] = start["has_uint32"], start["uinteger"]
+    bit_gen.state = end
+    src = np.concatenate([bi for bi, _ in parts])
+    tgt = np.concatenate([bj for _, bj in parts])
     return build_graph((src.astype(np.int64), tgt.astype(np.int64)), n)
+
+
+def _philox_at(state, k: int) -> np.random.Philox:
+    """A Philox bit generator ``k`` 64-bit words past ``state``.
+
+    Philox keeps a buffer of 4 words; ``advance(j)`` skips j whole buffers
+    and empties the current one, so drain it first.
+    """
+    bg = np.random.Philox()
+    bg.state = state
+    head = min(k, 4 - state["buffer_pos"])
+    bg.random_raw(head)
+    if k > head:
+        bg.advance((k - head) // 4)
+        bg.random_raw((k - head) % 4)
+    return bg
 
 
 @dataclass(frozen=True)
@@ -257,7 +311,6 @@ def gen_dpa(n: int, p: PamParams, rng) -> DirectedMultigraph:
     for v in range(2, n):
         for l in range(1, m + 1):
             T = len(pool)
-            assert T == 2 * m * (v - 1) + (l - 1)
             if delta >= 0:
                 r = uniform() * (T + v * delta)
                 tgt = pool[int(r)] if r < T else int(randint(v))

@@ -3,8 +3,8 @@
 Everything here is deliberately dumb: exhaustive bijection search for
 isomorphism, literal walk enumeration for truncated scores, dense linear
 solves for exact scores, Fraction arithmetic for the branching-tree mean,
-one exploration plus one canonical code per root or tree for censuses, and
-the line-by-line str-method edge-list parser.
+one exploration plus one canonical code per root or tree for censuses,
+the line-by-line str-method edge-list parser, and the dense IRG sampler.
 None of it shares code with the implementation paths it checks.
 """
 
@@ -19,6 +19,7 @@ from pagerank_limits.errors import InputError
 from pagerank_limits.graph import (
     DirectedMultigraph,
     MarkedNeighborhood,
+    build_graph,
     canonical_code,
     explore_neighborhood,
 )
@@ -93,8 +94,6 @@ def dense_generalized(g: DirectedMultigraph, C, B) -> np.ndarray:
 
 def random_small_graph(rng, max_n=8):
     """Random multigraph on <= max_n vertices with mixed density and dangling."""
-    from pagerank_limits.graph import build_graph
-
     n = int(rng.integers(1, max_n + 1))
     edges = []
     density = rng.uniform(0.1, 0.5)
@@ -203,3 +202,30 @@ def parse_edgelist_reference(text: str):
             raise InputError(f"line {lineno}: non-integer field in {line!r}") from None
         edges.append((vals[0], vals[1], vals[2] if len(vals) == 3 else 1))
     return edges, n
+
+
+def gen_irg_dense(w_out, w_in, theta, rng):
+    """IRG edges from the full probability matrix and one uniform per cell.
+
+    Cells are decided in row-major order, row blocks of about 4M cells at a
+    time, each by ``rng.random() < p_ij`` with
+    ``p_ij = min(1, (w_out_i w_in_j) / (theta n))`` and ``p_ii = 0``.
+    """
+    w_out = np.asarray(w_out, dtype=np.float64)
+    w_in = np.asarray(w_in, dtype=np.float64)
+    n = w_out.size
+    scale = 1.0 / (theta * n)
+    block = max(1, 4_000_000 // max(n, 1))
+    srcs, tgts = [], []
+    for start in range(0, n, block):
+        stop = min(n, start + block)
+        probs = np.minimum(1.0, np.outer(w_out[start:stop], w_in) * scale)
+        rows = np.arange(start, stop)
+        probs[rows - start, rows] = 0.0
+        hit = rng.random(probs.shape) < probs
+        bi, bj = np.nonzero(hit)
+        srcs.append(bi + start)
+        tgts.append(bj)
+    src = np.concatenate(srcs) if srcs else np.zeros(0, dtype=np.int64)
+    tgt = np.concatenate(tgts) if tgts else np.zeros(0, dtype=np.int64)
+    return build_graph((src.astype(np.int64), tgt.astype(np.int64)), n)

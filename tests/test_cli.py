@@ -156,6 +156,14 @@ class TestConfigValidation:
         assert rc == 1
         assert "sizes" in capsys.readouterr().err
 
+    def test_irg_nan_theta_rejected(self, tmp_path, capsys):
+        out = tmp_path / "g.txt"
+        rc = cli.main(["generate", "--model", "irg", "--n", "50", "--w-out", "2",
+                       "--w-in", "2", "--theta", "nan", "--output", str(out)])
+        assert rc == 1
+        assert "theta" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_law_named(self, tmp_path, capsys):
         cfg = tmp_path / "config.json"
         write_config(cfg, model={"name": "dcm", "law": [[1, 1, 0.4]]})

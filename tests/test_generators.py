@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from pagerank_limits import generators
 from pagerank_limits.errors import ConfigError
 from pagerank_limits.generators import (
     BiDegreeLaw,
@@ -15,6 +18,8 @@ from pagerank_limits.generators import (
     sample_bidegree_sequence,
 )
 from pagerank_limits.graph import write_edgelist
+
+from _oracles import gen_irg_dense
 
 UNIFORM33 = BiDegreeLaw([(h, l, 1 / 9) for h in (1, 2, 3) for l in (1, 2, 3)])
 
@@ -153,6 +158,12 @@ class TestIrg:
                     RngStream(30).generator())
         assert (0, 1, 1) in list(g.edge_triples())
 
+    def test_empty(self):
+        rng = RngStream(30).generator()
+        g = gen_irg(np.zeros(0), np.zeros(0), 1.0, rng)
+        assert g.n == 0 and g.total_multiplicity == 0
+        assert np.array_equal(rng.random(3), RngStream(30).generator().random(3))
+
     def test_no_self_loops(self):
         g = gen_irg(np.full(100, 10.0), np.full(100, 10.0), 1.0,
                     RngStream(31).generator())
@@ -176,6 +187,96 @@ class TestIrg:
             gen_irg(np.array([1.0]), np.array([-1.0]), 1.0, RngStream(1).generator())
         with pytest.raises(ConfigError):
             gen_irg(np.array([1.0]), np.array([1.0]), 0.0, RngStream(1).generator())
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rejected(self, bad):
+        w = np.full(50, 2.0)
+        w_bad = w.copy()
+        w_bad[7] = bad
+        for args in ((w_bad, w, 1.0), (w, w_bad, 1.0)):
+            with pytest.raises(ConfigError, match="finite"):
+                gen_irg(*args, RngStream(1).generator())
+        with pytest.raises(ConfigError, match="theta"):
+            gen_irg(w, w, bad, RngStream(1).generator())
+
+    def test_needs_philox(self):
+        w = np.full(10, 2.0)
+        with pytest.raises(ConfigError, match="PCG64"):
+            gen_irg(w, w, 1.0, np.random.default_rng(1))
+
+
+def _irg_weights(rng, n):
+    """Log-uniform from 1e-12 to 1e3, and about a tenth at 1e-170, whose
+    products underflow to 0.  With theta n <= 3000 the largest products
+    clamp to p = 1."""
+    w = 10.0 ** rng.uniform(-12.0, 3.0, n)
+    w[rng.random(n) < 0.1] = 1e-170
+    return w
+
+
+class TestIrgAgainstDense:
+    """``gen_irg`` makes the decisions and leaves the rng where the dense
+    sampler (``_oracles.gen_irg_dense``: one ``rng.random()`` per cell)
+    does, from any Philox buffer position and with any block split."""
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(n=st.integers(1, 300), seed=st.integers(0, 2**32 - 1),
+           theta=st.sampled_from([1e-3, 0.1, 1.0, 10.0]), skip=st.integers(0, 7),
+           half_word=st.booleans(), block_cells=st.integers(1, 3000))
+    def test_identical_draws(self, n, seed, theta, skip, half_word, block_cells):
+        w_out = _irg_weights(np.random.default_rng([seed, 0]), n)
+        w_in = _irg_weights(np.random.default_rng([seed, 1]), n)
+        fast, dense = RngStream(seed).generator(), RngStream(seed).generator()
+        for rng in (fast, dense):
+            rng.random(skip)
+            if half_word:
+                rng.integers(2**32, dtype=np.uint32)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(generators, "_IRG_BLOCK_CELLS", block_cells)
+            for _ in range(2):
+                a = gen_irg(w_out, w_in, theta, fast)
+                b = gen_irg_dense(w_out, w_in, theta, dense)
+                assert np.array_equal(a.src, b.src)
+                assert np.array_equal(a.tgt, b.tgt)
+                assert np.array_equal(a.mult, b.mult)
+                assert np.array_equal(fast.random(5), dense.random(5))
+        assert fast.integers(2**32, dtype=np.uint32) == dense.integers(2**32, dtype=np.uint32)
+
+    @pytest.mark.parametrize("above", [0, 1])
+    @pytest.mark.parametrize("diagonal", [1.0, 2.0])
+    def test_word_at_the_threshold(self, above, diagonal):
+        # cell (0, 1) gets u = m 2^-53 from the word x = m 2^11 + 2047 and
+        # p = (m + above) 2^-53, an edge iff above; the row bound is p itself
+        # (x is then the largest word the screen passes when above = 1) or,
+        # through p_00, 2p (the exact test decides)
+        rng = RngStream(7).generator()
+        probe = np.random.Philox()
+        probe.state = rng.bit_generator.state
+        words = probe.random_raw(1 << 14)
+        k = int(np.flatnonzero((words[1:] & np.uint64(2047)) == 2047)[0]) + 1
+        dense = RngStream(7).generator()
+        for r in (rng, dense):
+            r.random(k - 1)  # word k decides cell (0, 1)
+        w_out = np.array([float((int(words[k]) >> 11) + above) * 2.0**-53, 1.0])
+        w_in = np.array([diagonal, 1.0])
+        g = gen_irg(w_out, w_in, 0.5, rng)
+        assert list(g.edge_triples()) == list(gen_irg_dense(w_out, w_in, 0.5, dense).edge_triples())
+        assert ((0, 1, 1) in list(g.edge_triples())) == bool(above)
+
+    def test_overflowing_scale(self):
+        # 1/(theta n) = inf: rows 1 and 3 have p = 1, rows 0 and 2 p = 0 * inf = NaN
+        w_out = np.array([1e-170, 1e100, 1e-170, 1.0])
+        w_in = np.full(4, 1e-170)
+        a, b = RngStream(3).generator(), RngStream(3).generator()
+        with pytest.raises(FloatingPointError), np.errstate(invalid="raise"):
+            gen_irg(w_out, w_in, 1e-320, RngStream(3).generator())
+        with np.errstate(invalid="ignore"):  # also in gen_irg's threads
+            ga = gen_irg(w_out, w_in, 1e-320, a)
+            gb = gen_irg_dense(w_out, w_in, 1e-320, b)
+        assert ga.total_multiplicity == 6
+        assert list(ga.edge_triples()) == list(gb.edge_triples())
+        assert np.array_equal(a.random(5), b.random(5))
 
 
 class TestDpa:

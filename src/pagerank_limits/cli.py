@@ -16,6 +16,7 @@ import argparse
 import json
 import sys
 import time
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -103,34 +104,34 @@ def load_config(path):
     return validate_config(raw)
 
 
-def validate_config(raw):
-    _require(isinstance(raw, dict), "config", "top level must be an object")
-    cfg = {}
-    cfg["seed"] = int(raw.get("seed", 0))
-
-    model = raw.get("model")
+def _parse_model(model):
+    """The config's ``model`` block -> model dict with parsed parameters."""
     _require(isinstance(model, dict) and "name" in model, "model",
              "expected {'name': dcm|irg|dpa|ctbp, ...}")
     name = model["name"]
     _require(name in ("dcm", "irg", "dpa", "ctbp"), "model.name",
              f"unknown model {name!r}")
     if name == "dcm":
-        model = {"name": name, "law": _parse_law(model.get("law"), "model.law")}
-    elif name == "irg":
-        w_out = model.get("w_out", 1.0)
-        w_in = model.get("w_in", 1.0)
+        return {"name": name, "law": _parse_law(model.get("law"), "model.law")}
+    if name == "irg":
         theta = model.get("theta")
-        model = {"name": name, "w_out": w_out, "w_in": w_in,
-                 "theta": None if theta is None else float(theta)}
-    elif name == "dpa":
-        model = {"name": name,
-                 "params": gen.PamParams(m=int(model.get("m", 1)),
-                                         delta=float(model.get("delta", 0.0)))}
-    else:
-        theta = float(model.get("theta", 1.0))
-        _require(theta > 0, "model.theta", "must be positive")
-        model = {"name": name, "theta": theta}
-    cfg["model"] = model
+        return {"name": name, "w_out": model.get("w_out", 1.0),
+                "w_in": model.get("w_in", 1.0),
+                "theta": None if theta is None else float(theta)}
+    if name == "dpa":
+        params = gen.PamParams(m=int(model.get("m", 1)), delta=float(model.get("delta", 0.0)))
+        return {"name": name, "m": params.m, "delta": params.delta}
+    theta = float(model.get("theta", 1.0))
+    _require(theta > 0, "model.theta", "must be positive")
+    return {"name": name, "theta": theta}
+
+
+def validate_config(raw):
+    _require(isinstance(raw, dict), "config", "top level must be an object")
+    cfg = {}
+    cfg["seed"] = int(raw.get("seed", 0))
+
+    cfg["model"] = model = _parse_model(raw.get("model"))
 
     sizes = raw.get("sizes")
     _require(isinstance(sizes, list) and sizes, "sizes", "expected a nonempty list")
@@ -160,9 +161,9 @@ def validate_config(raw):
         }
 
     lim = raw.get("limit", {})
-    sampler = lim.get("sampler", _default_sampler(name))
-    _require(sampler in ("fixed_point", "gw", "ctbp", "polya"), "limit.sampler",
-             f"unknown sampler {sampler!r}")
+    sampler = lim.get("sampler", next(
+        (s for s, m in LIMIT_MODELS.items() if m == model["name"]), None))
+    limit_law(sampler, model)  # rejects a sampler with no law for the model
     cfg["limit"] = {
         "sampler": sampler,
         "M": int(lim.get("M", 10_000)),
@@ -189,9 +190,9 @@ def validate_config(raw):
     return cfg
 
 
-def _default_sampler(model_name):
-    return {"dcm": "fixed_point", "irg": "fixed_point",
-            "dpa": "polya", "ctbp": "ctbp"}[model_name]
+# limit sampler name -> the model whose local limit it samples
+LIMIT_MODELS = {"fixed_point": "dcm", "fixed-point": "dcm", "gw": "dcm",
+                "ctbp": "ctbp", "polya": "dpa"}
 
 
 # ---------------------------------------------------------------------------
@@ -220,8 +221,8 @@ def generate_model(model, n, rng):
         g = gen.gen_irg(w_out, w_in, theta, rng)
         meta = {"model": "irg", "theta": theta}
     elif name == "dpa":
-        g = gen.gen_dpa(n, model["params"], rng)
-        meta = {"model": "dpa", "m": model["params"].m, "delta": model["params"].delta}
+        g = gen.gen_dpa(n, gen.PamParams(model["m"], model["delta"]), rng)
+        meta = {"model": "dpa", "m": model["m"], "delta": model["delta"]}
     else:
         g, births = gen.gen_ctbp_tree(gen.CtbpParams(model["theta"]), n, rng)
         meta = {"model": "ctbp", "theta": model["theta"],
@@ -241,50 +242,49 @@ def degree_stats(g: DirectedMultigraph):
     }
 
 
-def limit_pool(cfg, rng):
-    """Pool of limit root-rank samples plus metadata for the sidecar."""
-    sampler = cfg["limit"]["sampler"]
-    M = cfg["limit"]["M"]
-    depth = cfg["limit"]["depth"]
-    c = cfg["pagerank"]["params"].c
-    genspec = cfg["pagerank"].get("generalized")
-    c_sampler = genspec["c_sampler"] if genspec else None
-    b_sampler = genspec["b_sampler"] if genspec else None
-    meta = {"sampler": sampler, "M": M, "depth": depth, "c": c,
-            "generalized": bool(genspec)}
-    model = cfg["model"]
-    if sampler in ("fixed_point", "gw"):
-        _require(model["name"] == "dcm", "limit.sampler",
-                 f"{sampler} needs the dcm model's bi-degree law")
+def limit_law(sampler, model):
+    """The limit law that ``sampler`` names for ``model``: (tree, pool, meta).
+
+    ``tree(depth)`` is a sampler rng -> LimitTree of the limit tree at that
+    depth (a forest sampler for the branching tree);
+    ``pool(c, depth, M, rng, c_sampler=None, b_sampler=None)`` draws M root
+    ranks, generalized when (C, B) samplers are given; ``meta`` holds the
+    law's fields for the pool sidecar.
+    """
+    _require(LIMIT_MODELS.get(str(sampler)) == model["name"], "limit.sampler",
+             f"the {model['name']} model has no sampler {sampler!r} (dcm: fixed_point "
+             "or gw, ctbp: ctbp, dpa: polya; irg is generate-only)")
+    if model["name"] == "dcm":
         law = model["law"]
-        meta["law"] = law.entries
-        fn = limits_mod.solve_fixed_point_mc if sampler == "fixed_point" else limits_mod.gw_root_rank_pool
-        pool = fn(law, c, depth, M, rng, c_sampler=c_sampler, b_sampler=b_sampler)
-        return pool, meta
-    if sampler == "ctbp":
-        _require(model["name"] == "ctbp", "limit.sampler", "ctbp sampler needs the ctbp model")
-        alpha = limits_mod.malthusian(model["theta"])
-        meta["alpha_star"] = alpha
+        fn = limits_mod.gw_root_rank_pool if sampler == "gw" else limits_mod.solve_fixed_point_mc
+        return (partial(limits_mod.GwTreeSampler, law), partial(fn, law),
+                {"law": law.entries})
+    if model["name"] == "ctbp":
+        theta = model["theta"]
+        alpha = limits_mod.malthusian(theta)
+        meta = {"alpha_star": alpha}
+
+        def tree(depth):
+            return lambda rng: _sample_ctbp_retry(theta, alpha, rng)
+    else:
+        params = limits_mod.PolyaParams(m=model["m"], delta=model["delta"])
+        meta = {}
+
+        def tree(depth):
+            return lambda rng: limits_mod.sample_polya_limit(params, depth, rng)
+
+    def pool(c, depth, M, rng, c_sampler=None, b_sampler=None):
+        draw = tree(depth)
         vals = np.empty(M)
         for i in range(M):
-            tree = _sample_ctbp_retry(model["theta"], alpha, rng)
-            if genspec:
-                tree = limits_mod.attach_generalized_weights(tree, c_sampler, b_sampler, rng)
-                vals[i] = limits_mod.root_pagerank_generalized(tree)
+            t = draw(rng)
+            if c_sampler is None:
+                vals[i] = limits_mod.root_pagerank(t, c)
             else:
-                vals[i] = limits_mod.root_pagerank(tree, c)
-        return vals, meta
-    _require(model["name"] == "dpa", "limit.sampler", "polya sampler needs the dpa model")
-    params = limits_mod.PolyaParams(m=model["params"].m, delta=model["params"].delta)
-    vals = np.empty(M)
-    for i in range(M):
-        tree = limits_mod.sample_polya_limit(params, depth, rng)
-        if genspec:
-            tree = limits_mod.attach_generalized_weights(tree, c_sampler, b_sampler, rng)
-            vals[i] = limits_mod.root_pagerank_generalized(tree, depth)
-        else:
-            vals[i] = limits_mod.root_pagerank(tree, c, depth)
-    return vals, meta
+                t = limits_mod.attach_generalized_weights(t, c_sampler, b_sampler, rng)
+                vals[i] = limits_mod.root_pagerank_generalized(t)
+        return vals
+    return tree, pool, meta
 
 
 def _sample_ctbp_retry(theta, alpha, rng, attempts=10):
@@ -296,18 +296,16 @@ def _sample_ctbp_retry(theta, alpha, rng, attempts=10):
     raise ResourceError("limit population kept exceeding the node cap")
 
 
-def limit_census_sampler(cfg, k):
-    """Sampler used for the limit-side census at depth k (a forest sampler
-    for the branching-tree limit, per-tree otherwise)."""
-    model = cfg["model"]
-    sampler = cfg["limit"]["sampler"]
-    if sampler in ("fixed_point", "gw"):
-        return limits_mod.GwTreeSampler(model["law"], k)
-    if sampler == "ctbp":
-        alpha = limits_mod.malthusian(model["theta"])
-        return lambda rng: _sample_ctbp_retry(model["theta"], alpha, rng)
-    params = limits_mod.PolyaParams(m=model["params"].m, delta=model["params"].delta)
-    return lambda rng: limits_mod.sample_polya_limit(params, k, rng)
+def limit_pool(cfg, rng):
+    """Pool of limit root-rank samples plus metadata for the sidecar."""
+    lim = cfg["limit"]
+    c = cfg["pagerank"]["params"].c
+    genspec = cfg["pagerank"].get("generalized") or {}
+    _, pool, law_meta = limit_law(lim["sampler"], cfg["model"])
+    meta = {"sampler": lim["sampler"], "M": lim["M"], "depth": lim["depth"], "c": c,
+            "generalized": bool(genspec), **law_meta}
+    return pool(c, lim["depth"], lim["M"], rng, c_sampler=genspec.get("c_sampler"),
+                b_sampler=genspec.get("b_sampler")), meta
 
 
 def _jsonable(obj):
@@ -360,10 +358,10 @@ def run_experiment(config_path, output_dir, threads=None):
         if not genspec:
             t0 = time.perf_counter()
             crng = gen.RngStream(seed, STREAM_LIMITS).substream(1).generator()
+            tree, _, _ = limit_law(cfg["limit"]["sampler"], cfg["model"])
             for k in cfg["comparison"]["census_depths"]:
                 stage = f"limit-census-k{k}"
-                lc = census_limit(limit_census_sampler(cfg, k), k,
-                                  cfg["limit"]["M"], crng)
+                lc = census_limit(tree(k), k, cfg["limit"]["M"], crng)
                 limit_censuses[k] = lc
                 write_census_csv(lc, out / f"limit_census_{k}.csv")
             record["timings"]["limit_census"] = time.perf_counter() - t0
@@ -465,7 +463,7 @@ def _try_hill(values, top_k):
 
 def _cmd_generate(args):
     rng = gen.RngStream(args.seed, args.stream).generator()
-    model = _model_from_args(args)
+    model = _model_from_args(args, args.model)
     g, meta = generate_model(model, args.n, rng)
     output = args.output or f"{args.model}_{args.n}.txt"
     write_edgelist(g, output)
@@ -475,22 +473,18 @@ def _cmd_generate(args):
     return EXIT_OK
 
 
-def _model_from_args(args):
-    if args.model == "dcm":
-        if not args.law:
-            raise ConfigError("model.law: --law is required for dcm")
-        return {"name": "dcm", "law": _parse_law(_load_inline_json(args.law), "model.law")}
-    if args.model == "irg":
-        return {"name": "irg", "w_out": _weight_arg(args.w_out), "w_in": _weight_arg(args.w_in),
-                "theta": args.theta}
-    if args.model == "dpa":
-        return {"name": "dpa", "params": gen.PamParams(m=args.m, delta=args.delta)}
-    return {"name": "ctbp", "theta": args.theta if args.theta is not None else 1.0}
+def _model_from_args(args, name):
+    """The model block that the set CLI arguments give, parsed as in a config."""
+    raw = {"name": name}
+    for key in ("law", "w_out", "w_in", "theta", "m", "delta"):
+        value = getattr(args, key, None)
+        if value is not None:
+            raw[key] = (_load_inline_json(value) if key == "law" else
+                        _weight_arg(value) if key in ("w_out", "w_in") else value)
+    return _parse_model(raw)
 
 
 def _weight_arg(spec):
-    if spec is None:
-        return 1.0
     if spec.startswith("@"):
         return [float(x) for x in Path(spec[1:]).read_text().split()]
     return float(spec)
@@ -544,62 +538,21 @@ def _cmd_census(args):
 
 def _cmd_limit_sample(args):
     rng = gen.RngStream(args.seed, args.stream).generator()
-    law = _parse_law(_load_inline_json(args.law), "law") if args.law else None
-    meta = {"sampler": args.sampler, "M": args.M, "depth": args.depth,
-            "seed": args.seed, "c": args.c}
+    model = _model_from_args(args, LIMIT_MODELS[args.sampler])
+    tree, pool, law_meta = limit_law(args.sampler, model)
     if args.mode == "tree":
-        if args.sampler in ("fixed-point", "gw"):
-            if law is None:
-                raise ConfigError("law: --law required for this sampler")
-            tree = limits_mod.sample_gw_limit(law, args.depth, rng)
-        elif args.sampler == "ctbp":
-            alpha = limits_mod.malthusian(args.theta)
-            tree = _sample_ctbp_retry(args.theta, alpha, rng)
-        else:
-            tree = limits_mod.sample_polya_limit(
-                limits_mod.PolyaParams(m=args.m, delta=args.delta), args.depth, rng)
-        limits_mod.write_tree_edgelist(tree, args.output)
-        print(f"wrote {args.output}")
-        return EXIT_OK
-    if args.mode == "pool":
-        if args.sampler in ("fixed-point", "gw"):
-            if law is None:
-                raise ConfigError("law: --law required for this sampler")
-            fn = (limits_mod.solve_fixed_point_mc if args.sampler == "fixed-point"
-                  else limits_mod.gw_root_rank_pool)
-            pool = fn(law, args.c, args.depth, args.M, rng)
-            meta["law"] = law.entries
-        elif args.sampler == "ctbp":
-            alpha = limits_mod.malthusian(args.theta)
-            meta.update({"theta": args.theta, "alpha_star": alpha})
-            pool = np.array([
-                limits_mod.root_pagerank(_sample_ctbp_retry(args.theta, alpha, rng), args.c)
-                for _ in range(args.M)
-            ])
-        else:
-            p = limits_mod.PolyaParams(m=args.m, delta=args.delta)
-            meta.update({"m": args.m, "delta": args.delta})
-            pool = np.array([
-                limits_mod.root_pagerank(
-                    limits_mod.sample_polya_limit(p, args.depth, rng), args.c, args.depth)
-                for _ in range(args.M)
-            ])
-        limits_mod.write_pool_csv(pool, args.output)
+        limits_mod.write_tree_edgelist(tree(args.depth)(rng), args.output)
+    elif args.mode == "pool":
+        limits_mod.write_pool_csv(pool(args.c, args.depth, args.M, rng), args.output)
+        # the model's parameters, with the law's own fields (bi-degree law
+        # entries, Malthusian rate) in place of the parsed law object
+        meta = {"sampler": args.sampler, "M": args.M, "depth": args.depth,
+                "seed": args.seed, "c": args.c, **model, **law_meta}
+        del meta["name"]
         _dump_json(meta, str(args.output) + ".meta.json")
     else:
         k = args.k if args.k is not None else args.depth
-        if args.sampler in ("fixed-point", "gw"):
-            if law is None:
-                raise ConfigError("law: --law required for this sampler")
-            sampler = limits_mod.GwTreeSampler(law, k)
-        elif args.sampler == "ctbp":
-            alpha = limits_mod.malthusian(args.theta)
-            sampler = lambda r: _sample_ctbp_retry(args.theta, alpha, r)
-        else:
-            p = limits_mod.PolyaParams(m=args.m, delta=args.delta)
-            sampler = lambda r: limits_mod.sample_polya_limit(p, k, r)
-        cen = census_limit(sampler, k, args.M, rng)
-        write_census_csv(cen, args.output)
+        write_census_csv(census_limit(tree(k), k, args.M, rng), args.output)
     print(f"wrote {args.output}")
     return EXIT_OK
 

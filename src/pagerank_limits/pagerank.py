@@ -47,10 +47,14 @@ class PageRankParams:
     def __post_init__(self):
         if not 0.0 < self.c < 1.0:
             raise ConfigError(f"damping factor must be in (0,1), got {self.c}")
-        if self.tol <= 0:
-            raise ConfigError(f"tol must be positive, got {self.tol}")
-        if self.max_iter < 1:
-            raise ConfigError("max_iter must be >= 1")
+        _check_stopping(self.tol, self.max_iter)
+
+
+def _check_stopping(tol, max_iter):
+    if not tol > 0:
+        raise ConfigError(f"tol must be positive, got {tol}")
+    if max_iter < 1:
+        raise ConfigError("max_iter must be >= 1")
 
 
 @dataclass
@@ -105,15 +109,15 @@ def _edge_shares(g):
     return g.mult / g.d_out[g.src]
 
 
-def _iterate(mat, offset, start, factor_desc, tol, max_iter):
-    """Run R <- mat @ R + offset until the sup-norm step is below tol."""
-    r = start
-    for it in range(1, max_iter + 1):
-        r_new = mat @ r + offset
-        delta = float(np.abs(r_new - r).max()) if r.size else 0.0
-        r = r_new
+def _iterate(mat, offset, factor_desc, tol, max_iter):
+    """Run the sweep from R = offset until the sup-norm step is below tol."""
+    sweep = _sweep(mat, offset, max_iter, None)
+    r = next(sweep).values
+    for vec in sweep:
+        delta = float(np.abs(vec.values - r).max()) if r.size else 0.0
+        r = vec.values
         if delta < tol:
-            return r, it, delta
+            return r, vec.iterations, delta
     raise ConvergenceError(
         f"{factor_desc} iteration did not reach tol={tol} in {max_iter} steps "
         f"(last residual {delta:.3e})",
@@ -126,7 +130,7 @@ def solve_pagerank(g: DirectedMultigraph, p: PageRankParams) -> PageRankVector:
     """Unique fixed point of R_i = c sum_j (e_{j,i}/d_out_j) R_j + (1-c)."""
     mat = p.c * pull_matrix(g)
     offset = np.full(g.n, 1.0 - p.c)
-    r, it, delta = _iterate(mat, offset, offset.copy(), f"pagerank(c={p.c})", p.tol, p.max_iter)
+    r, it, delta = _iterate(mat, offset, f"pagerank(c={p.c})", p.tol, p.max_iter)
     vec = PageRankVector(values=r, order="exact", params=p, iterations=it, residual=delta)
     _check_solution(g, p, vec)
     return vec
@@ -215,7 +219,8 @@ def solve_generalized(g: DirectedMultigraph, w: GeneralizedWeights,
     if order is not None:
         _check_order(order)
         return _last(_sweep(mat, b, order, w))
-    r, it, delta = _iterate(mat, b, b.copy(), f"generalized(c_max={w.c_max})", tol, max_iter)
+    _check_stopping(tol, max_iter)
+    r, it, delta = _iterate(mat, b, f"generalized(c_max={w.c_max})", tol, max_iter)
     return PageRankVector(values=r, order="exact", params=w, iterations=it, residual=delta)
 
 

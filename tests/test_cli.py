@@ -85,6 +85,17 @@ class TestSubcommands:
         ks = float(capsys.readouterr().out.strip())
         assert 0.0 <= ks < 0.2
 
+    @pytest.mark.parametrize("argv,field", [
+        (["--sampler", "gw"], "model.law"),
+        (["--sampler", "polya", "--m", "0"], "m must be"),
+        (["--sampler", "ctbp", "--theta", "-1"], "model.theta"),
+    ])
+    def test_limit_sample_bad_model_named(self, tmp_path, capsys, argv, field):
+        out = tmp_path / "pool.csv"
+        assert cli.main(["limit-sample", "--M", "10", "--output", str(out), *argv]) == 1
+        assert field in capsys.readouterr().err
+        assert not out.exists()
+
     def test_limit_sample_census_mode(self, tmp_path):
         out = tmp_path / "lc.csv"
         rc = cli.main(["limit-sample", "--sampler", "gw", "--mode", "census",
@@ -163,6 +174,32 @@ class TestConfigValidation:
         assert rc == 1
         assert "theta" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("model,limit,field", [
+        ({"name": "irg", "w_out": 2.0, "w_in": 2.0}, {}, "irg model"),
+        ({"name": "irg"}, {"sampler": "gw"}, "irg model"),
+        ({"name": "dcm", "law": DCM_LAW}, {"sampler": "polya"}, "limit.sampler"),
+        ({"name": "ctbp"}, {"sampler": "fixed_point"}, "limit.sampler"),
+        ({"name": "dcm", "law": DCM_LAW}, {"sampler": "bogus"}, "limit.sampler"),
+    ])
+    def test_model_without_sampler_rejected_before_output(self, tmp_path, capsys,
+                                                          model, limit, field):
+        cfg = tmp_path / "config.json"
+        write_config(cfg, model=model, limit=limit)
+        rc = cli.main(["run", "--config", str(cfg), "--output-dir", str(tmp_path / "o")])
+        assert rc == 1
+        assert field in capsys.readouterr().err
+        with pytest.raises(ConfigError, match=field):
+            cli.run_experiment(cfg, tmp_path / "o")
+        assert not (tmp_path / "o").exists()
+
+    def test_sampler_spellings_alike(self):
+        from pagerank_limits.generators import RngStream
+
+        model = {"name": "dcm", "law": cli._parse_law(DCM_LAW, "law")}
+        a, b = (cli.limit_law(s, model)[1](0.5, 4, 200, RngStream(1).generator())
+                for s in ("fixed_point", "fixed-point"))
+        assert np.array_equal(a, b)
 
     def test_bad_law_named(self, tmp_path, capsys):
         cfg = tmp_path / "config.json"
@@ -312,3 +349,122 @@ class TestRunExperiment:
 
         g = read_edgelist(out)  # mark comments are skipped by the parser
         assert g.n >= 1 and "# mark 0 " in out.read_text()
+
+
+LIMIT_ARGS = {
+    "fixed-point": ["--law", json.dumps(DCM_LAW)],
+    "gw": ["--law", json.dumps(DCM_LAW)],
+    "ctbp": ["--theta", "1.5"],
+    "polya": ["--m", "2", "--delta", "1.0"],
+}
+
+
+def _library_law(sampler):
+    """(per-tree sampler at a depth, pool, sidecar fields) composed directly
+    from the library, independently of the CLI's dispatch."""
+    from pagerank_limits import limits as lm
+    from pagerank_limits.generators import BiDegreeLaw
+
+    law = BiDegreeLaw([tuple(row) for row in DCM_LAW])
+    if sampler in ("fixed-point", "gw"):
+        fn = lm.solve_fixed_point_mc if sampler == "fixed-point" else lm.gw_root_rank_pool
+        return ((lambda depth: lambda r: lm.sample_gw_limit(law, depth, r)),
+                (lambda c, depth, M, r: fn(law, c, depth, M, r)),
+                {"law": DCM_LAW})
+    if sampler == "ctbp":
+        alpha = lm.malthusian(1.5)
+        return ((lambda depth: lambda r: lm.sample_ctbp_limit(1.5, alpha, r)),
+                (lambda c, depth, M, r: np.array(
+                    [lm.root_pagerank(lm.sample_ctbp_limit(1.5, alpha, r), c)
+                     for _ in range(M)])),
+                {"theta": 1.5, "alpha_star": alpha})
+    p = lm.PolyaParams(m=2, delta=1.0)
+    return ((lambda depth: lambda r: lm.sample_polya_limit(p, depth, r)),
+            (lambda c, depth, M, r: np.array(
+                [lm.root_pagerank(lm.sample_polya_limit(p, depth, r), c, depth)
+                 for _ in range(M)])),
+            {"m": 2, "delta": 1.0})
+
+
+class TestLimitLawOutputs:
+    """Every limit-sample mode and the run pipeline's limit files equal the
+    library composition on the limits stream."""
+
+    @pytest.mark.parametrize("mode", ["pool", "census", "tree"])
+    @pytest.mark.parametrize("sampler", ["fixed-point", "gw", "ctbp", "polya"])
+    def test_limit_sample_matches_library(self, tmp_path, sampler, mode):
+        from pagerank_limits.census import census_limit, write_census_csv
+        from pagerank_limits.generators import RngStream
+        from pagerank_limits.limits import write_pool_csv, write_tree_edgelist
+
+        seed, M, depth, c = 9, 300, 3, 0.6
+        out, want = tmp_path / "out", tmp_path / "want"
+        assert cli.main(["limit-sample", "--sampler", sampler, "--mode", mode,
+                         "--M", str(M), "--depth", str(depth), "--k", "2",
+                         "--c", str(c), "--seed", str(seed), "--output", str(out),
+                         *LIMIT_ARGS[sampler]]) == 0
+        tree, pool, fields = _library_law(sampler)
+        rng = RngStream(seed, cli.STREAM_LIMITS).generator()
+        if mode == "tree":
+            write_tree_edgelist(tree(depth)(rng), want)
+        elif mode == "census":
+            write_census_csv(census_limit(tree(2), 2, M, rng), want)
+        else:
+            write_pool_csv(pool(c, depth, M, rng), want)
+            meta = json.loads((tmp_path / "out.meta.json").read_text())
+            assert meta == {"sampler": sampler, "M": M, "depth": depth, "seed": seed,
+                            "c": c, **fields}
+        assert out.read_bytes() == want.read_bytes()
+
+    @pytest.mark.parametrize("sampler,model,generalized", [
+        ("gw", {"name": "dcm", "law": DCM_LAW}, False),
+        ("ctbp", {"name": "ctbp", "theta": 1.5}, True),
+        ("polya", {"name": "dpa", "m": 2, "delta": 1.0}, True),
+    ])
+    def test_run_limit_files_match_library(self, tmp_path, sampler, model, generalized):
+        from pagerank_limits import limits as lm
+        from pagerank_limits.census import census_limit, write_census_csv
+        from pagerank_limits.generators import RngStream
+
+        seed, M, depth, c = 5, 400, 3, 0.6
+        spec = {"c_law": {"dist": "uniform", "low": 0.0, "high": 0.6},
+                "b_law": {"dist": "exponential", "mean": 0.4}}
+        pagerank = {"c": c, "N": depth, **({"generalized": spec} if generalized else {})}
+        cfg = tmp_path / "config.json"
+        write_config(cfg, model=model, sizes=[100], pagerank=pagerank,
+                     limit={"sampler": sampler, "M": M, "depth": depth},
+                     comparison={"census_depths": [1, 2]})
+        _, code = cli.run_experiment(cfg, tmp_path / "out")
+        assert code == 0
+        out = tmp_path / "out"
+
+        tree, pool, fields = _library_law(sampler)
+        rng = RngStream(seed, cli.STREAM_LIMITS).generator()
+        if generalized:
+            cs = cli.make_sampler(spec["c_law"], "c_law")
+            bs = cli.make_sampler(spec["b_law"], "b_law")
+            draw = tree(depth)
+            values = np.array([lm.root_pagerank_generalized(
+                lm.attach_generalized_weights(draw(rng), cs, bs, rng))
+                for _ in range(M)])
+        else:
+            values = pool(c, depth, M, rng)
+        lm.write_pool_csv(values, tmp_path / "want.csv")
+        assert (out / "limit_pool.csv").read_bytes() == \
+            (tmp_path / "want.csv").read_bytes()
+        # run's sidecar keeps the law's fields; the model's are in config.json
+        law_fields = {k: v for k, v in fields.items() if k in ("law", "alpha_star")}
+        assert json.loads((out / "limit_pool.meta.json").read_text()) == {
+            "sampler": sampler, "M": M, "depth": depth, "c": c,
+            "generalized": generalized, "seed": seed, **law_fields}
+
+        limit_files = sorted(p.name for p in out.glob("limit_census_*.csv"))
+        if generalized:
+            assert limit_files == []
+            return
+        assert limit_files == ["limit_census_1.csv", "limit_census_2.csv"]
+        crng = RngStream(seed, cli.STREAM_LIMITS).substream(1).generator()
+        for k in (1, 2):
+            write_census_csv(census_limit(tree(k), k, M, crng), tmp_path / f"want_{k}.csv")
+            assert (out / f"limit_census_{k}.csv").read_bytes() == \
+                (tmp_path / f"want_{k}.csv").read_bytes()

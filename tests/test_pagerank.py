@@ -43,6 +43,8 @@ class TestParams:
             PageRankParams(c=0.0)
         with pytest.raises(ConfigError, match="tol"):
             PageRankParams(c=0.5, tol=0.0)
+        with pytest.raises(ConfigError, match="tol"):
+            PageRankParams(c=0.5, tol=float("nan"))
 
 
 class TestExactSolve:
@@ -276,6 +278,15 @@ class TestGeneralized:
     def test_invalid_c(self):
         with pytest.raises(ConfigError, match="max C"):
             GeneralizedWeights(C=np.array([1.0]), B=np.array([0.0]))
+
+    @pytest.mark.parametrize("tol,max_iter,field", [
+        (1e-12, 0, "max_iter"), (0.0, 100, "tol"), (-1e-3, 100, "tol"),
+        (float("nan"), 100, "tol"),
+    ])
+    def test_bad_stopping_rule_rejected(self, tol, max_iter, field):
+        w = GeneralizedWeights(C=np.full(3, 0.5), B=np.full(3, 0.5))
+        with pytest.raises(ConfigError, match=field):
+            solve_generalized(cycle3(), w, tol=tol, max_iter=max_iter)
 
     def test_truncated_order(self):
         g = cycle3()

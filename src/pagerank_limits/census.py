@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
+from ._textio import read_table, write_table
 from .errors import SizeError, UsageError
 from .graph import (
     DEFAULT_CODE_NODE_LIMIT,
@@ -329,26 +330,12 @@ def write_census_csv(c: NeighborhoodCensus, path) -> None:
 
 def write_tail_csv(a: TailSample, thresholds, path) -> None:
     """Write the empirical CCDF at the given thresholds as `r,ccdf` rows."""
-    fractions = ccdf(a, thresholds)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("r,ccdf\n")
-        for r, f in zip(np.asarray(thresholds).tolist(), fractions.tolist()):
-            fh.write(f"{r!r},{f!r}\n")
+    write_table(path, "r,ccdf", [np.asarray(thresholds), ccdf(a, thresholds)])
 
 
 def read_tail_csv(path):
-    rs, fs = [], []
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline()
-        if header.strip() != "r,ccdf":
-            raise UsageError(f"{path}: expected 'r,ccdf' header")
-        for line in fh:
-            line = line.strip()
-            if line:
-                r, f = line.split(",")
-                rs.append(float(r))
-                fs.append(float(f))
-    return np.asarray(rs), np.asarray(fs)
+    table = read_table(path, "r,ccdf")
+    return table[:, 0], table[:, 1]
 
 
 def read_census_csv(path, depth: int) -> NeighborhoodCensus:

@@ -13,6 +13,7 @@ pool never perturbs graph generation.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 import time
@@ -64,6 +65,14 @@ EXIT_INVARIANT = 2
 def _require(cond, field, message):
     if not cond:
         raise ConfigError(f"{field}: {message}")
+
+
+def _integer(value, field):
+    """A config number that must be an integer; integral floats such as 1e5 pass."""
+    if not (isinstance(value, float) and not value.is_integer()):
+        with contextlib.suppress(TypeError, ValueError):
+            return int(value)
+    raise ConfigError(f"{field}: expected an integer, got {value!r}")
 
 
 def _parse_law(obj, field):
@@ -119,7 +128,8 @@ def _parse_model(model):
                 "w_in": model.get("w_in", 1.0),
                 "theta": None if theta is None else float(theta)}
     if name == "dpa":
-        params = gen.PamParams(m=int(model.get("m", 1)), delta=float(model.get("delta", 0.0)))
+        params = gen.PamParams(m=_integer(model.get("m", 1), "model.m"),
+                               delta=float(model.get("delta", 0.0)))
         return {"name": name, "m": params.m, "delta": params.delta}
     theta = float(model.get("theta", 1.0))
     _require(theta > 0, "model.theta", "must be positive")
@@ -129,13 +139,13 @@ def _parse_model(model):
 def validate_config(raw):
     _require(isinstance(raw, dict), "config", "top level must be an object")
     cfg = {}
-    cfg["seed"] = int(raw.get("seed", 0))
+    cfg["seed"] = _integer(raw.get("seed", 0), "seed")
 
     cfg["model"] = model = _parse_model(raw.get("model"))
 
     sizes = raw.get("sizes")
     _require(isinstance(sizes, list) and sizes, "sizes", "expected a nonempty list")
-    sizes = [int(s) for s in sizes]
+    sizes = [_integer(s, "sizes") for s in sizes]
     _require(all(s >= 1 for s in sizes), "sizes", "sizes must be >= 1")
     _require(sizes == sorted(sizes), "sizes", "sizes must be ascending")
     cfg["sizes"] = sizes
@@ -145,10 +155,11 @@ def validate_config(raw):
     _require(0.0 < c < 1.0, "pagerank.c", f"must be in (0,1), got {c}")
     tol = float(prk.get("tol", 1e-12))
     _require(tol > 0, "pagerank.tol", "must be positive")
-    N = int(prk.get("N", 10))
+    N = _integer(prk.get("N", 10), "pagerank.N")
     _require(N >= 0, "pagerank.N", "must be >= 0")
+    max_iter = _integer(prk.get("max_iter", 10_000), "pagerank.max_iter")
     cfg["pagerank"] = {
-        "params": pr.PageRankParams(c=c, tol=tol, max_iter=int(prk.get("max_iter", 10_000))),
+        "params": pr.PageRankParams(c=c, tol=tol, max_iter=max_iter),
         "N": N,
     }
     if "generalized" in prk:
@@ -166,8 +177,8 @@ def validate_config(raw):
     limit_law(sampler, model)  # rejects a sampler with no law for the model
     cfg["limit"] = {
         "sampler": sampler,
-        "M": int(lim.get("M", 10_000)),
-        "depth": int(lim.get("depth", cfg["pagerank"]["N"])),
+        "M": _integer(lim.get("M", 10_000), "limit.M"),
+        "depth": _integer(lim.get("depth", cfg["pagerank"]["N"]), "limit.depth"),
     }
     _require(cfg["limit"]["M"] >= 1, "limit.M", "must be >= 1")
     _require(cfg["limit"]["depth"] >= 0, "limit.depth", "must be >= 0")
@@ -182,10 +193,11 @@ def validate_config(raw):
         thresholds = [float(t) for t in thresholds]
         _require(thresholds == sorted(thresholds), "comparison.thresholds",
                  "must be sorted ascending")
-    cfg["comparison"] = {"census_depths": [int(k) for k in depths],
-                         "thresholds": thresholds}
+    cfg["comparison"] = {
+        "census_depths": [_integer(k, "comparison.census_depths") for k in depths],
+        "thresholds": thresholds}
 
-    cfg["threads"] = int(raw.get("threads", 1))
+    cfg["threads"] = _integer(raw.get("threads", 1), "threads")
     cfg["_raw"] = raw
     return cfg
 
@@ -558,7 +570,7 @@ def _cmd_limit_sample(args):
 
 
 def _load_tails(path):
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8", errors="replace") as fh:
         header = fh.readline().strip()
     if header == "vertex,score":
         return TailSample(pr.read_scores_csv(path), tag=str(path))

@@ -19,12 +19,13 @@ symmetry, which is exact but worst-case factorial.
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+import scipy.sparse as sp
 
+from ._textio import parse_edges, write_edges
 from .errors import InputError, SizeError
 
 __all__ = [
@@ -126,7 +127,11 @@ def build_graph(edge_list, n: int) -> DirectedMultigraph:
     d_in = np.bincount(utgt, weights=umult, minlength=n).astype(np.int64)
     out_indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(usrc, minlength=n), out=out_indptr[1:])
-    in_order = np.lexsort((usrc, utgt)).astype(np.int64)
+    # the transpose of the (source, target) CSR lists each target's sources
+    # in ascending order, which is the (target, source) order of the pairs;
+    # scipy builds it with a linear-time counting sort
+    in_order = sp.csr_matrix((np.arange(usrc.size), utgt, out_indptr),
+                             shape=(n, n)).tocsc().data
     in_indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(utgt, minlength=n), out=in_indptr[1:])
 
@@ -175,119 +180,20 @@ def _normalize_edges(edge_list):
 # edge-list text format
 
 
-_HEADER_RE = re.compile(r"#\s*n\s*=\s*(\d+)\s*$")
-# non-ASCII line breaks of str.splitlines() and other non-ASCII whitespace
-_UNICODE_BREAK_RE = re.compile("[\x85\u2028\u2029]")
-_UNICODE_SPACE_RE = re.compile(r"[^\S\x00-\x7f]")
-_INT64_DIGITS = 18  # any value of at most this many digits fits in int64
-
-
-def _edgelist_arrays(text: str):
-    """Parse the edge-list text format into ``(src, tgt, mult, n)``.
-
-    The text is scanned as bytes with numpy: tokens are runs of non-space
-    bytes, a line whose first token starts with ``#`` is a comment (or the
-    ``# n=<count>`` header), and every other nonblank line must hold two or
-    three ``[+-]<ASCII digits>`` fields.  Line numbers in errors count lines
-    as ``str.splitlines`` does.  Per-byte arrays are bool or uint8; int64
-    arrays are per token or per line.
-    """
-    source = text
-    if not text.isascii():
-        # map non-ASCII breaks to "\v" and other whitespace to " ", so the
-        # byte scan splits lines and fields where str methods would
-        text = _UNICODE_SPACE_RE.sub(" ", _UNICODE_BREAK_RE.sub("\v", text))
-    data = text.encode("utf-8", "surrogatepass")
-    b = np.frombuffer(data, dtype=np.uint8)
-    # str.splitlines() breaks: 10-13 and 28-30, with "\r\n" one break;
-    # str.split() whitespace: 9-13 and 28-32
-    brk = ((b - 10) <= 3) | ((b - 28) <= 2)
-    brk[1:] &= (b[1:] != 10) | (b[:-1] != 13)
-    breaks = np.flatnonzero(brk)
-    del brk
-    space = ((b - 9) <= 4) | ((b - 28) <= 4)
-    edge = np.diff(space.view(np.int8), prepend=np.int8(1), append=np.int8(1))
-    starts = np.flatnonzero(edge == -1)
-    ends = np.flatnonzero(edge == 1)
-    del edge
-    odd = np.flatnonzero(~space & ((b - 48) > 9))  # token bytes that are not digits
-    del space
-    line = np.searchsorted(breaks, starts)  # 0-based line of each token
-
-    heads = np.flatnonzero(np.diff(line, prepend=-1))  # first token of each line
-    fields = np.diff(heads, append=starts.size)
-    comment = b[starts[heads]] == ord("#")
-    n = None
-    for i in heads[comment].tolist():
-        li = int(line[i])
-        stop = int(breaks[li]) if li < breaks.size else b.size
-        m = _HEADER_RE.match(data[starts[i]:stop].decode("utf-8", "surrogatepass"))
-        if m:
-            n = int(m.group(1))
-
-    bad_count = line[heads[~comment & (fields != 2) & (fields != 3)]]
-    tok = np.searchsorted(starts, odd, side="right") - 1  # the token holding each byte
-    sign = (odd == starts[tok]) & ((b[odd] == 43) | (b[odd] == 45)) & (ends[tok] - odd > 1)
-    tok = tok[~sign]
-    tok = tok[~comment[np.searchsorted(heads, tok, side="right") - 1]]
-    bad_lines = np.union1d(bad_count, line[tok])
-    if bad_lines.size:
-        li = int(bad_lines[0])
-        if li in bad_count:
-            raise InputError(f"line {li + 1}: expected '<source> <target> [multiplicity]'")
-        raise InputError(f"line {li + 1}: non-integer field in "
-                         f"{_stripped_line(source, li)!r}")
-    del line
-
-    # values of every token; those of comment lines are never read
-    negative = b[starts] == 45
-    ndig = ends - starts
-    ndig -= negative | (b[starts] == 43)
-    values = np.zeros(starts.size, dtype=np.int64)
-    pos = ends.copy()
-    for j in range(min(int(ndig.max(initial=0)), _INT64_DIGITS)):
-        pos -= 1
-        digit = b[pos] - 48
-        digit *= ndig > j
-        values += digit * np.int64(10 ** j)
-    del pos
-    np.negative(values, out=values, where=negative)
-    long = np.flatnonzero(ndig > _INT64_DIGITS)
-    for i in long[~comment[np.searchsorted(heads, long, side="right") - 1]].tolist():
-        digits = data[ends[i] - ndig[i]:ends[i]].lstrip(b"0") or b"0"
-        v = int(digits) if len(digits) <= 19 else 2**64
-        if negative[i]:
-            v = -v
-        if not -2**63 <= v < 2**63:
-            li = int(np.searchsorted(breaks, starts[i]))
-            raise InputError(f"line {li + 1}: integer out of int64 range in "
-                             f"{_stripped_line(source, li)!r}")
-        values[i] = v
-
-    heads, three = heads[~comment], fields[~comment] == 3
-    mult = np.ones(heads.size, dtype=np.int64)
-    mult[three] = values[heads[three] + 2]
-    return values[heads], values[heads + 1], mult, n
-
-
-def _stripped_line(text: str, li: int) -> str:
-    return text.splitlines()[li].strip()
-
-
 def parse_edgelist(text: str):
     """Parse the edge-list text format.
 
     Returns ``(edges, n)`` where ``edges`` is a list of (src, tgt, mult)
     and ``n`` is the declared vertex count, or None if no header was given.
     """
-    src, tgt, mult, n = _edgelist_arrays(text)
+    src, tgt, mult, n = parse_edges(text)
     return list(zip(src.tolist(), tgt.tolist(), mult.tolist())), n
 
 
 def read_edgelist(path) -> DirectedMultigraph:
     with open(path, "r", encoding="utf-8", newline="") as fh:
         text = fh.read()
-    src, tgt, mult, n = _edgelist_arrays(text)
+    src, tgt, mult, n = parse_edges(text)
     del text
     if n is None:
         n = 1 + int(max(src.max(), tgt.max())) if src.size else 0
@@ -298,13 +204,7 @@ def read_edgelist(path) -> DirectedMultigraph:
 
 
 def write_edgelist(g: DirectedMultigraph, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# n={g.n}\n")
-        for s, t, m in g.edge_triples():
-            if m == 1:
-                fh.write(f"{s} {t}\n")
-            else:
-                fh.write(f"{s} {t} {m}\n")
+    write_edges(path, g.n, g.src, g.tgt, g.mult)
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._textio import read_table, write_edges, write_table
 from .errors import ConfigError, ResourceError, UsageError
 from .generators import BiDegreeLaw
 from .graph import MarkedNeighborhood
@@ -84,13 +85,6 @@ class LimitTree:
     @property
     def max_depth(self) -> int:
         return int(self.node_depth.max()) if self.size else 0
-
-    def in_degree(self) -> np.ndarray:
-        """Child counts (the in-degree of each node under child->parent edges)."""
-        counts = np.zeros(self.size, dtype=np.int64)
-        if self.size > 1:
-            counts += np.bincount(self.parent[1:], minlength=self.size)
-        return counts
 
 
 @dataclass
@@ -675,29 +669,14 @@ def write_tree_edgelist(t: LimitTree, path) -> None:
     `# mark <node> <value>` lines carry the mark column; graph readers skip
     them, so the file doubles as a loadable edge list for census cross-checks.
     """
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# n={t.size}\n")
-        for v in range(t.size):
-            fh.write(f"# mark {v} {int(t.mark[v])}\n")
-        for v in range(1, t.size):
-            fh.write(f"{v} {int(t.parent[v])}\n")
+    parent = np.asarray(t.parent).astype(np.int64)
+    write_edges(path, t.size, np.arange(1, t.size), parent[1:],
+                marks=np.asarray(t.mark).astype(np.int64))
 
 
 def write_pool_csv(values: np.ndarray, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("value\n")
-        for v in np.asarray(values).tolist():
-            fh.write(f"{v!r}\n")
+    write_table(path, "value", [np.asarray(values)])
 
 
 def read_pool_csv(path) -> np.ndarray:
-    values = []
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline()
-        if header.strip() != "value":
-            raise UsageError(f"{path}: expected single 'value' column")
-        for line in fh:
-            line = line.strip()
-            if line:
-                values.append(float(line))
-    return np.asarray(values, dtype=np.float64)
+    return read_table(path, "value")[:, 0]

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
+from ._textio import read_table, write_table
 from .errors import ConfigError, ConvergenceError, InvariantViolation
 from .graph import DirectedMultigraph
 
@@ -252,10 +253,7 @@ def lower_bound_check(g: DirectedMultigraph, p: PageRankParams,
 
 def write_scores_csv(vec: PageRankVector, path, meta_path=None) -> None:
     """Write `vertex,score` at full precision plus a JSON metadata sidecar."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("vertex,score\n")
-        for i, v in enumerate(vec.values.tolist()):
-            fh.write(f"{i},{v!r}\n")
+    write_table(path, "vertex,score", [np.arange(vec.values.size), vec.values])
     if meta_path is None:
         meta_path = str(path) + ".meta.json"
     meta = {
@@ -275,13 +273,4 @@ def write_scores_csv(vec: PageRankVector, path, meta_path=None) -> None:
 
 
 def read_scores_csv(path) -> np.ndarray:
-    values = []
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline()
-        if header.strip() != "vertex,score":
-            raise ConfigError(f"{path}: expected 'vertex,score' header")
-        for line in fh:
-            line = line.strip()
-            if line:
-                values.append(float(line.split(",")[1]))
-    return np.asarray(values, dtype=np.float64)
+    return read_table(path, "vertex,score", usecols=[1])[:, 0]

@@ -4,7 +4,8 @@ Everything here is deliberately dumb: exhaustive bijection search for
 isomorphism, literal walk enumeration for truncated scores, dense linear
 solves for exact scores, Fraction arithmetic for the branching-tree mean,
 one exploration plus one canonical code per root or tree for censuses,
-the line-by-line str-method edge-list parser, and the dense IRG sampler.
+the line-by-line str-method edge-list parser, the line-at-a-time file
+writers and float-CSV readers, and the dense IRG sampler.
 None of it shares code with the implementation paths it checks.
 """
 
@@ -202,6 +203,61 @@ def parse_edgelist_reference(text: str):
             raise InputError(f"line {lineno}: non-integer field in {line!r}") from None
         edges.append((vals[0], vals[1], vals[2] if len(vals) == 3 else 1))
     return edges, n
+
+
+def write_edgelist_reference(n, triples, path) -> None:
+    """One ``fh.write`` per (source, target, multiplicity) triple."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"# n={n}\n")
+        for s, t, m in triples:
+            if m == 1:
+                fh.write(f"{s} {t}\n")
+            else:
+                fh.write(f"{s} {t} {m}\n")
+
+
+def write_tree_edgelist_reference(t, path) -> None:
+    """Header, one ``# mark`` line per node, then one child-parent line per node."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"# n={t.size}\n")
+        for v in range(t.size):
+            fh.write(f"# mark {v} {int(t.mark[v])}\n")
+        for v in range(1, t.size):
+            fh.write(f"{v} {int(t.parent[v])}\n")
+
+
+def write_scores_csv_reference(values, path) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("vertex,score\n")
+        for i, v in enumerate(values.tolist()):
+            fh.write(f"{i},{v!r}\n")
+
+
+def write_pool_csv_reference(values, path) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("value\n")
+        for v in np.asarray(values).tolist():
+            fh.write(f"{v!r}\n")
+
+
+def write_tail_csv_reference(thresholds, fractions, path) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("r,ccdf\n")
+        for r, f in zip(np.asarray(thresholds).tolist(), fractions.tolist()):
+            fh.write(f"{r!r},{f!r}\n")
+
+
+def read_float_csv_reference(path, header) -> np.ndarray:
+    """``float`` of every comma-separated field of each stripped nonblank line."""
+    rows = []
+    with open(path, "r", encoding="utf-8") as fh:
+        if fh.readline().strip() != header:
+            raise InputError(f"{path}: expected '{header}' header")
+        for line in fh:
+            line = line.strip()
+            if line:
+                rows.append([float(f) for f in line.split(",")])
+    return np.asarray(rows, dtype=np.float64).reshape(len(rows), header.count(",") + 1)
 
 
 def gen_irg_dense(w_out, w_in, theta, rng):

@@ -96,6 +96,21 @@ class TestSubcommands:
         assert field in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("name,text,line", [
+        ("scores.csv", "vertex,score\n0,0.5\n1\n", 3),
+        ("pool.csv", "value\n0.5\nabc\n", 3),
+    ])
+    def test_compare_malformed_tails_named(self, tmp_path, capsys, name, text, line):
+        good = tmp_path / "good.csv"
+        good.write_text("value\n0.25\n0.75\n")
+        bad = tmp_path / name
+        bad.write_text(text)
+        for argv in (["--graph-tails", bad, "--limit-tails", good],
+                     ["--graph-tails", good, "--limit-tails", bad]):
+            rc = cli.main(["compare", *map(str, argv)])
+            assert rc == 1
+            assert capsys.readouterr().err.startswith(f"error: {bad}: line {line}: ")
+
     def test_limit_sample_census_mode(self, tmp_path):
         out = tmp_path / "lc.csv"
         rc = cli.main(["limit-sample", "--sampler", "gw", "--mode", "census",
@@ -200,6 +215,29 @@ class TestConfigValidation:
         a, b = (cli.limit_law(s, model)[1](0.5, 4, 200, RngStream(1).generator())
                 for s in ("fixed_point", "fixed-point"))
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("override,field", [
+        ({"model": {"name": "dpa", "m": 2.5}}, "model.m"),
+        ({"sizes": [100.7]}, "sizes"),
+        ({"pagerank": {"c": 0.5, "N": 3.9}}, "pagerank.N"),
+        ({"limit": {"M": 2.7}}, "limit.M"),
+        ({"limit": {"depth": 3.9}}, "limit.depth"),
+    ])
+    def test_fractional_integers_rejected(self, tmp_path, capsys, override, field):
+        cfg = tmp_path / "config.json"
+        write_config(cfg, **override)
+        rc = cli.main(["run", "--config", str(cfg), "--output-dir", str(tmp_path / "o")])
+        assert rc == 1
+        assert f"{field}: expected an integer" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_integral_floats_accepted(self, tmp_path):
+        cfg = tmp_path / "config.json"
+        write_config(cfg, sizes=[3e2, 8e2], limit={"sampler": "gw", "M": 4e3, "depth": 8.0})
+        parsed = cli.load_config(cfg)
+        assert parsed["sizes"] == [300, 800]
+        assert parsed["limit"]["M"] == 4000 and parsed["limit"]["depth"] == 8
+        assert all(type(v) is int for v in (*parsed["sizes"], parsed["limit"]["M"]))
 
     def test_bad_law_named(self, tmp_path, capsys):
         cfg = tmp_path / "config.json"

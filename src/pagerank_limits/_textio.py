@@ -124,6 +124,7 @@ _HEADER_RE = re.compile(r"#\s*n\s*=\s*(\d+)\s*$")
 _UNICODE_BREAK_RE = re.compile("[\x85\u2028\u2029]")
 _UNICODE_SPACE_RE = re.compile(r"[^\S\x00-\x7f]")
 _INT64_DIGITS = 18  # any value of at most this many digits fits in int64
+_ONES = 0x0101010101010101  # 1 in each byte of a word
 
 
 def parse_edges(text: str):
@@ -143,75 +144,144 @@ def parse_edges(text: str):
         text = _UNICODE_SPACE_RE.sub(" ", _UNICODE_BREAK_RE.sub("\v", text))
     data = text.encode("utf-8", "surrogatepass")
     b = np.frombuffer(data, dtype=np.uint8)
-    # str.splitlines() breaks: 10-13 and 28-30, with "\r\n" one break;
     # str.split() whitespace: 9-13 and 28-32
-    brk = ((b - 10) <= 3) | ((b - 28) <= 2)
-    brk[1:] &= (b[1:] != 10) | (b[:-1] != 13)
-    breaks = np.flatnonzero(brk)
-    del brk
-    space = ((b - 9) <= 4) | ((b - 28) <= 4)
-    edge = np.diff(space.view(np.int8), prepend=np.int8(1), append=np.int8(1))
-    starts = np.flatnonzero(edge == -1)
-    ends = np.flatnonzero(edge == 1)
-    del edge
-    odd = np.flatnonzero(~space & ((b - 48) > 9))  # token bytes that are not digits
+    space = (b - 9) <= 4
+    space |= (b - 28) <= 4
+    # token bounds alternate: start, end, start, ...
+    change = np.empty(b.size + 1, dtype=bool)
+    change[0] = b.size and not space[0]
+    change[-1] = b.size and not space[-1]
+    np.not_equal(space[1:], space[:-1], out=change[1:-1])
     del space
-    line = np.searchsorted(breaks, starts)  # 0-based line of each token
+    bounds = np.flatnonzero(change)
+    del change
+    starts, ends = bounds[0::2], bounds[1::2]
 
-    heads = np.flatnonzero(np.diff(line, prepend=-1))  # first token of each line
+    # a token heads its line when a break lies in the whitespace before it
+    gap = np.zeros(starts.size, dtype=np.int64)  # the first token heads anyway
+    np.subtract(starts[1:], ends[:-1], out=gap[1:])
+    head = _is_break(b[starts - 1])
+    two = np.flatnonzero(gap == 2)
+    head[two] |= _is_break(b[starts[two] - 2])
+    wide = np.flatnonzero(gap > 2)
+    if wide.size:
+        breaks = np.flatnonzero(_is_break(b))
+        head[wide] = (np.searchsorted(breaks, starts[wide])
+                      > np.searchsorted(breaks, ends[wide - 1]))
+    if head.size:
+        head[0] = True
+    heads = np.flatnonzero(head)
+    del head, gap
     fields = np.diff(heads, append=starts.size)
     comment = b[starts[heads]] == ord("#")
     n = None
-    for i in heads[comment].tolist():
-        li = int(line[i])
-        stop = int(breaks[li]) if li < breaks.size else b.size
-        m = _HEADER_RE.match(data[starts[i]:stop].decode("utf-8", "surrogatepass"))
+    for i, last in zip(heads[comment].tolist(), (heads + fields - 1)[comment].tolist()):
+        m = _HEADER_RE.match(data[starts[i]:ends[last]].decode("utf-8", "surrogatepass"))
         if m:
             n = int(m.group(1))
 
-    bad_count = line[heads[~comment & (fields != 2) & (fields != 3)]]
-    tok = np.searchsorted(starts, odd, side="right") - 1  # the token holding each byte
-    sign = (odd == starts[tok]) & ((b[odd] == 43) | (b[odd] == 45)) & (ends[tok] - odd > 1)
-    tok = tok[~sign]
-    tok = tok[~comment[np.searchsorted(heads, tok, side="right") - 1]]
-    bad_lines = np.union1d(bad_count, line[tok])
-    if bad_lines.size:
-        li = int(bad_lines[0])
-        if li in bad_count:
+    # digits of every token (at most 255 counted); comment lines' are never read
+    negative = b[starts] == 45
+    sign = negative | (b[starts] == 43)
+    ndig = ends - starts
+    ndig -= sign
+    ndig = np.minimum(ndig, 255).astype(np.uint8)
+    in_data = ~np.repeat(comment, fields)
+    width = min(int(ndig.max(initial=0, where=in_data)), _INT64_DIGITS) or 1
+    long = np.flatnonzero(in_data & (ndig > width))
+    np.minimum(ndig, width, out=ndig)
+    values, bad = _token_values(data, ends, ndig, width)
+    bad |= ndig == 0
+    long_digits = [data[s + int(sign[i]):e] for i, s, e in
+                   zip(long.tolist(), starts[long].tolist(), ends[long].tolist())]
+    for i, digits in zip(long.tolist(), long_digits):
+        bad[i] = not digits.isdigit()
+    bad &= in_data
+
+    bad_count = ~comment & (fields != 2) & (fields != 3)
+    bad_line = bad_count.copy()
+    bad_line[np.searchsorted(heads, np.flatnonzero(bad), side="right") - 1] = True
+    if bad_line.any():
+        h = int(np.argmax(bad_line))
+        li = _line_number(b, starts[heads[h]])
+        if bad_count[h]:
             raise InputError(f"line {li + 1}: expected '<source> <target> [multiplicity]'")
         raise InputError(f"line {li + 1}: non-integer field in "
                          f"{_stripped_line(source, li)!r}")
-    del line
 
-    # values of every token; those of comment lines are never read
-    negative = b[starts] == 45
-    ndig = ends - starts
-    ndig -= negative | (b[starts] == 43)
-    values = np.zeros(starts.size, dtype=np.int64)
-    pos = ends.copy()
-    for j in range(min(int(ndig.max(initial=0)), _INT64_DIGITS)):
-        pos -= 1
-        digit = b[pos] - 48
-        digit *= ndig > j
-        values += digit * np.int64(10 ** j)
-    del pos
     np.negative(values, out=values, where=negative)
-    long = np.flatnonzero(ndig > _INT64_DIGITS)
-    for i in long[~comment[np.searchsorted(heads, long, side="right") - 1]].tolist():
-        digits = data[ends[i] - ndig[i]:ends[i]].lstrip(b"0") or b"0"
+    for i, digits in zip(long.tolist(), long_digits):
+        digits = digits.lstrip(b"0") or b"0"
         v = int(digits) if len(digits) <= 19 else 2**64
         if negative[i]:
             v = -v
         if not -2**63 <= v < 2**63:
-            li = int(np.searchsorted(breaks, starts[i]))
+            li = _line_number(b, starts[i])
             raise InputError(f"line {li + 1}: integer out of int64 range in "
                              f"{_stripped_line(source, li)!r}")
         values[i] = v
+    del bounds, starts, ends
 
     heads, three = heads[~comment], fields[~comment] == 3
     mult = np.ones(heads.size, dtype=np.int64)
     mult[three] = values[heads[three] + 2]
     return values[heads], values[heads + 1], mult, n
+
+
+def _is_break(b):
+    """Bytes that end a line for ``str.splitlines``: 10-13 and 28-30."""
+    brk = (b - 10) <= 3
+    brk |= (b - 28) <= 2
+    return brk
+
+
+def _line_number(b, pos) -> int:
+    """0-based ``str.splitlines`` line of byte ``pos``, a token's first byte."""
+    before = b[:pos]
+    crlf = np.count_nonzero((before[1:] == 10) & (before[:-1] == 13))
+    return int(np.count_nonzero(_is_break(before))) - crlf
+
+
+def _token_values(data: bytes, ends, ndig, width):
+    """Values of the last ``ndig`` (<= width) bytes before each token end,
+    read as decimal digits, and whether any of those bytes is not a digit.
+
+    Eight digits at a time, SWAR-style: the eight bytes ending at a chunk's
+    last digit are loaded as one little-endian word, the bytes left of the
+    digits masked out, the rest checked for ``0``-``9`` and combined pairwise
+    into one number (D. Lemire's eight-digit parse).
+    """
+    buf = data if len(data) >= 8 else data.ljust(8)
+    words = np.ndarray((len(buf) - 7,), "<u8", buffer=buf, strides=(1,))
+    bad = np.zeros(ends.size, dtype=bool)
+    for c in range(-(-width // 8)):
+        at = ends - (8 * c + 8)
+        early = int(np.searchsorted(at, 0))  # tokens ending near the start
+        at[:early] = 0
+        x = words[at]
+        for i in range(early):
+            x[i] = int.from_bytes((bytes(8) + buf[:max(ends[i] - 8 * c, 0)])[-8:], "little")
+        low = at.view(np.uint64)  # scratch space from here on
+        digits = np.clip(ndig.astype(np.int16) - 8 * c, 0, 8) if width > 8 else ndig
+        # the top `digits` bytes of a word (a shift by 64 leaves none)
+        np.left_shift(np.uint64(2**64 - 1), (8 - digits.astype(np.uint8)) * np.uint8(8),
+                      out=low)
+        x ^= np.uint64(_ONES * 0x30)
+        x &= low
+        # the digit bytes now hold 0-9, other bytes of the token more
+        np.add(x, np.uint64(_ONES * 0x76), out=low)  # sets bit 7 of bytes above 9
+        low |= x
+        low &= np.uint64(_ONES * 0x80)
+        bad |= low != 0
+        for bits, mask in ((8, 0x00FF00FF00FF00FF), (16, 0x0000FFFF0000FFFF),
+                           (32, 0x00000000FFFFFFFF)):
+            np.right_shift(x, np.uint64(bits), out=low)
+            x *= np.uint64(10 ** (bits // 8))
+            x += low
+            x &= np.uint64(mask)
+        x = x.view(np.int64)
+        values = x if c == 0 else values + x * np.int64(10 ** (8 * c))
+    return values, bad
 
 
 def _stripped_line(text: str, li: int) -> str:

@@ -393,8 +393,8 @@ def run_experiment(config_path, output_dir, threads=None):
                 weights = pr.GeneralizedWeights(
                     C=genspec["c_sampler"](wrng, n), B=genspec["b_sampler"](wrng, n))
                 exact = pr.solve_generalized(g, weights, tol=params.tol,
-                                             max_iter=params.max_iter)
-                truncated = pr.solve_generalized(g, weights, order=N)
+                                             max_iter=params.max_iter, with_order=N)
+                truncated = exact.truncated
                 mean_gap = float((exact.values - truncated.values).mean())
                 bound = weights.c_max ** (N + 1) * max(float(weights.B.mean()), 1e-300) / max(1.0 - weights.c_max, 1e-300)
                 entry["gap_ok"] = bool(-1e-10 <= mean_gap <= bound + 1e-10)
@@ -402,8 +402,8 @@ def run_experiment(config_path, output_dir, threads=None):
                     raise InvariantViolation(
                         f"generalized truncation gap {mean_gap} outside [0, {bound}]")
             else:
-                exact = pr.solve_pagerank(g, params)
-                truncated = pr.pagerank_truncated(g, params, N)
+                exact = pr.solve_pagerank(g, params, with_order=N)
+                truncated = exact.truncated
                 mean_gap, bound = pr.truncation_gap(g, params, N, exact=exact,
                                                     truncated=truncated)
                 pr.lower_bound_check(g, params, exact=exact)
@@ -411,11 +411,13 @@ def run_experiment(config_path, output_dir, threads=None):
                 entry["gap_ok"] = True
             entry["mean_gap"] = mean_gap
             entry["gap_bound"] = bound
+            entry["iterations"] = exact.iterations
+            entry["residual"] = exact.residual
             entry["mean_R"] = exact.mean
             entry["sum_R_over_n"] = float(exact.values.sum()) / n
             total = float(exact.values.sum())
             if genspec:
-                entry["mass_ok"] = True
+                entry["mass_ok"] = pr.generalized_mass_ok(g, weights, exact)
             elif g.has_dangling():
                 entry["mass_ok"] = bool(total <= n * (1 + 1e-12))
             else:
@@ -522,8 +524,8 @@ def _cmd_pagerank(args):
         print(f"wrote {args.output}")
         return EXIT_OK
     if args.N is not None:
-        vec = pr.pagerank_truncated(g, params, args.N)
-        exact = pr.solve_pagerank(g, params)
+        exact = pr.solve_pagerank(g, params, with_order=args.N)
+        vec = exact.truncated
         mean_gap, bound = pr.truncation_gap(g, params, args.N, exact=exact, truncated=vec)
         pr.write_scores_csv(vec, args.output)
         meta_path = str(args.output) + ".meta.json"
@@ -609,7 +611,7 @@ def _cmd_verify(args):
     check("degree-consistency",
           lambda: _assert(totals[0] == totals[1] == totals[2],
                           f"degree sums {totals} disagree"))
-    exact = pr.solve_pagerank(g, params)
+    exact, sweep = pr.solve_and_sweep(g, params, max(args.max_order, 0))
     check("teleport-floor",
           lambda: _assert(float(exact.values.min()) >= (1 - args.c) - 1e-9,
                           "score below 1-c"))
@@ -621,8 +623,7 @@ def _cmd_verify(args):
         check("mass-identity",
               lambda: _assert(abs(float(exact.values.sum()) - g.n) <= 1e-8 * g.n,
                               "sum differs from n"))
-    sweep = pr.truncation_sweep(g, params, args.max_order) if args.max_order >= 0 else ()
-    for vec in sweep:
+    for vec in sweep if args.max_order >= 0 else ():
         check(f"truncation-bound-N{vec.order}",
               lambda: pr.truncation_gap(g, params, vec.order, exact=exact, truncated=vec))
     check("lower-bound", lambda: pr.lower_bound_check(g, params, exact=exact))

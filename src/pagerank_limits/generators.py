@@ -64,6 +64,10 @@ class RngStream:
         return RngStream(self.master_seed, self.stream + (k,))
 
 
+# supports up to this size invert the CDF by counting, larger ones by bisection
+_COUNT_SUPPORT = 16
+
+
 @dataclass
 class BiDegreeLaw:
     """Joint law of (out-degree, in-degree) with its size-biased companion.
@@ -139,7 +143,14 @@ class BiDegreeLaw:
             cum, H, L = self._cum_star, self._Hs, self._Ls
         else:
             cum, H, L = self._cum, self._H, self._L
-        idx = np.minimum(np.searchsorted(cum, u, side="right"), H.size - 1)
+        if cum.size <= _COUNT_SUPPORT:
+            # the number of cum[:-1] entries <= u: searchsorted(side="right")
+            # clamped to the last index, counted in one pass per entry
+            idx = np.zeros(np.shape(u), dtype=np.uint8)
+            for edge in cum[:-1].tolist():
+                idx += u >= edge
+        else:
+            idx = np.minimum(np.searchsorted(cum, u, side="right"), H.size - 1)
         return H[idx], L[idx]
 
 

@@ -42,6 +42,7 @@ __all__ = [
 ]
 
 DEFAULT_CODE_NODE_LIMIT = 10_000
+_INT64_MAX = 2**63 - 1
 
 
 @dataclass(frozen=True)
@@ -112,28 +113,27 @@ def build_graph(edge_list, n: int) -> DirectedMultigraph:
         i = int(bad[0])
         raise InputError(f"edge {i}: multiplicity must be >= 1, got {int(mult[i])}")
 
-    if src.size:
-        keys = src * np.int64(n) + tgt
-        ukeys, inv = np.unique(keys, return_inverse=True)
-        umult = np.bincount(inv, weights=mult).astype(np.int64)
-        usrc = (ukeys // n).astype(np.int64)
-        utgt = (ukeys % n).astype(np.int64)
-    else:
-        usrc = np.zeros(0, dtype=np.int64)
-        utgt = np.zeros(0, dtype=np.int64)
-        umult = np.zeros(0, dtype=np.int64)
+    keys = src * np.int64(n) + tgt
+    order = np.argsort(keys)
+    keys, umult = keys[order], mult[order]
+    if keys.size > 1 and not (keys[1:] != keys[:-1]).all():  # repeated pairs
+        first = np.flatnonzero(np.diff(keys, prepend=-1))
+        keys = keys[first]
+        umult = _segment_sums(umult, np.append(first, src.size),
+                              lambda i: f"pair {divmod(int(keys[i]), n)}: multiplicity")
+    usrc, utgt = np.divmod(keys, max(n, 1))
 
-    d_out = np.bincount(usrc, weights=umult, minlength=n).astype(np.int64)
-    d_in = np.bincount(utgt, weights=umult, minlength=n).astype(np.int64)
     out_indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(usrc, minlength=n), out=out_indptr[1:])
     # the transpose of the (source, target) CSR lists each target's sources
     # in ascending order, which is the (target, source) order of the pairs;
     # scipy builds it with a linear-time counting sort
-    in_order = sp.csr_matrix((np.arange(usrc.size), utgt, out_indptr),
-                             shape=(n, n)).tocsc().data
-    in_indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(utgt, minlength=n), out=in_indptr[1:])
+    by_target = sp.csr_matrix((np.arange(usrc.size), utgt, out_indptr),
+                              shape=(n, n)).tocsc()
+    in_order = by_target.data
+    in_indptr = by_target.indptr.astype(np.int64)
+    d_out = _segment_sums(umult, out_indptr, lambda v: f"vertex {v}: out-degree")
+    d_in = _segment_sums(umult[in_order], in_indptr, lambda v: f"vertex {v}: in-degree")
 
     for arr in (usrc, utgt, umult, d_in, d_out, out_indptr, in_indptr, in_order):
         arr.setflags(write=False)
@@ -141,6 +141,28 @@ def build_graph(edge_list, n: int) -> DirectedMultigraph:
         n=n, src=usrc, tgt=utgt, mult=umult, d_in=d_in, d_out=d_out,
         out_indptr=out_indptr, in_indptr=in_indptr, in_order=in_order,
     )
+
+
+def _segment_sums(values, bounds, name):
+    """Sums of the nonnegative int64 ``values[bounds[i]:bounds[i + 1]]``, exact.
+
+    Wrapping int64 prefix sums give every segment's sum modulo 2**64, which
+    is the sum itself whenever it fits int64.  Only when the total might not
+    fit are the segments screened by their float sums and those near 2**63
+    summed exactly; one beyond int64 raises ``InputError`` naming ``name(i)``.
+    """
+    prefix = np.empty(values.size + 1, dtype=np.int64)
+    prefix[0] = 0
+    np.cumsum(values, out=prefix[1:])
+    sums = np.diff(prefix[bounds])
+    if values.size and int(values.max()) > _INT64_MAX // values.size:
+        segment = np.repeat(np.arange(bounds.size - 1), np.diff(bounds))
+        rough = np.bincount(segment, weights=values, minlength=bounds.size - 1)
+        for i in np.flatnonzero(rough >= 2.0**62).tolist():
+            total = sum(values[bounds[i]:bounds[i + 1]].tolist())
+            if total > _INT64_MAX:
+                raise InputError(f"{name(i)} {total} exceeds int64")
+    return sums
 
 
 def _normalize_edges(edge_list):

@@ -7,7 +7,9 @@ All solvers run the synchronous Jacobi (pull) iteration
 so that N iterations from the all-(1-c) vector equal the weighted sum over
 directed paths of length at most N ending at each vertex, exactly.  Vertices
 with out-degree zero absorb score and forward none, which keeps the mean
-score at most 1.
+score at most 1.  The exact solve starts from the same vector, so its
+iterate N is R^(N): one pass yields both, and every variant runs the one
+kernel :func:`_iterates`.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 import scipy.sparse as sp
@@ -32,6 +35,8 @@ __all__ = [
     "truncation_sweep",
     "truncation_gap",
     "solve_generalized",
+    "solve_and_sweep",
+    "generalized_mass_ok",
     "lower_bound_check",
     "pull_matrix",
     "write_scores_csv",
@@ -65,6 +70,7 @@ class PageRankVector:
     params: object
     iterations: int
     residual: float | None = None
+    truncated: PageRankVector | None = None  # R^(N) of the same pass, on request
 
     @property
     def mean(self) -> float:
@@ -101,8 +107,14 @@ class GeneralizedWeights:
 
 
 def pull_matrix(g: DirectedMultigraph) -> sp.csr_matrix:
-    """Sparse P with P[i, j] = e_{j,i} / d_out_j (dangling columns are zero)."""
-    return sp.csr_matrix((_edge_shares(g), (g.tgt, g.src)), shape=(g.n, g.n))
+    """Sparse P with P[i, j] = e_{j,i} / d_out_j (dangling columns are zero).
+
+    Built straight from the in-adjacency: row i lists the sources of i's
+    in-edges in ascending order, which is the canonical CSR layout.
+    """
+    src = g.src[g.in_order]
+    shares = g.mult[g.in_order] / g.d_out[src]
+    return sp.csr_matrix((shares, src, g.in_indptr), shape=(g.n, g.n))
 
 
 def _edge_shares(g):
@@ -110,31 +122,91 @@ def _edge_shares(g):
     return g.mult / g.d_out[g.src]
 
 
-def _iterate(mat, offset, factor_desc, tol, max_iter):
-    """Run the sweep from R = offset until the sup-norm step is below tol."""
-    sweep = _sweep(mat, offset, max_iter, None)
-    r = next(sweep).values
-    for vec in sweep:
-        delta = float(np.abs(vec.values - r).max()) if r.size else 0.0
-        r = vec.values
+def _pull_system(g, damping):
+    """The pull matrix with ``damping`` (c, or C_j per source j) folded into
+    its data in place; entry by entry this is ``c * P`` or ``C[src] * P``."""
+    mat = pull_matrix(g)
+    mat.data *= damping if np.isscalar(damping) else damping[mat.indices]
+    return mat
+
+
+def _iterates(mat, offset):
+    """R^(0) = offset, then R^(k) = mat @ R^(k-1) + offset; each a new array."""
+    r = offset.copy()
+    while True:
+        yield r
+        r = mat @ r
+        r += offset
+
+
+def _solve(mat, offset, desc, tol, max_iter, order=None):
+    """Iterate until the sup-norm step is below tol, keeping R^(order) on the way.
+
+    Returns (R, iterations, residual, R^(order) or None).  When ``order``
+    exceeds the iteration count the same recurrence runs on to it.
+    """
+    iterates = _iterates(mat, offset)
+    r = next(iterates)
+    kept = r if order == 0 else None
+    for k in range(1, max_iter + 1):
+        prev, r = r, next(iterates)
+        if k == order:
+            kept = r
+        # the step overwrites the previous iterate, still cached from the
+        # mat-vec, unless that iterate is kept
+        step = np.subtract(r, prev, out=None if prev is kept else prev)
+        delta = float(np.abs(step, out=step).max()) if r.size else 0.0
         if delta < tol:
-            return r, vec.iterations, delta
+            if order is not None and order > k:
+                kept = _last(islice(iterates, order - k))
+            return r, k, delta, kept
     raise ConvergenceError(
-        f"{factor_desc} iteration did not reach tol={tol} in {max_iter} steps "
+        f"{desc} iteration did not reach tol={tol} in {max_iter} steps "
         f"(last residual {delta:.3e})",
         residual=delta,
         iterations=max_iter,
     )
 
 
-def solve_pagerank(g: DirectedMultigraph, p: PageRankParams) -> PageRankVector:
-    """Unique fixed point of R_i = c sum_j (e_{j,i}/d_out_j) R_j + (1-c)."""
-    mat = p.c * pull_matrix(g)
-    offset = np.full(g.n, 1.0 - p.c)
-    r, it, delta = _iterate(mat, offset, f"pagerank(c={p.c})", p.tol, p.max_iter)
-    vec = PageRankVector(values=r, order="exact", params=p, iterations=it, residual=delta)
+def _fixed_point(params, solved, order):
+    """The PageRankVector of a :func:`_solve` result, R^(order) attached."""
+    r, it, delta, kept = solved
+    truncated = None if kept is None else PageRankVector(
+        values=kept, order=order, params=params, iterations=order)
+    return PageRankVector(values=r, order="exact", params=params, iterations=it,
+                          residual=delta, truncated=truncated)
+
+
+def _exact_pagerank(g, p, mat, with_order):
+    solved = _solve(mat, np.full(g.n, 1.0 - p.c), f"pagerank(c={p.c})", p.tol,
+                    p.max_iter, with_order)
+    vec = _fixed_point(p, solved, with_order)
     _check_solution(g, p, vec)
     return vec
+
+
+def solve_pagerank(g: DirectedMultigraph, p: PageRankParams,
+                   with_order: int | None = None) -> PageRankVector:
+    """Unique fixed point of R_i = c sum_j (e_{j,i}/d_out_j) R_j + (1-c).
+
+    With ``with_order=N`` the result's ``truncated`` is R^(N), iterate N of
+    this same pass: bit for bit what :func:`pagerank_truncated` returns.
+    """
+    if with_order is not None:
+        _check_order(with_order)
+    return _exact_pagerank(g, p, _pull_system(g, p.c), with_order)
+
+
+def solve_and_sweep(g: DirectedMultigraph, p: PageRankParams, N: int):
+    """``(solve_pagerank(g, p), truncation_sweep(g, p, N))`` on one pull matrix.
+
+    The sweep reruns the first N iterates of the solve one at a time, so a
+    caller that keeps only the current one holds O(n) memory.
+    """
+    _check_order(N)
+    mat = _pull_system(g, p.c)
+    exact = _exact_pagerank(g, p, mat, None)
+    return exact, _sweep(mat, np.full(g.n, 1.0 - p.c), N, p)
 
 
 def _check_solution(g, p, vec):
@@ -160,7 +232,7 @@ def truncation_sweep(g: DirectedMultigraph, p: PageRankParams, N: int):
     vector, so a caller that keeps only the current one holds O(n) memory.
     """
     _check_order(N)
-    return _sweep(p.c * pull_matrix(g), np.full(g.n, 1.0 - p.c), N, p)
+    return _sweep(_pull_system(g, p.c), np.full(g.n, 1.0 - p.c), N, p)
 
 
 def _check_order(N):
@@ -169,16 +241,13 @@ def _check_order(N):
 
 
 def _sweep(mat, offset, N, params):
-    """Yield R^(k) = mat @ R^(k-1) + offset for k = 0..N, from R^(0) = offset."""
-    r = offset.copy()
-    yield PageRankVector(values=r, order=0, params=params, iterations=0)
-    for k in range(1, N + 1):
-        r = mat @ r + offset
+    """PageRankVectors of R^(0), ..., R^(N)."""
+    for k, r in enumerate(islice(_iterates(mat, offset), N + 1)):
         yield PageRankVector(values=r, order=k, params=params, iterations=k)
 
 
-def _last(sweep) -> PageRankVector:
-    return deque(sweep, maxlen=1)[0]
+def _last(items):
+    return deque(items, maxlen=1)[0]
 
 
 def pagerank_truncated(g: DirectedMultigraph, p: PageRankParams, N: int) -> PageRankVector:
@@ -190,9 +259,11 @@ def truncation_gap(g, p, N, exact: PageRankVector | None = None,
                    truncated: PageRankVector | None = None, tol: float = 1e-10):
     """Mean of R - R^(N) and the size-free bound c^(N+1); checks 0 <= gap <= bound."""
     if exact is None:
-        exact = solve_pagerank(g, p)
+        exact = solve_pagerank(g, p, with_order=N if truncated is None else None)
     if truncated is None:
-        truncated = pagerank_truncated(g, p, N)
+        truncated = exact.truncated
+        if truncated is None or truncated.order != N:
+            truncated = pagerank_truncated(g, p, N)
     mean_gap = float((exact.values - truncated.values).mean()) if g.n else 0.0
     bound = p.c ** (N + 1)
     if not (-tol <= mean_gap <= bound + tol):
@@ -204,25 +275,53 @@ def truncation_gap(g, p, N, exact: PageRankVector | None = None,
 
 def solve_generalized(g: DirectedMultigraph, w: GeneralizedWeights,
                       tol: float = 1e-12, max_iter: int = 10_000,
-                      order: int | None = None) -> PageRankVector:
+                      order: int | None = None,
+                      with_order: int | None = None) -> PageRankVector:
     """Fixed point of R_i = sum_j (C_j e_{j,i}/d_out_j) R_j + B_i.
 
     With ``order=N`` runs exactly N iterations from R = B instead, the
-    generalized analogue of :func:`pagerank_truncated`.
+    generalized analogue of :func:`pagerank_truncated`.  With
+    ``with_order=N`` the fixed point's ``truncated`` is that same iterate,
+    taken from the solve's own pass.
     """
     if w.C.shape != (g.n,):
         raise ConfigError(f"weights have length {w.C.size}, graph has {g.n} vertices")
-    # same evaluation order as c * pull_matrix so constant C reproduces the
-    # standard solver bit for bit
-    data = w.C[g.src] * _edge_shares(g)
-    mat = sp.csr_matrix((data, (g.tgt, g.src)), shape=(g.n, g.n))
+    if order is not None and with_order is not None:
+        raise ConfigError("order and with_order are exclusive")
+    for N in (order, with_order):
+        if N is not None:
+            _check_order(N)
+    if order is None:
+        _check_stopping(tol, max_iter)
+    # C folded in as C[src] * P, so constant C reproduces the standard
+    # solver bit for bit
+    mat = _pull_system(g, w.C)
     b = w.B.astype(np.float64)
     if order is not None:
-        _check_order(order)
         return _last(_sweep(mat, b, order, w))
-    _check_stopping(tol, max_iter)
-    r, it, delta = _iterate(mat, b, f"generalized(c_max={w.c_max})", tol, max_iter)
-    return PageRankVector(values=r, order="exact", params=w, iterations=it, residual=delta)
+    solved = _solve(mat, b, f"generalized(c_max={w.c_max})", tol, max_iter, with_order)
+    return _fixed_point(w, solved, with_order)
+
+
+def generalized_mass_ok(g: DirectedMultigraph, w: GeneralizedWeights,
+                        exact: PageRankVector) -> bool:
+    """Whether sum R = sum B + sum_{d_out_j > 0} C_j R_j holds for ``exact``.
+
+    Column j of the pull matrix sums to C_j when j has out-edges and to 0
+    otherwise, so a fixed point satisfies the identity exactly.  The solve's
+    last iterate misses it by at most c_max n residual; the rest of the slack
+    covers the rounding of the mat-vec rows and of the sums.
+    """
+    if g.n == 0:
+        return True
+    values = exact.values
+    total = float(values.sum())
+    linked = g.d_out > 0
+    rhs = float(w.B.sum()) + float(w.C[linked] @ values[linked])
+    row_terms = int(np.diff(g.in_indptr).max())
+    rounding = 4 * (row_terms + g.n.bit_length() + 2) * np.finfo(np.float64).eps
+    slack = w.c_max * g.n * exact.residual + rounding * (abs(total) + abs(rhs))
+    return bool(abs(total - rhs) <= slack)
 
 
 def lower_bound_check(g: DirectedMultigraph, p: PageRankParams,

@@ -147,6 +147,52 @@ class TestSubcommands:
         assert [f"PASS truncation-bound-N{N}" in out for N in range(8)] == [True] * 7 + [False]
         assert len(builds) <= 2  # the exact solve and the truncation sweep
 
+    @pytest.mark.parametrize("argv", [
+        ["pagerank", "--c", "0.5", "--N", "6", "--output", "scores.csv"],
+        ["verify", "--c", "0.5", "--max-order", "6"],
+    ])
+    def test_one_pull_matrix_per_command(self, tmp_path, capsys, monkeypatch, argv):
+        g = tmp_path / "g.txt"
+        cli.main(["generate", "--model", "dcm", "--law", json.dumps(DCM_LAW),
+                  "--n", "300", "--seed", "6", "--output", str(g)])
+        builds = []
+        pull_matrix = cli.pr.pull_matrix
+
+        def counted(graph):
+            builds.append(graph.n)
+            return pull_matrix(graph)
+
+        monkeypatch.setattr(cli.pr, "pull_matrix", counted)
+        argv = [str(tmp_path / a) if a.endswith(".csv") else a for a in argv]
+        assert cli.main([argv[0], "--graph", str(g), *argv[1:]]) == 0
+        assert builds == [300]
+
+    @pytest.mark.parametrize("N", [6, 200])
+    def test_truncated_pagerank_runs_the_exact_solve_only(self, tmp_path, monkeypatch, N):
+        # R^(N) comes out of the exact solve: max(iterations, N) mat-vecs in all
+        g = tmp_path / "g.txt"
+        cli.main(["generate", "--model", "dcm", "--law", json.dumps(DCM_LAW),
+                  "--n", "300", "--seed", "6", "--output", str(g)])
+        matvecs = []
+        pull_matrix = cli.pr.pull_matrix
+
+        class Counted(type(pull_matrix(cli.read_edgelist(g)))):
+            def _matmul_vector(self, other):
+                matvecs.append(1)
+                return super()._matmul_vector(other)
+
+        monkeypatch.setattr(cli.pr, "pull_matrix", lambda graph: Counted(pull_matrix(graph)))
+        out = tmp_path / "s.csv"
+        assert cli.main(["pagerank", "--graph", str(g), "--c", "0.5", "--N", str(N),
+                         "--output", str(out)]) == 0
+        monkeypatch.undo()
+        exact = cli.pr.solve_pagerank(cli.read_edgelist(g), cli.pr.PageRankParams(c=0.5))
+        assert 6 < exact.iterations < 200
+        assert len(matvecs) == max(exact.iterations, N)
+        truncated = cli.pr.pagerank_truncated(cli.read_edgelist(g),
+                                              cli.pr.PageRankParams(c=0.5), N)
+        assert np.array_equal(cli.pr.read_scores_csv(out), truncated.values)
+
     def test_missing_graph_is_operational_error(self, capsys):
         rc = cli.main(["pagerank", "--graph", "/nonexistent/g.txt", "--c", "0.5"])
         assert rc == 1
@@ -311,6 +357,43 @@ class TestRunExperiment:
         assert code == 0
         entry = record["per_size"][0]
         assert entry["gap_ok"] and 0.0 <= entry["ks_to_limit"] <= 1.0
+
+    def test_generalized_run_checks_the_mass_identity(self, tmp_path, monkeypatch):
+        cfg = tmp_path / "config.json"
+        write_config(cfg, sizes=[400], pagerank={
+            "c": 0.85, "N": 15, "tol": 1e-12,
+            "generalized": {"c_law": {"dist": "uniform", "low": 0.0, "high": 0.85},
+                            "b_law": {"dist": "exponential", "mean": 0.15}},
+        }, limit={"sampler": "fixed_point", "M": 3000, "depth": 15})
+        record, code = cli.run_experiment(cfg, tmp_path / "ok")
+        assert code == 0 and record["per_size"][0]["mass_ok"] is True
+        solve = cli.pr.solve_generalized
+
+        def perturbed(*args, **kwargs):
+            vec = solve(*args, **kwargs)
+            vec.values = vec.values.copy()
+            vec.values[3] += 1e-6
+            return vec
+
+        monkeypatch.setattr(cli.pr, "solve_generalized", perturbed)
+        record, code = cli.run_experiment(cfg, tmp_path / "bad")
+        assert code == cli.EXIT_INVARIANT and record["status"] == "FAILED"
+        assert record["failures"] == [
+            {"stage": "size-400", "error": record["failures"][0]["error"]}]
+        assert record["failures"][0]["error"].startswith("mass identity failed at n=400")
+
+    def test_record_holds_exact_solve_iterations_and_residual(self, tmp_path):
+        cfg = tmp_path / "config.json"
+        write_config(cfg)
+        record, code = cli.run_experiment(cfg, tmp_path / "out")
+        assert code == 0
+        params = cli.pr.PageRankParams(c=0.5, tol=1e-12)
+        saved = json.loads((tmp_path / "out" / "record.json").read_text())
+        for entry in saved["per_size"]:
+            g = cli.read_edgelist(tmp_path / "out" / f"graph_{entry['n']}.txt")
+            exact = cli.pr.solve_pagerank(g, params)
+            assert entry["iterations"] == exact.iterations
+            assert entry["residual"] == exact.residual
 
     def test_ctbp_run(self, tmp_path):
         cfg = tmp_path / "config.json"

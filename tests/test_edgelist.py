@@ -134,6 +134,22 @@ def test_malformed_fields(field):
     assert str(got.value) == str(want.value) == f"line 2: non-integer field in '0 {field}'"
 
 
+def test_every_ascii_byte_inside_a_field():
+    # a field is read eight bytes at a time, so put each printable byte at
+    # every position of fields of up to 18 characters
+    for char in map(chr, range(33, 127)):
+        for width in (2, 8, 9, 18):
+            for at in range(width):
+                field = "7" * at + char + "7" * (width - at - 1)
+                text = f"0 1\n1 {field}\n"
+                if char.isdigit() or (at == 0 and char in "+-"):
+                    assert parse_edgelist(text) == ([(0, 1, 1), (1, int(field), 1)], None)
+                else:
+                    with pytest.raises(InputError) as got:
+                        parse_edgelist(text)
+                    assert str(got.value) == f"line 2: non-integer field in {'1 ' + field!r}"
+
+
 @pytest.mark.parametrize("field", ["1_0", "\u0661", "\uff11", "1\u00b2", "0x1"])
 def test_only_ascii_digits_are_fields(field):
     """``int`` accepts the first three; the edge-list grammar does not."""

@@ -70,6 +70,35 @@ class TestBiDegreeLaw:
             assert abs((h == hv).mean() - 1 / 3) < 0.02
 
 
+class TestFromUniforms:
+    """The inverse CDF against searchsorted(side="right"), the bisection it replaces
+    on small supports."""
+
+    @staticmethod
+    def oracle(cum, u):
+        return np.minimum(np.searchsorted(cum, u, side="right"), cum.size - 1)
+
+    @pytest.mark.parametrize("law", [
+        UNIFORM33,
+        BiDegreeLaw([(0, 2, 0.25), (2, 0, 0.25), (1, 1, 0.5)]),
+        BiDegreeLaw([(k, k, 1 / 20) for k in range(1, 21)]),  # bisection
+    ])
+    def test_matches_searchsorted(self, law):
+        rng = RngStream(22).generator()
+        for star, H, L, cum in ((False, law._H, law._L, law._cum),
+                                (True, law._Hs, law._Ls, law._cum_star)):
+            u = np.concatenate([
+                rng.random(5000), cum, np.nextafter(cum, 0), np.nextafter(cum, 2),
+                [0.0, 1.0, np.nextafter(1.0, 0), 2.0],  # clamped above cum[-1]
+            ])
+            idx = self.oracle(cum, u)
+            h, l = law.from_uniforms(u, star=star)
+            assert np.array_equal(h, H[idx]) and np.array_equal(l, L[idx])
+            for v in u[-8:]:
+                assert law.from_uniforms(v, star=star) == (H[self.oracle(cum, v)],
+                                                           L[self.oracle(cum, v)])
+
+
 class TestBidegreeSequence:
     def test_deterministic_law(self):
         law = BiDegreeLaw([(1, 1, 1.0)])

@@ -72,6 +72,64 @@ class TestBuildGraph:
         assert g.d_in[0] == 2 and g.d_out[0] == 2
 
 
+class TestExactSums:
+    """Multiplicity and degree sums are exact in int64 and checked against it."""
+
+    BIG = 2**62
+
+    def test_sums_beyond_float_precision_are_exact(self):
+        g = build_graph([(0, 1, 2**53 + 1), (0, 1, 1), (0, 2, 3), (2, 1, 2**53 + 1)], 3)
+        assert list(g.edge_triples()) == [(0, 1, 2**53 + 2), (0, 2, 3), (2, 1, 2**53 + 1)]
+        assert g.d_out.tolist() == [2**53 + 5, 0, 2**53 + 1]
+        assert g.d_in.tolist() == [0, 2**54 + 3, 3]
+
+    def test_sums_up_to_int64_max(self):
+        g = build_graph([(0, 1, self.BIG), (0, 1, self.BIG - 1), (1, 0, self.BIG)], 2)
+        assert list(g.edge_triples()) == [(0, 1, 2**63 - 1), (1, 0, self.BIG)]
+        assert g.d_out.tolist() == g.d_in.tolist()[::-1] == [2**63 - 1, self.BIG]
+
+    @pytest.mark.parametrize("edges,message", [
+        ([(0, 1, BIG), (2, 2), (0, 1, BIG)],
+         f"pair (0, 1): multiplicity {2**63} exceeds int64"),
+        ([(0, 1, BIG), (0, 2, BIG)], f"vertex 0: out-degree {2**63} exceeds int64"),
+        ([(0, 2, BIG), (1, 2, BIG - 1), (1, 2, 1)], f"vertex 2: in-degree {2**63} exceeds int64"),
+        ([(0, 1, 2**63 - 1)] * 3, f"pair (0, 1): multiplicity {3 * (2**63 - 1)} exceeds int64"),
+        # 2**63 + 3, whose float64 sum rounds below 2**63
+        ([(0, 1, 2305843009213691000), (0, 1, 2305843009213695884),
+          (0, 1, 2305843009213695628), (0, 1, 2305843009213693299)],
+         f"pair (0, 1): multiplicity {2**63 + 3} exceeds int64"),
+    ])
+    def test_sums_beyond_int64_are_input_errors(self, edges, message):
+        with pytest.raises(InputError) as err:
+            build_graph(edges, 3)
+        assert str(err.value) == message
+
+    def test_read_edgelist_names_the_file(self, tmp_path):
+        path = tmp_path / "g.txt"
+        path.write_text(f"# n=2\n0 1 {self.BIG}\n0 1 {self.BIG}\n")
+        with pytest.raises(InputError) as err:
+            read_edgelist(path)
+        assert str(err.value) == f"{path}: pair (0, 1): multiplicity {2**63} exceeds int64"
+        path.write_text(f"# n=2\n0 1 {self.BIG}\n0 1 {self.BIG - 1}\n")
+        assert list(read_edgelist(path).edge_triples()) == [(0, 1, 2**63 - 1)]
+
+    def test_random_large_multiplicities_match_python_sums(self):
+        rng = RngStream(2).generator()
+        for _ in range(30):
+            n = int(rng.integers(1, 8))
+            m = int(rng.integers(0, 12))
+            src, tgt = rng.integers(0, n, m), rng.integers(0, n, m)
+            mult = rng.integers(1, 2**59, m) if rng.random() < 0.5 else rng.integers(1, 4, m)
+            pairs, d_out, d_in = {}, [0] * n, [0] * n
+            for s_, t_, k in zip(src.tolist(), tgt.tolist(), mult.tolist()):
+                pairs[s_, t_] = pairs.get((s_, t_), 0) + k
+                d_out[s_] += k
+                d_in[t_] += k
+            g = build_graph((src, tgt, mult), n)
+            assert list(g.edge_triples()) == [(*k, v) for k, v in sorted(pairs.items())]
+            assert g.d_out.tolist() == d_out and g.d_in.tolist() == d_in
+
+
 class TestExplore:
     def test_depth0_root_only(self):
         nb = explore_neighborhood(cycle3(), 0, 0)

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from pagerank_limits import RngStream
+from pagerank_limits import pagerank as pr
 from pagerank_limits.errors import ConfigError, ConvergenceError, InvariantViolation
 from pagerank_limits.graph import build_graph
 from pagerank_limits.pagerank import (
@@ -11,7 +13,9 @@ from pagerank_limits.pagerank import (
     lower_bound_check,
     pagerank_truncated,
     pull_matrix,
+    generalized_mass_ok,
     read_scores_csv,
+    solve_and_sweep,
     solve_generalized,
     solve_pagerank,
     truncation_gap,
@@ -175,6 +179,119 @@ class TestTruncationSweep:
         next(sweep)
         assert np.array_equal(first, [0.5, 0.5, 0.5])
         assert np.array_equal(held.values, [1.0, 0.5, 0.5])
+
+
+class TestOnePass:
+    """R^(N) handed out by the exact solve's own pass, bit for bit."""
+
+    @staticmethod
+    def orders(iterations):
+        return (0, 5, iterations, iterations + 7)
+
+    @pytest.mark.parametrize("dangling", [True, False])
+    def test_standard_pass_equals_separate_solves(self, dangling):
+        rng = RngStream(31).generator()
+        for n in (1, 9, 300):
+            g = random_graph(rng, n, dangling)
+            p = PageRankParams(c=0.85)
+            exact = solve_pagerank(g, p)
+            for N in self.orders(exact.iterations):
+                both = solve_pagerank(g, p, with_order=N)
+                assert np.array_equal(both.values, exact.values)
+                assert (both.iterations, both.residual) == (exact.iterations, exact.residual)
+                assert both.truncated.order == both.truncated.iterations == N
+                assert np.array_equal(both.truncated.values,
+                                      pagerank_truncated(g, p, N).values)
+
+    @pytest.mark.parametrize("dangling", [True, False])
+    def test_generalized_pass_equals_separate_solves(self, dangling):
+        rng = RngStream(32).generator()
+        for n in (1, 9, 300):
+            g = random_graph(rng, n, dangling)
+            w = GeneralizedWeights(C=rng.uniform(0, 0.85, n), B=rng.exponential(0.15, n))
+            exact = solve_generalized(g, w)
+            for N in self.orders(exact.iterations):
+                both = solve_generalized(g, w, with_order=N)
+                assert np.array_equal(both.values, exact.values)
+                assert (both.iterations, both.residual) == (exact.iterations, exact.residual)
+                assert both.truncated.order == N
+                assert np.array_equal(both.truncated.values,
+                                      solve_generalized(g, w, order=N).values)
+
+    def test_without_order_nothing_is_kept(self):
+        assert solve_pagerank(cycle3(), PageRankParams(c=0.5)).truncated is None
+        w = GeneralizedWeights(C=np.full(3, 0.5), B=np.full(3, 0.5))
+        assert solve_generalized(cycle3(), w).truncated is None
+
+    def test_bad_orders_rejected(self):
+        w = GeneralizedWeights(C=np.full(3, 0.5), B=np.full(3, 0.5))
+        with pytest.raises(ConfigError, match="order"):
+            solve_pagerank(cycle3(), PageRankParams(c=0.5), with_order=-1)
+        with pytest.raises(ConfigError, match="order"):
+            solve_generalized(cycle3(), w, with_order=-1)
+        with pytest.raises(ConfigError, match="exclusive"):
+            solve_generalized(cycle3(), w, order=2, with_order=2)
+
+    def test_solve_and_sweep_equal_separate_calls(self):
+        rng = RngStream(33).generator()
+        g = random_graph(rng, 300, True)
+        p = PageRankParams(c=0.7)
+        exact, sweep = solve_and_sweep(g, p, 12)
+        assert np.array_equal(exact.values, solve_pagerank(g, p).values)
+        for got, want in zip(sweep, truncation_sweep(g, p, 12), strict=True):
+            assert got.order == want.order
+            assert np.array_equal(got.values, want.values)
+
+    def test_truncation_gap_solves_once(self, monkeypatch):
+        builds = []
+        pull_matrix_ = pr.pull_matrix
+        monkeypatch.setattr(pr, "pull_matrix", lambda g: builds.append(g) or pull_matrix_(g))
+        gap, bound = truncation_gap(cycle3(), PageRankParams(c=0.5), 2)
+        assert abs(gap - 0.125) < 1e-10 and len(builds) == 1
+
+
+class TestPullMatrix:
+    @pytest.mark.parametrize("dangling", [True, False])
+    def test_equals_the_coordinate_route(self, dangling):
+        # the CSR scipy builds from (target, source) coordinates, scaled by c
+        # or by C[source], is what the in-adjacency gives directly
+        rng = RngStream(34).generator()
+        for n in (0, 1, 9, 300):
+            g = random_graph(rng, n, dangling) if n else build_graph([], 0)
+            shares = g.mult / g.d_out[g.src]
+            C = rng.uniform(0, 0.85, n)
+            for damping, data in ((None, shares), (0.85, 0.85 * shares), (C, C[g.src] * shares)):
+                want = sp.csr_matrix((data, (g.tgt, g.src)), shape=(n, n))
+                got = pull_matrix(g) if damping is None else pr._pull_system(g, damping)
+                for attr in ("indptr", "indices", "data"):
+                    a, b = getattr(got, attr), getattr(want, attr)
+                    assert a.dtype == b.dtype and np.array_equal(a, b), attr
+
+
+class TestGeneralizedMass:
+    def test_fixed_points_satisfy_the_identity(self):
+        rng = RngStream(35).generator()
+        for dangling in (True, False):
+            g = random_graph(rng, 300, dangling)
+            w = GeneralizedWeights(C=rng.uniform(0, 0.85, 300), B=rng.exponential(0.15, 300))
+            exact = solve_generalized(g, w)
+            assert generalized_mass_ok(g, w, exact)
+            linked = g.d_out > 0
+            rhs = w.B.sum() + (w.C[linked] * exact.values[linked]).sum()
+            assert exact.values.sum() == pytest.approx(rhs, rel=1e-12)
+
+    def test_perturbed_solution_fails(self):
+        rng = RngStream(36).generator()
+        g = random_graph(rng, 300, True)
+        w = GeneralizedWeights(C=rng.uniform(0, 0.85, 300), B=rng.exponential(0.15, 300))
+        exact = solve_generalized(g, w)
+        exact.values = exact.values.copy()
+        exact.values[7] += 1e-6
+        assert not generalized_mass_ok(g, w, exact)
+
+    def test_empty_graph(self):
+        w = GeneralizedWeights(C=np.zeros(0), B=np.zeros(0))
+        assert generalized_mass_ok(build_graph([], 0), w, solve_generalized(build_graph([], 0), w))
 
 
 class TestTruncationGap:

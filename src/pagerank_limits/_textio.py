@@ -161,9 +161,7 @@ def parse_edges(text: str):
     gap = np.zeros(starts.size, dtype=np.int64)  # the first token heads anyway
     np.subtract(starts[1:], ends[:-1], out=gap[1:])
     head = _is_break(b[starts - 1])
-    two = np.flatnonzero(gap == 2)
-    head[two] |= _is_break(b[starts[two] - 2])
-    wide = np.flatnonzero(gap > 2)
+    wide = np.flatnonzero(gap > 1)
     if wide.size:
         breaks = np.flatnonzero(_is_break(b))
         head[wide] = (np.searchsorted(breaks, starts[wide])
@@ -251,16 +249,14 @@ def _token_values(data: bytes, ends, ndig, width):
     digits masked out, the rest checked for ``0``-``9`` and combined pairwise
     into one number (D. Lemire's eight-digit parse).
     """
-    buf = data if len(data) >= 8 else data.ljust(8)
+    chunks = -(-width // 8)
+    # pad bytes before the text, so that every load starts at or after byte 0
+    buf = bytes(8 * chunks) + data
     words = np.ndarray((len(buf) - 7,), "<u8", buffer=buf, strides=(1,))
     bad = np.zeros(ends.size, dtype=bool)
-    for c in range(-(-width // 8)):
-        at = ends - (8 * c + 8)
-        early = int(np.searchsorted(at, 0))  # tokens ending near the start
-        at[:early] = 0
+    for c in range(chunks):
+        at = ends + 8 * (chunks - c - 1)
         x = words[at]
-        for i in range(early):
-            x[i] = int.from_bytes((bytes(8) + buf[:max(ends[i] - 8 * c, 0)])[-8:], "little")
         low = at.view(np.uint64)  # scratch space from here on
         digits = np.clip(ndig.astype(np.int16) - 8 * c, 0, 8) if width > 8 else ndig
         # the top `digits` bytes of a word (a shift by 64 leaves none)

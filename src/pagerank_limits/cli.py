@@ -611,7 +611,10 @@ def _cmd_verify(args):
     check("degree-consistency",
           lambda: _assert(totals[0] == totals[1] == totals[2],
                           f"degree sums {totals} disagree"))
-    exact, sweep = pr.solve_and_sweep(g, params, max(args.max_order, 0))
+    if args.max_order >= 0:
+        exact, sweep = pr.solve_and_sweep(g, params, args.max_order)
+    else:
+        exact, sweep = pr.solve_pagerank(g, params), ()
     check("teleport-floor",
           lambda: _assert(float(exact.values.min()) >= (1 - args.c) - 1e-9,
                           "score below 1-c"))
@@ -623,7 +626,7 @@ def _cmd_verify(args):
         check("mass-identity",
               lambda: _assert(abs(float(exact.values.sum()) - g.n) <= 1e-8 * g.n,
                               "sum differs from n"))
-    for vec in sweep if args.max_order >= 0 else ():
+    for vec in sweep:
         check(f"truncation-bound-N{vec.order}",
               lambda: pr.truncation_gap(g, params, vec.order, exact=exact, truncated=vec))
     check("lower-bound", lambda: pr.lower_bound_check(g, params, exact=exact))

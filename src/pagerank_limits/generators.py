@@ -64,8 +64,11 @@ class RngStream:
         return RngStream(self.master_seed, self.stream + (k,))
 
 
-# supports up to this size invert the CDF by counting, larger ones by bisection
-_COUNT_SUPPORT = 16
+# supports up to this size invert the CDF by counting, larger ones by
+# bisection: counting takes k passes, and past about 100 entries it is no
+# faster than searchsorted on 1e4 to 1e6 draws (it must stay below 256,
+# where the uint8 count would wrap)
+_COUNT_SUPPORT = 64
 
 
 @dataclass

@@ -81,7 +81,8 @@ class TestFromUniforms:
     @pytest.mark.parametrize("law", [
         UNIFORM33,
         BiDegreeLaw([(0, 2, 0.25), (2, 0, 0.25), (1, 1, 0.5)]),
-        BiDegreeLaw([(k, k, 1 / 20) for k in range(1, 21)]),  # bisection
+        BiDegreeLaw([(k, k, 1 / 64) for k in range(1, 65)]),  # largest counted
+        BiDegreeLaw([(k, k, 1 / 80) for k in range(1, 81)]),  # bisection
     ])
     def test_matches_searchsorted(self, law):
         rng = RngStream(22).generator()

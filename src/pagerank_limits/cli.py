@@ -18,6 +18,7 @@ import json
 import sys
 import time
 from functools import partial
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -39,7 +40,6 @@ from .census import (
 )
 from .errors import (
     ConfigError,
-    InputError,
     InvariantViolation,
     PagerankLimitsError,
     ResourceError,
@@ -75,6 +75,20 @@ def _integer(value, field):
     raise ConfigError(f"{field}: expected an integer, got {value!r}")
 
 
+def _number(value, field):
+    """A config number: what ``float`` takes, as ``_integer`` takes what ``int`` does."""
+    with contextlib.suppress(TypeError, ValueError):
+        return float(value)
+    raise ConfigError(f"{field}: expected a number, got {value!r}")
+
+
+def _block(parent, key, field):
+    """The config object under ``key``, empty when absent."""
+    block = parent.get(key, {})
+    _require(isinstance(block, dict), field, "expected an object")
+    return block
+
+
 def _parse_law(obj, field):
     _require(isinstance(obj, list) and obj, field, "expected a nonempty [[h,l,p],...] list")
     entries = []
@@ -94,14 +108,14 @@ def make_sampler(spec, field):
              "expected {'dist': ..., ...}")
     dist = spec["dist"]
     if dist == "constant":
-        value = float(spec["value"])
+        value = _number(spec.get("value"), f"{field}.value")
         return lambda rng, size: np.full(size, value)
     if dist == "uniform":
-        low, high = float(spec["low"]), float(spec["high"])
+        low, high = (_number(spec.get(k), f"{field}.{k}") for k in ("low", "high"))
         _require(low < high, field, "need low < high")
         return lambda rng, size: rng.uniform(low, high, size)
     if dist == "exponential":
-        mean = float(spec["mean"])
+        mean = _number(spec.get("mean"), f"{field}.mean")
         _require(mean > 0, field, "need positive mean")
         return lambda rng, size: rng.exponential(mean, size)
     raise ConfigError(f"{field}: unknown dist {dist!r}")
@@ -126,12 +140,12 @@ def _parse_model(model):
         theta = model.get("theta")
         return {"name": name, "w_out": model.get("w_out", 1.0),
                 "w_in": model.get("w_in", 1.0),
-                "theta": None if theta is None else float(theta)}
+                "theta": None if theta is None else _number(theta, "model.theta")}
     if name == "dpa":
         params = gen.PamParams(m=_integer(model.get("m", 1), "model.m"),
-                               delta=float(model.get("delta", 0.0)))
+                               delta=_number(model.get("delta", 0.0), "model.delta"))
         return {"name": name, "m": params.m, "delta": params.delta}
-    theta = float(model.get("theta", 1.0))
+    theta = _number(model.get("theta", 1.0), "model.theta")
     _require(theta > 0, "model.theta", "must be positive")
     return {"name": name, "theta": theta}
 
@@ -150,10 +164,10 @@ def validate_config(raw):
     _require(sizes == sorted(sizes), "sizes", "sizes must be ascending")
     cfg["sizes"] = sizes
 
-    prk = raw.get("pagerank", {})
-    c = float(prk.get("c", 0.85))
+    prk = _block(raw, "pagerank", "pagerank")
+    c = _number(prk.get("c", 0.85), "pagerank.c")
     _require(0.0 < c < 1.0, "pagerank.c", f"must be in (0,1), got {c}")
-    tol = float(prk.get("tol", 1e-12))
+    tol = _number(prk.get("tol", 1e-12), "pagerank.tol")
     _require(tol > 0, "pagerank.tol", "must be positive")
     N = _integer(prk.get("N", 10), "pagerank.N")
     _require(N >= 0, "pagerank.N", "must be >= 0")
@@ -163,15 +177,13 @@ def validate_config(raw):
         "N": N,
     }
     if "generalized" in prk:
-        gspec = prk["generalized"]
+        gspec = _block(prk, "generalized", "pagerank.generalized")
         cfg["pagerank"]["generalized"] = {
-            "c_law": gspec.get("c_law"),
-            "b_law": gspec.get("b_law"),
             "c_sampler": make_sampler(gspec.get("c_law"), "pagerank.generalized.c_law"),
             "b_sampler": make_sampler(gspec.get("b_law"), "pagerank.generalized.b_law"),
         }
 
-    lim = raw.get("limit", {})
+    lim = _block(raw, "limit", "limit")
     sampler = lim.get("sampler", next(
         (s for s, m in LIMIT_MODELS.items() if m == model["name"]), None))
     limit_law(sampler, model)  # rejects a sampler with no law for the model
@@ -183,19 +195,19 @@ def validate_config(raw):
     _require(cfg["limit"]["M"] >= 1, "limit.M", "must be >= 1")
     _require(cfg["limit"]["depth"] >= 0, "limit.depth", "must be >= 0")
 
-    comp = raw.get("comparison", {})
+    comp = _block(raw, "comparison", "comparison")
     depths = comp.get("census_depths", [1])
     _require(isinstance(depths, list), "comparison.census_depths", "expected a list")
+    depths = [_integer(k, "comparison.census_depths") for k in depths]
+    _require(all(k >= 0 for k in depths), "comparison.census_depths", "depths must be >= 0")
     thresholds = comp.get("thresholds")
     if thresholds is not None:
         _require(isinstance(thresholds, list) and thresholds,
                  "comparison.thresholds", "expected a nonempty list")
-        thresholds = [float(t) for t in thresholds]
+        thresholds = [_number(t, "comparison.thresholds") for t in thresholds]
         _require(thresholds == sorted(thresholds), "comparison.thresholds",
                  "must be sorted ascending")
-    cfg["comparison"] = {
-        "census_depths": [_integer(k, "comparison.census_depths") for k in depths],
-        "thresholds": thresholds}
+    cfg["comparison"] = {"census_depths": depths, "thresholds": thresholds}
 
     cfg["threads"] = _integer(raw.get("threads", 1), "threads")
     cfg["_raw"] = raw
@@ -394,36 +406,16 @@ def run_experiment(config_path, output_dir, threads=None):
                     C=genspec["c_sampler"](wrng, n), B=genspec["b_sampler"](wrng, n))
                 exact = pr.solve_generalized(g, weights, tol=params.tol,
                                              max_iter=params.max_iter, with_order=N)
-                truncated = exact.truncated
-                mean_gap = float((exact.values - truncated.values).mean())
-                bound = weights.c_max ** (N + 1) * max(float(weights.B.mean()), 1e-300) / max(1.0 - weights.c_max, 1e-300)
-                entry["gap_ok"] = bool(-1e-10 <= mean_gap <= bound + 1e-10)
-                if not entry["gap_ok"]:
-                    raise InvariantViolation(
-                        f"generalized truncation gap {mean_gap} outside [0, {bound}]")
             else:
+                weights = params
                 exact = pr.solve_pagerank(g, params, with_order=N)
-                truncated = exact.truncated
-                mean_gap, bound = pr.truncation_gap(g, params, N, exact=exact,
-                                                    truncated=truncated)
-                pr.lower_bound_check(g, params, exact=exact)
-                entry["lower_bound_ok"] = True
-                entry["gap_ok"] = True
-            entry["mean_gap"] = mean_gap
-            entry["gap_bound"] = bound
+            entry["mean_gap"], entry["gap_bound"] = _checked(
+                g, weights, exact, [exact.truncated], f" at n={n}")
+            entry.update(gap_ok=True, mass_ok=True, lower_bound_ok=True)
             entry["iterations"] = exact.iterations
             entry["residual"] = exact.residual
             entry["mean_R"] = exact.mean
             entry["sum_R_over_n"] = float(exact.values.sum()) / n
-            total = float(exact.values.sum())
-            if genspec:
-                entry["mass_ok"] = pr.generalized_mass_ok(g, weights, exact)
-            elif g.has_dangling():
-                entry["mass_ok"] = bool(total <= n * (1 + 1e-12))
-            else:
-                entry["mass_ok"] = bool(abs(total - n) <= 1e-8 * n)
-            if not entry["mass_ok"]:
-                raise InvariantViolation(f"mass identity failed at n={n}: sum={total}")
             pr.write_scores_csv(exact, out / f"scores_{n}.csv")
 
             graph_tail = TailSample(exact.values, tag=f"graph-{n}")
@@ -449,19 +441,25 @@ def run_experiment(config_path, output_dir, threads=None):
             entry["hill_in_degree"] = _try_hill(g.d_in.astype(float), top_k)
             entry["seconds"] = time.perf_counter() - t0
             record["per_size"].append(entry)
-    except InvariantViolation as e:
-        record["status"] = "FAILED"
-        record["failures"].append({"stage": stage, "error": str(e)})
-        _dump_json(record, out / "record.json")
-        return record, EXIT_INVARIANT
     except PagerankLimitsError as e:
         record["status"] = "FAILED"
         record["failures"].append({"stage": stage, "error": str(e)})
         _dump_json(record, out / "record.json")
-        return record, EXIT_OPERATIONAL
+        return record, (EXIT_INVARIANT if isinstance(e, InvariantViolation)
+                        else EXIT_OPERATIONAL)
 
     _dump_json(record, out / "record.json")
     return record, EXIT_OK
+
+
+def _checked(g, params, exact, truncated=(), where=""):
+    """Raise on the first failed invariant, else return the last truncation gap."""
+    gap = None
+    for name, error, value in pr.check_invariants(g, params, exact, truncated):
+        if error is not None:
+            raise InvariantViolation(f"{name.replace('-', ' ')} failed{where}: {error}")
+        gap = value or gap
+    return gap
 
 
 def _try_hill(values, top_k):
@@ -516,26 +514,15 @@ def _cmd_pagerank(args):
     if args.c_values or args.b_values:
         if not (args.c_values and args.b_values):
             raise ConfigError("generalized solve needs both --c-values and --b-values")
-        weights = pr.GeneralizedWeights(
+        params = pr.GeneralizedWeights(
             C=np.loadtxt(args.c_values, ndmin=1), B=np.loadtxt(args.b_values, ndmin=1))
-        vec = pr.solve_generalized(g, weights, tol=args.tol, max_iter=args.max_iter,
-                                   order=args.N)
-        pr.write_scores_csv(vec, args.output)
-        print(f"wrote {args.output}")
-        return EXIT_OK
-    if args.N is not None:
-        exact = pr.solve_pagerank(g, params, with_order=args.N)
-        vec = exact.truncated
-        mean_gap, bound = pr.truncation_gap(g, params, args.N, exact=exact, truncated=vec)
-        pr.write_scores_csv(vec, args.output)
-        meta_path = str(args.output) + ".meta.json"
-        with open(meta_path, "r", encoding="utf-8") as fh:
-            meta = json.load(fh)
-        meta.update({"mean_gap": mean_gap, "gap_bound": bound})
-        _dump_json(meta, meta_path)
+        exact = pr.solve_generalized(g, params, tol=args.tol, max_iter=args.max_iter,
+                                     with_order=args.N)
     else:
-        vec = pr.solve_pagerank(g, params)
-        pr.write_scores_csv(vec, args.output)
+        exact = pr.solve_pagerank(g, params, with_order=args.N)
+    vec = exact if args.N is None else exact.truncated
+    gap = _checked(g, params, exact, [] if args.N is None else [vec])
+    pr.write_scores_csv(vec, args.output, gap=gap)
     print(f"wrote {args.output}")
     return EXIT_OK
 
@@ -596,47 +583,19 @@ def _cmd_compare(args):
 def _cmd_verify(args):
     g = read_edgelist(args.graph)
     params = pr.PageRankParams(c=args.c)
-    failures = 0
-
-    def check(name, fn):
-        nonlocal failures
-        try:
-            fn()
-            print(f"PASS {name}")
-        except (InvariantViolation, AssertionError) as e:
-            failures += 1
-            print(f"FAIL {name}: {e}")
-
     totals = (int(g.d_out.sum()), int(g.d_in.sum()), g.total_multiplicity)
-    check("degree-consistency",
-          lambda: _assert(totals[0] == totals[1] == totals[2],
-                          f"degree sums {totals} disagree"))
+    degrees = None if len(set(totals)) == 1 else f"degree sums {totals} disagree"
     if args.max_order >= 0:
         exact, sweep = pr.solve_and_sweep(g, params, args.max_order)
     else:
         exact, sweep = pr.solve_pagerank(g, params), ()
-    check("teleport-floor",
-          lambda: _assert(float(exact.values.min()) >= (1 - args.c) - 1e-9,
-                          "score below 1-c"))
-    if g.has_dangling():
-        check("mass-bound",
-              lambda: _assert(float(exact.values.sum()) <= g.n * (1 + 1e-12),
-                              "sum exceeds n"))
-    else:
-        check("mass-identity",
-              lambda: _assert(abs(float(exact.values.sum()) - g.n) <= 1e-8 * g.n,
-                              "sum differs from n"))
-    for vec in sweep:
-        check(f"truncation-bound-N{vec.order}",
-              lambda: pr.truncation_gap(g, params, vec.order, exact=exact, truncated=vec))
-    check("lower-bound", lambda: pr.lower_bound_check(g, params, exact=exact))
+    failures = 0
+    for name, error, _ in chain([("degree-consistency", degrees, None)],
+                                pr.check_invariants(g, params, exact, sweep)):
+        failures += error is not None
+        print(f"PASS {name}" if error is None else f"FAIL {name}: {error}")
     print(f"{'OK' if failures == 0 else 'FAILED'}: {failures} violations")
     return EXIT_OK if failures == 0 else EXIT_INVARIANT
-
-
-def _assert(cond, message):
-    if not cond:
-        raise InvariantViolation(message)
 
 
 def _cmd_run(args):
@@ -736,13 +695,10 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, InputError, UsageError, OSError, json.JSONDecodeError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_OPERATIONAL
     except InvariantViolation as e:
         print(f"invariant violation: {e}", file=sys.stderr)
         return EXIT_INVARIANT
-    except PagerankLimitsError as e:
+    except (PagerankLimitsError, OSError, json.JSONDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_OPERATIONAL
 

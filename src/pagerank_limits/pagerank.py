@@ -38,6 +38,7 @@ __all__ = [
     "solve_and_sweep",
     "generalized_mass_ok",
     "lower_bound_check",
+    "check_invariants",
     "pull_matrix",
     "write_scores_csv",
     "read_scores_csv",
@@ -117,11 +118,6 @@ def pull_matrix(g: DirectedMultigraph) -> sp.csr_matrix:
     return sp.csr_matrix((shares, src, g.in_indptr), shape=(g.n, g.n))
 
 
-def _edge_shares(g):
-    """e_{j,i} / d_out_j for each distinct edge j -> i, in edge order."""
-    return g.mult / g.d_out[g.src]
-
-
 def _pull_system(g, damping):
     """The pull matrix with ``damping`` (c, or C_j per source j) folded into
     its data in place; entry by entry this is ``c * P`` or ``C[src] * P``."""
@@ -180,9 +176,7 @@ def _fixed_point(params, solved, order):
 def _exact_pagerank(g, p, mat, with_order):
     solved = _solve(mat, np.full(g.n, 1.0 - p.c), f"pagerank(c={p.c})", p.tol,
                     p.max_iter, with_order)
-    vec = _fixed_point(p, solved, with_order)
-    _check_solution(g, p, vec)
-    return vec
+    return _fixed_point(p, solved, with_order)
 
 
 def solve_pagerank(g: DirectedMultigraph, p: PageRankParams,
@@ -207,22 +201,6 @@ def solve_and_sweep(g: DirectedMultigraph, p: PageRankParams, N: int):
     mat = _pull_system(g, p.c)
     exact = _exact_pagerank(g, p, mat, None)
     return exact, _sweep(mat, np.full(g.n, 1.0 - p.c), N, p)
-
-
-def _check_solution(g, p, vec):
-    if vec.values.size == 0:
-        return
-    if float(vec.values.min()) < (1.0 - p.c) - 1e-12:
-        raise InvariantViolation(
-            f"score below teleport mass 1-c: min={float(vec.values.min())!r}"
-        )
-    if not g.has_dangling():
-        total = float(vec.values.sum())
-        slack = g.n * p.tol * (2.0 + 2.0 * p.c / (1.0 - p.c))
-        if abs(total - g.n) > slack:
-            raise InvariantViolation(
-                f"mass identity failed on dangling-free graph: sum={total!r}, n={g.n}"
-            )
 
 
 def truncation_sweep(g: DirectedMultigraph, p: PageRankParams, N: int):
@@ -255,24 +233,6 @@ def pagerank_truncated(g: DirectedMultigraph, p: PageRankParams, N: int) -> Page
     return _last(truncation_sweep(g, p, N))
 
 
-def truncation_gap(g, p, N, exact: PageRankVector | None = None,
-                   truncated: PageRankVector | None = None, tol: float = 1e-10):
-    """Mean of R - R^(N) and the size-free bound c^(N+1); checks 0 <= gap <= bound."""
-    if exact is None:
-        exact = solve_pagerank(g, p, with_order=N if truncated is None else None)
-    if truncated is None:
-        truncated = exact.truncated
-        if truncated is None or truncated.order != N:
-            truncated = pagerank_truncated(g, p, N)
-    mean_gap = float((exact.values - truncated.values).mean()) if g.n else 0.0
-    bound = p.c ** (N + 1)
-    if not (-tol <= mean_gap <= bound + tol):
-        raise InvariantViolation(
-            f"truncation gap {mean_gap!r} outside [0, c^{N + 1}={bound!r}]"
-        )
-    return mean_gap, bound
-
-
 def solve_generalized(g: DirectedMultigraph, w: GeneralizedWeights,
                       tol: float = 1e-12, max_iter: int = 10_000,
                       order: int | None = None,
@@ -303,41 +263,120 @@ def solve_generalized(g: DirectedMultigraph, w: GeneralizedWeights,
     return _fixed_point(w, solved, with_order)
 
 
-def generalized_mass_ok(g: DirectedMultigraph, w: GeneralizedWeights,
-                        exact: PageRankVector) -> bool:
+# ---------------------------------------------------------------------------
+# identity checks
+
+
+def check_invariants(g: DirectedMultigraph, params, exact: PageRankVector,
+                     truncated=()):
+    """Check every identity on ``exact`` and the R^(N) vectors in ``truncated``.
+
+    ``params`` is :class:`GeneralizedWeights`, or :class:`PageRankParams`
+    read as C = c, B = 1 - c.  Yields ``(name, error, gap)`` (``error`` None
+    when it holds) for ``teleport-floor`` (R >= B), ``mass-identity``, each
+    ``truncation-bound-N<k>`` (``gap`` from :func:`truncation_gap`) and
+    ``lower-bound``.  The tolerances are :func:`_slack`'s, derived in README.
+    """
+    below = int((exact.values < _coefficients(g, params)[1]).sum())
+    yield "teleport-floor", f"{below} vertices below B" if below else None, None
+    yield ("mass-identity", None if generalized_mass_ok(g, params, exact)
+           else f"sum R = {float(exact.values.sum())!r} off the identity", None)
+    for vec in truncated:
+        yield (f"truncation-bound-N{vec.order}",
+               *_outcome(truncation_gap, g, params, vec.order, exact, vec))
+    yield "lower-bound", _outcome(lower_bound_check, g, params, exact)[0], None
+
+
+def _outcome(check, *args):
+    """(error, result) of a check that raises :class:`InvariantViolation`."""
+    try:
+        return None, check(*args)
+    except InvariantViolation as e:
+        return str(e), None
+
+
+def _coefficients(g, params):
+    """Per-vertex (C, B): the generalized weights, or C = c and B = 1 - c."""
+    if isinstance(params, GeneralizedWeights):
+        return params.C, params.B
+    return np.full(g.n, params.c), np.full(g.n, 1.0 - params.c)
+
+
+def _solve_any(g, params, with_order=None):
+    if isinstance(params, GeneralizedWeights):
+        return solve_generalized(g, params, with_order=with_order)
+    return solve_pagerank(g, params, with_order=with_order)
+
+
+def _mean(values):
+    return float(values.mean()) if values.size else 0.0
+
+
+def _slack(g, params, exact):
+    """Every check's tolerance: ``rounding``, the relative float error of a
+    mat-vec row or a vertex sum; the last iterate's miss of the mass identity,
+    c_max n residual; its mean lag behind later iterates, residual c_max /
+    (1 - c_max).  The floor R >= B needs none."""
+    rounding = (4 * (int(np.diff(g.in_indptr).max(initial=0)) + g.n.bit_length() + 2)
+                * np.finfo(np.float64).eps)
+    c_max = params.c if isinstance(params, PageRankParams) else params.c_max
+    residual = exact.residual or 0.0
+    return rounding, c_max * g.n * residual, residual * c_max / (1.0 - c_max)
+
+
+def truncation_gap(g: DirectedMultigraph, params, N: int,
+                   exact: PageRankVector | None = None,
+                   truncated: PageRankVector | None = None):
+    """Mean of R - R^(N) and its bound, sum_{k>N} c_max^k mean(B); checks
+    0 <= gap <= bound, which is c^(N+1) for standard params."""
+    if exact is None:
+        exact = _solve_any(g, params, N if truncated is None else None)
+    if truncated is None:
+        truncated = exact.truncated
+        if truncated is None or truncated.order != N:
+            truncated = _solve_any(g, params, N).truncated
+    mean_gap = _mean(exact.values - truncated.values)
+    if isinstance(params, PageRankParams):
+        bound = params.c ** (N + 1)
+    else:
+        bound = params.c_max ** (N + 1) * _mean(params.B) / (1.0 - params.c_max)
+    rounding, _, lag = _slack(g, params, exact)
+    scale = 2 * rounding * abs(_mean(exact.values))
+    if not -(lag + scale) <= mean_gap <= bound + scale:
+        raise InvariantViolation(f"truncation gap {mean_gap!r} outside [0, {bound!r}]")
+    return mean_gap, bound
+
+
+def generalized_mass_ok(g: DirectedMultigraph, params, exact: PageRankVector) -> bool:
     """Whether sum R = sum B + sum_{d_out_j > 0} C_j R_j holds for ``exact``.
 
-    Column j of the pull matrix sums to C_j when j has out-edges and to 0
-    otherwise, so a fixed point satisfies the identity exactly.  The solve's
-    last iterate misses it by at most c_max n residual; the rest of the slack
-    covers the rounding of the mat-vec rows and of the sums.
+    Column j of the pull system sums to C_j when j has out-edges and to 0
+    otherwise, so a fixed point satisfies the identity exactly.  With
+    standard params and no dangling vertex it reads (1-c) sum R = (1-c) n.
     """
-    if g.n == 0:
-        return True
-    values = exact.values
-    total = float(values.sum())
+    C, B = _coefficients(g, params)
     linked = g.d_out > 0
-    rhs = float(w.B.sum()) + float(w.C[linked] @ values[linked])
-    row_terms = int(np.diff(g.in_indptr).max())
-    rounding = 4 * (row_terms + g.n.bit_length() + 2) * np.finfo(np.float64).eps
-    slack = w.c_max * g.n * exact.residual + rounding * (abs(total) + abs(rhs))
-    return bool(abs(total - rhs) <= slack)
+    total = float(exact.values.sum())
+    # einsum, not BLAS: a threaded ddot costs more than all the other checks
+    rhs = float(B.sum()) + float(np.einsum("i,i->", C[linked], exact.values[linked]))
+    rounding, mass, _ = _slack(g, params, exact)
+    return bool(abs(total - rhs) <= mass + rounding * (abs(total) + abs(rhs)))
 
 
-def lower_bound_check(g: DirectedMultigraph, p: PageRankParams,
+def lower_bound_check(g: DirectedMultigraph, params,
                       exact: PageRankVector | None = None) -> float:
-    """Verify R_i >= (1-c)(1 + c sum_j e_{j,i}/d_out_j) for every vertex.
+    """Verify R_i >= R^(1)_i = B_i + sum_j C_j e_{j,i}/d_out_j B_j for every vertex.
 
     The bound is the order-1 truncation, hence valid by monotonicity of the
     path sums.  Returns 1.0; any violation raises with the offending vertices.
     """
     if exact is None:
-        exact = solve_pagerank(g, p)
-    # the row sums of pull_matrix(g), added in the same (source) order
-    in_weight = np.bincount(g.tgt, weights=_edge_shares(g), minlength=g.n)
-    bound = (1.0 - p.c) * (1.0 + p.c * in_weight)
-    slack = 1e-10 * (1.0 + np.abs(bound))
-    bad = np.nonzero(exact.values < bound - slack)[0]
+        exact = _solve_any(g, params)
+    C, B = _coefficients(g, params)
+    # the rows of the pull system times B, added in the same (source) order
+    bound = B + np.bincount(g.tgt, weights=g.mult / g.d_out[g.src] * (C * B)[g.src],
+                            minlength=g.n)
+    bad = np.nonzero(exact.values < bound - _slack(g, params, exact)[0] * bound)[0]
     if bad.size:
         head = ", ".join(str(int(v)) for v in bad[:10])
         raise InvariantViolation(
@@ -350,23 +389,24 @@ def lower_bound_check(g: DirectedMultigraph, p: PageRankParams,
 # score export
 
 
-def write_scores_csv(vec: PageRankVector, path, meta_path=None) -> None:
-    """Write `vertex,score` at full precision plus a JSON metadata sidecar."""
+def write_scores_csv(vec: PageRankVector, path, gap=None) -> None:
+    """Write `vertex,score` at full precision plus a JSON metadata sidecar,
+    with the ``(mean_gap, gap_bound)`` of :func:`truncation_gap` if given."""
     write_table(path, "vertex,score", [np.arange(vec.values.size), vec.values])
-    if meta_path is None:
-        meta_path = str(path) + ".meta.json"
     meta = {
         "order": vec.order,
         "iterations": vec.iterations,
         "residual": vec.residual,
     }
+    if gap is not None:
+        meta["mean_gap"], meta["gap_bound"] = gap
     if isinstance(vec.params, PageRankParams):
         meta["c"] = vec.params.c
         meta["tol"] = vec.params.tol
     elif isinstance(vec.params, GeneralizedWeights):
         meta["c"] = None
         meta["c_max"] = vec.params.c_max
-    with open(meta_path, "w", encoding="utf-8") as fh:
+    with open(str(path) + ".meta.json", "w", encoding="utf-8") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
         fh.write("\n")
 

@@ -589,3 +589,120 @@ class TestLimitLawOutputs:
             write_census_csv(census_limit(tree(k), k, M, crng), tmp_path / f"want_{k}.csv")
             assert (out / f"limit_census_{k}.csv").read_bytes() == \
                 (tmp_path / f"want_{k}.csv").read_bytes()
+
+
+GENERALIZED = {"c": 0.85, "N": 15, "tol": 1e-12,
+               "generalized": {"c_law": {"dist": "uniform", "low": 0.0, "high": 0.85},
+                               "b_law": {"dist": "exponential", "mean": 0.15}}}
+
+
+class TestInvariantChecks:
+    """``run``, ``pagerank`` and ``verify`` take their checks from
+    ``pagerank.check_invariants``."""
+
+    def test_generalized_run_records_the_lower_bound(self, tmp_path):
+        cfg = tmp_path / "config.json"
+        write_config(cfg, sizes=[400], pagerank=GENERALIZED,
+                     limit={"sampler": "fixed_point", "M": 3000, "depth": 15})
+        record, code = cli.run_experiment(cfg, tmp_path / "out")
+        assert code == 0
+        entry = json.loads((tmp_path / "out" / "record.json").read_text())["per_size"][0]
+        assert entry["lower_bound_ok"] is True and entry["gap_ok"] and entry["mass_ok"]
+
+    def test_generalized_floor_violation_fails_the_run(self, tmp_path, monkeypatch):
+        cfg = tmp_path / "config.json"
+        write_config(cfg, sizes=[400], pagerank=GENERALIZED,
+                     limit={"sampler": "fixed_point", "M": 3000, "depth": 15})
+        solve = cli.pr.solve_generalized
+
+        def below_floor(g, w, **kwargs):
+            vec = solve(g, w, **kwargs)
+            vec.values = vec.values.copy()
+            vec.values[3] = np.nextafter(w.B[3], 0.0)
+            return vec
+
+        monkeypatch.setattr(cli.pr, "solve_generalized", below_floor)
+        record, code = cli.run_experiment(cfg, tmp_path / "out")
+        assert code == cli.EXIT_INVARIANT and record["status"] == "FAILED"
+        assert record["failures"] == [{"stage": "size-400", "error":
+                                       "teleport floor failed at n=400: 1 vertices below B"}]
+        assert not (tmp_path / "out" / "scores_400.csv").exists()
+
+    def test_verify_checks_the_mass_identity_with_dangling_vertices(self, tmp_path, capsys):
+        from pagerank_limits.graph import build_graph, write_edgelist
+
+        g = build_graph([(1, 0), (2, 0), (2, 1), (3, 3), (3, 2, 2)], 5)  # 0 and 4 dangle
+        path = tmp_path / "g.txt"
+        write_edgelist(g, path)
+        rc = cli.main(["verify", "--graph", str(path), "--c", "0.85", "--max-order", "3"])
+        out = capsys.readouterr().out
+        assert rc == 0 and "PASS mass-identity" in out and "mass-bound" not in out
+        assert out.splitlines()[-1] == "OK: 0 violations"
+
+    def test_pagerank_exact_exits_2_on_a_violation(self, tmp_path, capsys, monkeypatch):
+        g = tmp_path / "g.txt"
+        cli.main(["generate", "--model", "dcm", "--law", json.dumps(DCM_LAW),
+                  "--n", "300", "--seed", "6", "--output", str(g)])
+        solve = cli.pr.solve_pagerank
+
+        def below_floor(*args, **kwargs):
+            vec = solve(*args, **kwargs)
+            vec.values = vec.values.copy()
+            vec.values[7] = np.nextafter(0.5, 0.0)  # B = 1 - c
+            return vec
+
+        monkeypatch.setattr(cli.pr, "solve_pagerank", below_floor)
+        capsys.readouterr()
+        out = tmp_path / "scores.csv"
+        rc = cli.main(["pagerank", "--graph", str(g), "--c", "0.5", "--output", str(out)])
+        assert rc == cli.EXIT_INVARIANT
+        assert capsys.readouterr().err.startswith(
+            "invariant violation: teleport floor failed: 1 vertices below B")
+        assert not out.exists()
+
+    def test_generalized_pagerank_checks_and_records_the_gap(self, tmp_path):
+        rng = np.random.default_rng(3)
+        g = tmp_path / "g.txt"
+        cli.main(["generate", "--model", "dcm", "--law", json.dumps(DCM_LAW),
+                  "--n", "300", "--seed", "6", "--output", str(g)])
+        np.savetxt(tmp_path / "C.txt", rng.uniform(0.0, 0.8, 300))
+        np.savetxt(tmp_path / "B.txt", rng.exponential(0.2, 300))
+        out = tmp_path / "s.csv"
+        assert cli.main(["pagerank", "--graph", str(g), "--N", "4",
+                         "--c-values", str(tmp_path / "C.txt"),
+                         "--b-values", str(tmp_path / "B.txt"), "--output", str(out)]) == 0
+        w = cli.pr.GeneralizedWeights(C=np.loadtxt(tmp_path / "C.txt"),
+                                      B=np.loadtxt(tmp_path / "B.txt"))
+        graph = cli.read_edgelist(g)
+        want = cli.pr.solve_generalized(graph, w, order=4)
+        assert np.array_equal(cli.pr.read_scores_csv(out), want.values)
+        meta = json.loads((tmp_path / "s.csv.meta.json").read_text())
+        assert meta["order"] == 4 and meta["c_max"] == w.c_max
+        assert (meta["mean_gap"], meta["gap_bound"]) == cli.pr.truncation_gap(graph, w, 4)
+
+
+class TestConfigFieldErrors:
+    @pytest.mark.parametrize("override,field", [
+        ({"pagerank": {"c": 0.5, "generalized": {
+            "c_law": {"dist": "uniform", "low": 0}, "b_law": {"dist": "constant", "value": 1}}}},
+         "pagerank.generalized.c_law.high"),
+        ({"pagerank": {"c": 0.5, "generalized": {
+            "c_law": {"dist": "constant", "value": "x"},
+            "b_law": {"dist": "constant", "value": 1}}}},
+         "pagerank.generalized.c_law.value"),
+        ({"pagerank": {"c": "abc"}}, "pagerank.c"),
+        ({"pagerank": {"c": 0.5, "generalized": 3}}, "pagerank.generalized"),
+        ({"pagerank": [1]}, "pagerank"),
+        ({"limit": [1]}, "limit"),
+        ({"comparison": "x"}, "comparison"),
+        ({"comparison": {"thresholds": ["a"]}}, "comparison.thresholds"),
+        ({"comparison": {"census_depths": [-1]}}, "comparison.census_depths"),
+    ])
+    def test_named_error_and_no_output(self, tmp_path, capsys, override, field):
+        cfg = tmp_path / "config.json"
+        write_config(cfg, **override)
+        rc = cli.main(["run", "--config", str(cfg), "--output-dir", str(tmp_path / "o")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {field}: ") and err.count("\n") == 1
+        assert not (tmp_path / "o").exists()

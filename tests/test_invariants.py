@@ -1,0 +1,154 @@
+"""Property tests of the one invariant checker, ``pagerank.check_invariants``.
+
+Every identity holds on the solve's fixed point and on each of its iterates,
+and each check fails as soon as a score moves past the tolerance the check
+derives from the solve.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from pagerank_limits import pagerank as pr
+from pagerank_limits.graph import build_graph
+from pagerank_limits.pagerank import (
+    GeneralizedWeights,
+    PageRankParams,
+    PageRankVector,
+    check_invariants,
+)
+
+SETTINGS = settings(max_examples=60, deadline=None,
+                    suppress_health_check=[HealthCheck.too_slow])
+
+
+@st.composite
+def cases(draw):
+    """(graph, params, rng): a multigraph with self-loops, multi-edges and
+    dangling vertices, and standard params or random (C, B) at damping c."""
+    n = draw(st.integers(1, 12))
+    vertex = st.integers(0, n - 1)
+    # sources drawn from a random subset leave the other vertices dangling
+    sources = draw(st.lists(vertex, min_size=1, max_size=n, unique=True))
+    edges = draw(st.lists(st.tuples(st.sampled_from(sources), vertex, st.integers(1, 3)),
+                          max_size=4 * n))
+    c = draw(st.sampled_from([0.3, 0.5, 0.85, 0.99]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    g = build_graph(edges, n)
+    if draw(st.booleans()):
+        return g, PageRankParams(c=c), rng
+    C = rng.uniform(0.0, c, n)
+    C[rng.integers(n)] = c
+    return g, GeneralizedWeights(C=C, B=rng.exponential(1.0 - c, n)), rng
+
+
+def solve_and_iterates(g, params, extra):
+    """The fixed point and R^(0), ..., R^(iterations + extra)."""
+    if isinstance(params, PageRankParams):
+        exact = pr.solve_pagerank(g, params)
+        return exact, pr.truncation_sweep(g, params, exact.iterations + extra)
+    exact = pr.solve_generalized(g, params)
+    mat = pr._pull_system(g, params.C)
+    return exact, pr._sweep(mat, params.B, exact.iterations + extra, params)
+
+
+def errors(g, params, exact, truncated=()):
+    return {name: error for name, error, _ in check_invariants(g, params, exact, truncated)}
+
+
+def perturbed(vec, values):
+    return PageRankVector(values, vec.order, vec.params, vec.iterations, vec.residual)
+
+
+class TestCheckInvariants:
+    @SETTINGS
+    @given(cases())
+    def test_every_check_passes_on_the_solve_and_its_iterates(self, case):
+        g, params, _ = case
+        exact, iterates = solve_and_iterates(g, params, 3)
+        iterates = list(iterates)
+        results = list(check_invariants(g, params, exact, iterates))
+        assert [name for name, _, _ in results] == [
+            "teleport-floor", "mass-identity",
+            *(f"truncation-bound-N{k}" for k in range(exact.iterations + 4)), "lower-bound"]
+        assert [(name, error) for name, error, _ in results if error is not None] == []
+        gaps = [gap for _, _, gap in results[2:-1]]
+        assert gaps == [pr.truncation_gap(g, params, vec.order, exact, vec) for vec in iterates]
+        assert results[0][2] is results[1][2] is results[-1][2] is None
+
+    @SETTINGS
+    @given(cases())
+    def test_floor_catches_one_score_one_ulp_below_b(self, case):
+        g, params, _ = case
+        exact, _ = solve_and_iterates(g, params, 0)
+        B = pr._coefficients(g, params)[1]
+        i = int(np.argmax(B))
+        values = exact.values.copy()
+        values[i] = np.nextafter(B[i], 0.0)
+        assert errors(g, params, perturbed(exact, values))["teleport-floor"] == \
+            "1 vertices below B"
+
+    @SETTINGS
+    @given(cases())
+    def test_mass_identity_catches_a_defect_past_its_slack(self, case):
+        g, params, rng = case
+        exact, _ = solve_and_iterates(g, params, 0)
+        rounding, mass, _ = pr._slack(g, params, exact)
+        C, B = pr._coefficients(g, params)
+        i = int(rng.integers(g.n))
+        slack = mass + rounding * 2 * (abs(exact.values.sum()) + 1.0)
+        # R_i moves the identity's two sides apart by (1 - C_i) per unit
+        values = exact.values.copy()
+        values[i] += 2.5 * slack / (1.0 - C[i] * (g.d_out[i] > 0))
+        assert errors(g, params, perturbed(exact, values))["mass-identity"] is not None
+
+    @SETTINGS
+    @given(cases(), st.booleans())
+    def test_truncation_bound_catches_a_gap_past_either_side(self, case, above):
+        g, params, rng = case
+        exact, iterates = solve_and_iterates(g, params, 3)
+        iterates = list(iterates)
+        vec = iterates[int(rng.integers(len(iterates)))]
+        N = vec.order
+        mean_gap, bound = pr.truncation_gap(g, params, N, exact=exact, truncated=vec)
+        rounding, _, lag = pr._slack(g, params, exact)
+        scale = 2 * rounding * abs(exact.mean)
+        # past the slack by as much again, plus the rounding of the shift
+        fuzz = 4 * np.finfo(float).eps * (abs(mean_gap) + bound + lag + vec.values.max())
+        target = bound + 2 * scale + fuzz if above else -(lag + 2 * scale + fuzz)
+        shifted = perturbed(vec, vec.values - (target - mean_gap))
+        error = errors(g, params, exact, [shifted])[f"truncation-bound-N{N}"]
+        assert error is not None and "outside" in error
+
+    @SETTINGS
+    @given(cases())
+    def test_lower_bound_catches_one_score_below_r1(self, case):
+        g, params, rng = case
+        exact, iterates = solve_and_iterates(g, params, 0)
+        r1 = list(iterates)[1].values
+        rounding = pr._slack(g, params, exact)[0]
+        i = int(np.argmax(r1))
+        values = exact.values.copy()
+        values[i] = r1[i] * (1.0 - 3.0 * rounding)
+        error = errors(g, params, perturbed(exact, values))["lower-bound"]
+        assert error is not None and error.startswith("1 vertices below the order-1")
+
+    def test_standard_identity_is_the_dangling_free_mass_rescaled(self):
+        # on a graph without dangling vertices the standard identity reads
+        # (1 - c) sum R = (1 - c) n
+        g = build_graph([(0, 1), (1, 2), (2, 0), (2, 1)], 3)
+        p = PageRankParams(c=0.85)
+        exact = pr.solve_pagerank(g, p)
+        assert errors(g, p, exact)["mass-identity"] is None
+        off = perturbed(exact, exact.values + 1e-6 / 3)
+        assert errors(g, p, off)["mass-identity"] is not None
+
+    def test_generalized_bound_is_tight_on_a_cycle(self):
+        # with constant C on a cycle each step passes on exactly c of the
+        # mass, so the mean gap is sum_{k>N} c^k mean(B), the bound itself
+        g = build_graph([(0, 1), (1, 2), (2, 0)], 3)
+        w = GeneralizedWeights(C=np.full(3, 0.5), B=np.array([0.1, 0.7, 0.4]))
+        for N in range(6):
+            gap, bound = pr.truncation_gap(g, w, N)
+            assert gap == pytest.approx(bound, rel=1e-9)

@@ -3,9 +3,10 @@
 A census maps canonical neighborhood codes at a fixed depth to counts, either
 over every vertex of a graph or over sampled roots; the same codes tally
 truncations of sampled limit trees, so graph and limit sides are directly
-comparable by total-variation distance.  Tail samples carry sorted score or
-degree values for CCDF evaluation, two-sample Kolmogorov-Smirnov distance,
-and the Hill tail-index estimate.
+comparable by total-variation distance.  Tree classes on both sides are found
+by level-wise color refinement, which composes their codes as it goes.  Tail
+samples carry sorted score or degree values for CCDF evaluation, two-sample
+Kolmogorov-Smirnov distance, and the Hill tail-index estimate.
 """
 
 from __future__ import annotations
@@ -21,11 +22,13 @@ from ._textio import read_table, write_table
 from .errors import SizeError, UsageError
 from .graph import (
     DEFAULT_CODE_NODE_LIMIT,
+    TREE_PREFIX,
     DirectedMultigraph,
     canonical_code,
     explore_neighborhood,
+    tree_code,
 )
-from .limits import LimitForest, tree_neighborhood
+from .limits import LimitForest, _check_depth
 
 __all__ = [
     "NeighborhoodCensus",
@@ -81,11 +84,14 @@ def census(g: DirectedMultigraph, k: int, sample_count: int | None = None,
 
     Full sweep over all vertices by default; with ``sample_count`` the roots
     are drawn uniformly without replacement.  Roots whose neighborhood is a
-    tree of at most ``DEFAULT_CODE_NODE_LIMIT`` nodes are classed together by
-    level-wise color refinement, and one representative per class is
-    canonicalized.  Every other root takes the exact per-root path, which
+    tree of at most ``DEFAULT_CODE_NODE_LIMIT`` nodes take the batched path:
+    level-wise color refinement classes them and composes each class's code
+    from its children's (see :func:`_tree_codes`).  Every other root takes
+    the exact per-root path, explored and canonicalized one by one, which
     ``workers > 1`` splits across processes.
     """
+    if k < 0:
+        raise UsageError(f"depth must be >= 0, got {k}")
     if sample_count is None:
         roots = np.arange(g.n)
     else:
@@ -108,9 +114,7 @@ def census(g: DirectedMultigraph, k: int, sample_count: int | None = None,
     if batched.size:
         src = np.repeat(g.src, g.mult)
         tgt = np.repeat(g.tgt, g.mult)
-        colors = _refine(g.d_out, src, tgt, k)[batched]
-        counts += _tally(colors, lambda i: canonical_code(
-            explore_neighborhood(g, int(batched[i]), k)))
+        counts += _tree_codes(g.d_out, src, tgt, k, batched)
     return NeighborhoodCensus(depth=k, counts=counts, total=int(roots.size),
                               paths={"batched": int(batched.size), "exact": int(exact.size)})
 
@@ -168,19 +172,23 @@ def _tree_roots(g, k, roots, limit=DEFAULT_CODE_NODE_LIMIT):
 
 
 def _refine(marks, src, tgt, k):
-    """Depth-k colors by level-wise color refinement of edges src -> tgt.
+    """Colors of every depth 0..k by level-wise color refinement of edges
+    src -> tgt, and those edges grouped by target.
 
     ``col_0 = mark`` and ``col_j(v)`` ranks (mark(v), sorted multiset of
     ``col_{j-1}(u)`` over the edges u -> v), one edge per unit of
     multiplicity.  The ranking is exact, with no hashing: vertices are
     grouped by in-degree and their rows sorted and compared whole, so two
-    vertices share a color iff their depth-k in-unfoldings are isomorphic
-    marked rooted trees.
+    vertices share a color iff their depth-j in-unfoldings are isomorphic
+    marked rooted trees.  Level j >= 1 colors are dense from 0.  Returns
+    ``(levels, ptr, src)``: the color arrays ``levels[j]``, and the sources
+    of v's in-edges at ``src[ptr[v]:ptr[v+1]]`` (both None when k is 0).
     """
     n = marks.size
     col = np.asarray(marks, dtype=np.int64)
+    levels = [col]
     if k == 0:
-        return col
+        return levels, None, None
     indeg = np.bincount(tgt, minlength=n)
     ptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(indeg, out=ptr[1:])
@@ -202,7 +210,8 @@ def _refine(marks, src, tgt, k):
             new[verts] = offset + ranks
             offset += distinct
         col = new
-    return col
+        levels.append(col)
+    return levels, ptr, src
 
 
 def _rank_rows(rows):
@@ -217,14 +226,37 @@ def _rank_rows(rows):
     return ranks, int(step.sum()) + 1
 
 
-def _tally(colors, code_of):
-    """Counter of codes over color classes; ``code_of(i)`` encodes item i
-    and is called once per class, on its first item."""
-    _, first, sizes = np.unique(colors, return_index=True, return_counts=True)
-    counts = Counter()
-    for i, size in zip(first.tolist(), sizes.tolist()):
-        counts[code_of(i)] += size
-    return counts
+def _tree_codes(marks, src, tgt, k, roots):
+    """Counter of the canonical codes of the roots' depth-k in-unfoldings.
+
+    A level-j color's code is :func:`~pagerank_limits.graph.tree_code` of its
+    mark and its children's level-(j-1) codes, read off one representative
+    vertex per color.  Only the colors the roots reach get a code: a walk
+    down from the roots' level-k colors collects them, since a vertex off
+    the roots' tree neighborhoods may unfold exponentially.  Codes are then
+    built bottom-up, one level at a time, so depth costs no recursion.
+    """
+    levels, ptr, src = _refine(marks, src, tgt, k)
+    top, sizes = np.unique(levels[k][roots], return_counts=True)
+    reached, steps = top, []
+    for j in range(k, 0, -1):
+        rep = np.empty(int(levels[j].max()) + 1, dtype=np.int64)
+        rep[levels[j]] = np.arange(levels[j].size)
+        v = rep[reached]
+        lo, lens = ptr[v], ptr[v + 1] - ptr[v]
+        ends = np.cumsum(lens)
+        # the representatives' in-edges, back to back
+        edges = np.repeat(lo - (ends - lens), lens) + np.arange(lens.sum())
+        kids = levels[j - 1][src[edges]]
+        steps.append((reached, marks[v], ends, kids))
+        reached = np.unique(kids)
+    codes = {c: tree_code(c, ()) for c in reached.tolist()}  # level-0 colors are marks
+    for colors, mks, ends, kids in reversed(steps):
+        kid_codes = [codes[c] for c in kids.tolist()]
+        bounds = zip([0, *ends[:-1].tolist()], ends.tolist())
+        codes = {c: tree_code(m, kid_codes[a:b])
+                 for c, m, (a, b) in zip(colors.tolist(), mks.tolist(), bounds)}
+    return Counter({TREE_PREFIX + codes[c]: size for c, size in zip(top.tolist(), sizes.tolist())})
 
 
 # trees sampled and classed together by census_limit, which bounds its memory
@@ -232,12 +264,12 @@ _FOREST_TREES = 1 << 12
 
 
 def census_limit(sampler, k: int, M: int, rng) -> NeighborhoodCensus:
-    """Sample M limit trees, truncate to depth k, canonicalize, tally.
+    """Sample M limit trees, truncate to depth k, tally their codes.
 
     A sampler with a ``forest(m, rng)`` method draws m trees at once; any
-    other sampler is called once per tree.  Trees are classed by the same
-    refinement as :func:`census`, a block of trees at a time, with one
-    representative canonicalized per class and block.
+    other sampler is called once per tree.  Trees are classed a block at a
+    time by the refinement of :func:`census`'s batched path, which composes
+    the same codes.
     """
     if M < 1:
         raise UsageError(f"M must be >= 1, got {M}")
@@ -246,12 +278,11 @@ def census_limit(sampler, k: int, M: int, rng) -> NeighborhoodCensus:
         m = min(_FOREST_TREES, M - first)
         if hasattr(sampler, "forest"):
             forest = sampler.forest(m, rng)
+            _check_depth(forest.truncation_depth, k)
         else:
             forest = LimitForest.of_trees((sampler(rng) for _ in range(m)), k)
         inner = np.nonzero((forest.node_depth > 0) & (forest.node_depth <= k))[0]
-        colors = _refine(forest.mark, inner, forest.parent[inner], k)[forest.roots]
-        counts += _tally(colors, lambda i: canonical_code(
-            tree_neighborhood(forest.tree(i), k)))
+        counts += _tree_codes(forest.mark, inner, forest.parent[inner], k, forest.roots)
     return NeighborhoodCensus(depth=k, counts=counts, total=M,
                               paths={"batched": M, "exact": 0})
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import math
 import sys
 import time
 from functools import partial
@@ -40,6 +41,7 @@ from .census import (
 )
 from .errors import (
     ConfigError,
+    InputError,
     InvariantViolation,
     PagerankLimitsError,
     ResourceError,
@@ -102,21 +104,30 @@ def _parse_law(obj, field):
         raise ConfigError(f"{field}: {e}") from None
 
 
-def make_sampler(spec, field):
-    """Distribution spec -> callable (rng, size) -> float array."""
+def make_sampler(spec, field, damping=False):
+    """Distribution spec -> callable (rng, size) -> nonnegative float array.
+
+    Every parameter must be finite and >= 0.  A ``damping`` law (C) must
+    also stay below 1: a constant below 1, a uniform with ``high < 1`` (numpy's
+    uniform can round up to ``high``), and no exponential.
+    """
     _require(isinstance(spec, dict) and "dist" in spec, field,
              "expected {'dist': ..., ...}")
     dist = spec["dist"]
+    top = 1.0 if damping else math.inf
     if dist == "constant":
         value = _number(spec.get("value"), f"{field}.value")
+        _require(0 <= value < top, field, f"need 0 <= value < {top}, got {value}")
         return lambda rng, size: np.full(size, value)
     if dist == "uniform":
         low, high = (_number(spec.get(k), f"{field}.{k}") for k in ("low", "high"))
-        _require(low < high, field, "need low < high")
+        _require(0 <= low < high < top, field,
+                 f"need 0 <= low < high < {top}, got {low}, {high}")
         return lambda rng, size: rng.uniform(low, high, size)
     if dist == "exponential":
+        _require(not damping, field, "a damping law must be bounded below 1, not exponential")
         mean = _number(spec.get("mean"), f"{field}.mean")
-        _require(mean > 0, field, "need positive mean")
+        _require(0 < mean < math.inf, field, "need a finite positive mean")
         return lambda rng, size: rng.exponential(mean, size)
     raise ConfigError(f"{field}: unknown dist {dist!r}")
 
@@ -179,7 +190,8 @@ def validate_config(raw):
     if "generalized" in prk:
         gspec = _block(prk, "generalized", "pagerank.generalized")
         cfg["pagerank"]["generalized"] = {
-            "c_sampler": make_sampler(gspec.get("c_law"), "pagerank.generalized.c_law"),
+            "c_sampler": make_sampler(gspec.get("c_law"), "pagerank.generalized.c_law",
+                                      damping=True),
             "b_sampler": make_sampler(gspec.get("b_law"), "pagerank.generalized.b_law"),
         }
 
@@ -492,14 +504,26 @@ def _model_from_args(args, name):
         value = getattr(args, key, None)
         if value is not None:
             raw[key] = (_load_inline_json(value) if key == "law" else
-                        _weight_arg(value) if key in ("w_out", "w_in") else value)
+                        _weight_arg(value, "--" + key.replace("_", "-"))
+                        if key in ("w_out", "w_in") else value)
     return _parse_model(raw)
 
 
-def _weight_arg(spec):
-    if spec.startswith("@"):
-        return [float(x) for x in Path(spec[1:]).read_text().split()]
-    return float(spec)
+def _weight_arg(spec, flag):
+    try:
+        if spec.startswith("@"):
+            return [float(x) for x in Path(spec[1:]).read_text().split()]
+        return float(spec)
+    except ValueError as e:
+        raise InputError(f"{flag}: {e}") from None
+
+
+def _values_file(path, flag):
+    """One number per line, as a float array."""
+    try:
+        return np.loadtxt(path, ndmin=1)
+    except ValueError as e:
+        raise InputError(f"{flag} {path}: {e}") from None
 
 
 def _load_inline_json(text):
@@ -515,7 +539,8 @@ def _cmd_pagerank(args):
         if not (args.c_values and args.b_values):
             raise ConfigError("generalized solve needs both --c-values and --b-values")
         params = pr.GeneralizedWeights(
-            C=np.loadtxt(args.c_values, ndmin=1), B=np.loadtxt(args.b_values, ndmin=1))
+            C=_values_file(args.c_values, "--c-values"),
+            B=_values_file(args.b_values, "--b-values"))
         exact = pr.solve_generalized(g, params, tol=args.tol, max_iter=args.max_iter,
                                      with_order=args.N)
     else:

@@ -35,6 +35,7 @@ __all__ = [
     "explore_neighborhood",
     "truncate_neighborhood",
     "canonical_code",
+    "tree_code",
     "local_distance",
     "read_edgelist",
     "parse_edgelist",
@@ -42,6 +43,8 @@ __all__ = [
 ]
 
 DEFAULT_CODE_NODE_LIMIT = 10_000
+# prefix of a whole tree neighborhood's canonical code (``G`` marks the general path)
+TREE_PREFIX = b"T"
 _INT64_MAX = 2**63 - 1
 
 
@@ -411,7 +414,7 @@ def canonical_code(nbhd: MarkedNeighborhood, node_limit: int = DEFAULT_CODE_NODE
         raise SizeError(f"neighborhood has {size} nodes, above limit {node_limit}")
     tree_children = _as_tree(nbhd)
     if tree_children is not None:
-        return b"T" + _tree_code(nbhd, tree_children)
+        return TREE_PREFIX + _tree_code(nbhd, tree_children)
     return b"G" + _general_code(nbhd)
 
 
@@ -449,6 +452,13 @@ def _as_tree(nbhd):
     return children
 
 
+def tree_code(mark: int, child_codes) -> bytes:
+    """Code of a marked rooted subtree from its root's mark and the codes of
+    its children's subtrees: ``(mark:`` + the child codes, sorted and
+    comma-joined, + ``)``.  The one definition of the tree-code format."""
+    return b"(%d:" % mark + b",".join(sorted(child_codes)) + b")"
+
+
 def _tree_code(nbhd, children) -> bytes:
     size = nbhd.size
     # bottom-up by depth; node_depths equal tree depths for tree neighborhoods
@@ -458,8 +468,7 @@ def _tree_code(nbhd, children) -> bytes:
     code = [b""] * size
     for d in sorted(by_depth, reverse=True):
         for v in by_depth[d]:
-            kids = sorted(code[u] for u in children[v])
-            code[v] = b"(%d:" % nbhd.marks[v] + b",".join(kids) + b")"
+            code[v] = tree_code(nbhd.marks[v], [code[u] for u in children[v]])
     return code[nbhd.root]
 
 

@@ -483,7 +483,7 @@ def root_pagerank_generalized(t: LimitTree, N: int | None = None) -> float:
     """Generalized root rank with per-node weights: R_v = B_v + sum (C_u/m_u) R_u."""
     if t.cvals is None or t.bvals is None:
         raise UsageError("tree carries no (C, B) weights; attach them first")
-    if t.cvals.size and float(t.cvals.max()) >= 1.0:
+    if t.cvals.size and not float(t.cvals.max()) < 1.0:  # NaN fails too
         raise ConfigError(f"max node C must be < 1, got {float(t.cvals.max())}")
     N = _resolve_depth(t, N)
     vals = t.bvals.astype(np.float64).copy()

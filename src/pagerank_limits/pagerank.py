@@ -95,6 +95,8 @@ class GeneralizedWeights:
         self.B = np.asarray(self.B, dtype=np.float64)
         if self.C.shape != self.B.shape:
             raise ConfigError("C and B must have equal length")
+        if not (np.isfinite(self.C).all() and np.isfinite(self.B).all()):
+            raise ConfigError("C and B entries must be finite")
         if self.C.size and (self.C < 0).any():
             raise ConfigError("C entries must be nonnegative")
         if self.C.size and float(self.C.max()) >= 1.0:

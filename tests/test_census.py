@@ -1,4 +1,5 @@
 import importlib
+import sys
 from collections import Counter
 
 import numpy as np
@@ -141,6 +142,44 @@ class TestBatchedCensus:
         g = build_graph([(i, 0) for i in range(1, 10_002)], 10_002)
         with pytest.raises(SizeError, match=r"^root 0: neighborhood has 10002 nodes"):
             census(g, 1)
+
+
+def _stack_depth():
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+class TestComposedCodes:
+    """The batched path composes each class's code from its children's."""
+
+    def test_dense_core_beside_a_tree(self):
+        # a complete digraph on 12 vertices, out-degrees made distinct by
+        # i + 1 edges from vertex i to a sink: depth-8 in-unfoldings of its
+        # vertices have about 11^8 nodes, so only reached colors get a code
+        edges = [(i, j, 1) for i in range(12) for j in range(12) if i != j]
+        edges += [(i, 12, i + 1) for i in range(12)]
+        edges += [(14, 13, 1), (15, 13, 1), (16, 14, 1)]
+        g = build_graph(edges, 17)
+        c = census(g, 8)
+        assert c.paths == {"batched": 4, "exact": 13}  # the tree roots 13-16
+        assert c.counts == per_root_census(g, 8)
+
+    def test_depth_beyond_the_recursion_limit(self):
+        # a directed path: the end's depth-k neighborhood is a k-edge chain
+        k = 400
+        g = build_graph([(i, i + 1) for i in range(k + 1)], k + 2)
+        want = per_root_census(g, k)
+        limit = sys.getrecursionlimit()
+        low = _stack_depth() + 150
+        assert low < k
+        sys.setrecursionlimit(low)
+        try:
+            c = census(g, k)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert c.paths["exact"] == 0 and c.counts == want
 
 
 class TestCensusLimit:

@@ -706,3 +706,65 @@ class TestConfigFieldErrors:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {field}: ") and err.count("\n") == 1
         assert not (tmp_path / "o").exists()
+
+
+class TestMalformedNumbers:
+    @pytest.mark.parametrize("c_law,b_law,field", [
+        ({"dist": "uniform", "low": 0, "high": 1.5}, None, "c_law"),
+        ({"dist": "uniform", "low": 0, "high": 1.0}, None, "c_law"),
+        ({"dist": "uniform", "low": -0.1, "high": 0.5}, None, "c_law"),
+        ({"dist": "constant", "value": 1.0}, None, "c_law"),
+        ({"dist": "constant", "value": float("nan")}, None, "c_law"),
+        ({"dist": "exponential", "mean": 0.1}, None, "c_law"),
+        (None, {"dist": "constant", "value": -1.0}, "b_law"),
+        (None, {"dist": "uniform", "low": -1.0, "high": 1.0}, "b_law"),
+        (None, {"dist": "constant", "value": float("inf")}, "b_law"),
+    ])
+    def test_unbounded_generalized_law(self, tmp_path, capsys, c_law, b_law, field):
+        gen_spec = {"c_law": c_law or {"dist": "uniform", "low": 0.0, "high": 0.85},
+                    "b_law": b_law or {"dist": "exponential", "mean": 0.15}}
+        cfg = tmp_path / "config.json"
+        write_config(cfg, pagerank={"c": 0.5, "N": 8, "generalized": gen_spec})
+        rc = cli.main(["run", "--config", str(cfg), "--output-dir", str(tmp_path / "o")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: pagerank.generalized.{field}: ") and err.count("\n") == 1
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("bad", ["c", "b"])
+    def test_nan_weights_rejected(self, tmp_path, capsys, bad):
+        g = tmp_path / "g.txt"
+        cli.main(["generate", "--model", "dcm", "--law", json.dumps(DCM_LAW),
+                  "--n", "50", "--seed", "6", "--output", str(g)])
+        capsys.readouterr()
+        for name in "cb":
+            values = np.full(50, 0.5)
+            values[7] = np.nan if name == bad else 0.5
+            np.savetxt(tmp_path / f"{name}.txt", values)
+        rc = cli.main(["pagerank", "--graph", str(g), "--c-values", str(tmp_path / "c.txt"),
+                       "--b-values", str(tmp_path / "b.txt"),
+                       "--output", str(tmp_path / "s.csv")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err == "error: C and B entries must be finite\n"
+        assert not (tmp_path / "s.csv").exists()
+
+    @pytest.mark.parametrize("flag", ["--w-out", "--w-in", "--c-values", "--b-values"])
+    def test_non_number_names_its_flag(self, tmp_path, capsys, flag):
+        if flag in ("--w-out", "--w-in"):
+            argv = ["generate", "--model", "irg", flag, "abc", "--n", "20",
+                    "--output", str(tmp_path / "irg.txt")]
+        else:
+            g = tmp_path / "g.txt"
+            cli.main(["generate", "--model", "dcm", "--law", json.dumps(DCM_LAW),
+                      "--n", "20", "--seed", "6", "--output", str(g)])
+            capsys.readouterr()
+            np.savetxt(tmp_path / "ok.txt", np.full(20, 0.5))
+            (tmp_path / "bad.txt").write_text("0.5\n" * 19 + "f\n")
+            files = {"--c-values": "ok.txt", "--b-values": "ok.txt", flag: "bad.txt"}
+            argv = ["pagerank", "--graph", str(g), "--output", str(tmp_path / "s.csv")]
+            for name, file in files.items():
+                argv += [name, str(tmp_path / file)]
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flag}") and err.count("\n") == 1

@@ -231,6 +231,14 @@ class TestGeneralizedRank:
         with pytest.raises(ConfigError):
             root_pagerank_generalized(tw, 1)
 
+    def test_nan_c_rejected(self):
+        t = sample_gw_limit(UNIFORM33, 1, RngStream(55).generator())
+        tw = attach_generalized_weights(
+            t, lambda r, s: np.full(s, np.nan), lambda r, s: np.zeros(s),
+            RngStream(56).generator())
+        with pytest.raises(ConfigError, match="max node C must be < 1"):
+            root_pagerank_generalized(tw, 1)
+
     def test_missing_weights(self):
         t = sample_gw_limit(UNIFORM33, 1, RngStream(57).generator())
         with pytest.raises(UsageError):

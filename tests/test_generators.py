@@ -1,3 +1,7 @@
+import os
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -307,6 +311,61 @@ class TestIrgAgainstDense:
         assert ga.total_multiplicity == 6
         assert list(ga.edge_triples()) == list(gb.edge_triples())
         assert np.array_equal(a.random(5), b.random(5))
+
+    def _assert_matches_dense(self, n, seed):
+        w_out = _irg_weights(np.random.default_rng([seed, 0]), n)
+        w_in = _irg_weights(np.random.default_rng([seed, 1]), n)
+        fast, dense = RngStream(seed).generator(), RngStream(seed).generator()
+        for rng in (fast, dense):
+            rng.random(3)
+        a = gen_irg(w_out, w_in, 1.0, fast)
+        b = gen_irg_dense(w_out, w_in, 1.0, dense)
+        assert a.total_multiplicity > 0
+        assert np.array_equal(a.src, b.src)
+        assert np.array_equal(a.tgt, b.tgt)
+        assert np.array_equal(a.mult, b.mult)
+        assert np.array_equal(fast.random(5), dense.random(5))
+        assert fast.integers(2**32, dtype=np.uint32) == dense.integers(2**32, dtype=np.uint32)
+
+    @pytest.mark.parametrize("cpus", [1, 4])
+    def test_thread_count_does_not_matter(self, cpus, monkeypatch):
+        # n = 2048 at the default block size is 4 blocks, so with 4 usable
+        # CPUs they run in 4 threads
+        pools = []
+
+        class RecordingPool(ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        monkeypatch.setattr(generators, "ThreadPoolExecutor", RecordingPool)
+        self._assert_matches_dense(2048, 41)
+        assert pools == [cpus]
+
+    def test_without_sched_getaffinity(self, monkeypatch):
+        # os.sched_getaffinity exists only on Linux; elsewhere os.cpu_count() is used
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        self._assert_matches_dense(2048, 42)
+
+    def test_working_memory_bounded(self, monkeypatch):
+        # two threads each hold one block of 2^20 cells at about 9 bytes a
+        # cell (the 64-bit word and the screen's bool), measured 18.3 MiB;
+        # 2^21-cell blocks peaked at 36.5 MiB, the whole matrix needs 144 MiB
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        n = 4096
+        rng = np.random.default_rng(43)
+        w_out = rng.pareto(2.5, n) + 1.0
+        w_in = rng.pareto(2.5, n) + 1.0
+        gen = RngStream(43).generator()
+        tracemalloc.start()
+        try:
+            g = gen_irg(w_out, w_in, float(w_in.mean()), gen)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert g.total_multiplicity > 0
+        assert peak < 3 * 10 * 2**20
 
 
 class TestDpa:

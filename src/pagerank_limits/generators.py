@@ -292,9 +292,10 @@ def _philox_at(state, k: int) -> np.random.Philox:
     """A Philox bit generator ``k`` 64-bit words past ``state``.
 
     Philox keeps a buffer of 4 words; ``advance(j)`` skips j whole buffers
-    and empties the current one, so drain it first.
+    and empties the current one, so drain it first.  The seed 0 only spares
+    ``Philox()`` its read of OS entropy; ``state`` replaces what it seeds.
     """
-    bg = np.random.Philox()
+    bg = np.random.Philox(0)
     bg.state = state
     head = min(k, 4 - state["buffer_pos"])
     bg.random_raw(head)

@@ -9,7 +9,13 @@ directed paths of length at most N ending at each vertex, exactly.  Vertices
 with out-degree zero absorb score and forward none, which keeps the mean
 score at most 1.  The exact solve starts from the same vector, so its
 iterate N is R^(N): one pass yields both, and every variant runs the one
-kernel :func:`_iterates`.
+kernel, :class:`_OrderedSystem`.
+
+The kernel iterates with the vertices in order of in-degree: scipy's
+``csr_matvec`` runs the rows of equal length back to back, which spares
+its row loop most of its mispredicted exits.  Every row keeps its terms in
+their order, so the outputs, which come back in vertex order, are bit for
+bit those of the vertex-order recurrence.
 """
 
 from __future__ import annotations
@@ -128,46 +134,86 @@ def _pull_system(g, damping):
     return mat
 
 
-def _iterates(mat, offset):
-    """R^(0) = offset, then R^(k) = mat @ R^(k-1) + offset; each a new array."""
-    r = offset.copy()
-    while True:
-        yield r
-        r = mat @ r
-        r += offset
+class _OrderedSystem:
+    """The recurrence R <- M R + offset on vertices relabelled in order of
+    in-row length, ties kept in vertex order (the row-length sorting of
+    jagged-diagonal storage).
 
-
-def _solve(mat, offset, desc, tol, max_iter, order=None):
-    """Iterate until the sup-norm step is below tol, keeping R^(order) on the way.
-
-    Returns (R, iterations, residual, R^(order) or None).  When ``order``
-    exceeds the iteration count the same recurrence runs on to it.
+    Each row keeps its entries in their order, so each iterate is the
+    vertex-order one permuted, float for float, and so is each sup-norm
+    step; :meth:`in_vertex_order` takes an iterate back.
     """
-    iterates = _iterates(mat, offset)
-    r = next(iterates)
-    kept = r if order == 0 else None
-    for k in range(1, max_iter + 1):
-        prev, r = r, next(iterates)
-        if k == order:
-            kept = r
-        # the step overwrites the previous iterate, still cached from the
-        # mat-vec, unless that iterate is kept
-        step = np.subtract(r, prev, out=None if prev is kept else prev)
-        delta = float(np.abs(step, out=step).max()) if r.size else 0.0
-        if delta < tol:
-            if order is not None and order > k:
-                kept = _last(islice(iterates, order - k))
-            return r, k, delta, kept
-    raise ConvergenceError(
-        f"{desc} iteration did not reach tol={tol} in {max_iter} steps "
-        f"(last residual {delta:.3e})",
-        residual=delta,
-        iterations=max_iter,
-    )
+
+    def __init__(self, mat, offset):
+        lengths = np.diff(mat.indptr)
+        # numpy's stable sort is a radix sort on 8- and 16-bit integers
+        self.perm = np.argsort(lengths.astype(np.min_scalar_type(lengths.max(initial=0))),
+                               kind="stable")
+        label = np.empty(self.perm.size, dtype=mat.indices.dtype)
+        label[self.perm] = np.arange(self.perm.size)
+        lengths = lengths[self.perm]
+        indptr = np.zeros_like(mat.indptr)
+        np.cumsum(lengths, out=indptr[1:])
+        # entry e of new row i is entry e - indptr[i] of old row perm[i]
+        take = np.arange(mat.nnz) + np.repeat(mat.indptr[self.perm] - indptr[:-1], lengths)
+        # type(mat) keeps a subclass of the pull matrix, such as a counting one
+        self.mat = type(mat)((mat.data[take], label[mat.indices[take]], indptr),
+                             shape=mat.shape)
+        self.offset = offset[self.perm]
+
+    def in_vertex_order(self, r):
+        out = np.empty_like(r)
+        out[self.perm] = r
+        return out
+
+    def iterates(self):
+        """R^(0) = offset, then R^(k) = M @ R^(k-1) + offset; each a new array."""
+        r = self.offset.copy()
+        while True:
+            yield r
+            r = self.mat @ r
+            r += self.offset
+
+    def solve(self, desc, tol, max_iter, order=None):
+        """Iterate until the sup-norm step is below tol, keeping R^(order) on the way.
+
+        Returns (R, iterations, residual, R^(order) or None), in vertex
+        order.  When ``order`` exceeds the iteration count the same
+        recurrence runs on to it.
+        """
+        iterates = self.iterates()
+        r = next(iterates)
+        kept = r if order == 0 else None
+        for k in range(1, max_iter + 1):
+            prev, r = r, next(iterates)
+            if k == order:
+                kept = r
+            # the step overwrites the previous iterate, still cached from the
+            # mat-vec, unless that iterate is kept
+            step = np.subtract(r, prev, out=None if prev is kept else prev)
+            delta = float(np.abs(step, out=step).max()) if r.size else 0.0
+            if delta < tol:
+                if order is not None and order > k:
+                    kept = _last(islice(iterates, order - k))
+                return (self.in_vertex_order(r), k, delta,
+                        None if kept is None else self.in_vertex_order(kept))
+        raise ConvergenceError(
+            f"{desc} iteration did not reach tol={tol} in {max_iter} steps "
+            f"(last residual {delta:.3e})",
+            residual=delta,
+            iterations=max_iter,
+        )
+
+    def sweep(self, N, params):
+        """PageRankVectors of R^(0), ..., R^(N), in vertex order."""
+        for k, r in enumerate(islice(self.iterates(), N + 1)):
+            yield PageRankVector(values=self.in_vertex_order(r), order=k, params=params,
+                                 iterations=k)
 
 
 def _fixed_point(params, solved, order):
-    """The PageRankVector of a :func:`_solve` result, R^(order) attached."""
+    """The PageRankVector of a :meth:`_OrderedSystem.solve` result, R^(order)
+    attached."""
     r, it, delta, kept = solved
     truncated = None if kept is None else PageRankVector(
         values=kept, order=order, params=params, iterations=order)
@@ -175,9 +221,12 @@ def _fixed_point(params, solved, order):
                           residual=delta, truncated=truncated)
 
 
-def _exact_pagerank(g, p, mat, with_order):
-    solved = _solve(mat, np.full(g.n, 1.0 - p.c), f"pagerank(c={p.c})", p.tol,
-                    p.max_iter, with_order)
+def _standard_system(g, p):
+    return _OrderedSystem(_pull_system(g, p.c), np.full(g.n, 1.0 - p.c))
+
+
+def _exact_pagerank(p, system, with_order):
+    solved = system.solve(f"pagerank(c={p.c})", p.tol, p.max_iter, with_order)
     return _fixed_point(p, solved, with_order)
 
 
@@ -190,29 +239,28 @@ def solve_pagerank(g: DirectedMultigraph, p: PageRankParams,
     """
     if with_order is not None:
         _check_order(with_order)
-    return _exact_pagerank(g, p, _pull_system(g, p.c), with_order)
+    return _exact_pagerank(p, _standard_system(g, p), with_order)
 
 
 def solve_and_sweep(g: DirectedMultigraph, p: PageRankParams, N: int):
-    """``(solve_pagerank(g, p), truncation_sweep(g, p, N))`` on one pull matrix.
+    """``(solve_pagerank(g, p), truncation_sweep(g, p, N))`` on one pull system.
 
     The sweep reruns the first N iterates of the solve one at a time, so a
     caller that keeps only the current one holds O(n) memory.
     """
     _check_order(N)
-    mat = _pull_system(g, p.c)
-    exact = _exact_pagerank(g, p, mat, None)
-    return exact, _sweep(mat, np.full(g.n, 1.0 - p.c), N, p)
+    system = _standard_system(g, p)
+    return _exact_pagerank(p, system, None), system.sweep(N, p)
 
 
 def truncation_sweep(g: DirectedMultigraph, p: PageRankParams, N: int):
     """Iterator over R^(0), R^(1), ..., R^(N), one pull iteration apart.
 
-    The pull matrix is built once, on the call; each step yields a new
+    The pull system is built once, on the call; each step yields a new
     vector, so a caller that keeps only the current one holds O(n) memory.
     """
     _check_order(N)
-    return _sweep(_pull_system(g, p.c), np.full(g.n, 1.0 - p.c), N, p)
+    return _standard_system(g, p).sweep(N, p)
 
 
 def _check_order(N):
@@ -221,9 +269,8 @@ def _check_order(N):
 
 
 def _sweep(mat, offset, N, params):
-    """PageRankVectors of R^(0), ..., R^(N)."""
-    for k, r in enumerate(islice(_iterates(mat, offset), N + 1)):
-        yield PageRankVector(values=r, order=k, params=params, iterations=k)
+    """PageRankVectors of R^(0), ..., R^(N) of ``mat`` and ``offset``."""
+    return _OrderedSystem(mat, offset).sweep(N, params)
 
 
 def _last(items):
@@ -258,10 +305,10 @@ def solve_generalized(g: DirectedMultigraph, w: GeneralizedWeights,
     # C folded in as C[src] * P, so constant C reproduces the standard
     # solver bit for bit
     mat = _pull_system(g, w.C)
-    b = w.B.astype(np.float64)
     if order is not None:
-        return _last(_sweep(mat, b, order, w))
-    solved = _solve(mat, b, f"generalized(c_max={w.c_max})", tol, max_iter, with_order)
+        return _last(_sweep(mat, w.B, order, w))
+    solved = _OrderedSystem(mat, w.B).solve(f"generalized(c_max={w.c_max})", tol,
+                                            max_iter, with_order)
     return _fixed_point(w, solved, with_order)
 
 

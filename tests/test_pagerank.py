@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from pagerank_limits import RngStream
 from pagerank_limits import pagerank as pr
@@ -266,6 +268,98 @@ class TestPullMatrix:
                 for attr in ("indptr", "indices", "data"):
                     a, b = getattr(got, attr), getattr(want, attr)
                     assert a.dtype == b.dtype and np.array_equal(a, b), attr
+
+
+@st.composite
+def multigraphs(draw):
+    """A multigraph with self-loops and multi-edges on n in {0, 1, 2..12}
+    vertices; sources and targets come from random subsets, so some vertices
+    are dangling and some have in-degree zero."""
+    n = draw(st.sampled_from([0, 1]) | st.integers(2, 12))
+    if n == 0:
+        return build_graph([], 0)
+    vertex = st.integers(0, n - 1)
+    sources = draw(st.lists(vertex, min_size=1, max_size=n, unique=True))
+    targets = draw(st.lists(vertex, min_size=1, max_size=n, unique=True))
+    edges = draw(st.lists(st.tuples(st.sampled_from(sources), st.sampled_from(targets),
+                                    st.integers(1, 3)), max_size=4 * n))
+    return build_graph(edges, n)
+
+
+def vertex_order_run(mat, offset, tol, N):
+    """The pull recurrence ``mat @ r + offset`` in vertex order, run to the
+    sup-norm tolerance and on to iterate N: (R, iterations, residual,
+    [R^(0), ..., R^(max(iterations, N))])."""
+    iterates = [offset.copy()]
+    while True:
+        iterates.append(mat @ iterates[-1] + offset)
+        k = len(iterates) - 1
+        delta = float(np.abs(iterates[k] - iterates[k - 1]).max()) if offset.size else 0.0
+        if delta < tol:
+            break
+    while len(iterates) <= N:
+        iterates.append(mat @ iterates[-1] + offset)
+    return iterates[k], k, delta, iterates
+
+
+ORDERED = settings(max_examples=60, deadline=None,
+                   suppress_health_check=[HealthCheck.too_slow])
+
+
+class TestOrderedKernel:
+    """The kernel iterates in in-degree order; every output is bit for bit
+    the vertex-order recurrence ``c * pull_matrix(g) @ r + offset``."""
+
+    @ORDERED
+    @given(multigraphs(), st.sampled_from([0.3, 0.5, 0.85]), st.integers(0, 200))
+    def test_standard_outputs_equal_the_vertex_order_recurrence(self, g, c, N):
+        p = PageRankParams(c=c)
+        r, it, delta, iterates = vertex_order_run(c * pull_matrix(g), np.full(g.n, 1.0 - c),
+                                                  p.tol, N)
+        got = solve_pagerank(g, p, with_order=N)
+        assert np.array_equal(got.values, r)
+        assert (got.iterations, got.residual) == (it, delta)
+        assert np.array_equal(got.truncated.values, iterates[N])
+        assert np.array_equal(pagerank_truncated(g, p, N).values, iterates[N])
+        exact, sweep = solve_and_sweep(g, p, N)
+        assert np.array_equal(exact.values, r)
+        assert (exact.iterations, exact.residual) == (it, delta)
+        for vecs in (sweep, truncation_sweep(g, p, N)):
+            vecs = list(vecs)
+            assert [v.order for v in vecs] == list(range(N + 1))
+            for v in vecs:
+                assert np.array_equal(v.values, iterates[v.order])
+
+    @ORDERED
+    @given(multigraphs(), st.integers(0, 2**32 - 1), st.integers(0, 200))
+    def test_generalized_outputs_equal_the_vertex_order_recurrence(self, g, seed, N):
+        rng = np.random.default_rng(seed)
+        w = GeneralizedWeights(C=rng.uniform(0, 0.85, g.n), B=rng.exponential(0.15, g.n))
+        pull = pull_matrix(g)
+        mat = sp.csr_matrix((pull.data * w.C[pull.indices], pull.indices, pull.indptr),
+                            shape=pull.shape)
+        r, it, delta, iterates = vertex_order_run(mat, w.B, 1e-12, N)
+        got = solve_generalized(g, w, with_order=N)
+        assert np.array_equal(got.values, r)
+        assert (got.iterations, got.residual) == (it, delta)
+        assert np.array_equal(got.truncated.values, iterates[N])
+        assert np.array_equal(solve_generalized(g, w, order=N).values, iterates[N])
+
+    @ORDERED
+    @given(multigraphs())
+    def test_rows_sorted_by_length_keep_their_entries(self, g):
+        mat = pull_matrix(g)
+        system = pr._OrderedSystem(mat, np.arange(g.n, dtype=np.float64))
+        lengths = np.diff(system.mat.indptr)
+        assert (np.diff(lengths) >= 0).all()
+        assert np.array_equal(system.offset, system.perm)
+        assert np.array_equal(np.sort(system.perm), np.arange(g.n))
+        for i, v in enumerate(system.perm):
+            row = slice(system.mat.indptr[i], system.mat.indptr[i + 1])
+            want = slice(mat.indptr[v], mat.indptr[v + 1])
+            # relabelled back, row i is row perm[i] of the vertex-order matrix
+            assert np.array_equal(system.perm[system.mat.indices[row]], mat.indices[want])
+            assert np.array_equal(system.mat.data[row], mat.data[want])
 
 
 class TestGeneralizedMass:

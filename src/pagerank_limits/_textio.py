@@ -2,13 +2,19 @@
 
 Edge lists (graphs and sampled limit trees) and float-column CSVs (scores,
 limit pools, tails) are written by one block writer that formats whole
-columns at a time: integers as ASCII digit matrices, floats through
-``repr``, padding masked out.  Edge lists are parsed by a byte scan and
-float CSVs by ``np.loadtxt``, so every format is defined here once.
+columns at a time into NUL-padded byte matrices and deletes the NULs:
+integers as ASCII digit matrices, floats as exactly the bytes of their
+``repr``, the shortest digits that read back to the same double.  Those
+digits come from the Schubfach method (R. Giulietti, "The Schubfach way to
+render doubles", 2020) in uint64 array arithmetic; ``test_textio.py``'s
+``test_floats_match_repr_*`` tests pin the bytes to ``repr``.  Edge lists
+are parsed by a byte scan and float CSVs by ``np.loadtxt``, so every format
+is defined here once.
 """
 
 from __future__ import annotations
 
+import functools
 import io
 import re
 import warnings
@@ -17,83 +23,294 @@ import numpy as np
 
 from .errors import InputError
 
-_BLOCK = 1 << 16  # rows formatted per block
+_BLOCK = 1 << 13  # rows formatted per block; the float formatter's arrays stay in L2
 
 
 # ---------------------------------------------------------------------------
 # writers
+#
+# A field of a block is a (rows, width) uint8 matrix padded with NUL bytes
+# anywhere in a row; _write_rows joins the fields and deletes every NUL.
 
 
 def _digits(values):
-    """Decimal text of integers as a (rows, width) byte matrix and its keep mask.
+    """Decimal text of integers as a NUL-padded (rows, width) byte matrix.
 
-    Digits are right-aligned and the leading zeros masked out; a leading
-    ``-`` column is kept only on negative rows.
+    Digits are right-aligned with NUL for leading zeros; a leading ``-``
+    column is NUL on non-negative rows.
     """
     v = values.astype(np.int64, copy=False)
     mag = np.abs(v).view(np.uint64)  # abs(-2**63) wraps, its uint64 view is 2**63
     width = len(str(int(mag.max())))
     if width < 10:
         mag = mag.astype(np.uint32)  # 32-bit division is several times faster
+    ten = mag.dtype.type(10)
     mat = np.empty((v.size, width), dtype=np.uint8)
-    keep = np.empty((v.size, width), dtype=bool)
     for j in range(width - 1, -1, -1):
-        keep[:, j] = mag > 0  # digits left of the leading one are zero
-        mag, mat[:, j] = np.divmod(mag, mag.dtype.type(10))
-    keep[:, -1] = True  # zero is written "0"
-    mat += 48
+        rest = mag // ten
+        digit = mag - rest * ten + 48
+        if j < width - 1:
+            digit *= mag > 0  # digits left of the leading one are NUL; zero is "0"
+        mat[:, j] = digit
+        mag = rest
     negative = v < 0
     if negative.any():
-        mat = np.hstack([np.full((v.size, 1), ord("-"), dtype=np.uint8), mat])
-        keep = np.hstack([negative[:, None], keep])
-    return mat, keep
+        mat = np.hstack([(negative.view(np.uint8) * np.uint8(ord("-")))[:, None], mat])
+    return mat
 
 
-def _reprs(values):
-    """``repr`` of each entry as a (rows, width) byte matrix and its keep mask."""
-    text = np.array(list(map(repr, values.tolist())), dtype=np.bytes_)
-    mat = text.view(np.uint8).reshape(text.size, text.itemsize)
-    return mat, mat != 0  # repr never contains NUL, the padding of np.bytes_
+_EXP = np.uint64(0x7FF << 52)
+_FRAC = np.uint64((1 << 52) - 1)
+_LOW32 = np.uint64(0xFFFFFFFF)
+_P10 = 10 ** np.arange(18, dtype=np.uint64)
+
+
+@functools.cache
+def _schubfach_tables():
+    """Per-exponent constants of :func:`_shortest`, indexed by twice the
+    biased binary exponent plus one where the significand bits are zero.
+
+    For a double ``c * 2**q`` (``c`` with its hidden bit) the decimal
+    exponent is ``k = floor(log10(2**q))``, or ``floor(log10(3/4 * 2**q))``
+    where the gap below is half the gap above (a power of two above the
+    smallest normal).  ``g`` is ``10**-k`` scaled into ``(2**127, 2**128)``
+    and rounded up (floor plus one); ``h = q + floor(log2(10**-k)) + 1`` is
+    in 1..4, so ``g * (4c << h) / 2**128`` is ``4 * v * 10**-k``.  Returns
+    ``g``'s high and low words, ``M = 2**(h + 2)``, ``DL = (2 - lower) *
+    2**h`` (the distance from ``4c << h`` to the lower boundary's) and ``k``.
+    The table of ``g`` over the 617 decimal exponents is built with Python
+    integers, once, on the first float written.
+    """
+    j_min, j_max = -292, 324
+    g, log2 = [], []
+    for j in range(j_min, j_max + 1):
+        p = 10 ** abs(j)
+        if j >= 0:
+            f = p.bit_length() - 1  # floor(log2(10**j))
+            scaled = p >> (f - 127) if f >= 127 else p << (127 - f)
+        else:
+            f = -p.bit_length()  # 10**-j is no power of two
+            scaled = (1 << (127 - f)) // p
+        g.append(scaled + 1)
+        log2.append(f)
+    g_hi = np.array([x >> 64 for x in g], dtype=np.uint64)
+    g_lo = np.array([x & (2**64 - 1) for x in g], dtype=np.uint64)
+    log2 = np.array(log2, dtype=np.int64)
+    biased = np.repeat(np.arange(2048), 2)
+    lower = (np.arange(4096) % 2 == 1) & (biased > 1)  # significand bits zero
+    q = np.maximum(biased, 1) - 1075
+    k = (q * 1262611 - lower * 524031) >> 22
+    j = -k - j_min
+    h = q + log2[j] + 1
+    return (g_hi[j], g_lo[j], np.uint64(1) << (h + 2).astype(np.uint64),
+            (2 - lower).astype(np.uint64) << h.astype(np.uint64), k)
+
+
+def _round_to_odd(g, cp):
+    """``g * cp // 2**128`` with its last bit set where ``g * cp`` has a
+    fraction, for 128-bit ``g`` and ``cp`` below ``2**59``.
+
+    ``g`` is its high word and the 32-bit halves of both words; products of
+    32-bit halves stand in for a 64x64->128-bit multiply.
+    """
+    g_hi, (c0, c1), (a0, a1) = g
+    b0, b1 = cp & _LOW32, cp >> np.uint64(32)
+    # high word of g_lo * cp
+    p = a1 * b0
+    mid = (a0 * b0) >> np.uint64(32)
+    mid += p & _LOW32
+    mid += a0 * b1
+    x = a1 * b1
+    x += p >> np.uint64(32)
+    x += mid >> np.uint64(32)
+    # g_hi * cp + x, in two words
+    p = c1 * b0
+    mid = (c0 * b0) >> np.uint64(32)
+    mid += p & _LOW32
+    mid += c0 * b1
+    y0 = g_hi * cp
+    y0 += x
+    y1 = c1 * b1
+    y1 += p >> np.uint64(32)
+    y1 += mid >> np.uint64(32)
+    y1 += y0 < x
+    return y1 | (y0 > np.uint64(1))
+
+
+def _shortest(bits):
+    """Shortest round-trip decimal ``d * 10**k`` of each finite nonzero
+    double (given by its bits), as uint64 ``d`` and int64 ``k``; ``d`` may
+    end in zeros.  Among the shortest, the one closest to the double, ties
+    to even ``d``: the digits of ``repr``.  Other entries are garbage.
+
+    Schubfach: ``vb``, ``vbl`` and ``vbr`` are 4 * 10**-k times the double
+    and its two rounding boundaries, rounded to odd.  One candidate with a
+    digit fewer is tried, then the two neighbours of ``vb / 4``.
+    """
+    g_hi, g_lo, m, dl, k = _schubfach_tables()
+    frac = bits & _FRAC
+    at = ((bits >> np.uint64(51)) & np.uint64(0xFFE) | (frac == 0)).astype(np.intp)
+    c = frac | np.minimum(bits & _EXP, np.uint64(1 << 52))  # the hidden bit
+    m = np.take(m, at)
+    cb = c * m  # 4c << h
+    g_hi, g_lo = np.take(g_hi, at), np.take(g_lo, at)
+    g = (g_hi, (g_hi & _LOW32, g_hi >> np.uint64(32)), (g_lo & _LOW32, g_lo >> np.uint64(32)))
+    vb = _round_to_odd(g, cb)
+    odd = c & np.uint64(1)  # an odd significand excludes its boundaries
+    lower = _round_to_odd(g, cb - np.take(dl, at)) + odd
+    upper = _round_to_odd(g, cb + (m >> np.uint64(1))) - odd
+    k = np.take(k, at)
+    s = vb >> np.uint64(2)
+    # one digit fewer: the multiple of 10 below s or the one above it
+    sp = s // np.uint64(10)
+    up = sp * np.uint64(40)
+    up_in = lower <= up
+    wp_in = up + np.uint64(40) <= upper
+    fewer = (up_in != wp_in) & (s >= np.uint64(10))
+    # s or s + 1: the one inside the interval, else the closer, ties to even
+    u = vb & ~np.uint64(3)
+    u_in = lower <= u
+    w_in = u + np.uint64(4) <= upper
+    mid = u | np.uint64(2)
+    d = s + (w_in & (~u_in | (vb > mid) | ((vb == mid) & (s & np.uint64(1)).astype(bool))))
+    d += fewer * (sp + wp_in - d)
+    return d, k + fewer
+
+
+def _words(texts):
+    """ASCII strings of at most 8 bytes as little-endian uint64 words, NUL-padded."""
+    return np.frombuffer(b"".join(t.encode().ljust(8, b"\0") for t in texts), dtype="<u8")
+
+
+@functools.cache
+def _layout_tables():
+    """Word tables of :func:`_floats`: the four ASCII digits of 0..9999 (one
+    little-endian uint32 each) and their trailing zeros (4 for 0); for 0..17
+    digits shown, masks keeping the shown ones of digits 2-9 and of 10-17;
+    and the exponents ``e-330``..``e+330`` after an empty entry 0."""
+    quads = _words(f"{i:04d}" for i in range(10000)).astype("<u4")
+    n = np.arange(10000)
+    zeros = sum((n % p == 0).astype(np.uint8) for p in (10, 100, 1000, 10000))
+    keep = np.array([[(1 << 8 * min(max(shown - first, 0), 8)) - 1 for shown in range(18)]
+                     for first in (1, 9)], dtype=np.uint64)
+    exponents = _words([""] + [f"e{i:+03d}" for i in range(-330, 331)])
+    return quads, zeros, keep, exponents
+
+
+def _floats(values):
+    """``repr`` of each float64 as a NUL-padded (rows, width) byte matrix.
+
+    A row holds a sign, a ``0.000`` prefix, up to 17 digits each followed by
+    a place for the point, and an ``e+XXX`` exponent, NUL where ``repr``
+    has none of it: positional from 1e-4 to below 1e16, with ``.0`` on
+    integral values, ``d.ddde+XX`` otherwise.  Places that are NUL on every
+    row of the block are left out.
+    """
+    bits = np.ascontiguousarray(values, dtype=np.float64).view(np.uint64)
+    rows = bits.size
+    quads, zeros, keep, exponents = _layout_tables()
+    finite = (bits & _EXP) != _EXP
+    magnitude = bits << np.uint64(1)  # the sign shifted out
+    zero = magnitude == 0
+    neg = (bits >> np.uint64(63)).astype(bool) & (magnitude <= _EXP << np.uint64(1))  # NaN: no sign
+    d, k = _shortest(bits)
+    d *= finite & ~zero
+    ndig = np.searchsorted(_P10, d, side="right")
+    e = (k + ndig - 1) * ~zero  # exponent of the leading digit; 0 for zero
+    # 17 digits, left-aligned: a leading one and four quads
+    d *= np.take(_P10, 17 - ndig)
+    head = d // np.uint64(10**16)
+    d -= head * np.uint64(10**16)
+    hi = d // np.uint64(10**8)
+    quad = np.empty((4, rows), dtype=np.uint32)
+    for j, half in ((0, hi), (2, d - hi * np.uint64(10**8))):
+        half = half.astype(np.uint32)
+        quad[j] = half // np.uint32(10000)
+        quad[j + 1] = half - quad[j] * np.uint32(10000)
+    tail = np.take(quads, quad.T).view(np.uint64)  # digits 2-9 and 10-17, per row
+    tz = np.take(zeros, quad)
+    tz = tz[3] + (tz[3] == 4) * (tz[2] + (tz[2] == 4) * (tz[1] + (tz[1] == 4) * tz[0]))
+    m = 17 - tz.astype(np.int64)  # significant digits
+
+    sci = finite & ((e < -4) | (e > 15))
+    small = finite & ~sci & (e < 0)  # 0.000ddd
+    whole = finite & ~sci & (e >= 0)  # ddd.ddd, at least one digit after the point
+    shown = (m + whole * np.maximum(e + 2 - m, 0)) * finite
+    tail[:, 0] &= np.take(keep[0], shown)
+    tail[:, 1] &= np.take(keep[1], shown)
+    # the point follows digit `point`; -1: no point among the digits
+    point = whole * (e + 1) + (sci & (m > 1)) - 1
+
+    lead = (1 - e) * small  # bytes of 0.000 shown
+    sign_w = int(neg.any())
+    prefix_w = int(lead.max())
+    sep_w = int(np.max(point, initial=-1)) + 1
+    digit_w = max(int(np.max(shown, initial=0)), 3 * (not finite.all()))  # room for inf, nan
+    exp_w = 0 if not sci.any() else 4 + (int((np.abs(e) * sci).max()) >= 100)
+    out = np.zeros((rows, sign_w + prefix_w + sep_w + digit_w + exp_w), dtype=np.uint8)
+    if sign_w:
+        out[:, 0] = neg.view(np.uint8) * np.uint8(ord("-"))
+    at = sign_w
+    for j in range(prefix_w):
+        out[:, at + j] = (lead > j).view(np.uint8) * np.uint8(b"0.000"[j])
+    at += prefix_w
+    # digit i at at + 2i while a point may follow it, else at at + sep_w + i
+    tail = tail.view(np.uint8)
+    out[:, at] = (head + np.uint64(48)) * (shown > 0)
+    lo = max(sep_w, 1)
+    out[:, at + 2:at + 2 * lo:2] = tail[:, :lo - 1]
+    out[:, at + sep_w + lo:at + sep_w + digit_w] = tail[:, lo - 1:digit_w - 1]
+    for j in range(sep_w):
+        out[:, at + 2 * j + 1] = (point == j).view(np.uint8) * np.uint8(ord("."))
+    if exp_w:
+        exp = np.take(exponents, (e + 331) * sci).view(np.uint8).reshape(rows, 8)
+        out[:, -exp_w:] = exp[:, :exp_w]
+    for r in np.flatnonzero(~finite).tolist():
+        out[r, at:at + 3] = np.frombuffer(b"nan" if bits[r] & _FRAC else b"inf", dtype=np.uint8)
+    return out
 
 
 def _field(column, a, b):
-    """(bytes, keep mask) of rows a:b of one column; see :func:`_write_rows`."""
+    """Rows a:b of one column as a NUL-padded byte matrix; see :func:`_write_rows`."""
     if isinstance(column, bytes):
-        mat = np.broadcast_to(np.frombuffer(column, dtype=np.uint8), (b - a, len(column)))
-        return mat, np.ones(mat.shape, dtype=bool)
+        return np.broadcast_to(np.frombuffer(column, dtype=np.uint8), (b - a, len(column)))
     values, present = column if isinstance(column, tuple) else (column, None)
     values = values[a:b]
-    mat, keep = _digits(values) if values.dtype.kind == "i" else _reprs(values)
+    if values.dtype.kind == "i":
+        mat = _digits(values)
+    elif values.dtype.kind == "f" and values.dtype.itemsize <= 8:
+        mat = _floats(values)  # float16 and float32 upcast, as tolist() does
+    else:
+        raise TypeError(f"cannot write a column of dtype {values.dtype}")
     if present is not None:
-        keep &= present[a:b, None]
-    return mat, keep
+        mat = mat * present[a:b, None]
+    return mat
 
 
 def _write_rows(fh, columns, sep: bytes) -> None:
     """Write one line per row: the columns' entries joined by the byte ``sep``.
 
-    A column is an array (signed integers are written in decimal, anything
-    else as the ``repr`` of its ``tolist()`` entries), a bytes literal
-    repeated on every row, or a pair ``(array, present)``: rows where
-    ``present`` is False omit the entry together with the separator before
-    it.  Rows are formatted ``_BLOCK`` at a time into one byte matrix whose
-    padding a keep mask drops.
+    A column is an array (signed integers are written in decimal, floats of
+    up to 64 bits as ``repr`` writes them, any other dtype raises
+    ``TypeError``), a bytes literal repeated on every row, or a pair
+    ``(array, present)``: rows where ``present`` is False omit the entry
+    together with the separator before it.  Rows are formatted ``_BLOCK``
+    at a time into one NUL-padded byte matrix whose NULs are deleted.
     """
     arrays = [c[0] if isinstance(c, tuple) else c for c in columns if not isinstance(c, bytes)]
     rows = min(map(len, arrays))
     for a in range(0, rows, _BLOCK):
         b = min(rows, a + _BLOCK)
-        mats, keeps = [], []
+        mats = []
         for j, column in enumerate(columns):
-            mat, keep = _field(column, a, b)
             if j:
-                mats.append(np.full((b - a, 1), sep[0], dtype=np.uint8))
-                keeps.append(keep.any(axis=1, keepdims=True))
-            mats.append(mat)
-            keeps.append(keep)
+                mark = np.full((b - a, 1), sep[0], dtype=np.uint8)
+                if isinstance(column, tuple):
+                    mark *= column[1][a:b, None]
+                mats.append(mark)
+            mats.append(_field(column, a, b))
         mats.append(np.full((b - a, 1), ord("\n"), dtype=np.uint8))
-        keeps.append(np.ones((b - a, 1), dtype=bool))
-        fh.write(np.hstack(mats)[np.hstack(keeps)].tobytes())
+        fh.write(np.hstack(mats).tobytes().translate(None, b"\0"))
 
 
 def write_edges(path, n: int, src, tgt, mult=None, marks=None) -> None:
@@ -305,7 +522,8 @@ def read_table(path, header: str, usecols=None) -> np.ndarray:
     """
     with open(path, "rb") as fh:
         data = fh.read()
-    data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    if b"\r" in data:
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
     head, _, body = data.partition(b"\n")
     if head.decode("utf-8", "replace").strip() != header:
         raise InputError(f"{path}: expected '{header}' header")

@@ -21,6 +21,7 @@ import scipy.sparse as sp
 from ._textio import read_table, write_table
 from .errors import SizeError, UsageError
 from .graph import (
+    _INT64_MAX,
     DEFAULT_CODE_NODE_LIMIT,
     TREE_PREFIX,
     DirectedMultigraph,
@@ -112,8 +113,10 @@ def census(g: DirectedMultigraph, k: int, sample_count: int | None = None,
         counts = _census_chunk(g, k, exact)
     batched = roots[tree]
     if batched.size:
-        src = np.repeat(g.src, g.mult)
-        tgt = np.repeat(g.tgt, g.mult)
+        # in (target, source) order, as _refine needs them grouped by target
+        mult = g.mult[g.in_order]
+        src = np.repeat(g.src[g.in_order], mult)
+        tgt = np.repeat(g.tgt[g.in_order], mult)
         counts += _tree_codes(g.d_out, src, tgt, k, batched)
     return NeighborhoodCensus(depth=k, counts=counts, total=int(roots.size),
                               paths={"batched": int(batched.size), "exact": int(exact.size)})
@@ -173,14 +176,16 @@ def _tree_roots(g, k, roots, limit=DEFAULT_CODE_NODE_LIMIT):
 
 def _refine(marks, src, tgt, k):
     """Colors of every depth 0..k by level-wise color refinement of edges
-    src -> tgt, and those edges grouped by target.
+    src -> tgt, which must come grouped by target (``tgt`` non-decreasing).
 
     ``col_0 = mark`` and ``col_j(v)`` ranks (mark(v), sorted multiset of
     ``col_{j-1}(u)`` over the edges u -> v), one edge per unit of
     multiplicity.  The ranking is exact, with no hashing: vertices are
-    grouped by in-degree and their rows sorted and compared whole, so two
-    vertices share a color iff their depth-j in-unfoldings are isomorphic
-    marked rooted trees.  Level j >= 1 colors are dense from 0.  Returns
+    grouped by in-degree and their rows ranked whole by :func:`_rank_rows`,
+    so two vertices share a color iff their depth-j in-unfoldings are
+    isomorphic marked rooted trees.  Each level sorts its neighbour colors
+    within each target by one int64 sort of ``tgt * base + color``, which
+    keeps the grouping.  Level j >= 1 colors are dense from 0.  Returns
     ``(levels, ptr, src)``: the color arrays ``levels[j]``, and the sources
     of v's in-edges at ``src[ptr[v]:ptr[v+1]]`` (both None when k is 0).
     """
@@ -192,21 +197,21 @@ def _refine(marks, src, tgt, k):
     indeg = np.bincount(tgt, minlength=n)
     ptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(indeg, out=ptr[1:])
-    by_tgt = np.argsort(tgt, kind="stable")
-    src, tgt = src[by_tgt], tgt[by_tgt]
-    by_deg = np.argsort(indeg, kind="stable")
-    degs, firsts = np.unique(indeg[by_deg], return_index=True)
-    groups = list(zip(degs.tolist(), np.split(by_deg, firsts[1:])))
+    # a stable sort of 16-bit keys is a radix sort, several times faster
+    by_deg = np.argsort(indeg.astype(np.uint16) if indeg.max() < 1 << 16 else indeg,
+                        kind="stable")
+    firsts = np.flatnonzero(np.diff(indeg[by_deg], prepend=-1))
+    groups = list(zip(indeg[by_deg[firsts]].tolist(), np.split(by_deg, firsts[1:])))
     for _ in range(k):
-        nb = col[src]
-        nb = nb[np.lexsort((nb, tgt))]
+        nb = _sorted_by_target(col[src], tgt)
         new = np.empty(n, dtype=np.int64)
         offset = 0
         for d, verts in groups:
-            rows = np.empty((verts.size, d + 1), dtype=np.int64)
-            rows[:, 0] = marks[verts]
-            rows[:, 1:] = nb[ptr[verts, None] + np.arange(d)]
-            ranks, distinct = _rank_rows(rows)
+            # row i is vertex verts[i]'s mark and sorted neighbour colors, column-major
+            cols = np.empty((d + 1, verts.size), dtype=np.int64)
+            cols[0] = marks[verts]
+            cols[1:] = nb[ptr[verts] + np.arange(d)[:, None]]
+            ranks, distinct = _rank_rows(cols.T)
             new[verts] = offset + ranks
             offset += distinct
         col = new
@@ -214,16 +219,80 @@ def _refine(marks, src, tgt, k):
     return levels, ptr, src
 
 
+def _sorted_by_target(vals, tgt):
+    """``vals`` sorted within each run of equal ``tgt`` (non-decreasing).
+
+    One sort of the int64 keys ``tgt * base + (vals - lo)``, with ``lo`` and
+    ``base - 1`` the least value and the values' span.  Values too wide for
+    that (only marks can be) are replaced by their dense ranks first, which
+    sort the same.
+    """
+    if vals.size == 0:
+        return vals
+    lo, hi, runs = int(vals.min()), int(vals.max()), int(tgt[-1]) + 1
+    if runs * (hi - lo + 1) > _INT64_MAX:
+        uniq, ranks = np.unique(vals, return_inverse=True)
+        if runs * uniq.size > _INT64_MAX:
+            raise SizeError(f"{runs} targets with {uniq.size} colors overflow int64 sort keys")
+        return uniq[_sorted_by_target(ranks, tgt)]
+    off = tgt * (hi - lo + 1) - lo
+    key = off + vals
+    key.sort()
+    key -= off
+    return key
+
+
 def _rank_rows(rows):
     """Dense lexicographic ranks of the rows and their number of distinct
-    values (``np.unique(rows, axis=0)`` without its slow void-typed sort)."""
-    order = np.lexsort(rows.T[::-1])
-    srt = rows[order]
-    step = np.zeros(len(rows), dtype=np.int64)
-    step[1:] = (srt[1:] != srt[:-1]).any(axis=1)
-    ranks = np.empty(len(rows), dtype=np.int64)
-    ranks[order] = np.cumsum(step)
-    return ranks, int(step.sum()) + 1
+    values (``np.unique(rows, axis=0)`` without its slow void-typed sort).
+
+    A single row has rank 0.  Rows that :func:`_packed_rows` packs into one
+    int64 key each are ranked through the keys: by counting when the key
+    range is at most twice the number of rows, else by one ``np.unique``.
+    Only rows too wide to pack (the product of their column spans reaches
+    2^62, which takes hub in-degrees or wide marks) fall back to a
+    multi-key ``np.lexsort``.  Column-major ``rows`` are the fast layout.
+    """
+    m = len(rows)
+    if m == 1:
+        return np.zeros(1, dtype=np.int64), 1
+    packed = _packed_rows(rows)
+    if packed is None:
+        order = np.lexsort(rows.T[::-1])
+        srt = rows[order]
+        step = np.zeros(m, dtype=np.int64)
+        step[1:] = (srt[1:] != srt[:-1]).any(axis=1)
+        ranks = np.empty(m, dtype=np.int64)
+        ranks[order] = np.cumsum(step)
+        return ranks, int(step.sum()) + 1
+    keys, size = packed
+    if size <= 2 * m:
+        # mark the keys present, then number them in increasing order
+        rank = np.zeros(size, dtype=np.int64)
+        rank[keys] = 1
+        np.cumsum(rank, out=rank)
+        return rank[keys] - 1, int(rank[-1])
+    uniq, ranks = np.unique(keys, return_inverse=True)
+    return ranks, uniq.size
+
+
+def _packed_rows(rows):
+    """``(keys, size)``: one mixed-radix int64 key in [0, size) per row,
+    ordered as the rows are lexicographically, or None when they do not fit.
+
+    Column c contributes ``(rows[:, c] - lo_c) * radix_c``, with ``radix_c``
+    the product of the spans ``max - min + 1`` of the columns after c, and
+    ``size`` is the product of all spans.  The keys fit when ``size`` stays
+    below 2^62 (checked in floating point, far from the int64 limit).
+    """
+    cols = rows.T
+    lo = cols.min(axis=1)
+    span = cols.max(axis=1) - lo + 1
+    if np.log2(span).sum() >= 62:
+        return None
+    radix = np.ones_like(span)
+    np.cumprod(span[:0:-1], out=radix[-2::-1])
+    return radix @ (cols - lo[:, None]), int(radix[0] * span[0])
 
 
 def _tree_codes(marks, src, tgt, k, roots):
@@ -282,7 +351,12 @@ def census_limit(sampler, k: int, M: int, rng) -> NeighborhoodCensus:
         else:
             forest = LimitForest.of_trees((sampler(rng) for _ in range(m)), k)
         inner = np.nonzero((forest.node_depth > 0) & (forest.node_depth <= k))[0]
-        counts += _tree_codes(forest.mark, inner, forest.parent[inner], k, forest.roots)
+        # breadth-first trees list children in parent order: edges grouped by target
+        parent = forest.parent[inner]
+        if (parent[1:] < parent[:-1]).any():
+            raise UsageError("limit tree nodes are not in breadth-first order")
+        # update, not +=, which rescans the whole tally for nonpositive counts
+        counts.update(_tree_codes(forest.mark, inner, parent, k, forest.roots))
     return NeighborhoodCensus(depth=k, counts=counts, total=M,
                               paths={"batched": M, "exact": 0})
 

@@ -395,9 +395,12 @@ def run_experiment(config_path, output_dir, threads=None):
             t0 = time.perf_counter()
             crng = gen.RngStream(seed, STREAM_LIMITS).substream(1).generator()
             tree, _, _ = limit_law(cfg["limit"]["sampler"], cfg["model"])
+            record["timings"]["census_limit"] = {}
             for k in cfg["comparison"]["census_depths"]:
                 stage = f"limit-census-k{k}"
+                t1 = time.perf_counter()
                 lc = census_limit(tree(k), k, cfg["limit"]["M"], crng)
+                record["timings"]["census_limit"][str(k)] = time.perf_counter() - t1
                 limit_censuses[k] = lc
                 write_census_csv(lc, out / f"limit_census_{k}.csv")
             record["timings"]["limit_census"] = time.perf_counter() - t0
@@ -441,8 +444,12 @@ def run_experiment(config_path, output_dir, threads=None):
             if not genspec:
                 entry["census_tv"] = {}
                 entry["census_paths"] = {}
+                census_s = {}
+                record["timings"].setdefault("census", {})[str(n)] = census_s
                 for k in cfg["comparison"]["census_depths"]:
+                    t1 = time.perf_counter()
                     cen = census(g, k, workers=cfg["threads"])
+                    census_s[str(k)] = time.perf_counter() - t1
                     write_census_csv(cen, out / f"census_{n}_{k}.csv")
                     entry["census_paths"][str(k)] = cen.paths
                     entry["census_tv"][str(k)] = tv_distance(

@@ -263,6 +263,8 @@ def sample_gw_forest(law: BiDegreeLaw, depth: int, M: int, rng) -> LimitForest:
     levels follow from prefix sums of the star in-degrees.  The run's length
     is found on a copy of the bit generator; then exactly that many uniforms
     are drawn from ``rng``, which leaves it where the sequential calls would.
+    Each uniform is inverted through p* once, for the level bounds and the
+    non-roots' pairs alike, and the roots' uniforms once more through p.
     """
     if depth < 0:
         raise ConfigError(f"depth must be >= 0, got {depth}")
@@ -271,22 +273,29 @@ def sample_gw_forest(law: BiDegreeLaw, depth: int, M: int, rng) -> LimitForest:
     probe = np.random.Generator(copy.deepcopy(rng.bit_generator))
     starts, total = _gw_tree_starts(law, depth, M, probe)
     u = rng.random(total)
+    mark, kids = _star_pairs(law, u)
+    root_mark, root_kids = law.from_uniforms(u[starts])
     # level d of tree i is nodes bounds[i, d]:bounds[i, d + 1]; level 0 is the root
-    bounds = np.stack(list(_gw_level_starts(law, u, starts, depth)), axis=1)
+    bounds = np.stack(list(_gw_level_starts(kids, starts, root_kids, depth)), axis=1)
     node_depth = np.repeat(np.tile(np.arange(depth + 1, dtype=np.int32), M),
                            np.diff(bounds, axis=1).ravel())
-    is_root = node_depth == 0
-    mark = np.empty(total, dtype=np.int64)
-    kids = np.empty(total, dtype=np.int64)
-    mark[is_root], kids[is_root] = law.from_uniforms(u[is_root])
-    if not is_root.all():
-        mark[~is_root], kids[~is_root] = law.from_uniforms(u[~is_root], star=True)
+    if total > M and not law.mean_out > 0:
+        law.star_entries()  # raises: non-roots need p*, undefined at mean out-degree 0
+    mark[starts], kids[starts] = root_mark, root_kids
     kids[node_depth == depth] = 0
     # in node order, the non-roots are the children of the nodes in node order
     parent = np.full(total, -1, dtype=np.int64)
-    parent[~is_root] = np.repeat(np.arange(total), kids)
+    parent[node_depth > 0] = np.repeat(np.arange(total), kids)
     return LimitForest(parent=parent, mark=mark, node_depth=node_depth,
                        start=np.append(starts, total), truncation_depth=depth)
+
+
+def _star_pairs(law, u):
+    """(h, l) of p* by inverse CDF at each uniform; zeros when p* is
+    undefined (mean out-degree 0, where no tree has a non-root)."""
+    if law.mean_out > 0:
+        return law.from_uniforms(u, star=True)
+    return np.zeros(u.size, dtype=np.int64), np.zeros(u.size, dtype=np.int64)
 
 
 # uniforms the probe draws at a time while locating trees in the stream
@@ -298,39 +307,65 @@ def _gw_tree_starts(law, depth, M, probe):
 
     The probe's uniforms are read through a window that slides past every
     whole tree it holds and at least doubles when the next tree overruns it,
-    so memory stays at a few chunks however large the forest.
+    so memory stays at a few chunks however large the forest.  The window
+    keeps each uniform's root and star in-degrees, so every uniform is
+    inverted once.  The trees inside a window are a chain, each starting
+    where the last ended; :func:`_tree_chain` follows it by pointer doubling.
     """
-    starts = []
-    offset = 0  # stream position of window[0]
-    window = np.zeros(0)
-    while len(starts) < M:
-        window = np.concatenate([window, probe.random(max(window.size, _PROBE_CHUNK))])
-        for end in _gw_level_starts(law, window, np.arange(window.size), depth):
+    parts, found = [], 0
+    offset = 0  # stream position of the window's first uniform
+    l_root = l_star = np.zeros(0, dtype=np.int64)
+    while found < M:
+        fresh = probe.random(max(l_root.size, _PROBE_CHUNK))
+        l_root = np.concatenate([l_root, law.from_uniforms(fresh)[1]])
+        l_star = np.concatenate([l_star, _star_pairs(law, fresh)[1]])
+        for end in _gw_level_starts(l_star, np.arange(l_root.size), l_root, depth):
             pass  # only the tree ends are needed; earlier levels are dropped as they go
-        p = 0
-        while len(starts) < M and p < window.size and end[p] <= window.size:
-            starts.append(offset + p)
-            p = int(end[p])
+        chain, p = _tree_chain(end, M - found)
+        parts.append(offset + chain)
+        found += chain.size
         offset += p
-        window = window[p:]
-    return np.asarray(starts, dtype=np.int64), offset
+        l_root, l_star = l_root[p:], l_star[p:]
+    return np.concatenate(parts), offset
 
 
-def _gw_level_starts(law, u, p, depth):
-    """Yield, for the trees whose root uniform is ``u[p]``, the start of each
-    level 0..depth and then the tree's end.
+def _tree_chain(end, limit):
+    """Starts 0, end[0], end[end[0]], ... of the trees that end within the
+    window of ``end.size`` uniforms, at most ``limit`` of them, and the
+    position after the last of those trees.
 
-    Reads past ``u`` are clipped; the boundaries only grow, so a tree that
-    needs more uniforms than ``u`` holds ends beyond ``u.size``.
+    List ranking by pointer doubling (Wyllie's method): a tree that overruns
+    the window, and the window's end, are absorbing states of the jump map,
+    and each round appends the jumps of every position listed so far and
+    squares the map, until the list reaches an absorbing state or holds
+    more than ``limit`` trees.  O(B log B) array work for B uniforms.
     """
-    B = u.size
-    l_star = law.from_uniforms(u, star=True)[1] if law.mean_out > 0 else np.zeros(B, np.int64)
+    B = end.size
+    here = np.arange(B + 1)
+    jump = np.append(np.where(end <= B, end, here[:-1]), B)
+    live = jump != here
+    chain = np.zeros(1, dtype=np.int64)
+    while chain.size <= limit and jump[chain[-1]] != chain[-1]:
+        chain = np.concatenate([chain, jump[chain]])
+        jump = jump[jump]
+    count = min(int(live[chain].sum()), limit)
+    return chain[:count], int(chain[count])
+
+
+def _gw_level_starts(l_star, p, width, depth):
+    """Yield, for the trees rooted at stream positions ``p`` with root
+    in-degrees ``width``, the start of each level 0..depth and then the
+    tree's end, given the star in-degree ``l_star`` at every position.
+
+    Reads past ``l_star`` are clipped; the boundaries only grow, so a tree
+    that needs more uniforms than the stream holds ends beyond its size.
+    """
+    B = l_star.size
     csum = np.zeros(B + 1, dtype=np.int64)
     np.cumsum(l_star, out=csum[1:])
     lo, hi = p, p + 1
     yield lo
     yield hi
-    width = law.from_uniforms(u[p])[1]
     for d in range(1, depth + 1):
         lo, hi = hi, hi + width
         yield hi

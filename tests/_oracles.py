@@ -4,8 +4,10 @@ Everything here is deliberately dumb: exhaustive bijection search for
 isomorphism, literal walk enumeration for truncated scores, dense linear
 solves for exact scores, Fraction arithmetic for the branching-tree mean,
 one exploration plus one canonical code per root or tree for censuses,
-the line-by-line str-method edge-list parser, the line-at-a-time file
-writers and float-CSV readers, and the dense IRG sampler.
+color refinement ranked by multi-key ``lexsort``, the per-tree walk that
+locates branching trees in a uniform stream, the line-by-line str-method
+edge-list parser, the line-at-a-time file writers and float-CSV readers,
+and the dense IRG sampler.
 None of it shares code with the implementation paths it checks.
 """
 
@@ -171,6 +173,89 @@ def per_root_census(g: DirectedMultigraph, k: int, roots=None) -> Counter:
 def per_tree_census_limit(sampler, k: int, M: int, rng) -> Counter:
     """Canonical-code counts of M trees drawn one by one and truncated to depth k."""
     return Counter(canonical_code(tree_neighborhood(sampler(rng), k)) for _ in range(M))
+
+
+def rank_rows_lexsort(rows):
+    """Dense lexicographic ranks of the rows by one multi-key ``lexsort``,
+    and the number of distinct rows."""
+    order = np.lexsort(rows.T[::-1])
+    srt = rows[order]
+    step = np.zeros(len(rows), dtype=np.int64)
+    step[1:] = (srt[1:] != srt[:-1]).any(axis=1)
+    ranks = np.empty(len(rows), dtype=np.int64)
+    ranks[order] = np.cumsum(step)
+    return ranks, int(step.sum()) + 1
+
+
+def refine_lexsort(marks, src, tgt, k):
+    """Level-wise color refinement of edges src -> tgt in any order.
+
+    Returns ``(levels, ptr, src)`` like ``census._refine``: the edges are
+    grouped by a stable sort on the target, each vertex's neighbour colors
+    sorted by a two-key ``lexsort``, and each in-degree group's rows
+    (mark, sorted colors) ranked by :func:`rank_rows_lexsort`.
+    """
+    n = marks.size
+    col = np.asarray(marks, dtype=np.int64)
+    levels = [col]
+    if k == 0:
+        return levels, None, None
+    indeg = np.bincount(tgt, minlength=n)
+    ptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(indeg, out=ptr[1:])
+    by_tgt = np.argsort(tgt, kind="stable")
+    src, tgt = src[by_tgt], tgt[by_tgt]
+    by_deg = np.argsort(indeg, kind="stable")
+    degs, firsts = np.unique(indeg[by_deg], return_index=True)
+    groups = list(zip(degs.tolist(), np.split(by_deg, firsts[1:])))
+    for _ in range(k):
+        nb = col[src]
+        nb = nb[np.lexsort((nb, tgt))]
+        new = np.empty(n, dtype=np.int64)
+        offset = 0
+        for d, verts in groups:
+            rows = np.empty((verts.size, d + 1), dtype=np.int64)
+            rows[:, 0] = marks[verts]
+            rows[:, 1:] = nb[ptr[verts, None] + np.arange(d)]
+            ranks, distinct = rank_rows_lexsort(rows)
+            new[verts] = offset + ranks
+            offset += distinct
+        col = new
+        levels.append(col)
+    return levels, ptr, src
+
+
+def gw_tree_starts_walk(law, depth, M, probe, chunk):
+    """Stream offsets where M consecutive branching trees start, and where
+    the last ends, found by chasing one tree end at a time.
+
+    The probe's uniforms are read through a window that slides past every
+    whole tree it holds and grows by ``max(window size, chunk)`` uniforms
+    when the next tree overruns it.  Every tree end in the window is
+    recomputed from the window's uniforms on each pass.
+    """
+    starts = []
+    offset = 0  # stream position of window[0]
+    window = np.zeros(0)
+    while len(starts) < M:
+        window = np.concatenate([window, probe.random(max(window.size, chunk))])
+        B = window.size
+        l_star = (law.from_uniforms(window, star=True)[1] if law.mean_out > 0
+                  else np.zeros(B, np.int64))
+        csum = np.zeros(B + 1, dtype=np.int64)
+        np.cumsum(l_star, out=csum[1:])
+        lo, end = np.arange(B), np.arange(B) + 1
+        width = law.from_uniforms(window)[1]
+        for d in range(1, depth + 1):
+            lo, end = end, end + width
+            width = csum[np.minimum(end, B)] - csum[np.minimum(lo, B)]
+        p = 0
+        while len(starts) < M and p < B and end[p] <= B:
+            starts.append(offset + p)
+            p = int(end[p])
+        offset += p
+        window = window[p:]
+    return np.asarray(starts, dtype=np.int64), offset
 
 
 _HEADER_RE = re.compile(r"#\s*n\s*=\s*(\d+)\s*$")

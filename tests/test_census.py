@@ -5,6 +5,8 @@ from collections import Counter
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pagerank_limits.census import (
     NeighborhoodCensus,
@@ -18,7 +20,7 @@ from pagerank_limits.census import (
     tv_distance,
     write_census_csv,
 )
-from _oracles import per_root_census, per_tree_census_limit
+from _oracles import per_root_census, per_tree_census_limit, rank_rows_lexsort, refine_lexsort
 from pagerank_limits.errors import SizeError, UsageError
 from pagerank_limits.generators import (
     BiDegreeLaw,
@@ -31,6 +33,7 @@ from pagerank_limits.generators import (
 from pagerank_limits.graph import build_graph
 from pagerank_limits.limits import (
     GwTreeSampler,
+    LimitTree,
     PolyaParams,
     malthusian,
     sample_ctbp_limit,
@@ -225,6 +228,112 @@ class TestCensusLimit:
         with pytest.raises(UsageError, match="truncated at depth 1"):
             census_limit(lambda r: sample_gw_limit(law, 1, r), 2, 5,
                          RngStream(133).generator())
+
+
+@st.composite
+def row_blocks(draw):
+    """Rows drawn from a small pool, so duplicates are common; the value
+    range decides whether the rows pack by counting, by unique keys, or not
+    at all (several columns spanning 2^40 reach the 2^62 packing limit)."""
+    m, c = draw(st.integers(1, 12)), draw(st.integers(1, 10))
+    hi = draw(st.sampled_from([0, 3, 1000, 2**31, 2**40]))
+    pool = draw(st.lists(st.lists(st.integers(0, hi), min_size=c, max_size=c),
+                         min_size=1, max_size=m))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=m, max_size=m))
+    return np.array([pool[i] for i in picks], dtype=np.int64).reshape(m, c)
+
+
+@st.composite
+def small_multigraphs(draw):
+    """Self-loops, repeated pairs (multi-edges) and isolated vertices."""
+    n = draw(st.integers(1, 25))
+    edges = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
+                                    st.integers(1, 3)), max_size=3 * n))
+    return build_graph(edges, n)
+
+
+class TestRefinement:
+    """The packed-key refinement against the lexsort oracle."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(row_blocks())
+    def test_rank_rows_match_lexsort(self, rows):
+        want = rank_rows_lexsort(rows)
+        for layout in (rows, np.asfortranarray(rows)):
+            ranks, distinct = census_module._rank_rows(layout)
+            assert np.array_equal(ranks, want[0]) and distinct == want[1]
+
+    @pytest.mark.parametrize("rows, branch", [
+        ([[5, 1, 2]], "single"),
+        ([[1, 2], [0, 3], [1, 2], [1, 0]], "counting"),
+        ([[0, 10**6], [3, 0], [0, 10**6]], "unique"),
+        ([[2**40, 0, 2**40], [0, 2**40, 1], [2**40, 0, 2**40]], "lexsort"),
+        # spans 2^32 and 2^31 + 6: packed keys would pass 2^63 and wrap
+        ([[0, 0], [2**32 - 1, 2**31 + 5], [2**32 - 1, 0], [1, 2**31 + 5]], "lexsort"),
+    ])
+    def test_rank_rows_branches(self, rows, branch):
+        rows = np.array(rows, dtype=np.int64)
+        packed = census_module._packed_rows(rows)
+        if branch == "lexsort":
+            assert packed is None
+        elif branch != "single":
+            assert (packed[1] <= 2 * len(rows)) == (branch == "counting")
+        ranks, distinct = census_module._rank_rows(rows)
+        want = rank_rows_lexsort(rows)
+        assert np.array_equal(ranks, want[0]) and distinct == want[1]
+
+    @settings(max_examples=150, deadline=None)
+    @given(small_multigraphs(), st.booleans(), st.data())
+    def test_every_level_matches_lexsort_refinement(self, g, wide, data):
+        # wide marks overflow the tgt * base sort keys and the row packing
+        marks = (np.array(data.draw(st.lists(st.integers(0, 2**62), min_size=g.n,
+                                             max_size=g.n)), dtype=np.int64)
+                 if wide else g.d_out)
+        mult = g.mult[g.in_order]
+        src, tgt = np.repeat(g.src[g.in_order], mult), np.repeat(g.tgt[g.in_order], mult)
+        for k in range(4):
+            levels, ptr, got_src = census_module._refine(marks, src, tgt, k)
+            want, want_ptr, want_src = refine_lexsort(marks, np.repeat(g.src, g.mult),
+                                                      np.repeat(g.tgt, g.mult), k)
+            assert len(levels) == k + 1
+            assert all(np.array_equal(a, b) for a, b in zip(levels, want))
+            if k:
+                assert np.array_equal(ptr, want_ptr) and np.array_equal(got_src, want_src)
+
+    def test_sorted_by_target_keeps_values(self):
+        got = census_module._sorted_by_target(np.array([9, 5, 7, 6, 8]), np.array([0, 0, 1, 1, 1]))
+        assert got.tolist() == [5, 9, 6, 7, 8]
+        # keys count from the least value, so values near 2^63 do not wrap
+        top = np.array([2**63 - 1, 2**63 - 2] * 2, dtype=np.int64)
+        got = census_module._sorted_by_target(top, np.array([0, 0, 1, 1]))
+        assert got.tolist() == [2**63 - 2, 2**63 - 1] * 2
+
+    def test_sorted_by_target_ranks_wide_values(self):
+        vals = np.array([2**62, 0, 7, 2**62 - 1, 3], dtype=np.int64)
+        got = census_module._sorted_by_target(vals, np.array([0, 0, 1, 1, 3]))
+        assert got.tolist() == [0, 2**62, 7, 2**62 - 1, 3]
+
+    def test_edges_reach_refinement_grouped_by_target(self, monkeypatch):
+        grouped = []
+        refine = census_module._refine
+
+        def spy(marks, src, tgt, k):
+            grouped.append(bool((tgt[1:] >= tgt[:-1]).all()))
+            return refine(marks, src, tgt, k)
+
+        monkeypatch.setattr(census_module, "_refine", spy)
+        rng = RngStream(140).generator()
+        census(random_multigraph(rng, 300, 1.5), 2)
+        census_limit(GwTreeSampler(UNIFORM33, 2), 2, 300, rng)
+        census_limit(lambda r: sample_ctbp_limit(1.0, 2.0, r), 2, 300, rng)
+        assert grouped == [True, True, True]
+
+    def test_limit_tree_out_of_breadth_first_order_rejected(self):
+        # parents before children, but node 4's parent precedes node 3's
+        tree = LimitTree(parent=np.array([-1, 0, 0, 2, 1]), mark=np.ones(5, dtype=np.int64),
+                         node_depth=np.array([0, 1, 1, 2, 2]), truncation_depth=None)
+        with pytest.raises(UsageError, match="breadth-first"):
+            census_limit(lambda r: tree, 2, 1, RngStream(141).generator())
 
 
 class TestTvDistance:

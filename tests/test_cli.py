@@ -331,6 +331,18 @@ class TestRunExperiment:
                 assert (tmp_path / "a" / name).read_bytes() == \
                     (tmp_path / "b" / name).read_bytes(), name
 
+    def test_census_timings_recorded(self, tmp_path):
+        cfg = tmp_path / "config.json"
+        write_config(cfg, sizes=[200, 300], comparison={"census_depths": [0, 1]})
+        _, code = cli.run_experiment(cfg, tmp_path / "out")
+        timings = json.loads((tmp_path / "out" / "record.json").read_text())["timings"]
+        assert code == 0
+        by_size = timings["census"]
+        assert sorted(by_size) == ["200", "300"]
+        for per_depth in [*by_size.values(), timings["census_limit"]]:
+            assert sorted(per_depth) == ["0", "1"]
+            assert all(isinstance(t, float) and t >= 0.0 for t in per_depth.values())
+
     def test_invariant_violation_exit_code(self, tmp_path, monkeypatch):
         cfg = tmp_path / "config.json"
         write_config(cfg, sizes=[200])

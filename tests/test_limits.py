@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pagerank_limits.errors import ConfigError, ResourceError, UsageError
 from pagerank_limits.generators import BiDegreeLaw, RngStream
@@ -28,6 +30,7 @@ from pagerank_limits.limits import (
 
 from _oracles import (
     exact_gw_mean,
+    gw_tree_starts_walk,
     tree_root_rank_enum,
     tree_root_rank_enum_generalized,
 )
@@ -147,6 +150,50 @@ class TestGwForest:
             sample_gw_forest(UNIFORM33, -1, 5, RngStream(63).generator())
         with pytest.raises(ConfigError):
             sample_gw_forest(UNIFORM33, 2, 0, RngStream(63).generator())
+
+
+class TestGwTreeStarts:
+    """Pointer-doubled tree starts against the per-tree walk."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(law=st.sampled_from(TestGwForest.LAWS), depth=st.integers(0, 4),
+           chunk=st.sampled_from([1, 7, 8192]), M=st.integers(1, 300),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_per_tree_walk(self, law, depth, chunk, M, seed):
+        pa, pb = (np.random.Generator(np.random.Philox(seed)) for _ in range(2))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(limits_mod, "_PROBE_CHUNK", chunk)
+            starts, total = limits_mod._gw_tree_starts(law, depth, M, pa)
+        want_starts, want_total = gw_tree_starts_walk(law, depth, M, pb, chunk)
+        assert np.array_equal(starts, want_starts) and total == want_total
+        assert pa.random() == pb.random()  # the same windows were drawn
+
+    @pytest.mark.parametrize("M", [1, 5, 100])
+    def test_chain_stops_mid_window(self, M):
+        pa, pb = (np.random.Generator(np.random.Philox(70)) for _ in range(2))
+        starts, total = limits_mod._gw_tree_starts(UNIFORM33, 2, M, pa)
+        assert starts.size == M and total < limits_mod._PROBE_CHUNK
+        want = gw_tree_starts_walk(UNIFORM33, 2, M, pb, limits_mod._PROBE_CHUNK)
+        assert np.array_equal(starts, want[0]) and total == want[1]
+
+    def test_chain_of_overrunning_and_exact_fits(self):
+        # the trees at 0 and 2 end at 2 and 3; the one at 3 overruns the 8 uniforms
+        chain, after = limits_mod._tree_chain(np.array([2, 9, 3, 9, 8, 8, 8, 8]), 10)
+        assert chain.tolist() == [0, 2] and after == 3
+        chain, after = limits_mod._tree_chain(np.array([1, 2, 3, 4]), 10)
+        assert chain.tolist() == [0, 1, 2, 3] and after == 4
+        chain, after = limits_mod._tree_chain(np.array([1, 2, 3, 4]), 2)
+        assert chain.tolist() == [0, 1] and after == 2
+        chain, after = limits_mod._tree_chain(np.array([5, 2]), 3)
+        assert chain.size == 0 and after == 0
+
+    def test_roots_only_law(self):
+        law = BiDegreeLaw([(0, 0, 1.0)])
+        rf, rs = RngStream(71).generator(), RngStream(71).generator()
+        forest = sample_gw_forest(law, 3, 50, rf)
+        assert forest.start.tolist() == list(range(51)) and not forest.mark.any()
+        assert all(sample_gw_limit(law, 3, rs).size == 1 for _ in range(50))
+        assert rf.random() == rs.random()
 
 
 class TestRootRank:

@@ -197,9 +197,7 @@ def _refine(marks, src, tgt, k):
     indeg = np.bincount(tgt, minlength=n)
     ptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(indeg, out=ptr[1:])
-    # a stable sort of 16-bit keys is a radix sort, several times faster
-    by_deg = np.argsort(indeg.astype(np.uint16) if indeg.max() < 1 << 16 else indeg,
-                        kind="stable")
+    by_deg = np.argsort(indeg, kind="stable")
     firsts = np.flatnonzero(np.diff(indeg[by_deg], prepend=-1))
     groups = list(zip(indeg[by_deg[firsts]].tolist(), np.split(by_deg, firsts[1:])))
     for _ in range(k):
@@ -248,7 +246,9 @@ def _rank_rows(rows):
 
     A single row has rank 0.  Rows that :func:`_packed_rows` packs into one
     int64 key each are ranked through the keys: by counting when the key
-    range is at most twice the number of rows, else by one ``np.unique``.
+    range is at most twice the number of rows, else by one ``np.unique``
+    (counting is 2-3.5 times faster at that range for 100 to 30 000 rows
+    and breaks even near 8 times the rows; BENCH_13.json).
     Only rows too wide to pack (the product of their column spans reaches
     2^62, which takes hub in-degrees or wide marks) fall back to a
     multi-key ``np.lexsort``.  Column-major ``rows`` are the fast layout.

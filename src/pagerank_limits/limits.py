@@ -279,8 +279,8 @@ def sample_gw_forest(law: BiDegreeLaw, depth: int, M: int, rng) -> LimitForest:
     bounds = np.stack(list(_gw_level_starts(kids, starts, root_kids, depth)), axis=1)
     node_depth = np.repeat(np.tile(np.arange(depth + 1, dtype=np.int32), M),
                            np.diff(bounds, axis=1).ravel())
-    if total > M and not law.mean_out > 0:
-        law.star_entries()  # raises: non-roots need p*, undefined at mean out-degree 0
+    if total > M:
+        law._require_star()  # non-roots are drawn from p*
     mark[starts], kids[starts] = root_mark, root_kids
     kids[node_depth == depth] = 0
     # in node order, the non-roots are the children of the nodes in node order

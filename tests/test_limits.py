@@ -195,6 +195,13 @@ class TestGwTreeStarts:
         assert all(sample_gw_limit(law, 3, rs).size == 1 for _ in range(50))
         assert rf.random() == rs.random()
 
+    def test_non_roots_need_star_law(self):
+        # mean out-degree 0 leaves p* undefined, yet roots may have in-degree 1
+        law = BiDegreeLaw([(0, 1, 0.5), (0, 0, 0.5)], mean_tol=1.0)
+        with pytest.raises(ConfigError, match="size-biased law undefined"):
+            sample_gw_forest(law, 1, 50, RngStream(72).generator())
+        assert sample_gw_forest(law, 0, 50, RngStream(72).generator()).start[-1] == 50
+
 
 class TestRootRank:
     def test_root_only(self):

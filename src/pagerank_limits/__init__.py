@@ -44,12 +44,12 @@ from .graph import (
     write_edgelist,
 )
 from .limits import (
-    GwTreeSampler,
     LimitForest,
     LimitTree,
     PolyaParams,
     attach_generalized_weights,
     gw_root_rank_pool,
+    limit_law,
     malthusian,
     root_pagerank,
     root_pagerank_generalized,

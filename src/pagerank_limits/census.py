@@ -29,7 +29,7 @@ from .graph import (
     explore_neighborhood,
     tree_code,
 )
-from .limits import LimitForest, _check_depth
+from .limits import _FOREST_TREES
 
 __all__ = [
     "NeighborhoodCensus",
@@ -328,29 +328,18 @@ def _tree_codes(marks, src, tgt, k, roots):
     return Counter({TREE_PREFIX + codes[c]: size for c, size in zip(top.tolist(), sizes.tolist())})
 
 
-# trees sampled and classed together by census_limit, which bounds its memory
-_FOREST_TREES = 1 << 12
-
-
-def census_limit(sampler, k: int, M: int, rng) -> NeighborhoodCensus:
-    """Sample M limit trees, truncate to depth k, tally their codes.
-
-    A sampler with a ``forest(m, rng)`` method draws m trees at once; any
-    other sampler is called once per tree.  Trees are classed a block at a
-    time by the refinement of :func:`census`'s batched path, which composes
-    the same codes.
+def census_limit(law, k: int, M: int, rng) -> NeighborhoodCensus:
+    """Sample M trees of a limit law (see ``limits.limit_law``), truncated to
+    depth k, and tally their codes.  ``law.forest(k, m, rng)`` draws them a
+    block at a time, each classed by the refinement of :func:`census`'s
+    batched path, which composes the same codes.
     """
     if M < 1:
         raise UsageError(f"M must be >= 1, got {M}")
     counts = Counter()
     for first in range(0, M, _FOREST_TREES):
-        m = min(_FOREST_TREES, M - first)
-        if hasattr(sampler, "forest"):
-            forest = sampler.forest(m, rng)
-            _check_depth(forest.truncation_depth, k)
-        else:
-            forest = LimitForest.of_trees((sampler(rng) for _ in range(m)), k)
-        inner = np.nonzero((forest.node_depth > 0) & (forest.node_depth <= k))[0]
+        forest = law.forest(k, min(_FOREST_TREES, M - first), rng)
+        inner = np.nonzero(forest.node_depth > 0)[0]
         # breadth-first trees list children in parent order: edges grouped by target
         parent = forest.parent[inner]
         if (parent[1:] < parent[:-1]).any():

@@ -18,7 +18,6 @@ import json
 import math
 import sys
 import time
-from functools import partial
 from itertools import chain
 from pathlib import Path
 
@@ -44,7 +43,6 @@ from .errors import (
     InputError,
     InvariantViolation,
     PagerankLimitsError,
-    ResourceError,
     UsageError,
 )
 from .graph import DirectedMultigraph, read_edgelist, write_edgelist
@@ -197,10 +195,14 @@ def validate_config(raw):
 
     lim = _block(raw, "limit", "limit")
     sampler = lim.get("sampler", next(
-        (s for s, m in LIMIT_MODELS.items() if m == model["name"]), None))
-    limit_law(sampler, model)  # rejects a sampler with no law for the model
+        (s for s, (m, _) in limits_mod.LIMIT_LAWS.items() if m == model["name"]), None))
+    try:
+        law = limits_mod.limit_law(sampler, model)
+    except ConfigError as e:
+        raise ConfigError(f"limit.sampler: {e}") from None
     cfg["limit"] = {
         "sampler": sampler,
+        "law": law,
         "M": _integer(lim.get("M", 10_000), "limit.M"),
         "depth": _integer(lim.get("depth", cfg["pagerank"]["N"]), "limit.depth"),
     }
@@ -224,11 +226,6 @@ def validate_config(raw):
     cfg["threads"] = _integer(raw.get("threads", 1), "threads")
     cfg["_raw"] = raw
     return cfg
-
-
-# limit sampler name -> the model whose local limit it samples
-LIMIT_MODELS = {"fixed_point": "dcm", "fixed-point": "dcm", "gw": "dcm",
-                "ctbp": "ctbp", "polya": "dpa"}
 
 
 # ---------------------------------------------------------------------------
@@ -278,70 +275,14 @@ def degree_stats(g: DirectedMultigraph):
     }
 
 
-def limit_law(sampler, model):
-    """The limit law that ``sampler`` names for ``model``: (tree, pool, meta).
-
-    ``tree(depth)`` is a sampler rng -> LimitTree of the limit tree at that
-    depth (a forest sampler for the branching tree);
-    ``pool(c, depth, M, rng, c_sampler=None, b_sampler=None)`` draws M root
-    ranks, generalized when (C, B) samplers are given; ``meta`` holds the
-    law's fields for the pool sidecar.
-    """
-    _require(LIMIT_MODELS.get(str(sampler)) == model["name"], "limit.sampler",
-             f"the {model['name']} model has no sampler {sampler!r} (dcm: fixed_point "
-             "or gw, ctbp: ctbp, dpa: polya; irg is generate-only)")
-    if model["name"] == "dcm":
-        law = model["law"]
-        fn = limits_mod.gw_root_rank_pool if sampler == "gw" else limits_mod.solve_fixed_point_mc
-        return (partial(limits_mod.GwTreeSampler, law), partial(fn, law),
-                {"law": law.entries})
-    if model["name"] == "ctbp":
-        theta = model["theta"]
-        alpha = limits_mod.malthusian(theta)
-        meta = {"alpha_star": alpha}
-
-        def tree(depth):
-            return lambda rng: _sample_ctbp_retry(theta, alpha, rng)
-    else:
-        params = limits_mod.PolyaParams(m=model["m"], delta=model["delta"])
-        meta = {}
-
-        def tree(depth):
-            return lambda rng: limits_mod.sample_polya_limit(params, depth, rng)
-
-    def pool(c, depth, M, rng, c_sampler=None, b_sampler=None):
-        draw = tree(depth)
-        vals = np.empty(M)
-        for i in range(M):
-            t = draw(rng)
-            if c_sampler is None:
-                vals[i] = limits_mod.root_pagerank(t, c)
-            else:
-                t = limits_mod.attach_generalized_weights(t, c_sampler, b_sampler, rng)
-                vals[i] = limits_mod.root_pagerank_generalized(t)
-        return vals
-    return tree, pool, meta
-
-
-def _sample_ctbp_retry(theta, alpha, rng, attempts=10):
-    for _ in range(attempts):
-        try:
-            return limits_mod.sample_ctbp_limit(theta, alpha, rng)
-        except ResourceError:
-            continue
-    raise ResourceError("limit population kept exceeding the node cap")
-
-
 def limit_pool(cfg, rng):
     """Pool of limit root-rank samples plus metadata for the sidecar."""
     lim = cfg["limit"]
     c = cfg["pagerank"]["params"].c
     genspec = cfg["pagerank"].get("generalized") or {}
-    _, pool, law_meta = limit_law(lim["sampler"], cfg["model"])
     meta = {"sampler": lim["sampler"], "M": lim["M"], "depth": lim["depth"], "c": c,
-            "generalized": bool(genspec), **law_meta}
-    return pool(c, lim["depth"], lim["M"], rng, c_sampler=genspec.get("c_sampler"),
-                b_sampler=genspec.get("b_sampler")), meta
+            "generalized": bool(genspec), **lim["law"].meta}
+    return lim["law"].pool(c, lim["depth"], lim["M"], rng, **genspec), meta
 
 
 def _jsonable(obj):
@@ -394,12 +335,11 @@ def run_experiment(config_path, output_dir, threads=None):
         if not genspec:
             t0 = time.perf_counter()
             crng = gen.RngStream(seed, STREAM_LIMITS).substream(1).generator()
-            tree, _, _ = limit_law(cfg["limit"]["sampler"], cfg["model"])
             record["timings"]["census_limit"] = {}
             for k in cfg["comparison"]["census_depths"]:
                 stage = f"limit-census-k{k}"
                 t1 = time.perf_counter()
-                lc = census_limit(tree(k), k, cfg["limit"]["M"], crng)
+                lc = census_limit(cfg["limit"]["law"], k, cfg["limit"]["M"], crng)
                 record["timings"]["census_limit"][str(k)] = time.perf_counter() - t1
                 limit_censuses[k] = lc
                 write_census_csv(lc, out / f"limit_census_{k}.csv")
@@ -571,21 +511,21 @@ def _cmd_census(args):
 
 def _cmd_limit_sample(args):
     rng = gen.RngStream(args.seed, args.stream).generator()
-    model = _model_from_args(args, LIMIT_MODELS[args.sampler])
-    tree, pool, law_meta = limit_law(args.sampler, model)
+    model = _model_from_args(args, limits_mod.LIMIT_LAWS[args.sampler][0])
+    law = limits_mod.limit_law(args.sampler, model)
     if args.mode == "tree":
-        limits_mod.write_tree_edgelist(tree(args.depth)(rng), args.output)
+        limits_mod.write_tree_edgelist(law.tree(args.depth, rng), args.output)
     elif args.mode == "pool":
-        limits_mod.write_pool_csv(pool(args.c, args.depth, args.M, rng), args.output)
+        limits_mod.write_pool_csv(law.pool(args.c, args.depth, args.M, rng), args.output)
         # the model's parameters, with the law's own fields (bi-degree law
         # entries, Malthusian rate) in place of the parsed law object
         meta = {"sampler": args.sampler, "M": args.M, "depth": args.depth,
-                "seed": args.seed, "c": args.c, **model, **law_meta}
+                "seed": args.seed, "c": args.c, **model, **law.meta}
         del meta["name"]
         _dump_json(meta, str(args.output) + ".meta.json")
     else:
         k = args.k if args.k is not None else args.depth
-        write_census_csv(census_limit(tree(k), k, args.M, rng), args.output)
+        write_census_csv(census_limit(law, k, args.M, rng), args.output)
     print(f"wrote {args.output}")
     return EXIT_OK
 
@@ -684,8 +624,7 @@ def build_parser():
     p.set_defaults(fn=_cmd_census)
 
     p = sub.add_parser("limit-sample", help="sample a limiting object")
-    p.add_argument("--sampler", required=True,
-                   choices=["fixed-point", "gw", "ctbp", "polya"])
+    p.add_argument("--sampler", required=True, choices=list(limits_mod.LIMIT_LAWS))
     p.add_argument("--mode", choices=["pool", "census", "tree"], default="pool")
     p.add_argument("--M", type=int, required=True)
     p.add_argument("--depth", type=int, default=10)

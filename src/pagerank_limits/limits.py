@@ -12,14 +12,16 @@ identical to summing reversed-path weights, and its generalized form with
 per-node (C, B) replaces (c, 1 - c).  Two Monte Carlo routes produce pools
 of root-rank samples: direct independent tree sampling (vectorized level by
 level) and the endogenous backward pool recursion with resampling; they are
-deliberately distinct so each can check the other.
+deliberately distinct so each can check the other.  Each law is an object
+(:class:`GwLaw`, :class:`TreeLaw`) that :func:`limit_law` looks up by name.
 """
 
 from __future__ import annotations
 
 import copy
 import logging
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -31,7 +33,10 @@ from .graph import MarkedNeighborhood
 __all__ = [
     "LimitTree",
     "LimitForest",
-    "GwTreeSampler",
+    "GwLaw",
+    "TreeLaw",
+    "LIMIT_LAWS",
+    "limit_law",
     "PolyaParams",
     "malthusian",
     "sample_gw_limit",
@@ -373,20 +378,6 @@ def _gw_level_starts(l_star, p, width, depth):
             width = csum[np.minimum(hi, B)] - csum[np.minimum(lo, B)]
 
 
-@dataclass(frozen=True)
-class GwTreeSampler:
-    """Branching-tree limit at a fixed depth, one tree or a forest at a time."""
-
-    law: BiDegreeLaw
-    depth: int
-
-    def __call__(self, rng) -> LimitTree:
-        return sample_gw_limit(self.law, self.depth, rng)
-
-    def forest(self, M: int, rng) -> LimitForest:
-        return sample_gw_forest(self.law, self.depth, M, rng)
-
-
 def sample_ctbp_limit(rate_base: float, alpha_star: float, rng,
                       max_nodes: int = DEFAULT_CTBP_NODE_CAP) -> LimitTree:
     """Branching population restricted to an Exp(alpha_star) window.
@@ -495,12 +486,7 @@ def sample_polya_limit(p: PolyaParams, depth: int, rng,
 def _resolve_depth(t: LimitTree, N):
     if N is None:
         return t.truncation_depth if t.truncation_depth is not None else t.max_depth
-    if N < 0:
-        raise UsageError(f"depth must be >= 0, got {N}")
-    if t.truncation_depth is not None and N > t.truncation_depth:
-        raise UsageError(
-            f"tree truncated at depth {t.truncation_depth}, cannot evaluate depth {N}"
-        )
+    _check_depth(t.truncation_depth, N)
     return N
 
 
@@ -510,7 +496,7 @@ def root_pagerank(t: LimitTree, c: float, N: int | None = None) -> float:
         raise ConfigError(f"damping factor must be in (0,1), got {c}")
     N = _resolve_depth(t, N)
     vals = np.full(t.size, 1.0 - c)
-    _accumulate(t, vals, None, c, max_depth=N)
+    _fold(t, vals, np.full(t.size, c), N)
     return float(vals[0])
 
 
@@ -518,62 +504,50 @@ def root_pagerank_generalized(t: LimitTree, N: int | None = None) -> float:
     """Generalized root rank with per-node weights: R_v = B_v + sum (C_u/m_u) R_u."""
     if t.cvals is None or t.bvals is None:
         raise UsageError("tree carries no (C, B) weights; attach them first")
-    if t.cvals.size and not float(t.cvals.max()) < 1.0:  # NaN fails too
-        raise ConfigError(f"max node C must be < 1, got {float(t.cvals.max())}")
     N = _resolve_depth(t, N)
-    vals = t.bvals.astype(np.float64).copy()
-    _accumulate(t, vals, t.cvals, None, max_depth=N)
+    vals = t.bvals.astype(np.float64)
+    _fold(t, vals, np.asarray(t.cvals, dtype=np.float64), N)
     return float(vals[0])
 
 
-def _accumulate(t, vals, cvals, c, max_depth=None):
-    """Push child values into parents, deepest level first.
+def _fold(forest, vals, cvals, top: int):
+    """Push (C/mark) times each node's value into its parent's, in place,
+    from depth ``top`` up; deeper nodes are left out.
 
-    Relies on nodes being indexed parents-before-children (BFS order), which
-    every sampler in this module guarantees.
+    ``forest`` is a :class:`LimitForest`, or a :class:`LimitTree` as a
+    forest of one tree, with each tree's nodes in BFS order.  Each level is
+    pushed in descending node order, so a parent sums its children's terms
+    from the last child to the first: a forest folds bit for bit as each of
+    its trees alone.
     """
-    if t.size <= 1:
-        return
-    depths = t.node_depth
-    top = int(depths[-1])
-    horizon = top if max_depth is None else min(top, max_depth)
-    if horizon < 1:
-        return
-    if t.size <= 256:
-        parent, mark = t.parent, t.mark
-        for i in range(t.size - 1, 0, -1):
-            if depths[i] > horizon:
-                continue
-            co = (c if cvals is None else float(cvals[i])) / int(mark[i])
-            vals[int(parent[i])] += co * vals[i]
-        return
-    starts = np.searchsorted(depths, np.arange(horizon + 2))
-    for d in range(horizon, 0, -1):
-        idx = np.arange(starts[d], starts[d + 1])
-        if idx.size == 0:
-            continue
-        coef = (c if cvals is None else cvals[idx]) / t.mark[idx]
-        np.add.at(vals, t.parent[idx], coef * vals[idx])
+    if cvals.size and not float(cvals.max()) < 1.0:  # NaN fails too
+        raise ConfigError(f"max node C must be < 1, got {float(cvals.max())}")
+    order = np.argsort(forest.node_depth, kind="stable")
+    starts = np.searchsorted(forest.node_depth[order], np.arange(top + 2))
+    for d in range(top, 0, -1):
+        idx = order[starts[d]:starts[d + 1]][::-1]
+        np.add.at(vals, forest.parent[idx], cvals[idx] / forest.mark[idx] * vals[idx])
 
 
 def attach_generalized_weights(t: LimitTree, c_sampler, b_sampler, rng) -> LimitTree:
     """Return a copy of the tree with i.i.d. per-node (C, B) weights drawn."""
     cvals = np.asarray(c_sampler(rng, t.size), dtype=np.float64)
     bvals = np.asarray(b_sampler(rng, t.size), dtype=np.float64)
-    return LimitTree(
-        parent=t.parent, mark=t.mark, node_depth=t.node_depth,
-        truncation_depth=t.truncation_depth, position=t.position,
-        strength=t.strength, birth_time=t.birth_time, window=t.window,
-        cvals=cvals, bvals=bvals,
-    )
+    return replace(t, cvals=cvals, bvals=bvals)
 
 
 # ---------------------------------------------------------------------------
 # Monte Carlo pools of root-rank samples
 
 
-def _const_sampler(value):
-    return lambda rng, size: np.full(size, value)
+def _weight_samplers(c, c_sampler, b_sampler):
+    """The (C, B) samplers: constant c and 1 - c unless both are given."""
+    if c_sampler is None or b_sampler is None:
+        if c is None or not 0.0 < c < 1.0:
+            raise ConfigError("need damping c in (0,1) when samplers are not given")
+        c_sampler = c_sampler or (lambda rng, size: np.full(size, c))
+        b_sampler = b_sampler or (lambda rng, size: np.full(size, 1.0 - c))
+    return c_sampler, b_sampler
 
 
 def solve_fixed_point_mc(law: BiDegreeLaw, c: float | None, depth: int,
@@ -595,11 +569,7 @@ def solve_fixed_point_mc(law: BiDegreeLaw, c: float | None, depth: int,
         raise ConfigError(f"depth must be >= 0, got {depth}")
     if pool_size < 1:
         raise ConfigError(f"pool size must be >= 1, got {pool_size}")
-    if c_sampler is None or b_sampler is None:
-        if c is None or not 0.0 < c < 1.0:
-            raise ConfigError("need damping c in (0,1) when samplers are not given")
-        c_sampler = c_sampler or _const_sampler(c)
-        b_sampler = b_sampler or _const_sampler(1.0 - c)
+    c_sampler, b_sampler = _weight_samplers(c, c_sampler, b_sampler)
     M = pool_size
     if depth == 0:
         return np.asarray(b_sampler(rng, M), dtype=np.float64)
@@ -633,11 +603,7 @@ def gw_root_rank_pool(law: BiDegreeLaw, c: float | None, depth: int, M: int, rng
     """
     if depth < 0:
         raise ConfigError(f"depth must be >= 0, got {depth}")
-    if c_sampler is None or b_sampler is None:
-        if c is None or not 0.0 < c < 1.0:
-            raise ConfigError("need damping c in (0,1) when samplers are not given")
-        c_sampler = c_sampler or _const_sampler(c)
-        b_sampler = b_sampler or _const_sampler(1.0 - c)
+    c_sampler, b_sampler = _weight_samplers(c, c_sampler, b_sampler)
     _, l = law.sample(rng, M)
     vals = np.asarray(b_sampler(rng, M), dtype=np.float64)
     levels = [(None, None, vals)]
@@ -661,6 +627,111 @@ def gw_root_rank_pool(law: BiDegreeLaw, c: float | None, depth: int, M: int, rng
         coef = np.asarray(c_sampler(rng, lvl_vals.size), dtype=np.float64) / h
         np.add.at(levels[d - 1][2], parent_ptr, coef * lvl_vals)
     return levels[0][2]
+
+
+# ---------------------------------------------------------------------------
+# limit laws
+
+
+@dataclass(frozen=True)
+class GwLaw:
+    """Branching-tree limit of the configuration model; its pools come from
+    :func:`gw_root_rank_pool` when ``direct``, else :func:`solve_fixed_point_mc`."""
+
+    law: BiDegreeLaw
+    direct: bool = False
+
+    @property
+    def meta(self) -> dict:
+        return {"law": self.law.entries}
+
+    def tree(self, depth: int, rng) -> LimitTree:
+        return sample_gw_limit(self.law, depth, rng)
+
+    def forest(self, depth: int, M: int, rng) -> LimitForest:
+        return sample_gw_forest(self.law, depth, M, rng)
+
+    def pool(self, c, depth, M, rng, c_sampler=None, b_sampler=None) -> np.ndarray:
+        fn = gw_root_rank_pool if self.direct else solve_fixed_point_mc
+        return fn(self.law, c, depth, M, rng, c_sampler=c_sampler, b_sampler=b_sampler)
+
+
+# trees drawn together by census_limit or a TreeLaw pool, which bounds their memory
+_FOREST_TREES = 1 << 12
+
+
+@dataclass(frozen=True)
+class TreeLaw:
+    """A limit law drawn one tree at a time by ``tree(depth, rng) -> LimitTree``.
+
+    ``pool`` ranks whole trees, each with its (C, B) drawn right after it,
+    and folds them a block at a time, as per-tree :func:`root_pagerank` does.
+    """
+
+    tree: Callable[[int, np.random.Generator], LimitTree]
+    meta: dict = field(default_factory=dict)
+
+    def forest(self, depth: int, M: int, rng) -> LimitForest:
+        return LimitForest.of_trees((self.tree(depth, rng) for _ in range(M)), depth)
+
+    def pool(self, c, depth, M, rng, c_sampler=None, b_sampler=None) -> np.ndarray:
+        c_sampler, b_sampler = _weight_samplers(c, c_sampler, b_sampler)
+        vals = np.empty(M)
+        for first in range(0, M, _FOREST_TREES):
+            trees = [attach_generalized_weights(self.tree(depth, rng), c_sampler, b_sampler, rng)
+                     for _ in range(min(_FOREST_TREES, M - first))]
+            top = max(t.max_depth for t in trees)
+            ranks = np.concatenate([t.bvals for t in trees])
+            forest = LimitForest.of_trees(trees, top)
+            _fold(forest, ranks, np.concatenate([t.cvals for t in trees]), top)
+            vals[first:first + len(trees)] = ranks[forest.roots]
+        return vals
+
+    @classmethod
+    def ctbp(cls, rate_base: float) -> "TreeLaw":
+        """Branching population over an Exp(a*) window, a* the Malthusian rate.
+
+        Its trees are finite, so ``tree`` and ``pool`` ignore ``depth`` and
+        give whole trees; ``forest`` cuts them.  A draw that overruns the
+        node cap is redrawn, up to 10 attempts.
+        """
+        alpha = malthusian(rate_base)
+
+        def tree(depth, rng):
+            for _ in range(10):
+                try:
+                    return sample_ctbp_limit(rate_base, alpha, rng)
+                except ResourceError:
+                    pass
+            raise ResourceError("limit population kept exceeding the node cap")
+        return cls(tree, {"alpha_star": alpha})
+
+    @classmethod
+    def polya(cls, m: int, delta: float) -> "TreeLaw":
+        """Point tree limiting preferential attachment, truncated at ``depth``."""
+        params = PolyaParams(m=m, delta=delta)
+        return cls(lambda depth, rng: sample_polya_limit(params, depth, rng))
+
+
+# limit sampler name -> (the model whose local limit it samples, its law from
+# that model's parameters); a model's first sampler is its default
+LIMIT_LAWS = {
+    "fixed_point": ("dcm", lambda model: GwLaw(model["law"])),
+    "fixed-point": ("dcm", lambda model: GwLaw(model["law"])),
+    "gw": ("dcm", lambda model: GwLaw(model["law"], direct=True)),
+    "ctbp": ("ctbp", lambda model: TreeLaw.ctbp(model["theta"])),
+    "polya": ("dpa", lambda model: TreeLaw.polya(model["m"], model["delta"])),
+}
+
+
+def limit_law(sampler: str, model: dict):
+    """The law ``sampler`` names for ``model``: its ``name`` and parameters
+    (dcm: ``law``, a :class:`BiDegreeLaw`; ctbp: ``theta``; dpa: ``m``, ``delta``)."""
+    name, make = LIMIT_LAWS.get(str(sampler), (None, None))
+    if name != model["name"]:
+        raise ConfigError(f"the {model['name']} model has no sampler {sampler!r} (dcm: "
+                          "fixed_point or gw, ctbp: ctbp, dpa: polya; irg is generate-only)")
+    return make(model)
 
 
 # ---------------------------------------------------------------------------

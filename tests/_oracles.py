@@ -142,6 +142,18 @@ def tree_root_rank_enum_generalized(tree, N: int) -> float:
     return down(0, 0)
 
 
+def tree_root_rank_descending(tree, c=None) -> float:
+    """Root rank of the whole tree by one scalar push per node, last node
+    first: each parent sums its children's terms from the last child to
+    the first.  Standard with damping ``c``, else generalized from the
+    tree's (C, B)."""
+    vals = [1.0 - c] * tree.size if c is not None else [float(b) for b in tree.bvals]
+    for i in range(tree.size - 1, 0, -1):
+        co = (c if c is not None else float(tree.cvals[i])) / int(tree.mark[i])
+        vals[int(tree.parent[i])] += co * vals[i]
+    return vals[0]
+
+
 def exact_gw_mean(entries, c: Fraction, N: int) -> Fraction:
     """Exact mean of the depth-N root rank of the branching-tree limit.
 

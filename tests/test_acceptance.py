@@ -23,6 +23,7 @@ from pagerank_limits import (
     gen_dpa,
     gen_irg,
     gw_root_rank_pool,
+    limit_law,
     lower_bound_check,
     malthusian,
     pagerank_truncated,
@@ -42,7 +43,7 @@ from pagerank_limits.census import (
     ks_distance,
     tv_distance,
 )
-from pagerank_limits.limits import sample_gw_limit
+from pagerank_limits.limits import TreeLaw
 from pagerank_limits.pagerank import pull_matrix
 
 from conftest import record_criterion
@@ -237,7 +238,7 @@ def test_criterion_05_dcm_tail_convergence(dcm_tail_artifacts):
 
 def test_criterion_06_census_convergence():
     k, M = 2, 100_000
-    limit = census_limit(lambda r: sample_gw_limit(LAW_BAL, k, r), k, M,
+    limit = census_limit(limit_law("gw", {"name": "dcm", "law": LAW_BAL}), k, M,
                          RngStream(111, 1).generator())
     tv_final = []
     monotone = 0
@@ -301,8 +302,8 @@ def test_criterion_09_polya_self_consistency(dpa_graphs):
     g = dpa_graphs[(2, 1.0)]
     graph_census = census(g, 1)
     pp = PolyaParams(m=2, delta=1.0)
-    limit = census_limit(lambda r: sample_polya_limit(pp, 1, r), 1, 100_000,
-                         RngStream(113, 1).generator())
+    limit = census_limit(TreeLaw(lambda depth, r: sample_polya_limit(pp, 1, r)), 1,
+                         100_000, RngStream(113, 1).generator())
     tv = tv_distance(graph_census, limit)
     assert tv < 0.08, tv
     record_criterion(9, True, f"depth-1 census TV={tv:.4f} < 0.08 for (m,delta)=(2,1)")

@@ -32,9 +32,10 @@ from pagerank_limits.generators import (
 )
 from pagerank_limits.graph import build_graph
 from pagerank_limits.limits import (
-    GwTreeSampler,
+    GwLaw,
     LimitTree,
     PolyaParams,
+    TreeLaw,
     malthusian,
     sample_ctbp_limit,
     sample_gw_limit,
@@ -67,7 +68,8 @@ class TestCensus:
         assert top / c.total >= 0.9
         # the dominant class is the tree: root mark 2 with two mark-2 children
         rngl = RngStream(82).generator()
-        limit = census_limit(lambda r: sample_gw_limit(law, 1, r), 1, 10, rngl)
+        limit = census_limit(TreeLaw(lambda depth, r: sample_gw_limit(law, 1, r)), 1, 10,
+                             rngl)
         (tree_code,) = limit.counts.keys()
         assert c.counts[tree_code] == top
 
@@ -188,12 +190,12 @@ class TestComposedCodes:
 class TestCensusLimit:
     def test_path_law_single_class(self):
         law = BiDegreeLaw([(1, 1, 1.0)])
-        c = census_limit(lambda r: sample_gw_limit(law, 2, r), 2, 50,
+        c = census_limit(TreeLaw(lambda depth, r: sample_gw_limit(law, 2, r)), 2, 50,
                          RngStream(88).generator())
         assert len(c.counts) == 1 and c.total == 50
 
     def test_ctbp_depth_zero(self):
-        c = census_limit(lambda r: sample_ctbp_limit(1.0, 2.0, r), 0, 50,
+        c = census_limit(TreeLaw(lambda depth, r: sample_ctbp_limit(1.0, 2.0, r)), 0, 50,
                          RngStream(89).generator())
         assert len(c.counts) == 1
         assert list(c.counts.values()) == [50]
@@ -205,10 +207,12 @@ class TestCensusLimit:
         monkeypatch.setattr(census_module, "_FOREST_TREES", 700)
         law = BiDegreeLaw([(1, 1, 0.3), (2, 3, 0.4), (3, 1, 0.2), (4, 4, 0.1)])
         rf, rt, ro = (RngStream(seed).generator() for _ in range(3))
-        forest = census_limit(GwTreeSampler(law, k), k, 3000, rf)
-        per_tree = census_limit(lambda r: sample_gw_limit(law, k, r), k, 3000, rt)
+        forest = census_limit(GwLaw(law), k, 3000, rf)
+        per_tree = census_limit(TreeLaw(lambda depth, r: sample_gw_limit(law, k, r)), k,
+                                3000, rt)
         assert forest.counts == per_tree.counts
-        assert forest.counts == per_tree_census_limit(GwTreeSampler(law, k), k, 3000, ro)
+        assert forest.counts == per_tree_census_limit(lambda r: sample_gw_limit(law, k, r),
+                                                      k, 3000, ro)
         # the forest leaves the stream where the per-tree calls did
         assert rf.random() == rt.random() == ro.random()
 
@@ -219,14 +223,15 @@ class TestCensusLimit:
         samplers = [lambda r: sample_ctbp_limit(1.0, alpha, r),
                     lambda r: sample_polya_limit(pp, 3, r)]
         for i, sampler in enumerate(samplers):
-            got = census_limit(sampler, k, 1500, RngStream(132, i).generator())
+            got = census_limit(TreeLaw(lambda depth, r: sampler(r)), k, 1500,
+                               RngStream(132, i).generator())
             want = per_tree_census_limit(sampler, k, 1500, RngStream(132, i).generator())
             assert got.counts == want
 
     def test_depth_beyond_truncation_rejected(self):
         law = BiDegreeLaw([(1, 1, 1.0)])
         with pytest.raises(UsageError, match="truncated at depth 1"):
-            census_limit(lambda r: sample_gw_limit(law, 1, r), 2, 5,
+            census_limit(TreeLaw(lambda depth, r: sample_gw_limit(law, 1, r)), 2, 5,
                          RngStream(133).generator())
 
 
@@ -324,8 +329,8 @@ class TestRefinement:
         monkeypatch.setattr(census_module, "_refine", spy)
         rng = RngStream(140).generator()
         census(random_multigraph(rng, 300, 1.5), 2)
-        census_limit(GwTreeSampler(UNIFORM33, 2), 2, 300, rng)
-        census_limit(lambda r: sample_ctbp_limit(1.0, 2.0, r), 2, 300, rng)
+        census_limit(GwLaw(UNIFORM33), 2, 300, rng)
+        census_limit(TreeLaw(lambda depth, r: sample_ctbp_limit(1.0, 2.0, r)), 2, 300, rng)
         assert grouped == [True, True, True]
 
     def test_limit_tree_out_of_breadth_first_order_rejected(self):
@@ -333,7 +338,7 @@ class TestRefinement:
         tree = LimitTree(parent=np.array([-1, 0, 0, 2, 1]), mark=np.ones(5, dtype=np.int64),
                          node_depth=np.array([0, 1, 1, 2, 2]), truncation_depth=None)
         with pytest.raises(UsageError, match="breadth-first"):
-            census_limit(lambda r: tree, 2, 1, RngStream(141).generator())
+            census_limit(TreeLaw(lambda depth, r: tree), 2, 1, RngStream(141).generator())
 
 
 class TestTvDistance:

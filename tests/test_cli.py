@@ -6,6 +6,7 @@ import pytest
 
 from pagerank_limits import cli
 from pagerank_limits.errors import ConfigError, InvariantViolation
+from pagerank_limits.limits import LIMIT_LAWS, limit_law
 
 DCM_LAW = [[1, 2, 0.5], [2, 1, 0.5]]
 
@@ -258,7 +259,7 @@ class TestConfigValidation:
         from pagerank_limits.generators import RngStream
 
         model = {"name": "dcm", "law": cli._parse_law(DCM_LAW, "law")}
-        a, b = (cli.limit_law(s, model)[1](0.5, 4, 200, RngStream(1).generator())
+        a, b = (limit_law(s, model).pool(0.5, 4, 200, RngStream(1).generator())
                 for s in ("fixed_point", "fixed-point"))
         assert np.array_equal(a, b)
 
@@ -484,7 +485,9 @@ class TestRunExperiment:
         assert g.n >= 1 and "# mark 0 " in out.read_text()
 
 
+# limit-sample arguments per registered sampler name
 LIMIT_ARGS = {
+    "fixed_point": ["--law", json.dumps(DCM_LAW)],
     "fixed-point": ["--law", json.dumps(DCM_LAW)],
     "gw": ["--law", json.dumps(DCM_LAW)],
     "ctbp": ["--theta", "1.5"],
@@ -492,27 +495,32 @@ LIMIT_ARGS = {
 }
 
 
+def test_limit_args_cover_the_registry():
+    assert set(LIMIT_ARGS) == set(LIMIT_LAWS)
+
+
 def _library_law(sampler):
-    """(per-tree sampler at a depth, pool, sidecar fields) composed directly
-    from the library, independently of the CLI's dispatch."""
+    """(per-tree law, pool, sidecar fields) composed directly from the
+    library, independently of the law registry: every law is drawn one tree
+    at a time, and ctbp/polya pools rank one tree at a time."""
     from pagerank_limits import limits as lm
     from pagerank_limits.generators import BiDegreeLaw
 
     law = BiDegreeLaw([tuple(row) for row in DCM_LAW])
-    if sampler in ("fixed-point", "gw"):
-        fn = lm.solve_fixed_point_mc if sampler == "fixed-point" else lm.gw_root_rank_pool
-        return ((lambda depth: lambda r: lm.sample_gw_limit(law, depth, r)),
+    if sampler in ("fixed_point", "fixed-point", "gw"):
+        fn = lm.gw_root_rank_pool if sampler == "gw" else lm.solve_fixed_point_mc
+        return (lm.TreeLaw(lambda depth, r: lm.sample_gw_limit(law, depth, r)),
                 (lambda c, depth, M, r: fn(law, c, depth, M, r)),
                 {"law": DCM_LAW})
     if sampler == "ctbp":
         alpha = lm.malthusian(1.5)
-        return ((lambda depth: lambda r: lm.sample_ctbp_limit(1.5, alpha, r)),
+        return (lm.TreeLaw(lambda depth, r: lm.sample_ctbp_limit(1.5, alpha, r)),
                 (lambda c, depth, M, r: np.array(
                     [lm.root_pagerank(lm.sample_ctbp_limit(1.5, alpha, r), c)
                      for _ in range(M)])),
                 {"theta": 1.5, "alpha_star": alpha})
     p = lm.PolyaParams(m=2, delta=1.0)
-    return ((lambda depth: lambda r: lm.sample_polya_limit(p, depth, r)),
+    return (lm.TreeLaw(lambda depth, r: lm.sample_polya_limit(p, depth, r)),
             (lambda c, depth, M, r: np.array(
                 [lm.root_pagerank(lm.sample_polya_limit(p, depth, r), c, depth)
                  for _ in range(M)])),
@@ -523,8 +531,24 @@ class TestLimitLawOutputs:
     """Every limit-sample mode and the run pipeline's limit files equal the
     library composition on the limits stream."""
 
+    def _pool_bytes(self, tmp_path, name, sampler, depth):
+        out = tmp_path / name
+        assert cli.main(["limit-sample", "--sampler", sampler, "--M", "300",
+                         "--depth", str(depth), "--c", "0.6", "--seed", "9",
+                         "--output", str(out), *LIMIT_ARGS[sampler]]) == 0
+        return out.read_bytes()
+
+    def test_fixed_point_spellings_write_alike(self, tmp_path):
+        assert (self._pool_bytes(tmp_path, "a", "fixed_point", 4)
+                == self._pool_bytes(tmp_path, "b", "fixed-point", 4))
+
+    def test_ctbp_pool_ignores_depth(self, tmp_path):
+        # finite trees are ranked whole, whatever the depth
+        assert (self._pool_bytes(tmp_path, "a", "ctbp", 1)
+                == self._pool_bytes(tmp_path, "b", "ctbp", 6))
+
     @pytest.mark.parametrize("mode", ["pool", "census", "tree"])
-    @pytest.mark.parametrize("sampler", ["fixed-point", "gw", "ctbp", "polya"])
+    @pytest.mark.parametrize("sampler", list(LIMIT_LAWS))
     def test_limit_sample_matches_library(self, tmp_path, sampler, mode):
         from pagerank_limits.census import census_limit, write_census_csv
         from pagerank_limits.generators import RngStream
@@ -536,12 +560,12 @@ class TestLimitLawOutputs:
                          "--M", str(M), "--depth", str(depth), "--k", "2",
                          "--c", str(c), "--seed", str(seed), "--output", str(out),
                          *LIMIT_ARGS[sampler]]) == 0
-        tree, pool, fields = _library_law(sampler)
+        law, pool, fields = _library_law(sampler)
         rng = RngStream(seed, cli.STREAM_LIMITS).generator()
         if mode == "tree":
-            write_tree_edgelist(tree(depth)(rng), want)
+            write_tree_edgelist(law.tree(depth, rng), want)
         elif mode == "census":
-            write_census_csv(census_limit(tree(2), 2, M, rng), want)
+            write_census_csv(census_limit(law, 2, M, rng), want)
         else:
             write_pool_csv(pool(c, depth, M, rng), want)
             meta = json.loads((tmp_path / "out.meta.json").read_text())
@@ -571,14 +595,13 @@ class TestLimitLawOutputs:
         assert code == 0
         out = tmp_path / "out"
 
-        tree, pool, fields = _library_law(sampler)
+        law, pool, fields = _library_law(sampler)
         rng = RngStream(seed, cli.STREAM_LIMITS).generator()
         if generalized:
             cs = cli.make_sampler(spec["c_law"], "c_law")
             bs = cli.make_sampler(spec["b_law"], "b_law")
-            draw = tree(depth)
             values = np.array([lm.root_pagerank_generalized(
-                lm.attach_generalized_weights(draw(rng), cs, bs, rng))
+                lm.attach_generalized_weights(law.tree(depth, rng), cs, bs, rng))
                 for _ in range(M)])
         else:
             values = pool(c, depth, M, rng)
@@ -598,7 +621,7 @@ class TestLimitLawOutputs:
         assert limit_files == ["limit_census_1.csv", "limit_census_2.csv"]
         crng = RngStream(seed, cli.STREAM_LIMITS).substream(1).generator()
         for k in (1, 2):
-            write_census_csv(census_limit(tree(k), k, M, crng), tmp_path / f"want_{k}.csv")
+            write_census_csv(census_limit(law, k, M, crng), tmp_path / f"want_{k}.csv")
             assert (out / f"limit_census_{k}.csv").read_bytes() == \
                 (tmp_path / f"want_{k}.csv").read_bytes()
 

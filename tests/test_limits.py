@@ -13,6 +13,7 @@ from pagerank_limits.limits import (
     LimitForest,
     LimitTree,
     PolyaParams,
+    TreeLaw,
     attach_generalized_weights,
     gw_root_rank_pool,
     malthusian,
@@ -31,6 +32,7 @@ from pagerank_limits.limits import (
 from _oracles import (
     exact_gw_mean,
     gw_tree_starts_walk,
+    tree_root_rank_descending,
     tree_root_rank_enum,
     tree_root_rank_enum_generalized,
 )
@@ -297,6 +299,71 @@ class TestGeneralizedRank:
         t = sample_gw_limit(UNIFORM33, 1, RngStream(57).generator())
         with pytest.raises(UsageError):
             root_pagerank_generalized(t, 1)
+
+
+class TestFold:
+    """TreeLaw pools fold a block of trees at once, bit for bit as each tree
+    alone, and each tree in descending node order."""
+
+    POLYA = PolyaParams(m=2, delta=1.0)
+    C_LAW = staticmethod(lambda r, s: r.uniform(0.0, 0.85, s))
+    B_LAW = staticmethod(lambda r, s: r.exponential(0.15, s))
+
+    def _polya_trees(self, depth, M, seed, weights=False):
+        rng = RngStream(seed).generator()
+        trees = []
+        for _ in range(M):
+            t = sample_polya_limit(self.POLYA, depth, rng)
+            trees.append(attach_generalized_weights(t, self.C_LAW, self.B_LAW, rng)
+                         if weights else t)
+        return trees
+
+    def test_polya_block_matches_per_tree(self):
+        trees = self._polya_trees(9, 300, 150)
+        assert max(t.size for t in trees) > 256
+        want = [root_pagerank(t, 0.85) for t in trees]
+        got = TreeLaw.polya(2, 1.0).pool(0.85, 9, 300, RngStream(150).generator())
+        assert got.tolist() == want
+        assert want == [tree_root_rank_descending(t, 0.85) for t in trees]
+
+    def test_polya_generalized_block_matches_per_tree(self):
+        trees = self._polya_trees(9, 300, 151, weights=True)
+        assert max(t.size for t in trees) > 256
+        want = [root_pagerank_generalized(t) for t in trees]
+        got = TreeLaw.polya(2, 1.0).pool(0.85, 9, 300, RngStream(151).generator(),
+                                         c_sampler=self.C_LAW, b_sampler=self.B_LAW)
+        assert got.tolist() == want
+        assert want == [tree_root_rank_descending(t) for t in trees]
+
+    def test_depth_zero(self):
+        trees = self._polya_trees(0, 50, 152)
+        got = TreeLaw.polya(2, 1.0).pool(0.85, 0, 50, RngStream(152).generator())
+        assert got.tolist() == [root_pagerank(t, 0.85) for t in trees]
+        assert np.all(got == 1.0 - 0.85)
+
+    def test_one_node_tree(self):
+        one = LimitTree(parent=np.array([-1]), mark=np.array([3]),
+                        node_depth=np.array([0]), truncation_depth=None)
+        law = TreeLaw(lambda depth, r: one)
+        assert law.pool(0.3, 4, 5, RngStream(153).generator()).tolist() == \
+            [root_pagerank(one, 0.3)] * 5
+        got = law.pool(0.3, 4, 5, RngStream(154).generator(),
+                       c_sampler=self.C_LAW, b_sampler=self.B_LAW)
+        rng = RngStream(154).generator()
+        want = [root_pagerank_generalized(
+            attach_generalized_weights(one, self.C_LAW, self.B_LAW, rng)) for _ in range(5)]
+        assert got.tolist() == want
+
+    @pytest.mark.parametrize("value", [1.0, np.nan])
+    def test_pool_rejects_c_at_least_one(self, value):
+        with pytest.raises(ConfigError, match="max node C must be < 1"):
+            TreeLaw.polya(2, 1.0).pool(0.5, 3, 50, RngStream(155).generator(),
+                                       c_sampler=lambda r, s: np.full(s, value),
+                                       b_sampler=self.B_LAW)
+
+    def test_pool_rejects_bad_damping(self):
+        with pytest.raises(ConfigError, match="need damping c in"):
+            TreeLaw.ctbp(1.0).pool(1.0, 3, 5, RngStream(156).generator())
 
 
 class TestCtbpLimit:

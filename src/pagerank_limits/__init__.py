@@ -66,7 +66,6 @@ from .pagerank import (
     PageRankVector,
     lower_bound_check,
     pagerank_truncated,
-    solve_generalized,
     solve_pagerank,
     truncation_gap,
 )

@@ -8,14 +8,16 @@ integers as ASCII digit matrices, floats as exactly the bytes of their
 digits come from the Schubfach method (R. Giulietti, "The Schubfach way to
 render doubles", 2020) in uint64 array arithmetic; ``test_textio.py``'s
 ``test_floats_match_repr_*`` tests pin the bytes to ``repr``.  Edge lists
-are parsed by a byte scan and float CSVs by ``np.loadtxt``, so every format
-is defined here once.
+are parsed by a byte scan and float CSVs by ``np.loadtxt``.  JSON sidecars
+and records go through :func:`write_json`, so every format is defined here
+once.
 """
 
 from __future__ import annotations
 
 import functools
 import io
+import json
 import re
 import warnings
 
@@ -330,6 +332,26 @@ def write_table(path, header: str, columns) -> None:
     with open(path, "wb") as fh:
         fh.write(header.encode("utf-8") + b"\n")
         _write_rows(fh, columns, b",")
+
+
+def _jsonable(obj):
+    if isinstance(obj, dict):
+        return {str(k): _jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_jsonable(v) for v in obj]
+    if isinstance(obj, np.generic):
+        return obj.item()
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    return obj
+
+
+def write_json(path, obj) -> None:
+    """Write a JSON document (sidecars, configs, records): keys sorted, two-space
+    indent, a final newline; numpy scalars and arrays as their Python values."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(_jsonable(obj), fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 # ---------------------------------------------------------------------------

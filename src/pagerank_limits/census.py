@@ -19,7 +19,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from ._textio import read_table, write_table
-from .errors import SizeError, UsageError
+from .errors import InputError, SizeError, UsageError
 from .graph import (
     _INT64_MAX,
     DEFAULT_CODE_NODE_LIMIT,
@@ -363,10 +363,9 @@ def tv_distance(a: NeighborhoodCensus, b: NeighborhoodCensus) -> float:
 
 @dataclass
 class TailSample:
-    """Sorted nonnegative values with a provenance tag."""
+    """Sorted nonnegative values."""
 
     values: np.ndarray
-    tag: str = ""
 
     def __post_init__(self):
         self.values = np.sort(np.asarray(self.values, dtype=np.float64))
@@ -433,14 +432,29 @@ def read_tail_csv(path):
 
 
 def read_census_csv(path, depth: int) -> NeighborhoodCensus:
+    """Read :func:`write_census_csv`'s format; a bad row raises
+    ``InputError("<path>: line L: ...")``."""
     counts = Counter()
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline()
         if header.strip() != "code_hex,count":
             raise UsageError(f"{path}: expected 'code_hex,count' header")
-        for line in fh:
+        for lineno, line in enumerate(fh, start=2):
             line = line.strip()
-            if line:
-                hexcode, cnt = line.split(",")
-                counts[bytes.fromhex(hexcode)] = int(cnt)
+            if not line:
+                continue
+            fields = line.split(",")
+            if len(fields) != 2:
+                raise InputError(f"{path}: line {lineno}: expected 2 fields, got {len(fields)}")
+            hexcode, cnt = fields
+            try:
+                code = bytes.fromhex(hexcode)
+            except ValueError:
+                raise InputError(f"{path}: line {lineno}: bad hex code {hexcode!r}") from None
+            if not (cnt.isascii() and cnt.isdigit() and int(cnt) >= 1):
+                raise InputError(f"{path}: line {lineno}: count must be an integer >= 1, "
+                                 f"got {cnt!r}")
+            if code in counts:
+                raise InputError(f"{path}: line {lineno}: repeated code {hexcode}")
+            counts[code] = int(cnt)
     return NeighborhoodCensus(depth=depth, counts=counts, total=sum(counts.values()))

@@ -26,6 +26,7 @@ import numpy as np
 from . import generators as gen
 from . import limits as limits_mod
 from . import pagerank as pr
+from ._textio import write_json
 from .census import (
     TailSample,
     ccdf,
@@ -285,24 +286,6 @@ def limit_pool(cfg, rng):
     return lim["law"].pool(c, lim["depth"], lim["M"], rng, **genspec), meta
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.generic):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    return obj
-
-
-def _dump_json(obj, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(_jsonable(obj), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def run_experiment(config_path, output_dir, threads=None):
     """Full pipeline; returns (record, exit_code)."""
     cfg = load_config(config_path)
@@ -310,7 +293,7 @@ def run_experiment(config_path, output_dir, threads=None):
         cfg["threads"] = threads
     out = Path(output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    _dump_json(cfg["_raw"], out / "config.json")
+    write_json(out / "config.json", cfg["_raw"])
 
     record = {"config": cfg["_raw"], "per_size": [], "timings": {}, "status": "OK",
               "failures": []}
@@ -324,26 +307,25 @@ def run_experiment(config_path, output_dir, threads=None):
         pool, pool_meta = limit_pool(cfg, gen.RngStream(seed, STREAM_LIMITS).generator())
         limits_mod.write_pool_csv(pool, out / "limit_pool.csv")
         pool_meta["seed"] = seed
-        _dump_json(pool_meta, out / "limit_pool.meta.json")
+        write_json(out / "limit_pool.meta.json", pool_meta)
         record["timings"]["limit_pool"] = time.perf_counter() - t0
-        pool_tail = TailSample(pool, tag="limit")
+        pool_tail = TailSample(pool)
         if cfg["comparison"]["thresholds"]:
             write_tail_csv(pool_tail, cfg["comparison"]["thresholds"],
                            out / "limit_tails.csv")
 
         limit_censuses = {}
-        if not genspec:
-            t0 = time.perf_counter()
-            crng = gen.RngStream(seed, STREAM_LIMITS).substream(1).generator()
-            record["timings"]["census_limit"] = {}
-            for k in cfg["comparison"]["census_depths"]:
-                stage = f"limit-census-k{k}"
-                t1 = time.perf_counter()
-                lc = census_limit(cfg["limit"]["law"], k, cfg["limit"]["M"], crng)
-                record["timings"]["census_limit"][str(k)] = time.perf_counter() - t1
-                limit_censuses[k] = lc
-                write_census_csv(lc, out / f"limit_census_{k}.csv")
-            record["timings"]["limit_census"] = time.perf_counter() - t0
+        t0 = time.perf_counter()
+        crng = gen.RngStream(seed, STREAM_LIMITS).substream(1).generator()
+        record["timings"]["census_limit"] = {}
+        for k in cfg["comparison"]["census_depths"]:
+            stage = f"limit-census-k{k}"
+            t1 = time.perf_counter()
+            lc = census_limit(cfg["limit"]["law"], k, cfg["limit"]["M"], crng)
+            record["timings"]["census_limit"][str(k)] = time.perf_counter() - t1
+            limit_censuses[k] = lc
+            write_census_csv(lc, out / f"limit_census_{k}.csv")
+        record["timings"]["limit_census"] = time.perf_counter() - t0
 
         for i, n in enumerate(cfg["sizes"]):
             stage = f"size-{n}"
@@ -352,18 +334,16 @@ def run_experiment(config_path, output_dir, threads=None):
             grng = gen.RngStream(seed, STREAM_GRAPH).substream(i).generator()
             g, gmeta = generate_model(cfg["model"], n, grng)
             write_edgelist(g, out / f"graph_{n}.txt")
-            _dump_json({**gmeta, "seed": seed}, out / f"graph_{n}.meta.json")
+            write_json(out / f"graph_{n}.meta.json", {**gmeta, "seed": seed})
             entry["graph"] = gmeta
 
+            weights = params
             if genspec:
                 wrng = gen.RngStream(seed, STREAM_GRAPH).substream(i).substream(1).generator()
                 weights = pr.GeneralizedWeights(
-                    C=genspec["c_sampler"](wrng, n), B=genspec["b_sampler"](wrng, n))
-                exact = pr.solve_generalized(g, weights, tol=params.tol,
-                                             max_iter=params.max_iter, with_order=N)
-            else:
-                weights = params
-                exact = pr.solve_pagerank(g, params, with_order=N)
+                    C=genspec["c_sampler"](wrng, n), B=genspec["b_sampler"](wrng, n),
+                    tol=params.tol, max_iter=params.max_iter)
+            exact = pr.solve_pagerank(g, weights, with_order=N)
             entry["mean_gap"], entry["gap_bound"] = _checked(
                 g, weights, exact, [exact.truncated], f" at n={n}")
             entry.update(gap_ok=True, mass_ok=True, lower_bound_ok=True)
@@ -373,7 +353,7 @@ def run_experiment(config_path, output_dir, threads=None):
             entry["sum_R_over_n"] = float(exact.values.sum()) / n
             pr.write_scores_csv(exact, out / f"scores_{n}.csv")
 
-            graph_tail = TailSample(exact.values, tag=f"graph-{n}")
+            graph_tail = TailSample(exact.values)
             entry["ks_to_limit"] = ks_distance(graph_tail, pool_tail)
             thresholds = cfg["comparison"]["thresholds"]
             if thresholds:
@@ -381,19 +361,17 @@ def run_experiment(config_path, output_dir, threads=None):
                 entry["ccdf"] = dict(zip(map(str, thresholds),
                                          ccdf(graph_tail, thresholds).tolist()))
 
-            if not genspec:
-                entry["census_tv"] = {}
-                entry["census_paths"] = {}
-                census_s = {}
-                record["timings"].setdefault("census", {})[str(n)] = census_s
-                for k in cfg["comparison"]["census_depths"]:
-                    t1 = time.perf_counter()
-                    cen = census(g, k, workers=cfg["threads"])
-                    census_s[str(k)] = time.perf_counter() - t1
-                    write_census_csv(cen, out / f"census_{n}_{k}.csv")
-                    entry["census_paths"][str(k)] = cen.paths
-                    entry["census_tv"][str(k)] = tv_distance(
-                        cen, limit_censuses[k])
+            entry["census_tv"] = {}
+            entry["census_paths"] = {}
+            census_s = {}
+            record["timings"].setdefault("census", {})[str(n)] = census_s
+            for k in cfg["comparison"]["census_depths"]:
+                t1 = time.perf_counter()
+                cen = census(g, k, workers=cfg["threads"])
+                census_s[str(k)] = time.perf_counter() - t1
+                write_census_csv(cen, out / f"census_{n}_{k}.csv")
+                entry["census_paths"][str(k)] = cen.paths
+                entry["census_tv"][str(k)] = tv_distance(cen, limit_censuses[k])
 
             top_k = max(2, int(np.sqrt(n)))
             entry["hill_pagerank"] = _try_hill(exact.values, top_k)
@@ -403,11 +381,11 @@ def run_experiment(config_path, output_dir, threads=None):
     except PagerankLimitsError as e:
         record["status"] = "FAILED"
         record["failures"].append({"stage": stage, "error": str(e)})
-        _dump_json(record, out / "record.json")
+        write_json(out / "record.json", record)
         return record, (EXIT_INVARIANT if isinstance(e, InvariantViolation)
                         else EXIT_OPERATIONAL)
 
-    _dump_json(record, out / "record.json")
+    write_json(out / "record.json", record)
     return record, EXIT_OK
 
 
@@ -439,7 +417,7 @@ def _cmd_generate(args):
     output = args.output or f"{args.model}_{args.n}.txt"
     write_edgelist(g, output)
     meta.update({"seed": args.seed, "stream": args.stream})
-    _dump_json(meta, str(output) + ".meta.json")
+    write_json(str(output) + ".meta.json", meta)
     print(f"wrote {output} ({meta['edges']} edges)")
     return EXIT_OK
 
@@ -487,11 +465,8 @@ def _cmd_pagerank(args):
             raise ConfigError("generalized solve needs both --c-values and --b-values")
         params = pr.GeneralizedWeights(
             C=_values_file(args.c_values, "--c-values"),
-            B=_values_file(args.b_values, "--b-values"))
-        exact = pr.solve_generalized(g, params, tol=args.tol, max_iter=args.max_iter,
-                                     with_order=args.N)
-    else:
-        exact = pr.solve_pagerank(g, params, with_order=args.N)
+            B=_values_file(args.b_values, "--b-values"), tol=args.tol, max_iter=args.max_iter)
+    exact = pr.solve_pagerank(g, params, with_order=args.N)
     vec = exact if args.N is None else exact.truncated
     gap = _checked(g, params, exact, [] if args.N is None else [vec])
     pr.write_scores_csv(vec, args.output, gap=gap)
@@ -522,7 +497,7 @@ def _cmd_limit_sample(args):
         meta = {"sampler": args.sampler, "M": args.M, "depth": args.depth,
                 "seed": args.seed, "c": args.c, **model, **law.meta}
         del meta["name"]
-        _dump_json(meta, str(args.output) + ".meta.json")
+        write_json(str(args.output) + ".meta.json", meta)
     else:
         k = args.k if args.k is not None else args.depth
         write_census_csv(census_limit(law, k, args.M, rng), args.output)
@@ -534,8 +509,8 @@ def _load_tails(path):
     with open(path, "r", encoding="utf-8", errors="replace") as fh:
         header = fh.readline().strip()
     if header == "vertex,score":
-        return TailSample(pr.read_scores_csv(path), tag=str(path))
-    return TailSample(limits_mod.read_pool_csv(path), tag=str(path))
+        return TailSample(pr.read_scores_csv(path))
+    return TailSample(limits_mod.read_pool_csv(path))
 
 
 def _cmd_compare(args):

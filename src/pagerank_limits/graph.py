@@ -70,12 +70,8 @@ class DirectedMultigraph:
 
     @property
     def total_multiplicity(self) -> int:
+        """Total edge multiplicity (equals total out-degree and total in-degree)."""
         return int(self.mult.sum())
-
-    @property
-    def L(self) -> int:
-        """Total out-degree (equals total in-degree and edge multiplicity)."""
-        return int(self.d_out.sum())
 
     def out_slice(self, v):
         """(targets, multiplicities) of the out-edges of v."""

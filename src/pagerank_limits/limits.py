@@ -729,8 +729,12 @@ def limit_law(sampler: str, model: dict):
     (dcm: ``law``, a :class:`BiDegreeLaw`; ctbp: ``theta``; dpa: ``m``, ``delta``)."""
     name, make = LIMIT_LAWS.get(str(sampler), (None, None))
     if name != model["name"]:
-        raise ConfigError(f"the {model['name']} model has no sampler {sampler!r} (dcm: "
-                          "fixed_point or gw, ctbp: ctbp, dpa: polya; irg is generate-only)")
+        by_model = {}
+        for s, (m, _) in LIMIT_LAWS.items():
+            by_model.setdefault(m, []).append(s)
+        known = ", ".join(f"{m}: {' or '.join(names)}" for m, names in by_model.items())
+        raise ConfigError(f"the {model['name']} model has no sampler {sampler!r} "
+                          f"({known}; any other model is generate-only)")
     return make(model)
 
 

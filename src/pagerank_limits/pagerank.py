@@ -2,12 +2,14 @@
 
 All solvers run the synchronous Jacobi (pull) iteration
 
-    R <- c * P @ R + (1 - c),        P[i, j] = e_{j,i} / d_out_j,
+    R <- C P R + B,        P[i, j] = e_{j,i} / d_out_j,
 
-so that N iterations from the all-(1-c) vector equal the weighted sum over
-directed paths of length at most N ending at each vertex, exactly.  Vertices
-with out-degree zero absorb score and forward none, which keeps the mean
-score at most 1.  The exact solve starts from the same vector, so its
+with per-vertex damping C_j and offsets B_i from :class:`GeneralizedWeights`,
+or C = c and B = 1 - c from :class:`PageRankParams`; every entry point takes
+either.  N iterations from R = B equal the weighted sum over directed paths
+of length at most N ending at each vertex, exactly.  Vertices with
+out-degree zero absorb score and forward none, which keeps the standard
+mean score at most 1.  The exact solve starts from the same vector, so its
 iterate N is R^(N): one pass yields both, and every variant runs the one
 kernel, :class:`_OrderedSystem`.
 
@@ -20,7 +22,6 @@ bit those of the vertex-order recurrence.
 
 from __future__ import annotations
 
-import json
 from collections import deque
 from dataclasses import dataclass
 from itertools import islice
@@ -28,7 +29,7 @@ from itertools import islice
 import numpy as np
 import scipy.sparse as sp
 
-from ._textio import read_table, write_table
+from ._textio import read_table, write_json, write_table
 from .errors import ConfigError, ConvergenceError, InvariantViolation
 from .graph import DirectedMultigraph
 
@@ -40,7 +41,6 @@ __all__ = [
     "pagerank_truncated",
     "truncation_sweep",
     "truncation_gap",
-    "solve_generalized",
     "solve_and_sweep",
     "generalized_mass_ok",
     "lower_bound_check",
@@ -90,11 +90,14 @@ class GeneralizedWeights:
 
     By convention the B population mean is 1 - c_max, which keeps the
     generalized scores on the same scale as standard PageRank; the convention
-    is not enforced.
+    is not enforced.  ``tol`` and ``max_iter`` are the stopping rule, as in
+    :class:`PageRankParams`.
     """
 
     C: np.ndarray
     B: np.ndarray
+    tol: float = 1e-12
+    max_iter: int = 10_000
 
     def __post_init__(self):
         self.C = np.asarray(self.C, dtype=np.float64)
@@ -109,6 +112,7 @@ class GeneralizedWeights:
             raise ConfigError(f"max C must be < 1, got {float(self.C.max())}")
         if self.B.size and (self.B < 0).any():
             raise ConfigError("B entries must be nonnegative")
+        _check_stopping(self.tol, self.max_iter)
 
     @property
     def c_max(self) -> float:
@@ -174,17 +178,17 @@ class _OrderedSystem:
             r = self.mat @ r
             r += self.offset
 
-    def solve(self, desc, tol, max_iter, order=None):
-        """Iterate until the sup-norm step is below tol, keeping R^(order) on the way.
+    def solve(self, params, order=None):
+        """The fixed point, iterated until the sup-norm step is below
+        ``params.tol``, with R^(order) of the same pass as its ``truncated``.
 
-        Returns (R, iterations, residual, R^(order) or None), in vertex
-        order.  When ``order`` exceeds the iteration count the same
-        recurrence runs on to it.
+        When ``order`` exceeds the iteration count the same recurrence runs
+        on to it.
         """
         iterates = self.iterates()
         r = next(iterates)
         kept = r if order == 0 else None
-        for k in range(1, max_iter + 1):
+        for k in range(1, params.max_iter + 1):
             prev, r = r, next(iterates)
             if k == order:
                 kept = r
@@ -192,16 +196,22 @@ class _OrderedSystem:
             # mat-vec, unless that iterate is kept
             step = np.subtract(r, prev, out=None if prev is kept else prev)
             delta = float(np.abs(step, out=step).max()) if r.size else 0.0
-            if delta < tol:
+            if delta < params.tol:
                 if order is not None and order > k:
                     kept = _last(islice(iterates, order - k))
-                return (self.in_vertex_order(r), k, delta,
-                        None if kept is None else self.in_vertex_order(kept))
+                truncated = None if kept is None else PageRankVector(
+                    values=self.in_vertex_order(kept), order=order, params=params,
+                    iterations=order)
+                return PageRankVector(values=self.in_vertex_order(r), order="exact",
+                                      params=params, iterations=k, residual=delta,
+                                      truncated=truncated)
+        desc = (f"pagerank(c={params.c})" if isinstance(params, PageRankParams)
+                else f"generalized(c_max={params.c_max})")
         raise ConvergenceError(
-            f"{desc} iteration did not reach tol={tol} in {max_iter} steps "
+            f"{desc} iteration did not reach tol={params.tol} in {params.max_iter} steps "
             f"(last residual {delta:.3e})",
             residual=delta,
-            iterations=max_iter,
+            iterations=params.max_iter,
         )
 
     def sweep(self, N, params):
@@ -211,56 +221,54 @@ class _OrderedSystem:
                                  iterations=k)
 
 
-def _fixed_point(params, solved, order):
-    """The PageRankVector of a :meth:`_OrderedSystem.solve` result, R^(order)
-    attached."""
-    r, it, delta, kept = solved
-    truncated = None if kept is None else PageRankVector(
-        values=kept, order=order, params=params, iterations=order)
-    return PageRankVector(values=r, order="exact", params=params, iterations=it,
-                          residual=delta, truncated=truncated)
+def _system(g, params):
+    """The ordered system of :class:`PageRankParams` or :class:`GeneralizedWeights`:
+    c or C_j (per source j) folded into the pull matrix, 1 - c or B the offset.
+
+    C is folded in as C[src] * P, so constant C reproduces the standard
+    system bit for bit.
+    """
+    if isinstance(params, PageRankParams):
+        return _OrderedSystem(_pull_system(g, params.c), np.full(g.n, 1.0 - params.c))
+    if params.C.shape != (g.n,):
+        raise ConfigError(f"weights have length {params.C.size}, graph has {g.n} vertices")
+    return _OrderedSystem(_pull_system(g, params.C), params.B)
 
 
-def _standard_system(g, p):
-    return _OrderedSystem(_pull_system(g, p.c), np.full(g.n, 1.0 - p.c))
+def solve_pagerank(g: DirectedMultigraph, params, with_order: int | None = None
+                   ) -> PageRankVector:
+    """Unique fixed point of R_i = sum_j (C_j e_{j,i}/d_out_j) R_j + B_i.
 
-
-def _exact_pagerank(p, system, with_order):
-    solved = system.solve(f"pagerank(c={p.c})", p.tol, p.max_iter, with_order)
-    return _fixed_point(p, solved, with_order)
-
-
-def solve_pagerank(g: DirectedMultigraph, p: PageRankParams,
-                   with_order: int | None = None) -> PageRankVector:
-    """Unique fixed point of R_i = c sum_j (e_{j,i}/d_out_j) R_j + (1-c).
-
-    With ``with_order=N`` the result's ``truncated`` is R^(N), iterate N of
-    this same pass: bit for bit what :func:`pagerank_truncated` returns.
+    ``params`` is :class:`GeneralizedWeights`, or :class:`PageRankParams`
+    read as C = c, B = 1 - c; either carries the stopping rule.  With
+    ``with_order=N`` the result's ``truncated`` is R^(N), iterate N of this
+    same pass: bit for bit what :func:`pagerank_truncated` returns.
     """
     if with_order is not None:
         _check_order(with_order)
-    return _exact_pagerank(p, _standard_system(g, p), with_order)
+    return _system(g, params).solve(params, with_order)
 
 
-def solve_and_sweep(g: DirectedMultigraph, p: PageRankParams, N: int):
-    """``(solve_pagerank(g, p), truncation_sweep(g, p, N))`` on one pull system.
+def solve_and_sweep(g: DirectedMultigraph, params, N: int):
+    """``(solve_pagerank(g, params), truncation_sweep(g, params, N))`` on one
+    pull system.
 
     The sweep reruns the first N iterates of the solve one at a time, so a
     caller that keeps only the current one holds O(n) memory.
     """
     _check_order(N)
-    system = _standard_system(g, p)
-    return _exact_pagerank(p, system, None), system.sweep(N, p)
+    system = _system(g, params)
+    return system.solve(params), system.sweep(N, params)
 
 
-def truncation_sweep(g: DirectedMultigraph, p: PageRankParams, N: int):
+def truncation_sweep(g: DirectedMultigraph, params, N: int):
     """Iterator over R^(0), R^(1), ..., R^(N), one pull iteration apart.
 
     The pull system is built once, on the call; each step yields a new
     vector, so a caller that keeps only the current one holds O(n) memory.
     """
     _check_order(N)
-    return _standard_system(g, p).sweep(N, p)
+    return _system(g, params).sweep(N, params)
 
 
 def _check_order(N):
@@ -268,48 +276,14 @@ def _check_order(N):
         raise ConfigError(f"truncation order must be >= 0, got {N}")
 
 
-def _sweep(mat, offset, N, params):
-    """PageRankVectors of R^(0), ..., R^(N) of ``mat`` and ``offset``."""
-    return _OrderedSystem(mat, offset).sweep(N, params)
-
-
 def _last(items):
     return deque(items, maxlen=1)[0]
 
 
-def pagerank_truncated(g: DirectedMultigraph, p: PageRankParams, N: int) -> PageRankVector:
-    """Weighted sum over directed paths of length <= N, via N pull iterations."""
-    return _last(truncation_sweep(g, p, N))
-
-
-def solve_generalized(g: DirectedMultigraph, w: GeneralizedWeights,
-                      tol: float = 1e-12, max_iter: int = 10_000,
-                      order: int | None = None,
-                      with_order: int | None = None) -> PageRankVector:
-    """Fixed point of R_i = sum_j (C_j e_{j,i}/d_out_j) R_j + B_i.
-
-    With ``order=N`` runs exactly N iterations from R = B instead, the
-    generalized analogue of :func:`pagerank_truncated`.  With
-    ``with_order=N`` the fixed point's ``truncated`` is that same iterate,
-    taken from the solve's own pass.
-    """
-    if w.C.shape != (g.n,):
-        raise ConfigError(f"weights have length {w.C.size}, graph has {g.n} vertices")
-    if order is not None and with_order is not None:
-        raise ConfigError("order and with_order are exclusive")
-    for N in (order, with_order):
-        if N is not None:
-            _check_order(N)
-    if order is None:
-        _check_stopping(tol, max_iter)
-    # C folded in as C[src] * P, so constant C reproduces the standard
-    # solver bit for bit
-    mat = _pull_system(g, w.C)
-    if order is not None:
-        return _last(_sweep(mat, w.B, order, w))
-    solved = _OrderedSystem(mat, w.B).solve(f"generalized(c_max={w.c_max})", tol,
-                                            max_iter, with_order)
-    return _fixed_point(w, solved, with_order)
+def pagerank_truncated(g: DirectedMultigraph, params, N: int) -> PageRankVector:
+    """Weighted sum over directed paths of length <= N, via N pull iterations
+    from R = B."""
+    return _last(truncation_sweep(g, params, N))
 
 
 # ---------------------------------------------------------------------------
@@ -351,12 +325,6 @@ def _coefficients(g, params):
     return np.full(g.n, params.c), np.full(g.n, 1.0 - params.c)
 
 
-def _solve_any(g, params, with_order=None):
-    if isinstance(params, GeneralizedWeights):
-        return solve_generalized(g, params, with_order=with_order)
-    return solve_pagerank(g, params, with_order=with_order)
-
-
 def _mean(values):
     return float(values.mean()) if values.size else 0.0
 
@@ -379,11 +347,11 @@ def truncation_gap(g: DirectedMultigraph, params, N: int,
     """Mean of R - R^(N) and its bound, sum_{k>N} c_max^k mean(B); checks
     0 <= gap <= bound, which is c^(N+1) for standard params."""
     if exact is None:
-        exact = _solve_any(g, params, N if truncated is None else None)
+        exact = solve_pagerank(g, params, N if truncated is None else None)
     if truncated is None:
         truncated = exact.truncated
         if truncated is None or truncated.order != N:
-            truncated = _solve_any(g, params, N).truncated
+            truncated = solve_pagerank(g, params, N).truncated
     mean_gap = _mean(exact.values - truncated.values)
     if isinstance(params, PageRankParams):
         bound = params.c ** (N + 1)
@@ -420,7 +388,7 @@ def lower_bound_check(g: DirectedMultigraph, params,
     path sums.  Returns 1.0; any violation raises with the offending vertices.
     """
     if exact is None:
-        exact = _solve_any(g, params)
+        exact = solve_pagerank(g, params)
     C, B = _coefficients(g, params)
     # the rows of the pull system times B, added in the same (source) order
     bound = B + np.bincount(g.tgt, weights=g.mult / g.d_out[g.src] * (C * B)[g.src],
@@ -455,9 +423,7 @@ def write_scores_csv(vec: PageRankVector, path, gap=None) -> None:
     elif isinstance(vec.params, GeneralizedWeights):
         meta["c"] = None
         meta["c_max"] = vec.params.c_max
-    with open(str(path) + ".meta.json", "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(str(path) + ".meta.json", meta)
 
 
 def read_scores_csv(path) -> np.ndarray:

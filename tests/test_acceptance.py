@@ -32,7 +32,6 @@ from pagerank_limits import (
     sample_ctbp_limit,
     sample_polya_limit,
     solve_fixed_point_mc,
-    solve_generalized,
     solve_pagerank,
 )
 from pagerank_limits.census import (
@@ -114,7 +113,7 @@ def dcm_tail_artifacts():
     """Shared limit pool and per-seed DCM exact solves for criteria 5 and 11."""
     c, N, M = 0.5, 9, 100_000
     pool = solve_fixed_point_mc(LAW33, c, N, M, RngStream(107, 1).generator())
-    pool_tail = TailSample(pool, tag="limit")
+    pool_tail = TailSample(pool)
     per_seed = {}
     params = PageRankParams(c=c)
     for seed in SEEDS:
@@ -326,11 +325,11 @@ def test_criterion_11_generalized(model_instances, small_graph_corpus,
         for c in (0.5, 0.85):
             params = PageRankParams(c=c)
             w = GeneralizedWeights(C=np.full(g.n, c), B=np.full(g.n, 1 - c))
-            exact_gen = solve_generalized(g, w)
+            exact_gen = solve_pagerank(g, w)
             assert np.array_equal(exact_gen.values, solve_pagerank(g, params).values)
             gen_mean = float(exact_gen.values.mean())
             for N in (0, 5, 20):
-                trunc_gen = solve_generalized(g, w, order=N)
+                trunc_gen = pagerank_truncated(g, w, N)
                 assert np.array_equal(
                     trunc_gen.values, pagerank_truncated(g, params, N).values)
                 gap = gen_mean - float(trunc_gen.values.mean())
@@ -338,7 +337,7 @@ def test_criterion_11_generalized(model_instances, small_graph_corpus,
 
     for g, c, N in small_graph_corpus[:50]:
         w = GeneralizedWeights(C=np.full(g.n, c), B=np.full(g.n, 1 - c))
-        assert np.array_equal(solve_generalized(g, w).values,
+        assert np.array_equal(solve_pagerank(g, w).values,
                               solve_pagerank(g, PageRankParams(c=c)).values)
 
     c = dcm_tail_artifacts["c"]
@@ -352,7 +351,7 @@ def test_criterion_11_generalized(model_instances, small_graph_corpus,
 
     n_big, g_big, exact_big = dcm_tail_artifacts["per_seed"][0][-1]
     w = GeneralizedWeights(C=np.full(n_big, c), B=np.full(n_big, 1 - c))
-    assert np.array_equal(solve_generalized(g_big, w).values, exact_big.values)
+    assert np.array_equal(solve_pagerank(g_big, w).values, exact_big.values)
     const_pool = solve_fixed_point_mc(LAW33, None, N, 100_000,
                                       RngStream(115, 2).generator(),
                                       c_sampler=const_c, b_sampler=const_b)
@@ -367,7 +366,7 @@ def test_criterion_11_generalized(model_instances, small_graph_corpus,
     g = gen_dcm(sample_bidegree_sequence(LAW33, n, rng), rng)
     wrng = RngStream(116, 0).substream(1).generator()
     weights = GeneralizedWeights(C=c_sampler(wrng, n), B=b_sampler(wrng, n))
-    graph_side = solve_generalized(g, weights)
+    graph_side = solve_pagerank(g, weights)
     pool = solve_fixed_point_mc(LAW33, None, 25, M, RngStream(116, 1).generator(),
                                 c_sampler=c_sampler, b_sampler=b_sampler)
     ks_rand = ks_distance(TailSample(graph_side.values), TailSample(pool))

@@ -21,7 +21,7 @@ from pagerank_limits.census import (
     write_census_csv,
 )
 from _oracles import per_root_census, per_tree_census_limit, rank_rows_lexsort, refine_lexsort
-from pagerank_limits.errors import SizeError, UsageError
+from pagerank_limits.errors import InputError, SizeError, UsageError
 from pagerank_limits.generators import (
     BiDegreeLaw,
     PamParams,
@@ -453,6 +453,23 @@ class TestCensusCsv:
         back = read_census_csv(tmp_path / "census.csv", depth=1)
         assert back.counts == c.counts and back.total == c.total
         assert tv_distance(back, c) == 0.0
+
+    @pytest.mark.parametrize("row,message", [
+        ("zz,1", "bad hex code 'zz'"),
+        ("0a", "expected 2 fields, got 1"),
+        ("0a,1,2", "expected 2 fields, got 3"),
+        ("0a,-3", "count must be an integer >= 1, got '-3'"),
+        ("0a,0", "count must be an integer >= 1, got '0'"),
+        ("0a,1.5", "count must be an integer >= 1, got '1.5'"),
+        ("0a,", "count must be an integer >= 1, got ''"),
+        ("0b,2", "repeated code 0b"),
+    ])
+    def test_bad_rows_rejected_with_their_line(self, tmp_path, row, message):
+        path = tmp_path / "census.csv"
+        path.write_text(f"code_hex,count\n0b,5\n\n{row}\n")
+        with pytest.raises(InputError) as err:
+            read_census_csv(path, depth=1)
+        assert str(err.value) == f"{path}: line 4: {message}"
 
     def test_tail_csv_roundtrip(self, tmp_path):
         from pagerank_limits.census import read_tail_csv, write_tail_csv

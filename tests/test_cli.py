@@ -112,6 +112,19 @@ class TestSubcommands:
             assert rc == 1
             assert capsys.readouterr().err.startswith(f"error: {bad}: line {line}: ")
 
+    @pytest.mark.parametrize("row", ["zz,1", "0a,-3", "0b,2"])
+    def test_compare_malformed_census_named(self, tmp_path, capsys, row):
+        good = tmp_path / "good.csv"
+        good.write_text("code_hex,count\n0a,3\n0b,5\n")
+        bad = tmp_path / "bad.csv"
+        bad.write_text(f"code_hex,count\n0b,5\n{row}\n")
+        for argv in (["--census-a", bad, "--census-b", good],
+                     ["--census-a", good, "--census-b", bad]):
+            rc = cli.main(["compare", *map(str, argv)])
+            assert rc == 1
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {bad}: line 3: ") and err.count("\n") == 1
+
     def test_limit_sample_census_mode(self, tmp_path):
         out = tmp_path / "lc.csv"
         rc = cli.main(["limit-sample", "--sampler", "gw", "--mode", "census",
@@ -371,6 +384,26 @@ class TestRunExperiment:
         entry = record["per_size"][0]
         assert entry["gap_ok"] and 0.0 <= entry["ks_to_limit"] <= 1.0
 
+    def test_generalized_run_writes_the_standard_censuses(self, tmp_path):
+        # censuses do not depend on (C, B), so they are the standard run's
+        comparison = {"census_depths": [1, 2]}
+        write_config(tmp_path / "std.json", sizes=[300], comparison=comparison)
+        write_config(tmp_path / "gen.json", sizes=[300], comparison=comparison, pagerank={
+            "c": 0.5, "N": 8, "tol": 1e-12,
+            "generalized": {"c_law": {"dist": "uniform", "low": 0.0, "high": 0.5},
+                            "b_law": {"dist": "exponential", "mean": 0.5}}})
+        std, code_std = cli.run_experiment(tmp_path / "std.json", tmp_path / "std")
+        gen, code_gen = cli.run_experiment(tmp_path / "gen.json", tmp_path / "gen")
+        assert code_std == code_gen == 0
+        names = sorted(p.name for p in (tmp_path / "gen").glob("*census_*.csv"))
+        assert names == ["census_300_1.csv", "census_300_2.csv",
+                         "limit_census_1.csv", "limit_census_2.csv"]
+        for name in names:
+            assert (tmp_path / "gen" / name).read_bytes() == \
+                (tmp_path / "std" / name).read_bytes()
+        for key in ("census_tv", "census_paths"):
+            assert gen["per_size"][0][key] == std["per_size"][0][key]
+
     def test_generalized_run_checks_the_mass_identity(self, tmp_path, monkeypatch):
         cfg = tmp_path / "config.json"
         write_config(cfg, sizes=[400], pagerank={
@@ -380,7 +413,7 @@ class TestRunExperiment:
         }, limit={"sampler": "fixed_point", "M": 3000, "depth": 15})
         record, code = cli.run_experiment(cfg, tmp_path / "ok")
         assert code == 0 and record["per_size"][0]["mass_ok"] is True
-        solve = cli.pr.solve_generalized
+        solve = cli.pr.solve_pagerank
 
         def perturbed(*args, **kwargs):
             vec = solve(*args, **kwargs)
@@ -388,7 +421,7 @@ class TestRunExperiment:
             vec.values[3] += 1e-6
             return vec
 
-        monkeypatch.setattr(cli.pr, "solve_generalized", perturbed)
+        monkeypatch.setattr(cli.pr, "solve_pagerank", perturbed)
         record, code = cli.run_experiment(cfg, tmp_path / "bad")
         assert code == cli.EXIT_INVARIANT and record["status"] == "FAILED"
         assert record["failures"] == [
@@ -497,6 +530,14 @@ LIMIT_ARGS = {
 
 def test_limit_args_cover_the_registry():
     assert set(LIMIT_ARGS) == set(LIMIT_LAWS)
+
+
+def test_limit_law_error_lists_the_registry(monkeypatch):
+    monkeypatch.setitem(LIMIT_LAWS, "new_law", ("irg", lambda model: None))
+    with pytest.raises(ConfigError) as err:
+        limit_law("nope", {"name": "dcm"})
+    for sampler, (model, _) in LIMIT_LAWS.items():
+        assert f"{model}: " in str(err.value) and sampler in str(err.value)
 
 
 def _library_law(sampler):
@@ -615,9 +656,6 @@ class TestLimitLawOutputs:
             "generalized": generalized, "seed": seed, **law_fields}
 
         limit_files = sorted(p.name for p in out.glob("limit_census_*.csv"))
-        if generalized:
-            assert limit_files == []
-            return
         assert limit_files == ["limit_census_1.csv", "limit_census_2.csv"]
         crng = RngStream(seed, cli.STREAM_LIMITS).substream(1).generator()
         for k in (1, 2):
@@ -648,7 +686,7 @@ class TestInvariantChecks:
         cfg = tmp_path / "config.json"
         write_config(cfg, sizes=[400], pagerank=GENERALIZED,
                      limit={"sampler": "fixed_point", "M": 3000, "depth": 15})
-        solve = cli.pr.solve_generalized
+        solve = cli.pr.solve_pagerank
 
         def below_floor(g, w, **kwargs):
             vec = solve(g, w, **kwargs)
@@ -656,7 +694,7 @@ class TestInvariantChecks:
             vec.values[3] = np.nextafter(w.B[3], 0.0)
             return vec
 
-        monkeypatch.setattr(cli.pr, "solve_generalized", below_floor)
+        monkeypatch.setattr(cli.pr, "solve_pagerank", below_floor)
         record, code = cli.run_experiment(cfg, tmp_path / "out")
         assert code == cli.EXIT_INVARIANT and record["status"] == "FAILED"
         assert record["failures"] == [{"stage": "size-400", "error":
@@ -709,7 +747,7 @@ class TestInvariantChecks:
         w = cli.pr.GeneralizedWeights(C=np.loadtxt(tmp_path / "C.txt"),
                                       B=np.loadtxt(tmp_path / "B.txt"))
         graph = cli.read_edgelist(g)
-        want = cli.pr.solve_generalized(graph, w, order=4)
+        want = cli.pr.pagerank_truncated(graph, w, 4)
         assert np.array_equal(cli.pr.read_scores_csv(out), want.values)
         meta = json.loads((tmp_path / "s.csv.meta.json").read_text())
         assert meta["order"] == 4 and meta["c_max"] == w.c_max

@@ -26,7 +26,7 @@ def cycle3():
 class TestBuildGraph:
     def test_empty(self):
         g = build_graph([], 3)
-        assert g.n == 3 and g.L == 0
+        assert g.n == 3 and g.total_multiplicity == 0
         assert g.d_in.tolist() == [0, 0, 0]
         assert g.d_out.tolist() == [0, 0, 0]
 
@@ -34,7 +34,7 @@ class TestBuildGraph:
         g = cycle3()
         assert g.d_in.tolist() == [1, 1, 1]
         assert g.d_out.tolist() == [1, 1, 1]
-        assert g.L == 3
+        assert g.total_multiplicity == 3
 
     def test_multiplicity_accumulates(self):
         g = build_graph([(1, 0), (1, 0)], 2)

@@ -45,12 +45,8 @@ def cases(draw):
 
 def solve_and_iterates(g, params, extra):
     """The fixed point and R^(0), ..., R^(iterations + extra)."""
-    if isinstance(params, PageRankParams):
-        exact = pr.solve_pagerank(g, params)
-        return exact, pr.truncation_sweep(g, params, exact.iterations + extra)
-    exact = pr.solve_generalized(g, params)
-    mat = pr._pull_system(g, params.C)
-    return exact, pr._sweep(mat, params.B, exact.iterations + extra, params)
+    exact = pr.solve_pagerank(g, params)
+    return exact, pr.truncation_sweep(g, params, exact.iterations + extra)
 
 
 def errors(g, params, exact, truncated=()):

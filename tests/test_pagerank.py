@@ -18,7 +18,6 @@ from pagerank_limits.pagerank import (
     generalized_mass_ok,
     read_scores_csv,
     solve_and_sweep,
-    solve_generalized,
     solve_pagerank,
     truncation_gap,
     truncation_sweep,
@@ -211,28 +210,26 @@ class TestOnePass:
         for n in (1, 9, 300):
             g = random_graph(rng, n, dangling)
             w = GeneralizedWeights(C=rng.uniform(0, 0.85, n), B=rng.exponential(0.15, n))
-            exact = solve_generalized(g, w)
+            exact = solve_pagerank(g, w)
             for N in self.orders(exact.iterations):
-                both = solve_generalized(g, w, with_order=N)
+                both = solve_pagerank(g, w, with_order=N)
                 assert np.array_equal(both.values, exact.values)
                 assert (both.iterations, both.residual) == (exact.iterations, exact.residual)
                 assert both.truncated.order == N
                 assert np.array_equal(both.truncated.values,
-                                      solve_generalized(g, w, order=N).values)
+                                      pagerank_truncated(g, w, N).values)
 
     def test_without_order_nothing_is_kept(self):
         assert solve_pagerank(cycle3(), PageRankParams(c=0.5)).truncated is None
         w = GeneralizedWeights(C=np.full(3, 0.5), B=np.full(3, 0.5))
-        assert solve_generalized(cycle3(), w).truncated is None
+        assert solve_pagerank(cycle3(), w).truncated is None
 
     def test_bad_orders_rejected(self):
         w = GeneralizedWeights(C=np.full(3, 0.5), B=np.full(3, 0.5))
         with pytest.raises(ConfigError, match="order"):
             solve_pagerank(cycle3(), PageRankParams(c=0.5), with_order=-1)
         with pytest.raises(ConfigError, match="order"):
-            solve_generalized(cycle3(), w, with_order=-1)
-        with pytest.raises(ConfigError, match="exclusive"):
-            solve_generalized(cycle3(), w, order=2, with_order=2)
+            solve_pagerank(cycle3(), w, with_order=-1)
 
     def test_solve_and_sweep_equal_separate_calls(self):
         rng = RngStream(33).generator()
@@ -339,11 +336,19 @@ class TestOrderedKernel:
         mat = sp.csr_matrix((pull.data * w.C[pull.indices], pull.indices, pull.indptr),
                             shape=pull.shape)
         r, it, delta, iterates = vertex_order_run(mat, w.B, 1e-12, N)
-        got = solve_generalized(g, w, with_order=N)
+        got = solve_pagerank(g, w, with_order=N)
         assert np.array_equal(got.values, r)
         assert (got.iterations, got.residual) == (it, delta)
         assert np.array_equal(got.truncated.values, iterates[N])
-        assert np.array_equal(solve_generalized(g, w, order=N).values, iterates[N])
+        assert np.array_equal(pagerank_truncated(g, w, N).values, iterates[N])
+        exact, sweep = solve_and_sweep(g, w, N)
+        assert np.array_equal(exact.values, r)
+        assert (exact.iterations, exact.residual) == (it, delta)
+        for vecs in (sweep, truncation_sweep(g, w, N)):
+            vecs = list(vecs)
+            assert [v.order for v in vecs] == list(range(N + 1))
+            for v in vecs:
+                assert np.array_equal(v.values, iterates[v.order])
 
     @ORDERED
     @given(multigraphs())
@@ -368,7 +373,7 @@ class TestGeneralizedMass:
         for dangling in (True, False):
             g = random_graph(rng, 300, dangling)
             w = GeneralizedWeights(C=rng.uniform(0, 0.85, 300), B=rng.exponential(0.15, 300))
-            exact = solve_generalized(g, w)
+            exact = solve_pagerank(g, w)
             assert generalized_mass_ok(g, w, exact)
             linked = g.d_out > 0
             rhs = w.B.sum() + (w.C[linked] * exact.values[linked]).sum()
@@ -378,14 +383,14 @@ class TestGeneralizedMass:
         rng = RngStream(36).generator()
         g = random_graph(rng, 300, True)
         w = GeneralizedWeights(C=rng.uniform(0, 0.85, 300), B=rng.exponential(0.15, 300))
-        exact = solve_generalized(g, w)
+        exact = solve_pagerank(g, w)
         exact.values = exact.values.copy()
         exact.values[7] += 1e-6
         assert not generalized_mass_ok(g, w, exact)
 
     def test_empty_graph(self):
         w = GeneralizedWeights(C=np.zeros(0), B=np.zeros(0))
-        assert generalized_mass_ok(build_graph([], 0), w, solve_generalized(build_graph([], 0), w))
+        assert generalized_mass_ok(build_graph([], 0), w, solve_pagerank(build_graph([], 0), w))
 
 
 class TestTruncationGap:
@@ -454,19 +459,19 @@ class TestGeneralized:
             c = 0.6
             std = solve_pagerank(g, PageRankParams(c=c))
             w = GeneralizedWeights(C=np.full(g.n, c), B=np.full(g.n, 1 - c))
-            gen = solve_generalized(g, w)
+            gen = solve_pagerank(g, w)
             assert np.array_equal(std.values, gen.values)
 
     def test_zero_c_returns_b(self):
         g = cycle3()
         w = GeneralizedWeights(C=np.zeros(3), B=np.array([2.0, 3.0, 4.0]))
-        v = solve_generalized(g, w)
+        v = solve_pagerank(g, w)
         assert np.allclose(v.values, [2.0, 3.0, 4.0], atol=0)
 
     def test_two_cycle_exact(self):
         g = build_graph([(0, 1), (1, 0)], 2)
         w = GeneralizedWeights(C=np.array([0.5, 0.5]), B=np.array([1.0, 0.0]))
-        v = solve_generalized(g, w)
+        v = solve_pagerank(g, w)
         assert np.allclose(v.values, [4 / 3, 2 / 3], atol=1e-12)
 
     def test_matches_dense_oracle(self):
@@ -475,7 +480,7 @@ class TestGeneralized:
             g = random_small_graph(rng)
             C = rng.uniform(0, 0.85, g.n)
             B = rng.exponential(0.15, g.n)
-            v = solve_generalized(g, GeneralizedWeights(C=C, B=B))
+            v = solve_pagerank(g, GeneralizedWeights(C=C, B=B))
             assert np.abs(v.values - dense_generalized(g, C, B)).max() < 1e-10
 
     def test_multiplicity_counts(self):
@@ -483,8 +488,19 @@ class TestGeneralized:
         g = build_graph([(1, 0, 2), (1, 2)], 3)  # d_out_1 = 3
         C = np.array([0.0, 0.9, 0.0])
         B = np.array([1.0, 1.0, 1.0])
-        v = solve_generalized(g, GeneralizedWeights(C=C, B=B))
+        v = solve_pagerank(g, GeneralizedWeights(C=C, B=B))
         assert np.isclose(v.values[0], 1.0 + 2 * (0.9 / 3) * 1.0, atol=1e-12)
+
+    def test_weights_of_another_length_rejected(self):
+        w = GeneralizedWeights(C=np.full(2, 0.5), B=np.full(2, 0.5))
+        for solve in (solve_pagerank, lambda g, w: truncation_sweep(g, w, 2)):
+            with pytest.raises(ConfigError, match="weights have length 2, graph has 3"):
+                solve(cycle3(), w)
+
+    def test_convergence_error_names_the_weights(self):
+        w = GeneralizedWeights(C=np.full(3, 0.5), B=np.full(3, 0.5), max_iter=2)
+        with pytest.raises(ConvergenceError, match=r"generalized\(c_max=0.5\) iteration"):
+            solve_pagerank(cycle3(), w)
 
     def test_invalid_c(self):
         with pytest.raises(ConfigError, match="max C"):
@@ -495,16 +511,15 @@ class TestGeneralized:
         (float("nan"), 100, "tol"),
     ])
     def test_bad_stopping_rule_rejected(self, tol, max_iter, field):
-        w = GeneralizedWeights(C=np.full(3, 0.5), B=np.full(3, 0.5))
         with pytest.raises(ConfigError, match=field):
-            solve_generalized(cycle3(), w, tol=tol, max_iter=max_iter)
+            GeneralizedWeights(C=np.full(3, 0.5), B=np.full(3, 0.5), tol=tol, max_iter=max_iter)
 
     def test_truncated_order(self):
         g = cycle3()
         c = 0.5
         w = GeneralizedWeights(C=np.full(3, c), B=np.full(3, 1 - c))
         for N in range(4):
-            gen = solve_generalized(g, w, order=N)
+            gen = pagerank_truncated(g, w, N)
             std = pagerank_truncated(g, PageRankParams(c=c), N)
             assert np.array_equal(gen.values, std.values)
 

@@ -3,10 +3,10 @@
 A census maps canonical neighborhood codes at a fixed depth to counts, either
 over every vertex of a graph or over sampled roots; the same codes tally
 truncations of sampled limit trees, so graph and limit sides are directly
-comparable by total-variation distance.  Tree classes on both sides are found
-by level-wise color refinement, which composes their codes as it goes.  Tail
-samples carry sorted score or degree values for CCDF evaluation, two-sample
-Kolmogorov-Smirnov distance, and the Hill tail-index estimate.
+comparable by total-variation distance.  Tree roots of a graph are found from
+its in-edges alone, tree classes on both sides by level-wise color refinement,
+which composes their codes as it goes.  Tail samples carry sorted values for
+the CCDF, two-sample Kolmogorov-Smirnov distance and Hill tail-index estimate.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from ._textio import read_table, write_table
 from .errors import InputError, SizeError, UsageError
@@ -101,7 +100,11 @@ def census(g: DirectedMultigraph, k: int, sample_count: int | None = None,
         if not 1 <= sample_count <= g.n:
             raise UsageError(f"sample_count must be in [1, {g.n}]")
         roots = rng.choice(g.n, size=sample_count, replace=False)
-    tree = np.ones(roots.size, dtype=bool) if k == 0 else _tree_roots(g, k, roots)
+    # in (target, source) order, one edge per unit of multiplicity
+    mult = g.mult[g.in_order]
+    src = np.repeat(g.src[g.in_order], mult)
+    tgt = np.repeat(g.tgt[g.in_order], mult)
+    tree = np.ones(roots.size, dtype=bool) if k == 0 else _tree_roots(src, tgt, g.n, k, roots)
     exact = roots[~tree]
     if workers > 1 and exact.size > 4 * workers:
         chunks = np.array_split(exact, workers)
@@ -113,64 +116,61 @@ def census(g: DirectedMultigraph, k: int, sample_count: int | None = None,
         counts = _census_chunk(g, k, exact)
     batched = roots[tree]
     if batched.size:
-        # in (target, source) order, as _refine needs them grouped by target
-        mult = g.mult[g.in_order]
-        src = np.repeat(g.src[g.in_order], mult)
-        tgt = np.repeat(g.tgt[g.in_order], mult)
         counts += _tree_codes(g.d_out, src, tgt, k, batched)
     return NeighborhoodCensus(depth=k, counts=counts, total=int(roots.size),
                               paths={"batched": int(batched.size), "exact": int(exact.size)})
 
 
-def _walk_sums(g, k, start, cap):
-    """Per vertex v, the sum of ``start[u]`` over the walks u -> ... -> v of
-    length <= k (as often as edge multiplicities allow), saturated at ``cap``."""
-    w = np.minimum(start.astype(np.float64), cap)
-    total = w.copy()
-    for _ in range(k):
-        w = np.minimum(np.bincount(g.tgt, weights=g.mult * w[g.src], minlength=g.n), cap)
+def _walk_sums(src, tgt, n, k, cap):
+    """Per vertex v, the numbers of walks u -> ... -> v over the edges
+    src -> tgt of length <= k and of length <= k + 1, saturated at ``cap``."""
+    w = total = np.ones(n)
+    for _ in range(k + 1):
+        shorter = total
+        w = np.minimum(np.bincount(tgt, weights=w[src], minlength=n), cap)
         total = np.minimum(total + w, cap)
-    return total.astype(np.int64)
+    return shorter.astype(np.int64), total.astype(np.int64)
 
 
-# budget of sparse entries per root chunk when testing for tree neighborhoods
-_CHUNK_ENTRIES = 1 << 16
+def _in_edges(ptr, v):
+    """Back-to-back positions of the in-edges of the vertices ``v``, and their numbers."""
+    lo, lens = ptr[v], ptr[v + 1] - ptr[v]
+    ends = np.cumsum(lens)
+    return np.repeat(lo - (ends - lens), lens) + np.arange(lens.sum()), lens
 
 
-def _tree_roots(g, k, roots, limit=DEFAULT_CODE_NODE_LIMIT):
-    """Mask of roots whose depth-k neighborhood is a tree of <= limit nodes.
+# budget of walk keys per root chunk when testing for tree neighborhoods
+_CHUNK_KEYS = 1 << 16
 
-    The neighborhood is such a tree exactly when the root's in-walks of
-    length <= k (with multiplicity) end at distinct vertices, at most
-    ``limit`` of them, and the edges among those vertices carry total
-    multiplicity one less than their number.
+
+def _tree_roots(src, tgt, n, k, roots, limit=DEFAULT_CODE_NODE_LIMIT):
+    """Mask of roots whose depth-k neighborhood is a tree of <= limit nodes,
+    given edges ``src -> tgt`` grouped by target, one per unit of multiplicity:
+    the root's in-walks of length <= k end at distinct vertices, at most
+    ``limit``, and none of length k + 1 ends at one of them (any other edge
+    among them points into a depth-k vertex).  Walks run as keys
+    ``slot * n + v`` per chunk of roots; one sort finds repeated ends, one
+    ``searchsorted`` the closing walks.
     """
-    walks = _walk_sums(g, k, np.ones(g.n), limit + 1)[roots]
-    cand = np.nonzero(walks <= limit)[0]
+    walks, cost = _walk_sums(src, tgt, n, k, limit + _CHUNK_KEYS)
+    cand = np.flatnonzero(walks[roots] <= limit)
+    cost = cost[roots[cand]]  # the keys of a root's walks of length <= k + 1
+    ptr = np.concatenate(([0], np.cumsum(np.bincount(tgt, minlength=n))))
     mask = np.zeros(roots.size, dtype=bool)
-    if cand.size == 0:
-        return mask
-    n = g.n
-    a_in = sp.csr_matrix((g.mult[g.in_order], g.src[g.in_order], g.in_indptr), shape=(n, n))
-    a_out = sp.csr_matrix((g.mult, g.tgt, g.out_indptr), shape=(n, n))
-    # sparse entries a root's test touches: its walks plus their out-pairs
-    cost = walks[cand] + _walk_sums(g, k, np.diff(g.out_indptr), n)[roots[cand]]
-    bounds = np.searchsorted(np.cumsum(cost), np.arange(_CHUNK_ENTRIES, int(cost.sum()),
-                                                        _CHUNK_ENTRIES))
+    bounds = np.searchsorted(np.cumsum(cost), np.arange(_CHUNK_KEYS, int(cost.sum()),
+                                                        _CHUNK_KEYS))
     for part in np.split(cand, bounds):
-        if part.size == 0:
-            continue
-        r = roots[part]
-        front = sp.csr_matrix((np.ones(r.size, dtype=np.int64), r, np.arange(r.size + 1)),
-                              shape=(r.size, n))
-        reach = front
-        for _ in range(k):
-            front = front @ a_in
-            reach = reach + front
-        reach.data[:] = 1
-        distinct = np.diff(reach.indptr)
-        internal = np.asarray((reach @ a_out).multiply(reach).sum(axis=1)).ravel()
-        mask[part] = (distinct == walks[part]) & (internal == distinct - 1)
+        keys = np.arange(part.size) * n + roots[part]
+        levels = [keys]
+        for _ in range(k + 1):
+            edges, lens = _in_edges(ptr, keys % n)
+            keys = np.repeat(keys // n * n, lens) + src[edges]
+            levels.append(keys)
+        ball = np.sort(np.concatenate(levels[:-1]))
+        repeated = ball[1:][ball[1:] == ball[:-1]]
+        closing = keys[ball.take(np.searchsorted(ball, keys), mode="clip") == keys]
+        mask[part] = True
+        mask[part[np.concatenate((repeated, closing)) // n]] = False
     return mask
 
 
@@ -312,10 +312,8 @@ def _tree_codes(marks, src, tgt, k, roots):
         rep = np.empty(int(levels[j].max()) + 1, dtype=np.int64)
         rep[levels[j]] = np.arange(levels[j].size)
         v = rep[reached]
-        lo, lens = ptr[v], ptr[v + 1] - ptr[v]
+        edges, lens = _in_edges(ptr, v)
         ends = np.cumsum(lens)
-        # the representatives' in-edges, back to back
-        edges = np.repeat(lo - (ends - lens), lens) + np.arange(lens.sum())
         kids = levels[j - 1][src[edges]]
         steps.append((reached, marks[v], ends, kids))
         reached = np.unique(kids)

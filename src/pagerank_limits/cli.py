@@ -459,13 +459,14 @@ def _load_inline_json(text):
 
 def _cmd_pagerank(args):
     g = read_edgelist(args.graph)
-    params = pr.PageRankParams(c=args.c, tol=args.tol, max_iter=args.max_iter)
     if args.c_values or args.b_values:
         if not (args.c_values and args.b_values):
             raise ConfigError("generalized solve needs both --c-values and --b-values")
         params = pr.GeneralizedWeights(
             C=_values_file(args.c_values, "--c-values"),
             B=_values_file(args.b_values, "--b-values"), tol=args.tol, max_iter=args.max_iter)
+    else:
+        params = pr.PageRankParams(c=args.c, tol=args.tol, max_iter=args.max_iter)
     exact = pr.solve_pagerank(g, params, with_order=args.N)
     vec = exact if args.N is None else exact.truncated
     gap = _checked(g, params, exact, [] if args.N is None else [vec])

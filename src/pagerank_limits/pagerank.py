@@ -230,9 +230,8 @@ def _system(g, params):
     """
     if isinstance(params, PageRankParams):
         return _OrderedSystem(_pull_system(g, params.c), np.full(g.n, 1.0 - params.c))
-    if params.C.shape != (g.n,):
-        raise ConfigError(f"weights have length {params.C.size}, graph has {g.n} vertices")
-    return _OrderedSystem(_pull_system(g, params.C), params.B)
+    C, B = _coefficients(g, params)
+    return _OrderedSystem(_pull_system(g, C), B)
 
 
 def solve_pagerank(g: DirectedMultigraph, params, with_order: int | None = None
@@ -319,8 +318,11 @@ def _outcome(check, *args):
 
 
 def _coefficients(g, params):
-    """Per-vertex (C, B): the generalized weights, or C = c and B = 1 - c."""
+    """Per-vertex (C, B): the generalized weights, which must have one entry
+    per vertex, or C = c and B = 1 - c."""
     if isinstance(params, GeneralizedWeights):
+        if params.C.shape != (g.n,):
+            raise ConfigError(f"weights have length {params.C.size}, graph has {g.n} vertices")
         return params.C, params.B
     return np.full(g.n, params.c), np.full(g.n, 1.0 - params.c)
 
@@ -351,7 +353,7 @@ def truncation_gap(g: DirectedMultigraph, params, N: int,
     if truncated is None:
         truncated = exact.truncated
         if truncated is None or truncated.order != N:
-            truncated = solve_pagerank(g, params, N).truncated
+            truncated = pagerank_truncated(g, params, N)
     mean_gap = _mean(exact.values - truncated.values)
     if isinstance(params, PageRankParams):
         bound = params.c ** (N + 1)

@@ -30,7 +30,7 @@ from pagerank_limits.generators import (
     gen_dpa,
     sample_bidegree_sequence,
 )
-from pagerank_limits.graph import build_graph
+from pagerank_limits.graph import TREE_PREFIX, build_graph, canonical_code, explore_neighborhood
 from pagerank_limits.limits import (
     GwLaw,
     LimitTree,
@@ -255,6 +255,29 @@ def small_multigraphs(draw):
     edges = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
                                     st.integers(1, 3)), max_size=3 * n))
     return build_graph(edges, n)
+
+
+class TestTreeSplit:
+    """Exactly the roots with a tree code take the batched path.  Counts alone
+    would not show a tree root sent to the exact path, which codes it alike."""
+
+    @staticmethod
+    def tree_roots(g, k):
+        return sum(canonical_code(explore_neighborhood(g, v, k)).startswith(TREE_PREFIX)
+                   for v in range(g.n))
+
+    @settings(max_examples=100, deadline=None)
+    @given(small_multigraphs())
+    def test_batched_roots_are_the_tree_coded_ones(self, g):
+        for k in range(4):
+            assert census(g, k).paths["batched"] == self.tree_roots(g, k)
+
+    def test_random_multigraph_families(self):
+        rng = RngStream(124).generator()
+        for n, mean_out in [(1, 1.0), (7, 2.0), (60, 0.7), (300, 1.0), (300, 2.5)]:
+            g = random_multigraph(rng, n, mean_out)
+            for k in range(4):
+                assert census(g, k).paths["batched"] == self.tree_roots(g, k)
 
 
 class TestRefinement:

@@ -207,6 +207,22 @@ class TestSubcommands:
                                               cli.pr.PageRankParams(c=0.5), N)
         assert np.array_equal(cli.pr.read_scores_csv(out), truncated.values)
 
+    def test_generalized_pagerank_ignores_the_damping_flag(self, tmp_path):
+        # --c is unused by a (C, B) solve, so an invalid value does not stop it
+        rng = np.random.default_rng(4)
+        g = tmp_path / "g.txt"
+        cli.main(["generate", "--model", "dcm", "--law", json.dumps(DCM_LAW),
+                  "--n", "200", "--seed", "6", "--output", str(g)])
+        np.savetxt(tmp_path / "C.txt", rng.uniform(0.0, 0.8, 200))
+        np.savetxt(tmp_path / "B.txt", rng.exponential(0.2, 200))
+        weights = ["--c-values", str(tmp_path / "C.txt"), "--b-values", str(tmp_path / "B.txt")]
+        for c in ("1.5", "0.85"):
+            assert cli.main(["pagerank", "--graph", str(g), "--c", c, *weights,
+                             "--output", str(tmp_path / f"s{c}.csv")]) == 0
+        for suffix in ("", ".meta.json"):
+            assert ((tmp_path / f"s1.5.csv{suffix}").read_bytes()
+                    == (tmp_path / f"s0.85.csv{suffix}").read_bytes())
+
     def test_missing_graph_is_operational_error(self, capsys):
         rc = cli.main(["pagerank", "--graph", "/nonexistent/g.txt", "--c", "0.5"])
         assert rc == 1

@@ -11,6 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from pagerank_limits import pagerank as pr
+from pagerank_limits.errors import ConfigError
 from pagerank_limits.graph import build_graph
 from pagerank_limits.pagerank import (
     GeneralizedWeights,
@@ -148,3 +149,14 @@ class TestCheckInvariants:
         for N in range(6):
             gap, bound = pr.truncation_gap(g, w, N)
             assert gap == pytest.approx(bound, rel=1e-9)
+
+    @pytest.mark.parametrize("length", [1, 4])
+    def test_weights_of_another_length_rejected_like_the_solve(self, length):
+        g = build_graph([(0, 1), (1, 2), (2, 0)], 3)
+        exact = pr.solve_pagerank(g, GeneralizedWeights(C=np.full(3, 0.5), B=np.full(3, 0.5)))
+        w = GeneralizedWeights(C=np.full(length, 0.5), B=np.full(length, 0.5))
+        message = f"weights have length {length}, graph has 3 vertices"
+        with pytest.raises(ConfigError, match=message):
+            pr.solve_pagerank(g, w)
+        with pytest.raises(ConfigError, match=message):
+            list(check_invariants(g, w, exact))

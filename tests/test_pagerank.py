@@ -415,6 +415,20 @@ class TestTruncationGap:
         with pytest.raises(InvariantViolation):
             truncation_gap(cycle3(), p, 5, truncated=fake)
 
+    def test_exact_without_truncated_takes_iterates_not_a_solve(self, monkeypatch):
+        def no_solve(*args):
+            raise AssertionError("truncation_gap ran a second solve")
+
+        rng = RngStream(36).generator()
+        g = random_graph(rng, 200, True)
+        for p in (PageRankParams(c=0.85),
+                  GeneralizedWeights(C=rng.uniform(0.0, 0.8, 200), B=rng.exponential(0.2, 200))):
+            exact = solve_pagerank(g, p)
+            want = truncation_gap(g, p, 6, exact, pagerank_truncated(g, p, 6))
+            with monkeypatch.context() as m:
+                m.setattr(pr._OrderedSystem, "solve", no_solve)
+                assert truncation_gap(g, p, 6, exact) == want
+
 
 class TestGapBoundEverywhere:
     def test_bound_on_every_random_instance(self):

@@ -47,12 +47,10 @@ from .limits import (
     LimitForest,
     LimitTree,
     PolyaParams,
-    attach_generalized_weights,
     gw_root_rank_pool,
     limit_law,
     malthusian,
     root_pagerank,
-    root_pagerank_generalized,
     sample_ctbp_limit,
     sample_gw_forest,
     sample_gw_limit,

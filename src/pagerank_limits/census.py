@@ -350,6 +350,8 @@ def census_limit(law, k: int, M: int, rng) -> NeighborhoodCensus:
 
 def tv_distance(a: NeighborhoodCensus, b: NeighborhoodCensus) -> float:
     """Half the L1 distance between class frequencies."""
+    if a.total == 0 or b.total == 0:
+        raise UsageError("TV distance needs nonempty censuses")
     if a.depth != b.depth:
         raise UsageError(f"census depths differ: {a.depth} vs {b.depth}")
     fa = a.frequencies()

@@ -21,7 +21,7 @@ from __future__ import annotations
 import copy
 import logging
 from collections.abc import Callable
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -29,6 +29,7 @@ from ._textio import read_table, write_edges, write_table
 from .errors import ConfigError, ResourceError, UsageError
 from .generators import BiDegreeLaw
 from .graph import MarkedNeighborhood
+from .pagerank import GeneralizedWeights, PageRankParams
 
 __all__ = [
     "LimitTree",
@@ -44,8 +45,6 @@ __all__ = [
     "sample_ctbp_limit",
     "sample_polya_limit",
     "root_pagerank",
-    "root_pagerank_generalized",
-    "attach_generalized_weights",
     "solve_fixed_point_mc",
     "gw_root_rank_pool",
     "tree_neighborhood",
@@ -69,7 +68,7 @@ class LimitTree:
     which sampling was cut off, or None for a fully sampled finite tree.
     Optional per-node columns carry model-specific data: positions and
     strengths for the point-tree law, birth times (plus the window ``T``)
-    for branching populations, (C, B) weights for generalized ranks.
+    for branching populations.
     """
 
     parent: np.ndarray
@@ -80,8 +79,6 @@ class LimitTree:
     strength: np.ndarray | None = None
     birth_time: np.ndarray | None = None
     window: float | None = None
-    cvals: np.ndarray | None = None
-    bvals: np.ndarray | None = None
 
     @property
     def size(self) -> int:
@@ -490,27 +487,26 @@ def _resolve_depth(t: LimitTree, N):
     return N
 
 
-def root_pagerank(t: LimitTree, c: float, N: int | None = None) -> float:
-    """Truncated root rank: reversed-path weights prod c/mark up to length N."""
-    if not 0.0 < c < 1.0:
-        raise ConfigError(f"damping factor must be in (0,1), got {c}")
-    N = _resolve_depth(t, N)
-    vals = np.full(t.size, 1.0 - c)
-    _fold(t, vals, np.full(t.size, c), N)
+def root_pagerank(t: LimitTree, c, N: int | None = None) -> float:
+    """Truncated root rank R_v = B_v + sum_children (C_u / mark_u) R_u, the
+    reversed-path weights up to length N.
+
+    ``c`` is the damping factor, read as C = c, B = 1 - c at every node, or
+    :class:`~pagerank_limits.pagerank.GeneralizedWeights` with one (C, B)
+    entry per tree node.
+    """
+    if isinstance(c, GeneralizedWeights):
+        if c.C.size != t.size:
+            raise ConfigError(f"tree has {t.size} nodes but the weights have {c.C.size}")
+        vals, C = c.B.copy(), c.C  # _fold adds into vals
+    else:
+        c = PageRankParams(c=c).c
+        vals, C = np.full(t.size, 1.0 - c), np.full(t.size, c)
+    _fold(t, vals, C, _resolve_depth(t, N))
     return float(vals[0])
 
 
-def root_pagerank_generalized(t: LimitTree, N: int | None = None) -> float:
-    """Generalized root rank with per-node weights: R_v = B_v + sum (C_u/m_u) R_u."""
-    if t.cvals is None or t.bvals is None:
-        raise UsageError("tree carries no (C, B) weights; attach them first")
-    N = _resolve_depth(t, N)
-    vals = t.bvals.astype(np.float64)
-    _fold(t, vals, np.asarray(t.cvals, dtype=np.float64), N)
-    return float(vals[0])
-
-
-def _fold(forest, vals, cvals, top: int):
+def _fold(forest, vals, C, top: int):
     """Push (C/mark) times each node's value into its parent's, in place,
     from depth ``top`` up; deeper nodes are left out.
 
@@ -520,20 +516,11 @@ def _fold(forest, vals, cvals, top: int):
     from the last child to the first: a forest folds bit for bit as each of
     its trees alone.
     """
-    if cvals.size and not float(cvals.max()) < 1.0:  # NaN fails too
-        raise ConfigError(f"max node C must be < 1, got {float(cvals.max())}")
     order = np.argsort(forest.node_depth, kind="stable")
     starts = np.searchsorted(forest.node_depth[order], np.arange(top + 2))
     for d in range(top, 0, -1):
         idx = order[starts[d]:starts[d + 1]][::-1]
-        np.add.at(vals, forest.parent[idx], cvals[idx] / forest.mark[idx] * vals[idx])
-
-
-def attach_generalized_weights(t: LimitTree, c_sampler, b_sampler, rng) -> LimitTree:
-    """Return a copy of the tree with i.i.d. per-node (C, B) weights drawn."""
-    cvals = np.asarray(c_sampler(rng, t.size), dtype=np.float64)
-    bvals = np.asarray(b_sampler(rng, t.size), dtype=np.float64)
-    return replace(t, cvals=cvals, bvals=bvals)
+        np.add.at(vals, forest.parent[idx], C[idx] / forest.mark[idx] * vals[idx])
 
 
 # ---------------------------------------------------------------------------
@@ -548,6 +535,14 @@ def _weight_samplers(c, c_sampler, b_sampler):
         c_sampler = c_sampler or (lambda rng, size: np.full(size, c))
         b_sampler = b_sampler or (lambda rng, size: np.full(size, 1.0 - c))
     return c_sampler, b_sampler
+
+
+def _node_c(C):
+    """A pool's drawn node C values as float64, rejected unless all are below 1."""
+    C = np.asarray(C, dtype=np.float64)
+    if C.size and not float(C.max()) < 1.0:  # NaN fails too
+        raise ConfigError(f"max node C must be < 1, got {float(C.max())}")
+    return C
 
 
 def solve_fixed_point_mc(law: BiDegreeLaw, c: float | None, depth: int,
@@ -586,7 +581,7 @@ def _pool_step(draw, prev_marks, prev_vals, c_sampler, b_sampler, rng, M):
     h, l = draw
     owners = np.repeat(np.arange(M), l)
     idx = rng.integers(0, M, owners.size)
-    coef = np.asarray(c_sampler(rng, owners.size), dtype=np.float64) / prev_marks[idx]
+    coef = _node_c(c_sampler(rng, owners.size)) / prev_marks[idx]
     new_vals = np.asarray(b_sampler(rng, M), dtype=np.float64)
     if owners.size:
         new_vals += np.bincount(owners, weights=coef * prev_vals[idx], minlength=M)
@@ -624,7 +619,7 @@ def gw_root_rank_pool(law: BiDegreeLaw, c: float | None, depth: int, M: int, rng
         parent_ptr, h, lvl_vals = levels[d]
         if lvl_vals.size == 0:
             continue
-        coef = np.asarray(c_sampler(rng, lvl_vals.size), dtype=np.float64) / h
+        coef = _node_c(c_sampler(rng, lvl_vals.size)) / h
         np.add.at(levels[d - 1][2], parent_ptr, coef * lvl_vals)
     return levels[0][2]
 
@@ -664,8 +659,8 @@ _FOREST_TREES = 1 << 12
 class TreeLaw:
     """A limit law drawn one tree at a time by ``tree(depth, rng) -> LimitTree``.
 
-    ``pool`` ranks whole trees, each with its (C, B) drawn right after it,
-    and folds them a block at a time, as per-tree :func:`root_pagerank` does.
+    ``pool`` draws each tree and then its nodes' C and B, and folds the
+    trees a block at a time, as per-tree :func:`root_pagerank` does.
     """
 
     tree: Callable[[int, np.random.Generator], LimitTree]
@@ -678,12 +673,15 @@ class TreeLaw:
         c_sampler, b_sampler = _weight_samplers(c, c_sampler, b_sampler)
         vals = np.empty(M)
         for first in range(0, M, _FOREST_TREES):
-            trees = [attach_generalized_weights(self.tree(depth, rng), c_sampler, b_sampler, rng)
-                     for _ in range(min(_FOREST_TREES, M - first))]
+            trees, C, ranks = [], [], []
+            for _ in range(min(_FOREST_TREES, M - first)):
+                trees.append(self.tree(depth, rng))
+                C.append(_node_c(c_sampler(rng, trees[-1].size)))
+                ranks.append(np.asarray(b_sampler(rng, trees[-1].size), dtype=np.float64))
             top = max(t.max_depth for t in trees)
-            ranks = np.concatenate([t.bvals for t in trees])
+            ranks = np.concatenate(ranks)
             forest = LimitForest.of_trees(trees, top)
-            _fold(forest, ranks, np.concatenate([t.cvals for t in trees]), top)
+            _fold(forest, ranks, np.concatenate(C), top)
             vals[first:first + len(trees)] = ranks[forest.roots]
         return vals
 

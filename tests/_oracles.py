@@ -126,31 +126,32 @@ def tree_root_rank_enum(tree, c: float, N: int) -> float:
     return (1.0 - c) * down(0, 0)
 
 
-def tree_root_rank_enum_generalized(tree, N: int) -> float:
+def tree_root_rank_enum_generalized(tree, C, B, N: int) -> float:
+    """Depth-N root rank with per-node weights ``C``, ``B``, by recursion."""
     children = [[] for _ in range(tree.size)]
     for i in range(1, tree.size):
         children[int(tree.parent[i])].append(i)
 
     def down(v, depth):
-        total = float(tree.bvals[v])
+        total = float(B[v])
         if depth == N:
             return total
         for u in children[v]:
-            total += (float(tree.cvals[u]) / int(tree.mark[u])) * down(u, depth + 1)
+            total += (float(C[u]) / int(tree.mark[u])) * down(u, depth + 1)
         return total
 
     return down(0, 0)
 
 
-def tree_root_rank_descending(tree, c=None) -> float:
+def tree_root_rank_descending(tree, c) -> float:
     """Root rank of the whole tree by one scalar push per node, last node
     first: each parent sums its children's terms from the last child to
-    the first.  Standard with damping ``c``, else generalized from the
-    tree's (C, B)."""
-    vals = [1.0 - c] * tree.size if c is not None else [float(b) for b in tree.bvals]
+    the first.  Standard with damping ``c``, or generalized when ``c`` is a
+    (C, B) pair of per-node sequences."""
+    C, B = c if isinstance(c, tuple) else ([c] * tree.size, [1.0 - c] * tree.size)
+    vals = [float(b) for b in B]
     for i in range(tree.size - 1, 0, -1):
-        co = (c if c is not None else float(tree.cvals[i])) / int(tree.mark[i])
-        vals[int(tree.parent[i])] += co * vals[i]
+        vals[int(tree.parent[i])] += (float(C[i]) / int(tree.mark[i])) * vals[i]
     return vals[0]
 
 

@@ -379,6 +379,13 @@ class TestTvDistance:
         b = NeighborhoodCensus(1, Counter({b"a": 1, b"b": 3}), 4)
         assert tv_distance(a, b) == pytest.approx(0.5)
 
+    def test_empty_census_rejected(self):
+        empty = NeighborhoodCensus(1, Counter(), 0)
+        one = NeighborhoodCensus(1, Counter({b"x": 1}), 1)
+        for a, b in ((empty, one), (one, empty), (empty, empty)):
+            with pytest.raises(UsageError, match="TV distance needs nonempty censuses"):
+                tv_distance(a, b)
+
     def test_depth_mismatch(self):
         a = NeighborhoodCensus(1, Counter({b"x": 1}), 1)
         b = NeighborhoodCensus(2, Counter({b"x": 1}), 1)

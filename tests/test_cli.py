@@ -60,10 +60,23 @@ class TestSubcommands:
         assert cli.main(["census", "--graph", str(g), "--k", "1",
                          "--output", str(c2)]) == 0
         capsys.readouterr()
-        rc = cli.main(["compare", "--census-a", str(c1), "--census-b", str(c2),
-                       "--k", "1"])
+        rc = cli.main(["compare", "--census-a", str(c1), "--census-b", str(c2)])
         assert rc == 0
         assert float(capsys.readouterr().out.strip()) == 0.0
+
+    def test_compare_empty_census_rejected(self, tmp_path, capsys):
+        empty, one = tmp_path / "empty.txt", tmp_path / "one.csv"
+        empty.write_text("# n=0\n")
+        assert cli.main(["census", "--graph", str(empty), "--k", "1",
+                         "--output", str(tmp_path / "e.csv")]) == 0
+        one.write_text("code_hex,count\n0a,1\n")
+        capsys.readouterr()
+        for a, b in (("e.csv", "one.csv"), ("one.csv", "e.csv")):
+            rc = cli.main(["compare", "--census-a", str(tmp_path / a),
+                           "--census-b", str(tmp_path / b)])
+            captured = capsys.readouterr()
+            assert rc == 1 and captured.out == ""
+            assert captured.err == "error: TV distance needs nonempty censuses\n"
 
     def test_limit_sample_pool_and_compare_ks(self, tmp_path, capsys):
         pool = tmp_path / "pool.csv"
@@ -657,9 +670,9 @@ class TestLimitLawOutputs:
         if generalized:
             cs = cli.make_sampler(spec["c_law"], "c_law")
             bs = cli.make_sampler(spec["b_law"], "b_law")
-            values = np.array([lm.root_pagerank_generalized(
-                lm.attach_generalized_weights(law.tree(depth, rng), cs, bs, rng))
-                for _ in range(M)])
+            trees = (law.tree(depth, rng) for _ in range(M))
+            values = np.array([lm.root_pagerank(t, cli.pr.GeneralizedWeights(
+                C=cs(rng, t.size), B=bs(rng, t.size))) for t in trees])
         else:
             values = pool(c, depth, M, rng)
         lm.write_pool_csv(values, tmp_path / "want.csv")
@@ -837,6 +850,47 @@ class TestMalformedNumbers:
         err = capsys.readouterr().err
         assert err == "error: C and B entries must be finite\n"
         assert not (tmp_path / "s.csv").exists()
+
+    @staticmethod
+    def _values_argv(tmp_path, flag, path):
+        """Arguments that read ``path`` through ``flag``, on a 3-vertex graph;
+        the other flag of the pair reads a plain three-value file."""
+        plain = tmp_path / "plain.txt"
+        plain.write_text("0.5\n0.5\n0.5\n")
+        if flag in ("--w-out", "--w-in"):
+            other = "--w-in" if flag == "--w-out" else "--w-out"
+            return ["generate", "--model", "irg", "--n", "3", "--seed", "4",
+                    flag, f"@{path}", other, f"@{plain}"]
+        g = tmp_path / "g.txt"
+        g.write_text("# n=3\n0 1\n1 2\n2 0\n")
+        other = "--b-values" if flag == "--c-values" else "--c-values"
+        return ["pagerank", "--graph", str(g), flag, str(path), other, str(plain)]
+
+    @pytest.mark.parametrize("flag", ["--w-out", "--w-in", "--c-values", "--b-values"])
+    def test_value_files_share_one_grammar(self, tmp_path, capsys, flag):
+        commented, ragged = tmp_path / "commented.txt", tmp_path / "ragged.txt"
+        commented.write_text("# w\n0.25\n\n0.5  # middle\n0.75\n")
+        ragged.write_text("0.25 0.5\n0.75\n")
+        (tmp_path / "bare.txt").write_text("0.25\n0.5\n0.75\n")
+        outputs = []
+        for path in (tmp_path / "bare.txt", commented):
+            out = tmp_path / f"{path.stem}.out"
+            assert cli.main([*self._values_argv(tmp_path, flag, path),
+                             "--output", str(out)]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+        capsys.readouterr()
+        out = tmp_path / "ragged.out"
+        assert cli.main([*self._values_argv(tmp_path, flag, ragged),
+                         "--output", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flag} ") and err.count("\n") == 1
+        (tmp_path / "empty.txt").write_text("# no values\n")
+        assert cli.main([*self._values_argv(tmp_path, flag, tmp_path / "empty.txt"),
+                         "--output", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert not out.exists()
 
     @pytest.mark.parametrize("flag", ["--w-out", "--w-in", "--c-values", "--b-values"])
     def test_non_number_names_its_flag(self, tmp_path, capsys, flag):

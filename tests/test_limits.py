@@ -9,17 +9,17 @@ from pagerank_limits.errors import ConfigError, ResourceError, UsageError
 from pagerank_limits.generators import BiDegreeLaw, RngStream
 from pagerank_limits import limits as limits_mod
 from pagerank_limits.graph import canonical_code
+from pagerank_limits.pagerank import GeneralizedWeights
 from pagerank_limits.limits import (
     LimitForest,
     LimitTree,
+    GwLaw,
     PolyaParams,
     TreeLaw,
-    attach_generalized_weights,
     gw_root_rank_pool,
     malthusian,
     read_pool_csv,
     root_pagerank,
-    root_pagerank_generalized,
     sample_ctbp_limit,
     sample_gw_forest,
     sample_gw_limit,
@@ -240,6 +240,17 @@ class TestRootRank:
         with pytest.raises(UsageError):
             root_pagerank(t, 0.5, 3)
 
+    def test_bad_damping_rejected(self):
+        t = sample_gw_limit(UNIFORM33, 1, RngStream(59).generator())
+        for c in (0.0, 1.0, np.nan):
+            with pytest.raises(ConfigError, match=r"damping factor must be in \(0,1\)"):
+                root_pagerank(t, c)
+
+
+def _draw_weights(t, c_sampler, b_sampler, rng):
+    """Per-node (C, B) of tree ``t``, C drawn before B as a TreeLaw pool does."""
+    return GeneralizedWeights(C=c_sampler(rng, t.size), B=b_sampler(rng, t.size))
+
 
 class TestGeneralizedRank:
     def test_constant_reduction(self):
@@ -248,57 +259,64 @@ class TestGeneralizedRank:
         const_b = lambda r, size: np.full(size, 0.5)
         for _ in range(20):
             t = sample_gw_limit(UNIFORM33, 3, rng)
-            tw = attach_generalized_weights(t, const_c, const_b, rng)
-            assert root_pagerank_generalized(tw, 3) == pytest.approx(
+            w = _draw_weights(t, const_c, const_b, rng)
+            assert root_pagerank(t, w, 3) == pytest.approx(
                 root_pagerank(t, 0.5, 3), abs=1e-12)
 
     def test_zero_c_returns_root_b(self):
         t = sample_gw_limit(UNIFORM33, 2, RngStream(52).generator())
-        tw = attach_generalized_weights(
-            t, lambda r, s: np.zeros(s), lambda r, s: np.full(s, 7.0),
-            RngStream(53).generator())
-        assert root_pagerank_generalized(tw, 2) == pytest.approx(7.0)
+        w = _draw_weights(t, lambda r, s: np.zeros(s), lambda r, s: np.full(s, 7.0),
+                          RngStream(53).generator())
+        assert root_pagerank(t, w, 2) == pytest.approx(7.0)
 
     def test_two_level_hand_recursion(self):
         # root with two children, marks 2 and 4
         t = LimitTree(parent=np.array([-1, 0, 0]), mark=np.array([1, 2, 4]),
                       node_depth=np.array([0, 1, 1]), truncation_depth=1)
-        t.cvals = np.array([0.9, 0.5, 0.8])
-        t.bvals = np.array([0.1, 0.2, 0.3])
+        w = GeneralizedWeights(C=[0.9, 0.5, 0.8], B=[0.1, 0.2, 0.3])
         want = 0.1 + (0.5 / 2) * 0.2 + (0.8 / 4) * 0.3
-        assert root_pagerank_generalized(t, 1) == pytest.approx(want, abs=1e-15)
+        assert root_pagerank(t, w, 1) == pytest.approx(want, abs=1e-15)
 
     def test_matches_enumeration(self):
         rng = RngStream(54).generator()
         for _ in range(25):
             t = sample_gw_limit(UNIFORM33, 3, rng)
-            tw = attach_generalized_weights(
-                t, lambda r, s: r.uniform(0, 0.9, s),
-                lambda r, s: r.exponential(0.2, s), rng)
-            got = root_pagerank_generalized(tw, 3)
-            want = tree_root_rank_enum_generalized(tw, 3)
+            w = _draw_weights(t, lambda r, s: r.uniform(0, 0.9, s),
+                              lambda r, s: r.exponential(0.2, s), rng)
+            got = root_pagerank(t, w, 3)
+            want = tree_root_rank_enum_generalized(t, w.C, w.B, 3)
             assert abs(got - want) < 1e-12
 
     def test_c_at_least_one_rejected(self):
         t = sample_gw_limit(UNIFORM33, 1, RngStream(55).generator())
-        tw = attach_generalized_weights(
-            t, lambda r, s: np.full(s, 1.0), lambda r, s: np.zeros(s),
-            RngStream(56).generator())
         with pytest.raises(ConfigError):
-            root_pagerank_generalized(tw, 1)
+            root_pagerank(t, _draw_weights(
+                t, lambda r, s: np.full(s, 1.0), lambda r, s: np.zeros(s),
+                RngStream(56).generator()), 1)
 
     def test_nan_c_rejected(self):
         t = sample_gw_limit(UNIFORM33, 1, RngStream(55).generator())
-        tw = attach_generalized_weights(
-            t, lambda r, s: np.full(s, np.nan), lambda r, s: np.zeros(s),
-            RngStream(56).generator())
-        with pytest.raises(ConfigError, match="max node C must be < 1"):
-            root_pagerank_generalized(tw, 1)
+        with pytest.raises(ConfigError, match="must be finite"):
+            root_pagerank(t, _draw_weights(
+                t, lambda r, s: np.full(s, np.nan), lambda r, s: np.zeros(s),
+                RngStream(56).generator()), 1)
 
-    def test_missing_weights(self):
+    def test_weights_of_the_wrong_length(self):
         t = sample_gw_limit(UNIFORM33, 1, RngStream(57).generator())
-        with pytest.raises(UsageError):
-            root_pagerank_generalized(t, 1)
+        for size in (t.size - 1, t.size + 1):
+            w = GeneralizedWeights(C=np.full(size, 0.5), B=np.full(size, 0.5))
+            with pytest.raises(ConfigError, match=f"{t.size} nodes .* have {size}$"):
+                root_pagerank(t, w, 1)
+
+    def test_weights_left_unchanged(self):
+        rng = RngStream(58).generator()
+        t = sample_gw_limit(UNIFORM33, 3, rng)
+        w = _draw_weights(t, lambda r, s: r.uniform(0, 0.9, s),
+                          lambda r, s: r.exponential(0.2, s), rng)
+        C, B = w.C.copy(), w.B.copy()
+        first = root_pagerank(t, w)
+        assert w.C.tobytes() == C.tobytes() and w.B.tobytes() == B.tobytes()
+        assert root_pagerank(t, w) == first
 
 
 class TestFold:
@@ -310,11 +328,12 @@ class TestFold:
     B_LAW = staticmethod(lambda r, s: r.exponential(0.15, s))
 
     def _polya_trees(self, depth, M, seed, weights=False):
+        """M point trees, each paired with its drawn (C, B) when ``weights``."""
         rng = RngStream(seed).generator()
         trees = []
         for _ in range(M):
             t = sample_polya_limit(self.POLYA, depth, rng)
-            trees.append(attach_generalized_weights(t, self.C_LAW, self.B_LAW, rng)
+            trees.append((t, _draw_weights(t, self.C_LAW, self.B_LAW, rng))
                          if weights else t)
         return trees
 
@@ -328,12 +347,12 @@ class TestFold:
 
     def test_polya_generalized_block_matches_per_tree(self):
         trees = self._polya_trees(9, 300, 151, weights=True)
-        assert max(t.size for t in trees) > 256
-        want = [root_pagerank_generalized(t) for t in trees]
+        assert max(t.size for t, _ in trees) > 256
+        want = [root_pagerank(t, w) for t, w in trees]
         got = TreeLaw.polya(2, 1.0).pool(0.85, 9, 300, RngStream(151).generator(),
                                          c_sampler=self.C_LAW, b_sampler=self.B_LAW)
         assert got.tolist() == want
-        assert want == [tree_root_rank_descending(t) for t in trees]
+        assert want == [tree_root_rank_descending(t, (w.C, w.B)) for t, w in trees]
 
     def test_depth_zero(self):
         trees = self._polya_trees(0, 50, 152)
@@ -350,8 +369,8 @@ class TestFold:
         got = law.pool(0.3, 4, 5, RngStream(154).generator(),
                        c_sampler=self.C_LAW, b_sampler=self.B_LAW)
         rng = RngStream(154).generator()
-        want = [root_pagerank_generalized(
-            attach_generalized_weights(one, self.C_LAW, self.B_LAW, rng)) for _ in range(5)]
+        want = [root_pagerank(one, _draw_weights(one, self.C_LAW, self.B_LAW, rng))
+                for _ in range(5)]
         assert got.tolist() == want
 
     @pytest.mark.parametrize("value", [1.0, np.nan])
@@ -360,6 +379,14 @@ class TestFold:
             TreeLaw.polya(2, 1.0).pool(0.5, 3, 50, RngStream(155).generator(),
                                        c_sampler=lambda r, s: np.full(s, value),
                                        b_sampler=self.B_LAW)
+
+    @pytest.mark.parametrize("value", [1.0, np.nan])
+    @pytest.mark.parametrize("direct", [False, True], ids=["fixed_point", "gw"])
+    def test_gw_pools_reject_c_at_least_one(self, direct, value):
+        law = GwLaw(UNIFORM33, direct=direct)
+        with pytest.raises(ConfigError, match="max node C must be < 1"):
+            law.pool(None, 3, 50, RngStream(157).generator(),
+                     c_sampler=lambda r, s: np.full(s, value), b_sampler=self.B_LAW)
 
     def test_pool_rejects_bad_damping(self):
         with pytest.raises(ConfigError, match="need damping c in"):

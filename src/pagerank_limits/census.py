@@ -12,10 +12,10 @@ the CCDF, two-sample Kolmogorov-Smirnov distance and Hill tail-index estimate.
 from __future__ import annotations
 
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
+import numpy.ma  # noqa: F401  np.unique reads np.ma, which numpy loads on first use
 
 from ._textio import read_table, write_table
 from .errors import InputError, SizeError, UsageError
@@ -107,6 +107,9 @@ def census(g: DirectedMultigraph, k: int, sample_count: int | None = None,
     tree = np.ones(roots.size, dtype=bool) if k == 0 else _tree_roots(src, tgt, g.n, k, roots)
     exact = roots[~tree]
     if workers > 1 and exact.size > 4 * workers:
+        # imported here: multiprocessing costs every other caller start-up time
+        from concurrent.futures import ProcessPoolExecutor
+
         chunks = np.array_split(exact, workers)
         counts = Counter()
         with ProcessPoolExecutor(max_workers=workers) as pool:

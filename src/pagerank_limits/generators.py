@@ -19,6 +19,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
+import numpy.random  # noqa: F401  numpy loads it on first use; load it with the package
 
 from .errors import ConfigError
 from .graph import DirectedMultigraph, build_graph

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-import scipy.sparse as sp
 
 from ._textio import parse_edges, write_edges
 from .errors import InputError, SizeError
@@ -124,13 +123,11 @@ def build_graph(edge_list, n: int) -> DirectedMultigraph:
 
     out_indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(usrc, minlength=n), out=out_indptr[1:])
-    # the transpose of the (source, target) CSR lists each target's sources
-    # in ascending order, which is the (target, source) order of the pairs;
-    # scipy builds it with a linear-time counting sort
-    by_target = sp.csr_matrix((np.arange(usrc.size), utgt, out_indptr),
-                              shape=(n, n)).tocsc()
-    in_order = by_target.data
-    in_indptr = by_target.indptr.astype(np.int64)
+    in_indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(utgt, minlength=n), out=in_indptr[1:])
+    # the pairs in (target, source) order; the keys are distinct, so any sort
+    # gives this one order
+    in_order = np.argsort(utgt * np.int64(n) + usrc)
     d_out = _segment_sums(umult, out_indptr, lambda v: f"vertex {v}: out-degree")
     d_in = _segment_sums(umult[in_order], in_indptr, lambda v: f"vertex {v}: in-degree")
 

@@ -13,11 +13,14 @@ mean score at most 1.  The exact solve starts from the same vector, so its
 iterate N is R^(N): one pass yields both, and every variant runs the one
 kernel, :class:`_OrderedSystem`.
 
-The kernel iterates with the vertices in order of in-degree: scipy's
-``csr_matvec`` runs the rows of equal length back to back, which spares
-its row loop most of its mispredicted exits.  Every row keeps its terms in
-their order, so the outputs, which come back in vertex order, are bit for
-bit those of the vertex-order recurrence.
+The kernel stores the pull system in jagged-diagonal storage (Saad,
+"Krylov subspace methods on supercomputers", SIAM J. Sci. Stat. Comput.
+1989), in numpy alone: the vertices in order of in-degree, and per
+diagonal j one gather and one add over the rows longer than j, which form
+a suffix of that order.  Diagonals too short to pay for their calls are
+left to ``np.add.at``.  Every row keeps its terms in their order, so the
+outputs, which come back in vertex order, are bit for bit those of the
+vertex-order recurrence.
 """
 
 from __future__ import annotations
@@ -27,7 +30,6 @@ from dataclasses import dataclass
 from itertools import islice
 
 import numpy as np
-import scipy.sparse as sp
 
 from ._textio import read_table, write_json, write_table
 from .errors import ConfigError, ConvergenceError, InvariantViolation
@@ -45,7 +47,6 @@ __all__ = [
     "generalized_mass_ok",
     "lower_bound_check",
     "check_invariants",
-    "pull_matrix",
     "write_scores_csv",
     "read_scores_csv",
 ]
@@ -119,51 +120,91 @@ class GeneralizedWeights:
         return float(self.C.max()) if self.C.size else 0.0
 
 
-def pull_matrix(g: DirectedMultigraph) -> sp.csr_matrix:
-    """Sparse P with P[i, j] = e_{j,i} / d_out_j (dangling columns are zero).
-
-    Built straight from the in-adjacency: row i lists the sources of i's
-    in-edges in ascending order, which is the canonical CSR layout.
-    """
-    src = g.src[g.in_order]
-    shares = g.mult[g.in_order] / g.d_out[src]
-    return sp.csr_matrix((shares, src, g.in_indptr), shape=(g.n, g.n))
-
-
-def _pull_system(g, damping):
-    """The pull matrix with ``damping`` (c, or C_j per source j) folded into
-    its data in place; entry by entry this is ``c * P`` or ``C[src] * P``."""
-    mat = pull_matrix(g)
-    mat.data *= damping if np.isscalar(damping) else damping[mat.indices]
-    return mat
+# the fewest rows of a stored diagonal: one costs about 2 us of calls a mat-vec,
+# and ``np.add.at`` about 2.3 ns an entry more than a diagonal, so the two
+# break even near 1000 rows (2-core Xeon, n = 150 000)
+_MIN_DIAGONAL = 1024
 
 
 class _OrderedSystem:
-    """The recurrence R <- M R + offset on vertices relabelled in order of
-    in-row length, ties kept in vertex order (the row-length sorting of
-    jagged-diagonal storage).
+    """The recurrence R <- M R + offset, M[i, j] = C_j e_{j,i} / d_out_j, in
+    jagged-diagonal storage.
 
-    Each row keeps its entries in their order, so each iterate is the
-    vertex-order one permuted, float for float, and so is each sup-norm
-    step; :meth:`in_vertex_order` takes an iterate back.
+    The vertices are relabelled in order of in-row length, ties kept in
+    vertex order.  Diagonal j holds entry j of every row longer than j; those
+    rows form a suffix of that order.  A mat-vec weighs each source once,
+    z_j = ((1/d_out_j) C_j) r_j, where an m-fold multi-edge has a slot of its
+    own holding ((m/d_out_j) C_j) r_j; then it adds the diagonals into their
+    row suffixes.  Diagonals of fewer than ``_MIN_DIAGONAL`` rows are not
+    stored: ``np.add.at`` finishes the rows longer than the stored ones, in row
+    order.  So every row adds its products in entry order, from 0, and then
+    the offset: each iterate, and each sup-norm step, is the vertex-order one
+    permuted, float for float.  :meth:`in_vertex_order` takes an iterate back.
+
+    ``damping`` is c, or C_j per source j.
     """
 
-    def __init__(self, mat, offset):
-        lengths = np.diff(mat.indptr)
+    def __init__(self, g, damping, offset):
+        n = g.n
+        lengths = np.diff(g.in_indptr)
         # numpy's stable sort is a radix sort on 8- and 16-bit integers
         self.perm = np.argsort(lengths.astype(np.min_scalar_type(lengths.max(initial=0))),
                                kind="stable")
-        label = np.empty(self.perm.size, dtype=mat.indices.dtype)
-        label[self.perm] = np.arange(self.perm.size)
+        label = np.empty(n, dtype=np.intp)
+        label[self.perm] = np.arange(n)
+        src, mult = g.src[g.in_order], g.mult[g.in_order]
+        damping = np.broadcast_to(damping, (n,))
+        # dangling vertices source no edge, so their weight is never read
+        self.weight = 1.0 / np.maximum(g.d_out, 1)[self.perm] * damping[self.perm]
+        multi = np.flatnonzero(mult > 1)
+        source = src[multi]
+        self.multi_src = label[source]
+        self.multi_weight = mult[multi] / g.d_out[source] * damping[source]
+        # the z entry each in-edge slot reads
+        cols = label[src]
+        cols[multi] = n + np.arange(multi.size)
+
+        first = g.in_indptr[self.perm]
         lengths = lengths[self.perm]
-        indptr = np.zeros_like(mat.indptr)
-        np.cumsum(lengths, out=indptr[1:])
-        # entry e of new row i is entry e - indptr[i] of old row perm[i]
-        take = np.arange(mat.nnz) + np.repeat(mat.indptr[self.perm] - indptr[:-1], lengths)
-        # type(mat) keeps a subclass of the pull matrix, such as a counting one
-        self.mat = type(mat)((mat.data[take], label[mat.indices[take]], indptr),
-                             shape=mat.shape)
-        self.offset = offset[self.perm]
+        starts = np.searchsorted(lengths, np.arange(max(lengths.max(initial=0), 1)),
+                                 side="right").tolist()
+        stored = max(1, sum(s <= n - _MIN_DIAGONAL for s in starts))
+        self.diagonals = [(s, cols[first[s:] + j]) for j, s in enumerate(starts[:stored])]
+        # the rest of each longer row, row by row, in entry order
+        extra = lengths - stored
+        rows = np.flatnonzero(extra > 0)
+        extra = extra[rows]
+        self.tail_rows = np.repeat(rows, extra)
+        within = np.arange(self.tail_rows.size) - np.repeat(np.cumsum(extra) - extra, extra)
+        self.tail_cols = cols[first[self.tail_rows] + stored + within]
+
+        self._z = np.empty(n + multi.size)
+        self._part = np.empty(self.diagonals[1][1].size if stored > 1 else 0)
+        # a scalar offset, the standard 1 - c, spares each mat-vec a stream
+        self.offset = offset if np.isscalar(offset) else offset[self.perm]
+        # a row's sum starts at +0, so the recurrence never holds a -0 sum
+        # where this one can; adding a -0 offset as +0 makes both results +0
+        self.addend = self.offset + 0.0 if np.signbit(self.offset).any() else self.offset
+
+    def apply(self, r):
+        """M r + offset, a new array."""
+        n = r.size
+        z = self._z
+        np.multiply(self.weight, r, out=z[:n])
+        np.multiply(self.multi_weight, r[self.multi_src], out=z[n:])
+        y = np.empty_like(r)
+        # the columns are in range, and "wrap" spares take its bounds check
+        (start, cols), *rest = self.diagonals
+        y[:start] = 0.0
+        np.take(z, cols, out=y[start:], mode="wrap")
+        for start, cols in rest:
+            part = self._part[:cols.size]
+            np.take(z, cols, out=part, mode="wrap")
+            y[start:] += part
+        if self.tail_rows.size:
+            np.add.at(y, self.tail_rows, z[self.tail_cols])
+        y += self.addend
+        return y
 
     def in_vertex_order(self, r):
         out = np.empty_like(r)
@@ -172,11 +213,10 @@ class _OrderedSystem:
 
     def iterates(self):
         """R^(0) = offset, then R^(k) = M @ R^(k-1) + offset; each a new array."""
-        r = self.offset.copy()
+        r = np.full(self.perm.size, self.offset)
         while True:
             yield r
-            r = self.mat @ r
-            r += self.offset
+            r = self.apply(r)
 
     def solve(self, params, order=None):
         """The fixed point, iterated until the sup-norm step is below
@@ -193,9 +233,10 @@ class _OrderedSystem:
             if k == order:
                 kept = r
             # the step overwrites the previous iterate, still cached from the
-            # mat-vec, unless that iterate is kept
+            # mat-vec, unless that iterate is kept; it needs no abs, since the
+            # iterates rise: C, B >= 0, and every rounding is monotone
             step = np.subtract(r, prev, out=None if prev is kept else prev)
-            delta = float(np.abs(step, out=step).max()) if r.size else 0.0
+            delta = float(step.max()) if r.size else 0.0
             if delta < params.tol:
                 if order is not None and order > k:
                     kept = _last(islice(iterates, order - k))
@@ -223,15 +264,14 @@ class _OrderedSystem:
 
 def _system(g, params):
     """The ordered system of :class:`PageRankParams` or :class:`GeneralizedWeights`:
-    c or C_j (per source j) folded into the pull matrix, 1 - c or B the offset.
+    damping c or C_j (per source j), offset 1 - c or B.
 
-    C is folded in as C[src] * P, so constant C reproduces the standard
-    system bit for bit.
+    Constant C reproduces the standard system bit for bit.
     """
     if isinstance(params, PageRankParams):
-        return _OrderedSystem(_pull_system(g, params.c), np.full(g.n, 1.0 - params.c))
+        return _OrderedSystem(g, params.c, 1.0 - params.c)
     C, B = _coefficients(g, params)
-    return _OrderedSystem(_pull_system(g, C), B)
+    return _OrderedSystem(g, C, B)
 
 
 def solve_pagerank(g: DirectedMultigraph, params, with_order: int | None = None

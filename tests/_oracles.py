@@ -2,7 +2,8 @@
 
 Everything here is deliberately dumb: exhaustive bijection search for
 isomorphism, literal walk enumeration for truncated scores, dense linear
-solves for exact scores, Fraction arithmetic for the branching-tree mean,
+solves for exact scores, scipy's sparse pull matrix for the vertex-order
+PageRank recurrence, Fraction arithmetic for the branching-tree mean,
 one exploration plus one canonical code per root or tree for censuses,
 color refinement ranked by multi-key ``lexsort``, the per-tree walk that
 locates branching trees in a uniform stream, the line-by-line str-method
@@ -17,6 +18,7 @@ from fractions import Fraction
 from itertools import permutations
 
 import numpy as np
+import scipy.sparse as sp
 
 from pagerank_limits.errors import InputError
 from pagerank_limits.graph import (
@@ -86,6 +88,13 @@ def dense_exact_pagerank(g: DirectedMultigraph, c: float) -> np.ndarray:
     for s, t, m in g.edge_triples():
         q[s, t] = m / g.d_out[s]
     return np.linalg.solve(np.eye(g.n) - c * q.T, np.full(g.n, 1.0 - c))
+
+
+def pull_matrix(g: DirectedMultigraph) -> sp.csr_matrix:
+    """Sparse P with P[i, j] = e_{j,i} / d_out_j (dangling columns are zero),
+    in vertex order: scipy's CSR of the (target, source) coordinates, whose
+    rows list their sources in ascending order."""
+    return sp.csr_matrix((g.mult / g.d_out[g.src], (g.tgt, g.src)), shape=(g.n, g.n))
 
 
 def dense_generalized(g: DirectedMultigraph, C, B) -> np.ndarray:

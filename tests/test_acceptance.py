@@ -43,13 +43,13 @@ from pagerank_limits.census import (
     tv_distance,
 )
 from pagerank_limits.limits import TreeLaw
-from pagerank_limits.pagerank import pull_matrix
 
 from conftest import record_criterion
 from _oracles import (
     dense_exact_pagerank,
     enum_truncated_pagerank,
     exact_gw_mean,
+    pull_matrix,
     random_small_graph,
 )
 

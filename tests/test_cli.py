@@ -25,6 +25,19 @@ def write_config(path, **overrides):
     return cfg
 
 
+def counted_systems(monkeypatch):
+    """The vertex count of every PageRank pull system built from now on."""
+    builds = []
+
+    class Counted(cli.pr._OrderedSystem):
+        def __init__(self, g, damping, offset):
+            builds.append(g.n)
+            super().__init__(g, damping, offset)
+
+    monkeypatch.setattr(cli.pr, "_OrderedSystem", Counted)
+    return builds
+
+
 class TestSubcommands:
     def test_generate_dpa(self, tmp_path, capsys):
         out = tmp_path / "g.txt"
@@ -159,14 +172,7 @@ class TestSubcommands:
         g = tmp_path / "g.txt"
         cli.main(["generate", "--model", "dcm", "--law", json.dumps(DCM_LAW),
                   "--n", "300", "--seed", "6", "--output", str(g)])
-        builds = []
-        pull_matrix = cli.pr.pull_matrix
-
-        def counted(graph):
-            builds.append(graph.n)
-            return pull_matrix(graph)
-
-        monkeypatch.setattr(cli.pr, "pull_matrix", counted)
+        builds = counted_systems(monkeypatch)
         capsys.readouterr()
         rc = cli.main(["verify", "--graph", str(g), "--c", "0.5", "--max-order", "6"])
         out = capsys.readouterr().out
@@ -182,14 +188,7 @@ class TestSubcommands:
         g = tmp_path / "g.txt"
         cli.main(["generate", "--model", "dcm", "--law", json.dumps(DCM_LAW),
                   "--n", "300", "--seed", "6", "--output", str(g)])
-        builds = []
-        pull_matrix = cli.pr.pull_matrix
-
-        def counted(graph):
-            builds.append(graph.n)
-            return pull_matrix(graph)
-
-        monkeypatch.setattr(cli.pr, "pull_matrix", counted)
+        builds = counted_systems(monkeypatch)
         argv = [str(tmp_path / a) if a.endswith(".csv") else a for a in argv]
         assert cli.main([argv[0], "--graph", str(g), *argv[1:]]) == 0
         assert builds == [300]
@@ -201,14 +200,13 @@ class TestSubcommands:
         cli.main(["generate", "--model", "dcm", "--law", json.dumps(DCM_LAW),
                   "--n", "300", "--seed", "6", "--output", str(g)])
         matvecs = []
-        pull_matrix = cli.pr.pull_matrix
 
-        class Counted(type(pull_matrix(cli.read_edgelist(g)))):
-            def _matmul_vector(self, other):
+        class Counted(cli.pr._OrderedSystem):
+            def apply(self, r):
                 matvecs.append(1)
-                return super()._matmul_vector(other)
+                return super().apply(r)
 
-        monkeypatch.setattr(cli.pr, "pull_matrix", lambda graph: Counted(pull_matrix(graph)))
+        monkeypatch.setattr(cli.pr, "_OrderedSystem", Counted)
         out = tmp_path / "s.csv"
         assert cli.main(["pagerank", "--graph", str(g), "--c", "0.5", "--N", str(N),
                          "--output", str(out)]) == 0

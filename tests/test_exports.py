@@ -1,9 +1,14 @@
-"""Every name the package exports resolves to a live object."""
+"""Every name the package exports resolves to a live object, and importing
+the command line loads only what every command needs."""
 
 import ast
 import importlib
+import json
+import os
 import pkgutil
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -52,3 +57,55 @@ def test_readme_overview_names_resolve():
     for module, names in rows:
         mod = importlib.import_module(module)
         assert [n for n in names if not hasattr(mod, n)] == [], module
+
+
+def _run_python(code, cwd):
+    """stdout of ``python -c code`` with this package importable."""
+    src = str(Path(pagerank_limits.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    return subprocess.run([sys.executable, "-c", code], cwd=cwd, env=env, check=True,
+                          capture_output=True, text=True, timeout=120).stdout
+
+
+def test_cli_import_loads_no_scipy_and_no_multiprocessing(tmp_path):
+    # each command pays its imports: scipy.sparse cost about 0.25 s of start-up,
+    # multiprocessing 15-27 ms, and neither is needed by a default command
+    loaded = _run_python("import sys, pagerank_limits.cli; print(*sys.modules)",
+                         tmp_path).split()
+    assert "pagerank_limits.cli" in loaded
+    assert [m for m in loaded if m.split(".")[0] in ("scipy", "multiprocessing")] == []
+
+
+def test_commands_load_no_module_after_import(tmp_path):
+    # numpy loads numpy.random and numpy.ma on first use; the package loads
+    # them itself, so no command pays for them inside its own time (the
+    # standard library's lazy imports, such as argparse's locale, are small)
+    config = {"seed": 3, "model": {"name": "dcm", "law": [[1, 1, 0.5], [2, 2, 0.5]]},
+              "sizes": [300], "pagerank": {"c": 0.5, "N": 4},
+              "limit": {"sampler": "fixed_point", "M": 300, "depth": 4},
+              "comparison": {"census_depths": [1]}}
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    law = json.dumps(config["model"]["law"])
+    commands = [
+        ["generate", "--model", "dcm", "--n", "300", "--law", law, "--seed", "1",
+         "--output", "g.txt"],
+        ["pagerank", "--graph", "g.txt", "--c", "0.5", "--N", "4", "--output", "s.csv"],
+        ["verify", "--graph", "g.txt", "--c", "0.5", "--max-order", "4"],
+        ["census", "--graph", "g.txt", "--k", "2", "--output", "census.csv"],
+        ["limit-sample", "--sampler", "fixed-point", "--depth", "4", "--M", "300",
+         "--c", "0.5", "--law", law, "--seed", "1", "--output", "pool.csv"],
+        ["compare", "--graph-tails", "s.csv", "--limit-tails", "pool.csv"],
+    ]
+    code = f"""
+import contextlib, io, sys
+from pagerank_limits import cli
+before = set(sys.modules)
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main(argv) for argv in {commands!r}]
+    codes.append(cli.run_experiment("config.json", "out", threads=1)[1])
+print(codes, *sorted(m for m in set(sys.modules) - before
+                    if m.split(".")[0] not in sys.stdlib_module_names))
+"""
+    out = _run_python(code, tmp_path)
+    assert out.split("]", 1) == ["[0, 0, 0, 0, 0, 0, 0", "\n"]

@@ -4,7 +4,7 @@ import scipy.sparse as sp
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from pagerank_limits import RngStream
+from pagerank_limits import PamParams, RngStream, gen_dpa, gen_irg
 from pagerank_limits import pagerank as pr
 from pagerank_limits.errors import ConfigError, ConvergenceError, InvariantViolation
 from pagerank_limits.graph import build_graph
@@ -14,7 +14,6 @@ from pagerank_limits.pagerank import (
     PageRankVector,
     lower_bound_check,
     pagerank_truncated,
-    pull_matrix,
     generalized_mass_ok,
     read_scores_csv,
     solve_and_sweep,
@@ -28,6 +27,7 @@ from _oracles import (
     dense_exact_pagerank,
     dense_generalized,
     enum_truncated_pagerank,
+    pull_matrix,
     random_small_graph,
 )
 
@@ -243,28 +243,55 @@ class TestOnePass:
 
     def test_truncation_gap_solves_once(self, monkeypatch):
         builds = []
-        pull_matrix_ = pr.pull_matrix
-        monkeypatch.setattr(pr, "pull_matrix", lambda g: builds.append(g) or pull_matrix_(g))
+
+        class Counted(pr._OrderedSystem):
+            def __init__(self, g, damping, offset):
+                builds.append(g)
+                super().__init__(g, damping, offset)
+
+        monkeypatch.setattr(pr, "_OrderedSystem", Counted)
         gap, bound = truncation_gap(cycle3(), PageRankParams(c=0.5), 2)
         assert abs(gap - 0.125) < 1e-10 and len(builds) == 1
+
+
+def kernel_rows(system):
+    """Each row of an ordered system as (source vertices, coefficients) in
+    entry order, read back from its diagonals, its tail and its z slots."""
+    rows = [[] for _ in system.perm]
+    for start, cols in system.diagonals:
+        for i, col in enumerate(cols.tolist(), start):
+            rows[i].append(col)
+    for i, col in zip(system.tail_rows.tolist(), system.tail_cols.tolist()):
+        rows[i].append(col)
+    source = np.concatenate([system.perm, system.perm[system.multi_src]])
+    coef = np.concatenate([system.weight, system.multi_weight])
+    return [(source[row], coef[row]) for row in (np.array(r, dtype=np.intp) for r in rows)]
+
+
+def assert_rows_equal(system, mat):
+    """The ordered system's row i is row perm[i] of the vertex-order CSR ``mat``,
+    entry for entry and bit for bit."""
+    for (sources, coefs), v in zip(kernel_rows(system), system.perm, strict=True):
+        want = slice(mat.indptr[v], mat.indptr[v + 1])
+        assert np.array_equal(sources, mat.indices[want])
+        assert np.array_equal(coefs, mat.data[want])
 
 
 class TestPullMatrix:
     @pytest.mark.parametrize("dangling", [True, False])
     def test_equals_the_coordinate_route(self, dangling):
-        # the CSR scipy builds from (target, source) coordinates, scaled by c
-        # or by C[source], is what the in-adjacency gives directly
+        # the kernel's rows are the CSR scipy builds from (target, source)
+        # coordinates, scaled by c or by C[source]
         rng = RngStream(34).generator()
-        for n in (0, 1, 9, 300):
+        for n in (0, 1, 9, 300, 3000):
             g = random_graph(rng, n, dangling) if n else build_graph([], 0)
             shares = g.mult / g.d_out[g.src]
             C = rng.uniform(0, 0.85, n)
-            for damping, data in ((None, shares), (0.85, 0.85 * shares), (C, C[g.src] * shares)):
-                want = sp.csr_matrix((data, (g.tgt, g.src)), shape=(n, n))
-                got = pull_matrix(g) if damping is None else pr._pull_system(g, damping)
-                for attr in ("indptr", "indices", "data"):
-                    a, b = getattr(got, attr), getattr(want, attr)
-                    assert a.dtype == b.dtype and np.array_equal(a, b), attr
+            for damping, data in ((0.85, shares * 0.85), (C, shares * C[g.src])):
+                system = pr._OrderedSystem(g, damping, np.zeros(n))
+                assert_rows_equal(system, sp.csr_matrix((data, (g.tgt, g.src)), shape=(n, n)))
+                if n == 3000:  # both stored diagonals and an np.add.at tail
+                    assert len(system.diagonals) > 1 and system.tail_rows.size
 
 
 @st.composite
@@ -296,11 +323,44 @@ def vertex_order_run(mat, offset, tol, N):
             break
     while len(iterates) <= N:
         iterates.append(mat @ iterates[-1] + offset)
+    # the iterates rise, which is why the solve's sup-norm step takes no abs
+    for prev, r in zip(iterates, iterates[1:]):
+        assert (r - prev >= 0).all()
     return iterates[k], k, delta, iterates
+
+
+def check_against_recurrence(g, params, mat, offset, N):
+    """Every kernel output for ``params`` on ``g`` equals the vertex-order
+    recurrence ``mat @ r + offset`` bit for bit: the solve with R^(N), the
+    truncated solve, and both sweeps."""
+    r, it, delta, iterates = vertex_order_run(mat, offset, params.tol, N)
+    got = solve_pagerank(g, params, with_order=N)
+    assert np.array_equal(got.values, r)
+    assert (got.iterations, got.residual) == (it, delta)
+    assert np.array_equal(got.truncated.values, iterates[N])
+    assert np.array_equal(pagerank_truncated(g, params, N).values, iterates[N])
+    exact, sweep = solve_and_sweep(g, params, N)
+    assert np.array_equal(exact.values, r)
+    assert (exact.iterations, exact.residual) == (it, delta)
+    for vecs in (sweep, truncation_sweep(g, params, N)):
+        vecs = list(vecs)
+        assert [v.order for v in vecs] == list(range(N + 1))
+        for v in vecs:
+            assert np.array_equal(v.values, iterates[v.order])
+
+
+def generalized_matrix(g, w):
+    """The vertex-order pull matrix with C[source] folded into its data."""
+    pull = pull_matrix(g)
+    return sp.csr_matrix((pull.data * w.C[pull.indices], pull.indices, pull.indptr),
+                         shape=pull.shape)
 
 
 ORDERED = settings(max_examples=60, deadline=None,
                    suppress_health_check=[HealthCheck.too_slow])
+# the default keeps small graphs' rows past diagonal 0 in the np.add.at tail;
+# 1 stores every diagonal
+MIN_DIAGONALS = (pr._MIN_DIAGONAL, 1)
 
 
 class TestOrderedKernel:
@@ -310,61 +370,76 @@ class TestOrderedKernel:
     @ORDERED
     @given(multigraphs(), st.sampled_from([0.3, 0.5, 0.85]), st.integers(0, 200))
     def test_standard_outputs_equal_the_vertex_order_recurrence(self, g, c, N):
-        p = PageRankParams(c=c)
-        r, it, delta, iterates = vertex_order_run(c * pull_matrix(g), np.full(g.n, 1.0 - c),
-                                                  p.tol, N)
-        got = solve_pagerank(g, p, with_order=N)
-        assert np.array_equal(got.values, r)
-        assert (got.iterations, got.residual) == (it, delta)
-        assert np.array_equal(got.truncated.values, iterates[N])
-        assert np.array_equal(pagerank_truncated(g, p, N).values, iterates[N])
-        exact, sweep = solve_and_sweep(g, p, N)
-        assert np.array_equal(exact.values, r)
-        assert (exact.iterations, exact.residual) == (it, delta)
-        for vecs in (sweep, truncation_sweep(g, p, N)):
-            vecs = list(vecs)
-            assert [v.order for v in vecs] == list(range(N + 1))
-            for v in vecs:
-                assert np.array_equal(v.values, iterates[v.order])
+        for minimum in MIN_DIAGONALS:
+            with pytest.MonkeyPatch.context() as m:
+                m.setattr(pr, "_MIN_DIAGONAL", minimum)
+                check_against_recurrence(g, PageRankParams(c=c), c * pull_matrix(g),
+                                         np.full(g.n, 1.0 - c), N)
 
     @ORDERED
     @given(multigraphs(), st.integers(0, 2**32 - 1), st.integers(0, 200))
     def test_generalized_outputs_equal_the_vertex_order_recurrence(self, g, seed, N):
         rng = np.random.default_rng(seed)
         w = GeneralizedWeights(C=rng.uniform(0, 0.85, g.n), B=rng.exponential(0.15, g.n))
-        pull = pull_matrix(g)
-        mat = sp.csr_matrix((pull.data * w.C[pull.indices], pull.indices, pull.indptr),
-                            shape=pull.shape)
-        r, it, delta, iterates = vertex_order_run(mat, w.B, 1e-12, N)
-        got = solve_pagerank(g, w, with_order=N)
-        assert np.array_equal(got.values, r)
-        assert (got.iterations, got.residual) == (it, delta)
-        assert np.array_equal(got.truncated.values, iterates[N])
-        assert np.array_equal(pagerank_truncated(g, w, N).values, iterates[N])
-        exact, sweep = solve_and_sweep(g, w, N)
-        assert np.array_equal(exact.values, r)
-        assert (exact.iterations, exact.residual) == (it, delta)
-        for vecs in (sweep, truncation_sweep(g, w, N)):
-            vecs = list(vecs)
-            assert [v.order for v in vecs] == list(range(N + 1))
-            for v in vecs:
-                assert np.array_equal(v.values, iterates[v.order])
+        for minimum in MIN_DIAGONALS:
+            with pytest.MonkeyPatch.context() as m:
+                m.setattr(pr, "_MIN_DIAGONAL", minimum)
+                check_against_recurrence(g, w, generalized_matrix(g, w), w.B, N)
 
     @ORDERED
     @given(multigraphs())
     def test_rows_sorted_by_length_keep_their_entries(self, g):
         mat = pull_matrix(g)
-        system = pr._OrderedSystem(mat, np.arange(g.n, dtype=np.float64))
-        lengths = np.diff(system.mat.indptr)
-        assert (np.diff(lengths) >= 0).all()
-        assert np.array_equal(system.offset, system.perm)
-        assert np.array_equal(np.sort(system.perm), np.arange(g.n))
-        for i, v in enumerate(system.perm):
-            row = slice(system.mat.indptr[i], system.mat.indptr[i + 1])
-            want = slice(mat.indptr[v], mat.indptr[v + 1])
+        for minimum in MIN_DIAGONALS:
+            with pytest.MonkeyPatch.context() as m:
+                m.setattr(pr, "_MIN_DIAGONAL", minimum)
+                system = pr._OrderedSystem(g, 1.0, np.arange(g.n, dtype=np.float64))
+            lengths = [sources.size for sources, _ in kernel_rows(system)]
+            assert (np.diff(lengths) >= 0).all()
+            assert np.array_equal(system.offset, system.perm)
+            assert np.array_equal(np.sort(system.perm), np.arange(g.n))
             # relabelled back, row i is row perm[i] of the vertex-order matrix
-            assert np.array_equal(system.perm[system.mat.indices[row]], mat.indices[want])
-            assert np.array_equal(system.mat.data[row], mat.data[want])
+            assert_rows_equal(system, mat)
+
+    def test_signed_zero_offsets_sum_as_the_recurrence_does(self):
+        # -0.0 passes B >= 0; a row's sum starts at +0, so each iterate
+        # after R^(0) holds +0 where the recurrence does
+        g = build_graph([(0, 1), (1, 2), (3, 2)], 4)
+        w = GeneralizedWeights(C=np.array([0.5, 0.5, 0.0, -0.0]), B=np.full(4, -0.0))
+        r, _, _, iterates = vertex_order_run(generalized_matrix(g, w), w.B, w.tol, 2)
+        for vec in truncation_sweep(g, w, 2):
+            want = iterates[vec.order]
+            assert np.array_equal(np.signbit(vec.values), np.signbit(want))
+        assert np.array_equal(np.signbit(solve_pagerank(g, w).values), np.signbit(r))
+
+
+class TestLongRows:
+    """Graphs whose longest in-rows run past the stored diagonals into the
+    ``np.add.at`` tail: every output is bit for bit the vertex-order recurrence
+    ``mat @ r + offset``."""
+
+    @pytest.fixture(scope="class", params=["dpa", "irg"])
+    def graph(self, request):
+        rng = RngStream(41).generator()
+        if request.param == "dpa":
+            return gen_dpa(20_000, PamParams(m=2, delta=1.0), rng)
+        w_out, w_in = rng.pareto(2.5, 6000) + 1.0, rng.pareto(2.5, 6000) + 1.0
+        return gen_irg(w_out, w_in, float(w_in.mean()), rng)
+
+    def test_rows_reach_the_tail(self, graph):
+        system = pr._OrderedSystem(graph, 0.85, np.zeros(graph.n))
+        assert len(system.diagonals) > 1 and system.tail_rows.size > 500
+        assert_rows_equal(system, 0.85 * pull_matrix(graph))
+
+    def test_standard_outputs_equal_the_vertex_order_recurrence(self, graph):
+        check_against_recurrence(graph, PageRankParams(c=0.85), 0.85 * pull_matrix(graph),
+                                 np.full(graph.n, 1.0 - 0.85), 20)
+
+    def test_generalized_outputs_equal_the_vertex_order_recurrence(self, graph):
+        rng = RngStream(42).generator()
+        w = GeneralizedWeights(C=rng.uniform(0, 0.85, graph.n),
+                               B=rng.exponential(0.15, graph.n))
+        check_against_recurrence(graph, w, generalized_matrix(graph, w), w.B, 20)
 
 
 class TestGeneralizedMass:

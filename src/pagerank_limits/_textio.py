@@ -362,26 +362,79 @@ _HEADER_RE = re.compile(r"#\s*n\s*=\s*(\d+)\s*$")
 # non-ASCII line breaks of str.splitlines() and other non-ASCII whitespace
 _UNICODE_BREAK_RE = re.compile("[\x85\u2028\u2029]")
 _UNICODE_SPACE_RE = re.compile(r"[^\S\x00-\x7f]")
+# the ASCII bytes that end a line for str.splitlines
+_BREAK_BYTES = b"\n\v\f\r\x1c\x1d\x1e"
+_BREAK_RE = re.compile(b"[" + re.escape(_BREAK_BYTES) + b"]")
 _INT64_DIGITS = 18  # any value of at most this many digits fits in int64
 _ONES = 0x0101010101010101  # 1 in each byte of a word
+# bytes of text scanned at a time: the scan's per-byte and per-token arrays
+# (about 75 bytes a token) stay near 3 MB whatever the file's size
+_PARSE_BLOCK = 1 << 18
 
 
-def parse_edges(text: str):
+def parse_edges(text):
     """Parse the edge-list text format into ``(src, tgt, mult, n)``.
 
-    The text is scanned as bytes with numpy: tokens are runs of non-space
+    ``text`` is a ``str`` or UTF-8 ``bytes``.  Tokens are runs of non-space
     bytes, a line whose first token starts with ``#`` is a comment (or the
-    ``# n=<count>`` header), and every other nonblank line must hold two or
-    three ``[+-]<ASCII digits>`` fields.  Line numbers in errors count lines
-    as ``str.splitlines`` does.  Per-byte arrays are bool or uint8; int64
-    arrays are per token or per line.
+    ``# n=<count>`` header; the last one counts), and every other nonblank
+    line must hold two or three ``[+-]<ASCII digits>`` fields.  Line numbers
+    in errors count lines as ``str.splitlines`` does.  The UTF-8 bytes are
+    scanned ``_PARSE_BLOCK`` at a time, each block ending at a line break
+    (no multi-byte character holds an ASCII byte), into preallocated int64
+    columns.
     """
-    source = text
-    if not text.isascii():
-        # map non-ASCII breaks to "\v" and other whitespace to " ", so the
-        # byte scan splits lines and fields where str methods would
-        text = _UNICODE_SPACE_RE.sub(" ", _UNICODE_BREAK_RE.sub("\v", text))
-    data = text.encode("utf-8", "surrogatepass")
+    if isinstance(text, bytes) and not text.isascii():
+        text = text.decode("utf-8")
+    source = None  # the text errors quote, when it is not ASCII
+    if isinstance(text, str):
+        if not text.isascii():
+            # map non-ASCII breaks to "\v" and other whitespace to " ", so the
+            # byte scan splits lines and fields where str methods would
+            source = text
+            text = _UNICODE_SPACE_RE.sub(" ", _UNICODE_BREAK_RE.sub("\v", text))
+        text = text.encode("utf-8", "surrogatepass")
+    # a line per line break, and the last may end without one
+    out = np.empty((3, sum(map(text.count, _BREAK_BYTES)) + 1), dtype=np.int64)
+    rows, n, overflow = 0, None, None
+    for a, b in _line_blocks(text):
+        src, tgt, mult, header, late = _scan(text, a, b, source)
+        out[0, rows:rows + src.size] = src
+        out[1, rows:rows + src.size] = tgt
+        out[2, rows:rows + src.size] = mult
+        rows += src.size
+        n = n if header is None else header
+        overflow = overflow or late
+    if overflow:  # raised once no line of a later block is malformed
+        raise InputError(overflow)
+    return out[0, :rows], out[1, :rows], out[2, :rows], n
+
+
+def _line_blocks(data: bytes):
+    """(start, stop) of consecutive pieces of ``data``, each of at least
+    ``_PARSE_BLOCK`` bytes and ending at a line break, except the last.
+    A block may end between the bytes of ``\\r\\n``: the ``\\n`` then
+    only separates, and errors count lines in the whole text."""
+    a, end = 0, len(data)
+    while a < end:
+        m = _BREAK_RE.search(data, a + _PARSE_BLOCK - 1)
+        b = end if m is None else m.end()
+        yield a, b
+        a = b
+
+
+def _scan(text: bytes, start: int, stop: int, source=None):
+    """``(src, tgt, mult, n, overflow)`` of the edge-list lines
+    ``text[start:stop]``: ``n`` is their last header's count or None,
+    ``overflow`` None or the message of their first field beyond int64,
+    which the caller raises once no line is malformed.  Errors count lines
+    from the start of ``text`` and quote them from ``source`` (``text``
+    decoded when None).
+
+    Tokens are found by a numpy scan of the bytes; per-byte arrays are bool
+    or uint8, int64 arrays are per token or per line.
+    """
+    data = text[start:stop]
     b = np.frombuffer(data, dtype=np.uint8)
     # str.split() whitespace: 9-13 and 28-32
     space = (b - 9) <= 4
@@ -435,34 +488,39 @@ def parse_edges(text: str):
         bad[i] = not digits.isdigit()
     bad &= in_data
 
+    def where(pos):
+        li = _line_number(np.frombuffer(text, dtype=np.uint8), start + pos)
+        line = (text.decode("ascii") if source is None else source).splitlines()[li].strip()
+        return f"line {li + 1}", line
+
     bad_count = ~comment & (fields != 2) & (fields != 3)
     bad_line = bad_count.copy()
     bad_line[np.searchsorted(heads, np.flatnonzero(bad), side="right") - 1] = True
     if bad_line.any():
         h = int(np.argmax(bad_line))
-        li = _line_number(b, starts[heads[h]])
+        at, line = where(starts[heads[h]])
         if bad_count[h]:
-            raise InputError(f"line {li + 1}: expected '<source> <target> [multiplicity]'")
-        raise InputError(f"line {li + 1}: non-integer field in "
-                         f"{_stripped_line(source, li)!r}")
+            raise InputError(f"{at}: expected '<source> <target> [multiplicity]'")
+        raise InputError(f"{at}: non-integer field in {line!r}")
 
     np.negative(values, out=values, where=negative)
+    overflow = None
     for i, digits in zip(long.tolist(), long_digits):
         digits = digits.lstrip(b"0") or b"0"
         v = int(digits) if len(digits) <= 19 else 2**64
         if negative[i]:
             v = -v
         if not -2**63 <= v < 2**63:
-            li = _line_number(b, starts[i])
-            raise InputError(f"line {li + 1}: integer out of int64 range in "
-                             f"{_stripped_line(source, li)!r}")
+            at, line = where(starts[i])
+            overflow = f"{at}: integer out of int64 range in {line!r}"
+            break
         values[i] = v
     del bounds, starts, ends
 
     heads, three = heads[~comment], fields[~comment] == 3
     mult = np.ones(heads.size, dtype=np.int64)
     mult[three] = values[heads[three] + 2]
-    return values[heads], values[heads + 1], mult, n
+    return values[heads], values[heads + 1], mult, n, overflow
 
 
 def _is_break(b):
@@ -519,11 +577,6 @@ def _token_values(data: bytes, ends, ndig, width):
     return values, bad
 
 
-def _stripped_line(text: str, li: int) -> str:
-    return text.splitlines()[li].strip()
-
-
-
 # ---------------------------------------------------------------------------
 # float-CSV reader
 
@@ -538,28 +591,28 @@ def read_table(path, header: str, usecols=None) -> np.ndarray:
     fields.  A field in ``usecols`` is a number that Python's ``float``
     accepts, spelled in ASCII without ``_`` separators, optionally padded
     with ASCII whitespace; other fields are not read.  The values are parsed by
-    ``np.loadtxt`` in C and are bit-identical to ``float``'s.  A malformed
-    file raises ``InputError("<path>: line L: ...")`` naming its first bad
-    line.
+    ``np.loadtxt`` in C, from the bytes through an ASCII text stream, and are
+    bit-identical to ``float``'s.  A malformed file raises
+    ``InputError("<path>: line L: ...")`` naming its first bad line.
     """
     with open(path, "rb") as fh:
         data = fh.read()
     if b"\r" in data:
         data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-    head, _, body = data.partition(b"\n")
-    if head.decode("utf-8", "replace").strip() != header:
+    start = data.find(b"\n") + 1 or len(data)
+    if data[:start].decode("utf-8", "replace").strip() != header:
         raise InputError(f"{path}: expected '{header}' header")
     k = header.count(",") + 1
     usecols = tuple(range(k)) if usecols is None else tuple(usecols)
-    values = _parse_rows(body, k, usecols)
+    values = _parse_rows(data, start, k, usecols)
     if values is not None:
         return values
     # the first line that fails on its own, by bisection over the lines
-    lines = body.split(b"\n")
+    lines = data[start:].split(b"\n")
     lo, hi = 0, len(lines)
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if _parse_rows(b"\n".join(lines[lo:mid]), k, usecols) is None:
+        if _parse_rows(b"\n".join(lines[lo:mid]), 0, k, usecols) is None:
             hi = mid
         else:
             lo = mid
@@ -567,17 +620,20 @@ def read_table(path, header: str, usecols=None) -> np.ndarray:
                      f"{lines[lo].decode('utf-8', 'replace')!r}")
 
 
-def _parse_rows(text: bytes, k: int, usecols):
-    """Columns ``usecols`` of CSV lines of k fields, or None if malformed."""
+def _parse_rows(data: bytes, start: int, k: int, usecols):
+    """Columns ``usecols`` of the CSV lines of k fields in ``data[start:]``,
+    or None if malformed."""
+    stream = io.BytesIO(data)  # shares the bytes
+    stream.seek(start)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
         try:
-            values = np.loadtxt(io.StringIO(text.decode("ascii")), dtype=np.float64,
+            values = np.loadtxt(io.TextIOWrapper(stream, encoding="ascii"), dtype=np.float64,
                                 delimiter=",", comments=None, usecols=usecols, ndmin=2)
         except ValueError:  # UnicodeDecodeError included
             return None
     # loadtxt fails rows too short for usecols, which hold the last field,
     # and takes rows with extra fields; the comma count pins every row to k
-    if text.count(b",") != (k - 1) * values.shape[0]:
+    if data.count(b",", start) != (k - 1) * values.shape[0]:
         return None
     return values.reshape(-1, len(usecols))

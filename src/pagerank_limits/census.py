@@ -15,7 +15,6 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
-import numpy.ma  # noqa: F401  np.unique reads np.ma, which numpy loads on first use
 
 from ._textio import read_table, write_table
 from .errors import InputError, SizeError, UsageError
@@ -24,6 +23,7 @@ from .graph import (
     DEFAULT_CODE_NODE_LIMIT,
     TREE_PREFIX,
     DirectedMultigraph,
+    _run_starts,
     canonical_code,
     explore_neighborhood,
     tree_code,
@@ -319,7 +319,9 @@ def _tree_codes(marks, src, tgt, k, roots):
         ends = np.cumsum(lens)
         kids = levels[j - 1][src[edges]]
         steps.append((reached, marks[v], ends, kids))
-        reached = np.unique(kids)
+        # np.unique(kids) without its np.ma check, which imports numpy.ma
+        reached = np.sort(kids)
+        reached = reached[_run_starts(reached)]
     codes = {c: tree_code(c, ()) for c in reached.tolist()}  # level-0 colors are marks
     for colors, mks, ends, kids in reversed(steps):
         kid_codes = [codes[c] for c in kids.tolist()]

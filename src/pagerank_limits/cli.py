@@ -450,7 +450,9 @@ def _values_file(path, flag):
         with warnings.catch_warnings():
             # an empty file is an empty array, rejected by the length checks
             warnings.simplefilter("ignore", UserWarning)
-            values = np.loadtxt(path, ndmin=1)
+            # a file handle: given a path, np.loadtxt imports gzip
+            with open(path, encoding="utf-8") as fh:
+                values = np.loadtxt(fh, ndmin=1)
     except ValueError as e:
         raise InputError(f"{flag} {path}: {e}") from None
     if values.ndim != 1:

@@ -212,8 +212,7 @@ def sample_bidegree_sequence(law: BiDegreeLaw, n: int, rng) -> BiDegreeSequence:
 def gen_dcm(seq: BiDegreeSequence, rng) -> DirectedMultigraph:
     """Uniformly random matching of out-half-edges to in-half-edges."""
     out_stubs = np.repeat(np.arange(seq.n, dtype=np.int64), seq.d_out)
-    in_stubs = np.repeat(np.arange(seq.n, dtype=np.int64), seq.d_in)
-    matched = in_stubs[rng.permutation(seq.L)]
+    matched = np.repeat(np.arange(seq.n, dtype=np.int64), seq.d_in)[rng.permutation(seq.L)]
     return build_graph((out_stubs, matched), seq.n)
 
 
@@ -279,7 +278,7 @@ def gen_irg(w_out, w_in, theta: float, rng) -> DirectedMultigraph:
     bit_gen.state = end
     src = np.concatenate([bi for bi, _ in parts])
     tgt = np.concatenate([bj for _, bj in parts])
-    return build_graph((src.astype(np.int64), tgt.astype(np.int64)), n)
+    return build_graph((src, tgt), n)
 
 
 def _usable_cpus() -> int:

@@ -95,31 +95,53 @@ def build_graph(edge_list, n: int) -> DirectedMultigraph:
     """Build an immutable multigraph from (source, target[, multiplicity]) entries.
 
     Duplicate pairs accumulate multiplicity.  ``edge_list`` may be a sequence
-    of tuples or a tuple of parallel arrays ``(src, tgt[, mult])``.
+    of tuples or a tuple of parallel arrays ``(src, tgt[, mult])``; arrays
+    are read, never written or frozen.  Pairs already in strictly increasing
+    (source, target) order, as every edge list this package writes, are not
+    sorted.
     """
     if n < 0:
         raise InputError(f"vertex count must be nonnegative, got {n}")
     src, tgt, mult = _normalize_edges(edge_list)
-    bad = np.nonzero((src < 0) | (src >= n) | (tgt < 0) | (tgt >= n))[0]
-    if bad.size:
-        i = int(bad[0])
+    if src.size and (min(src.min(), tgt.min()) < 0 or max(src.max(), tgt.max()) >= n):
+        i = int(np.argmax((src < 0) | (src >= n) | (tgt < 0) | (tgt >= n)))
         raise InputError(
             f"edge {i}: vertex id out of range for n={n}: ({int(src[i])}, {int(tgt[i])})"
         )
-    bad = np.nonzero(mult < 1)[0]
-    if bad.size:
-        i = int(bad[0])
-        raise InputError(f"edge {i}: multiplicity must be >= 1, got {int(mult[i])}")
+    if mult is not None and (mult != 1).any():
+        if mult.min() < 1:
+            i = int(np.argmax(mult < 1))
+            raise InputError(f"edge {i}: multiplicity must be >= 1, got {int(mult[i])}")
+    else:
+        mult = None  # every multiplicity is 1
 
-    keys = src * np.int64(n) + tgt
-    order = np.argsort(keys)
-    keys, umult = keys[order], mult[order]
-    if keys.size > 1 and not (keys[1:] != keys[:-1]).all():  # repeated pairs
-        first = np.flatnonzero(np.diff(keys, prepend=-1))
-        keys = keys[first]
-        umult = _segment_sums(umult, np.append(first, src.size),
-                              lambda i: f"pair {divmod(int(keys[i]), n)}: multiplicity")
-    usrc, utgt = np.divmod(keys, max(n, 1))
+    keys = src * np.int64(n)
+    keys += tgt
+    del src, tgt
+    umult = None
+    if keys.size > 1 and not (keys[1:] > keys[:-1]).all():
+        if mult is None:  # a pair's multiplicity is its run length
+            keys.sort()
+            first = _run_starts(keys)
+            if first.size < keys.size:
+                umult = np.diff(first, append=keys.size)
+                keys = keys[first]
+        else:
+            order = np.argsort(keys)
+            keys, umult = keys[order], mult[order]
+            del order
+            first = _run_starts(keys)
+            if first.size < keys.size:
+                keys = keys[first]
+                umult = _segment_sums(umult, np.append(first, umult.size),
+                                      lambda i: f"pair {divmod(int(keys[i]), n)}: multiplicity")
+        del first
+    if umult is None and mult is not None:
+        umult = mult.copy()
+    del mult
+    usrc = keys // max(n, 1)
+    utgt = np.remainder(keys, max(n, 1), out=keys)
+    del keys
 
     out_indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(usrc, minlength=n), out=out_indptr[1:])
@@ -127,9 +149,23 @@ def build_graph(edge_list, n: int) -> DirectedMultigraph:
     np.cumsum(np.bincount(utgt, minlength=n), out=in_indptr[1:])
     # the pairs in (target, source) order; the keys are distinct, so any sort
     # gives this one order
-    in_order = np.argsort(utgt * np.int64(n) + usrc)
-    d_out = _segment_sums(umult, out_indptr, lambda v: f"vertex {v}: out-degree")
-    d_in = _segment_sums(umult[in_order], in_indptr, lambda v: f"vertex {v}: in-degree")
+    in_keys = utgt * np.int64(n)
+    in_keys += usrc
+    in_order = np.argsort(in_keys)
+    del in_keys
+    if umult is None:  # every pair once
+        umult = np.ones(usrc.size, dtype=np.int64)
+    # degrees: the pair counts, plus m - 1 for each pair of multiplicity m > 1
+    d_out, d_in = np.diff(out_indptr), np.diff(in_indptr)
+    multi = np.flatnonzero(umult > 1)
+    if multi.size and int(umult[multi].max()) > _INT64_MAX // umult.size:
+        # a degree may exceed int64
+        d_out = _segment_sums(umult, out_indptr, lambda v: f"vertex {v}: out-degree")
+        d_in = _segment_sums(umult[in_order], in_indptr, lambda v: f"vertex {v}: in-degree")
+    else:
+        extra = umult[multi] - 1
+        np.add.at(d_out, usrc[multi], extra)
+        np.add.at(d_in, utgt[multi], extra)
 
     for arr in (usrc, utgt, umult, d_in, d_out, out_indptr, in_indptr, in_order):
         arr.setflags(write=False)
@@ -137,6 +173,14 @@ def build_graph(edge_list, n: int) -> DirectedMultigraph:
         n=n, src=usrc, tgt=utgt, mult=umult, d_in=d_in, d_out=d_out,
         out_indptr=out_indptr, in_indptr=in_indptr, in_order=in_order,
     )
+
+
+def _run_starts(keys):
+    """Indices where a run of equal entries of the sorted ``keys`` starts."""
+    new = np.empty(keys.size, dtype=bool)
+    new[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=new[1:])
+    return np.flatnonzero(new)
 
 
 def _segment_sums(values, bounds, name):
@@ -162,17 +206,14 @@ def _segment_sums(values, bounds, name):
 
 
 def _normalize_edges(edge_list):
+    """(src, tgt, mult) as int64 arrays, int64 input arrays not copied;
+    ``mult`` is None for a pair of arrays."""
     if isinstance(edge_list, tuple) and len(edge_list) in (2, 3) and all(
         isinstance(a, np.ndarray) for a in edge_list
     ):
-        src = edge_list[0].astype(np.int64)
-        tgt = edge_list[1].astype(np.int64)
-        mult = (
-            edge_list[2].astype(np.int64)
-            if len(edge_list) == 3
-            else np.ones(src.size, dtype=np.int64)
-        )
-        if src.shape != tgt.shape or src.shape != mult.shape:
+        src, tgt, *mult = (np.asarray(a, dtype=np.int64) for a in edge_list)
+        mult = mult[0] if mult else None
+        if src.shape != tgt.shape or mult is not None and mult.shape != src.shape:
             raise InputError("edge arrays must have equal length")
         return src, tgt, mult
     srcs, tgts, mults = [], [], []
@@ -209,10 +250,10 @@ def parse_edgelist(text: str):
 
 
 def read_edgelist(path) -> DirectedMultigraph:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        text = fh.read()
-    src, tgt, mult, n = parse_edges(text)
-    del text
+    with open(path, "rb") as fh:
+        data = fh.read()
+    src, tgt, mult, n = parse_edges(data)
+    del data
     if n is None:
         n = 1 + int(max(src.max(), tgt.max())) if src.size else 0
     try:

@@ -152,17 +152,23 @@ class _OrderedSystem:
                                kind="stable")
         label = np.empty(n, dtype=np.intp)
         label[self.perm] = np.arange(n)
-        src, mult = g.src[g.in_order], g.mult[g.in_order]
         damping = np.broadcast_to(damping, (n,))
         # dangling vertices source no edge, so their weight is never read
-        self.weight = 1.0 / np.maximum(g.d_out, 1)[self.perm] * damping[self.perm]
-        multi = np.flatnonzero(mult > 1)
-        source = src[multi]
+        d_out = g.d_out[self.perm]
+        self.weight = np.divide(1.0, np.maximum(d_out, 1, out=d_out))
+        del d_out
+        self.weight *= damping[self.perm]
+        # the in-edge slots of multi-edges, and their sources
+        multi = np.flatnonzero((g.mult > 1)[g.in_order])
+        pair = g.in_order[multi]
+        source = g.src[pair]
         self.multi_src = label[source]
-        self.multi_weight = mult[multi] / g.d_out[source] * damping[source]
+        self.multi_weight = g.mult[pair] / g.d_out[source] * damping[source]
         # the z entry each in-edge slot reads
-        cols = label[src]
+        cols = g.src[g.in_order]
+        np.take(label, cols, out=cols)
         cols[multi] = n + np.arange(multi.size)
+        del label
 
         first = g.in_indptr[self.perm]
         lengths = lengths[self.perm]
@@ -237,6 +243,7 @@ class _OrderedSystem:
             # iterates rise: C, B >= 0, and every rounding is monotone
             step = np.subtract(r, prev, out=None if prev is kept else prev)
             delta = float(step.max()) if r.size else 0.0
+            del prev, step  # so the next mat-vec runs with one iterate fewer held
             if delta < params.tol:
                 if order is not None and order > k:
                     kept = _last(islice(iterates, order - k))

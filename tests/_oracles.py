@@ -8,7 +8,7 @@ one exploration plus one canonical code per root or tree for censuses,
 color refinement ranked by multi-key ``lexsort``, the per-tree walk that
 locates branching trees in a uniform stream, the line-by-line str-method
 edge-list parser, the line-at-a-time file writers and float-CSV readers,
-and the dense IRG sampler.
+the dense IRG sampler, and the argsort-and-gather graph build.
 None of it shares code with the implementation paths it checks.
 """
 
@@ -392,3 +392,77 @@ def gen_irg_dense(w_out, w_in, theta, rng):
     src = np.concatenate(srcs) if srcs else np.zeros(0, dtype=np.int64)
     tgt = np.concatenate(tgts) if tgts else np.zeros(0, dtype=np.int64)
     return build_graph((src.astype(np.int64), tgt.astype(np.int64)), n)
+
+
+_INT64_MAX = 2**63 - 1
+
+
+def build_graph_reference(edge_list, n: int) -> DirectedMultigraph:
+    """``build_graph`` spelled with copies: every input cast by ``astype``,
+    the pair keys argsorted and gathered, repeated pairs summed by segment,
+    the in-order argsorted from (target, source) keys."""
+    if n < 0:
+        raise InputError(f"vertex count must be nonnegative, got {n}")
+    if isinstance(edge_list, tuple) and len(edge_list) in (2, 3) and all(
+        isinstance(a, np.ndarray) for a in edge_list
+    ):
+        src = edge_list[0].astype(np.int64)
+        tgt = edge_list[1].astype(np.int64)
+        mult = (edge_list[2].astype(np.int64) if len(edge_list) == 3
+                else np.ones(src.size, dtype=np.int64))
+        if src.shape != tgt.shape or src.shape != mult.shape:
+            raise InputError("edge arrays must have equal length")
+    else:
+        triples = []
+        for i, e in enumerate(edge_list):
+            if len(e) not in (2, 3):
+                raise InputError(f"edge {i}: expected (source, target[, multiplicity])")
+            triples.append((*e, 1) if len(e) == 2 else tuple(e))
+        src, tgt, mult = (np.asarray([t[j] for t in triples], dtype=np.int64)
+                          for j in range(3))
+    bad = np.nonzero((src < 0) | (src >= n) | (tgt < 0) | (tgt >= n))[0]
+    if bad.size:
+        i = int(bad[0])
+        raise InputError(
+            f"edge {i}: vertex id out of range for n={n}: ({int(src[i])}, {int(tgt[i])})"
+        )
+    bad = np.nonzero(mult < 1)[0]
+    if bad.size:
+        i = int(bad[0])
+        raise InputError(f"edge {i}: multiplicity must be >= 1, got {int(mult[i])}")
+
+    keys = src * np.int64(n) + tgt
+    order = np.argsort(keys)
+    keys, umult = keys[order], mult[order]
+    if keys.size > 1 and not (keys[1:] != keys[:-1]).all():
+        first = np.flatnonzero(np.diff(keys, prepend=-1))
+        keys = keys[first]
+        umult = _segment_sums_reference(
+            umult, np.append(first, src.size),
+            lambda i: f"pair {divmod(int(keys[i]), n)}: multiplicity")
+    usrc, utgt = np.divmod(keys, max(n, 1))
+
+    out_indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(usrc, minlength=n), out=out_indptr[1:])
+    in_indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(utgt, minlength=n), out=in_indptr[1:])
+    in_order = np.argsort(utgt * np.int64(n) + usrc)
+    d_out = _segment_sums_reference(umult, out_indptr, lambda v: f"vertex {v}: out-degree")
+    d_in = _segment_sums_reference(umult[in_order], in_indptr,
+                                   lambda v: f"vertex {v}: in-degree")
+    return DirectedMultigraph(
+        n=n, src=usrc, tgt=utgt, mult=umult, d_in=d_in, d_out=d_out,
+        out_indptr=out_indptr, in_indptr=in_indptr, in_order=in_order,
+    )
+
+
+def _segment_sums_reference(values, bounds, name):
+    """Python-int sums of ``values[bounds[i]:bounds[i + 1]]``; a sum beyond
+    int64 raises ``InputError`` naming ``name(i)``."""
+    sums = []
+    for i, (a, b) in enumerate(zip(bounds[:-1].tolist(), bounds[1:].tolist())):
+        total = sum(values[a:b].tolist())
+        if total > _INT64_MAX:
+            raise InputError(f"{name(i)} {total} exceeds int64")
+        sums.append(total)
+    return np.asarray(sums, dtype=np.int64)

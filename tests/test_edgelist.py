@@ -10,6 +10,7 @@ takes ``_`` separators and non-ASCII digits), and values must fit in int64
 ``build_graph`` with an ``OverflowError``).
 """
 
+import contextlib
 import re
 
 import numpy as np
@@ -17,6 +18,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from pagerank_limits import _textio
 from pagerank_limits.errors import InputError
 from pagerank_limits.graph import build_graph, parse_edgelist, read_edgelist
 
@@ -197,3 +199,72 @@ def test_read_edgelist_infers_n_and_keeps_build_errors(tmp_path):
         read_edgelist(path)
     path.write_text("")
     assert read_edgelist(path).n == 0
+
+
+# ---------------------------------------------------------------------------
+# ASCII text is scanned in blocks, each ending at a line break; blocks of a
+# few bytes put every kind of line, break and error at a cut
+
+BLOCK_SIZES = (1, 2, 3, 4, 5, 7, 16)
+
+
+@contextlib.contextmanager
+def blocks_of(size):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_textio, "_PARSE_BLOCK", size)
+        yield
+
+
+@settings(SETTINGS, max_examples=200)
+@given(st.one_of(texts(), st.text("0123 \t\r\n\x0b\x1e\x85\xa0\u2028\u3000#n=x", max_size=40)),
+       st.sampled_from(BLOCK_SIZES))
+def test_small_blocks_match_reference(text, size):
+    with blocks_of(size):
+        assert_matches_reference(text)
+
+
+def test_header_in_a_later_block():
+    text = "# n=5\n" + "0 1\n" * 40 + "# n=9\n2 3\n"
+    for size in BLOCK_SIZES:
+        with blocks_of(size):
+            edges, n = parse_edgelist(text)
+        assert n == 9 and edges == [(0, 1, 1)] * 40 + [(2, 3, 1)]
+
+
+@pytest.mark.parametrize("brk", ["\r\n", "\r", "\n", "\x0b", "\x1e"])
+def test_line_breaks_at_a_cut(brk):
+    text = brk.join(["0 1", "", "# c", "  ", "2 3 4", "5 6", "# n=7", ""])
+    for size in BLOCK_SIZES:
+        with blocks_of(size):
+            assert parse_edgelist(text) == parse_edgelist_reference(text)
+            with pytest.raises(InputError) as got:
+                parse_edgelist(text + f"1 x{brk}")
+        assert str(got.value) == "line 8: non-integer field in '1 x'"
+
+
+def test_error_lines_count_earlier_blocks():
+    top = 2**63
+    for size in BLOCK_SIZES:
+        with blocks_of(size):
+            with pytest.raises(InputError, match="^line 31: expected '<source>"):
+                parse_edgelist("0 1\r\n" * 30 + "0\r\n")
+            with pytest.raises(InputError, match="^line 21: integer out of int64 range in"):
+                parse_edgelist("0 1\n" * 20 + f"0 {top}\n" + "1 2\n" * 20)
+            # a malformed line in a later block is reported before an
+            # earlier field beyond int64, as a whole-text scan does
+            with pytest.raises(InputError, match="^line 25: non-integer field in '3 y'"):
+                parse_edgelist("0 1\n" * 20 + f"0 {top}\n" + "1 2\n" * 3 + "3 y\n")
+
+
+def test_non_ascii_text_in_blocks(tmp_path):
+    text = "# n=4\u2028 0\xa01\r\n\x85 2 3\u3000\n# caf\u00e9\n1 2 3\n"
+    path = tmp_path / "g.txt"
+    path.write_bytes(text.encode())
+    want = parse_edgelist_reference(text)
+    for size in BLOCK_SIZES:
+        with blocks_of(size):
+            assert parse_edgelist(text) == want
+            g = read_edgelist(path)
+        assert list(g.edge_triples()) == list(build_graph(*want).edge_triples())
+    with pytest.raises(InputError, match="^line 7: non-integer field in '1 \u00e9'"):
+        parse_edgelist(text + "1 \u00e9\n")

@@ -70,17 +70,21 @@ def _run_python(code, cwd):
 
 def test_cli_import_loads_no_scipy_and_no_multiprocessing(tmp_path):
     # each command pays its imports: scipy.sparse cost about 0.25 s of start-up,
-    # multiprocessing 15-27 ms, and neither is needed by a default command
+    # multiprocessing 15-27 ms, numpy.ma 16-21 ms, and none is needed by a
+    # default command
     loaded = _run_python("import sys, pagerank_limits.cli; print(*sys.modules)",
                          tmp_path).split()
     assert "pagerank_limits.cli" in loaded
     assert [m for m in loaded if m.split(".")[0] in ("scipy", "multiprocessing")] == []
+    assert [m for m in loaded if m == "numpy.ma" or m.startswith("numpy.ma.")] == []
 
 
 def test_commands_load_no_module_after_import(tmp_path):
-    # numpy loads numpy.random and numpy.ma on first use; the package loads
-    # them itself, so no command pays for them inside its own time (the
-    # standard library's lazy imports, such as argparse's locale, are small)
+    # numpy loads numpy.random on first use and numpy.ma on np.unique's
+    # plain path; the package loads numpy.random itself and calls no
+    # np.unique that reads np.ma, so no command pays for either inside its
+    # own time (the standard library's lazy imports, such as argparse's
+    # locale, are small)
     config = {"seed": 3, "model": {"name": "dcm", "law": [[1, 1, 0.5], [2, 2, 0.5]]},
               "sizes": [300], "pagerank": {"c": 0.5, "N": 4},
               "limit": {"sampler": "fixed_point", "M": 300, "depth": 4},
@@ -109,3 +113,22 @@ print(codes, *sorted(m for m in set(sys.modules) - before
 """
     out = _run_python(code, tmp_path)
     assert out.split("]", 1) == ["[0, 0, 0, 0, 0, 0, 0", "\n"]
+
+
+def test_weight_files_load_no_compression_module(tmp_path):
+    # np.loadtxt given a path opens it through numpy's DataSource, which
+    # imports gzip (and looks for bz2 and lzma) inside the command's time
+    (tmp_path / "w.txt").write_text("\n".join(["1.5", "2.0", "0.5"] * 20) + "\n")
+    argv = ["generate", "--model", "irg", "--n", "60", "--w-out", "@w.txt",
+            "--w-in", "@w.txt", "--seed", "1", "--output", "g.txt"]
+    code = f"""
+import contextlib, io, sys
+from pagerank_limits import cli
+before = set(sys.modules)
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main({argv!r})
+print(code, *sorted(set(sys.modules) - before))
+"""
+    code, *loaded = _run_python(code, tmp_path).split()
+    assert code == "0"
+    assert [m for m in loaded if m in ("gzip", "bz2", "lzma")] == []

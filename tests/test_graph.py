@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pagerank_limits import RngStream
 from pagerank_limits.errors import InputError, SizeError
@@ -16,7 +18,7 @@ from pagerank_limits.graph import (
     write_edgelist,
 )
 
-from _oracles import brute_force_isomorphic, random_small_graph
+from _oracles import brute_force_isomorphic, build_graph_reference, random_small_graph
 
 
 def cycle3():
@@ -128,6 +130,83 @@ class TestExactSums:
             g = build_graph((src, tgt, mult), n)
             assert list(g.edge_triples()) == [(*k, v) for k, v in sorted(pairs.items())]
             assert g.d_out.tolist() == d_out and g.d_in.tolist() == d_in
+
+
+GRAPH_ARRAYS = ("src", "tgt", "mult", "d_in", "d_out", "out_indptr", "in_indptr", "in_order")
+
+
+@st.composite
+def edge_inputs(draw):
+    """(edge_list, n): parallel arrays (int64 or int32, with or without
+    multiplicities) or a list of tuples, over pairs that are shuffled,
+    sorted with repeats, or strictly increasing."""
+    n = draw(st.integers(0, 12))
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    pairs = draw(st.lists(pair, max_size=40)) if n else []
+    order = draw(st.sampled_from(["shuffled", "sorted", "increasing"]))
+    if order == "sorted":
+        pairs.sort()
+    elif order == "increasing":
+        pairs = sorted(set(pairs))
+    mults = draw(st.sampled_from([None, "ones", "explicit"]))
+    if mults == "explicit":
+        mults = draw(st.lists(st.integers(1, 5), min_size=len(pairs), max_size=len(pairs)))
+    elif mults == "ones":
+        mults = [1] * len(pairs)
+    if draw(st.booleans()):
+        return [(*p, m) for p, m in zip(pairs, mults)] if mults else pairs, n
+    dtype = draw(st.sampled_from([np.int64, np.int32]))
+    columns = [[p[0] for p in pairs], [p[1] for p in pairs]] + ([mults] if mults else [])
+    return tuple(np.array(c, dtype=dtype) for c in columns), n
+
+
+class TestBuildMatchesReference:
+    """``build_graph`` sorts in place and skips sorted input; the reference
+    argsorts and gathers copies.  Both give the same arrays and errors."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(edge_inputs())
+    def test_arrays_equal_the_reference(self, case):
+        edges, n = case
+        before = [a.copy() for a in edges] if isinstance(edges, tuple) else None
+        g, want = build_graph(edges, n), build_graph_reference(edges, n)
+        assert g.n == want.n == n
+        for name in GRAPH_ARRAYS:
+            got, ref = getattr(g, name), getattr(want, name)
+            assert got.dtype == ref.dtype and np.array_equal(got, ref), name
+            assert not got.flags.writeable
+        if before is not None:  # the caller's arrays are neither written nor frozen
+            for a, b in zip(edges, before):
+                assert np.array_equal(a, b) and a.flags.writeable
+
+    def test_empty_and_edgeless(self):
+        for edges, n in [([], 0), ([], 4), ((np.zeros(0, dtype=np.int64),) * 2, 0),
+                         ((np.zeros(0, dtype=np.int64),) * 3, 3)]:
+            g, want = build_graph(edges, n), build_graph_reference(edges, n)
+            for name in GRAPH_ARRAYS:
+                assert np.array_equal(getattr(g, name), getattr(want, name)), name
+
+    BIG = 2**62
+
+    @pytest.mark.parametrize("edges,n", [
+        ([(0, 1), (0, 5)], 3),
+        ([(0, 1), (-1, 2)], 3),
+        ([(2, 1), (0, 1, 0)], 3),
+        ([(0, 1, 3), (1, 0, -2)], 3),
+        ([(0, 1, BIG), (2, 2), (0, 1, BIG)], 3),
+        ([(0, 1, BIG), (0, 2, BIG)], 3),
+        ([(0, 2, BIG), (1, 2, BIG - 1), (1, 2, 1)], 3),
+        ([(0, 2, BIG), (1, 2, BIG)], 3),
+        ([(1, 0, BIG), (0, 1, BIG), (0, 2, BIG)], 3),
+    ])
+    def test_errors_keep_their_text(self, edges, n):
+        for case in (edges, tuple(np.array(c, dtype=np.int64) for c in zip(
+                *[(*e, 1) if len(e) == 2 else e for e in edges]))):
+            with pytest.raises(InputError) as want:
+                build_graph_reference(case, n)
+            with pytest.raises(InputError) as got:
+                build_graph(case, n)
+            assert str(got.value) == str(want.value)
 
 
 class TestExplore:

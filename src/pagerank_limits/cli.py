@@ -250,6 +250,8 @@ def generate_model(model, n, rng):
         g = gen.gen_dcm(seq, rng)
         meta = {"model": "dcm", "law": model["law"].entries}
     elif name == "irg":
+        if n < 1:
+            raise ConfigError(f"n must be >= 1, got {n}")
         w_out = _irg_weights(model["w_out"], n, "model.w_out")
         w_in = _irg_weights(model["w_in"], n, "model.w_in")
         theta = model["theta"] if model["theta"] is not None else float(w_in.mean())

@@ -37,14 +37,16 @@ __all__ = [
     "gen_ctbp_tree",
 ]
 
-# cells (rows x n raw words) drawn per block when sampling IRG edges, 8 MB
-# of words.  Measured with perfbench irg-generate (n = 12 000, two threads,
-# 2-core Xeon, 20 s runs): median wall_norm_s 0.63 / 0.59 / 0.56 / 0.64 s and
-# peak RSS 67 / 70 / 78 / 96 MB at 2^18 / 2^19 / 2^20 / 2^21 cells over 9
-# seeds (2^17: 0.69 s, 64 MB over 3), and 2^20 beat 2^18 in 16 of 19 paired
-# seeds.  The 2 MB blocks that fit L2 took no more thread CPU time, but the
-# threads sat idle longer.
-_IRG_BLOCK_CELLS = 1 << 20
+# cells (rows x n raw words) drawn per block when sampling IRG edges, 1 MB
+# of words, half the per-core L2; each thread streams its row range through
+# such blocks.  Measured at n = 12 000 on two threads of a 2-core Xeon, in a
+# fresh process per seed (transient RSS, median wall over 8 seeds): one pool
+# task per 2^20-cell block +19.8 MB, 374 ms; one range per thread in blocks
+# of 2^18 cells +9.4 MB, 339 ms, 2^17 +5.4 MB, 356 ms, 2^16 +4.2 MB, 368 ms.
+# 2^17 and 2^18 then tied on wall in 16 paired seeds (8 wins each), and in
+# perfbench irg-generate (20 s runs, 4 pairs: wall_norm_s medians 0.59 and
+# 0.57 s) where 2^17 peaked 3.7 MB lower (48.6 against 52.3 MB).
+_IRG_BLOCK_CELLS = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -224,11 +226,11 @@ def gen_irg(w_out, w_in, theta: float, rng) -> DirectedMultigraph:
     present when that uniform is below p_ij.  The raw 64-bit words x are
     screened per row against the row's largest probability (the double is
     ``(x >> 11) 2^-53``, so ``u < p`` iff ``x >> 11 < ceil(p 2^53)``); only
-    the few words that pass get p_ij computed.  Blocks of rows are drawn in
-    parallel threads, each on its own Philox copy positioned at its first
-    cell, and ``rng`` is left n^2 draws further on: the graph and every later
-    draw are those of drawing all n^2 uniforms in order, whatever the thread
-    count.
+    the few words that pass get p_ij computed.  Each thread draws one
+    contiguous range of rows, block by block, from its own Philox copy
+    positioned at the range's first cell, and ``rng`` is left n^2 draws
+    further on: the graph and every later draw are those of drawing all n^2
+    uniforms in order, whatever the thread count.
     """
     w_out = np.asarray(w_out, dtype=np.float64)
     w_in = np.asarray(w_in, dtype=np.float64)
@@ -254,24 +256,34 @@ def gen_irg(w_out, w_in, theta: float, rng) -> DirectedMultigraph:
     t = np.maximum(np.ceil(rowmax * 2.0**53).astype(np.uint64), np.uint64(1))
     bound = (t << np.uint64(11)) - np.uint64(1)
     rows = max(1, _IRG_BLOCK_CELLS // n)
+    blocks = -(-n // rows)
 
-    def draw(r0):
-        r1 = min(n, r0 + rows)
-        words = _philox_at(start, r0 * n).random_raw((r1 - r0) * n)
-        # flat row-major indices: np.nonzero on the 2-D mask costs 6 to 10 times as much
-        flat = np.flatnonzero(words.reshape(r1 - r0, n) <= bound[r0:r1, None])
-        u = (words[flat] >> np.uint64(11)) * 2.0**-53
-        bi, bj = np.divmod(flat, n)
-        bi += r0
-        hit = (u < np.minimum(1.0, (w_out[bi] * w_in[bj]) * scale)) & (bi != bj)
-        return bi[hit], bj[hit]
+    def draw(first, stop):
+        """Edges of rows [first, stop), drawn block by block from one copy."""
+        words_at = _philox_at(start, first * n)
+        parts = []
+        for r0 in range(first, stop, rows):
+            r1 = min(stop, r0 + rows)
+            words = words_at.random_raw((r1 - r0) * n)
+            # flat row-major indices: np.nonzero on the 2-D mask costs 6 to 10 times as much
+            flat = np.flatnonzero(words.reshape(r1 - r0, n) <= bound[r0:r1, None])
+            u = (words[flat] >> np.uint64(11)) * 2.0**-53
+            del words  # before the next block's words are drawn
+            bi, bj = np.divmod(flat, n)
+            bi += r0
+            hit = (u < np.minimum(1.0, (w_out[bi] * w_in[bj]) * scale)) & (bi != bj)
+            parts.append((bi[hit], bj[hit]))
+        return parts
 
     start = bit_gen.state
-    starts = range(0, n, rows)
-    with ThreadPoolExecutor(min(_usable_cpus(), len(starts), 8)) as pool:
-        # each block runs in a copy of the caller's context, which holds np.errstate
-        futures = [pool.submit(contextvars.copy_context().run, draw, r0) for r0 in starts]
-        parts = [f.result() for f in futures]
+    threads = min(_usable_cpus(), blocks, 8)
+    # thread k draws blocks [k blocks / threads, (k + 1) blocks / threads)
+    cuts = [min(n, blocks * k // threads * rows) for k in range(threads + 1)]
+    with ThreadPoolExecutor(threads) as pool:
+        # each range runs in a copy of the caller's context, which holds np.errstate
+        futures = [pool.submit(contextvars.copy_context().run, draw, first, stop)
+                   for first, stop in zip(cuts, cuts[1:])]
+        parts = [part for f in futures for part in f.result()]
     end = _philox_at(start, n * n).state
     # advance() clears the cached half word of 32-bit draws; uniforms never touch it
     end["has_uint32"], end["uinteger"] = start["has_uint32"], start["uinteger"]

@@ -371,7 +371,8 @@ def _coefficients(g, params):
         if params.C.shape != (g.n,):
             raise ConfigError(f"weights have length {params.C.size}, graph has {g.n} vertices")
         return params.C, params.B
-    return np.full(g.n, params.c), np.full(g.n, 1.0 - params.c)
+    # read-only views, not copies: every use reads them
+    return np.broadcast_to(params.c, (g.n,)), np.broadcast_to(1.0 - params.c, (g.n,))
 
 
 def _mean(values):
@@ -439,9 +440,12 @@ def lower_bound_check(g: DirectedMultigraph, params,
     if exact is None:
         exact = solve_pagerank(g, params)
     C, B = _coefficients(g, params)
-    # the rows of the pull system times B, added in the same (source) order
-    bound = B + np.bincount(g.tgt, weights=g.mult / g.d_out[g.src] * (C * B)[g.src],
-                            minlength=g.n)
+    # the rows of the pull system times B, added in the same (source) order;
+    # the edge weight mult / d_out * C B is formed in place
+    weight = np.divide(g.mult, g.d_out[g.src])
+    weight *= (C * B)[g.src]
+    bound = B + np.bincount(g.tgt, weights=weight, minlength=g.n)
+    del weight
     bad = np.nonzero(exact.values < bound - _slack(g, params, exact)[0] * bound)[0]
     if bad.size:
         head = ", ".join(str(int(v)) for v in bad[:10])

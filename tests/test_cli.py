@@ -1,4 +1,5 @@
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -48,6 +49,17 @@ class TestSubcommands:
         meta = json.loads((tmp_path / "g.txt.meta.json").read_text())
         assert meta["model"] == "dpa" and meta["edges"] == 2 * 999
         assert meta["seed"] == 7
+
+    @pytest.mark.parametrize("n", [0, -2])
+    @pytest.mark.parametrize("model", [["dcm", "--law", json.dumps(DCM_LAW)], ["irg"]])
+    def test_generate_rejects_n_below_one(self, tmp_path, capsys, model, n):
+        out = tmp_path / "g.txt"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = cli.main(["generate", "--model", *model, "--n", str(n), "--output", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: n must be >= 1, got {n}\n"
+        assert not out.exists()
 
     def test_pagerank_truncated_gap_metadata(self, tmp_path):
         g = tmp_path / "g.txt"

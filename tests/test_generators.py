@@ -1,5 +1,4 @@
 import os
-import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -239,6 +238,15 @@ class TestIrg:
             gen_irg(w, w, 1.0, np.random.default_rng(1))
 
 
+def _live_state(rng):
+    """The parts of a Philox generator's state that later draws read: the
+    buffer's words before ``buffer_pos`` are spent."""
+    s = rng.bit_generator.state
+    pos = s["buffer_pos"]
+    return (s["state"]["counter"].tolist(), s["state"]["key"].tolist(), pos,
+            s["buffer"][pos:].tolist(), s["has_uint32"], s["uinteger"])
+
+
 def _irg_weights(rng, n):
     """Log-uniform from 1e-12 to 1e3, and about a tenth at 1e-170, whose
     products underflow to 0.  With theta n <= 3000 the largest products
@@ -324,12 +332,22 @@ class TestIrgAgainstDense:
         assert np.array_equal(a.src, b.src)
         assert np.array_equal(a.tgt, b.tgt)
         assert np.array_equal(a.mult, b.mult)
+        assert _live_state(fast) == _live_state(dense)
         assert np.array_equal(fast.random(5), dense.random(5))
         assert fast.integers(2**32, dtype=np.uint32) == dense.integers(2**32, dtype=np.uint32)
 
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 5])
+    def test_row_ranges_do_not_move_a_bit(self, cpus, monkeypatch):
+        # blocks of one row (fewer cells than a row), of 7 rows, and of all
+        # 57 rows: 57, 9 and 1 blocks cut into min(cpus, blocks) row ranges
+        monkeypatch.setattr(generators, "_usable_cpus", lambda: cpus)
+        for cells in (28, 7 * 57, 57 * 57):
+            monkeypatch.setattr(generators, "_IRG_BLOCK_CELLS", cells)
+            self._assert_matches_dense(57, cells)
+
     @pytest.mark.parametrize("cpus", [1, 4])
     def test_thread_count_does_not_matter(self, cpus, monkeypatch):
-        # n = 2048 at the default block size is 4 blocks, so with 4 usable
+        # n = 2048 at the default block size is 16 blocks, so with 4 usable
         # CPUs they run in 4 threads
         pools = []
 
@@ -347,25 +365,6 @@ class TestIrgAgainstDense:
         # os.sched_getaffinity exists only on Linux; elsewhere os.cpu_count() is used
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         self._assert_matches_dense(2048, 42)
-
-    def test_working_memory_bounded(self, monkeypatch):
-        # two threads each hold one block of 2^20 cells at about 9 bytes a
-        # cell (the 64-bit word and the screen's bool), measured 18.3 MiB;
-        # 2^21-cell blocks peaked at 36.5 MiB, the whole matrix needs 144 MiB
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-        n = 4096
-        rng = np.random.default_rng(43)
-        w_out = rng.pareto(2.5, n) + 1.0
-        w_in = rng.pareto(2.5, n) + 1.0
-        gen = RngStream(43).generator()
-        tracemalloc.start()
-        try:
-            g = gen_irg(w_out, w_in, float(w_in.mean()), gen)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert g.total_multiplicity > 0
-        assert peak < 3 * 10 * 2**20
 
 
 class TestDpa:

@@ -3,10 +3,13 @@
 Each test measures one call's ``tracemalloc`` peak (numpy reports its array
 buffers to ``tracemalloc``) on a LAW33 dcm graph of n = 30 000 vertices and
 bounds it by a multiple of the bytes the call returns, so a layer that
-starts holding a few more graph-sized temporaries fails here.  The measured
-ratios, and those of the argsort-and-gather build, whole-text edge-list scan
-and ``StringIO`` CSV read they replaced, are in README's "Memory" section;
-the bounds sit 17-40% above the measured ratios and below the replaced ones.
+starts holding a few more graph-sized temporaries fails here.  ``gen_irg``'s
+working memory is its threads' blocks, not its output, so its bound is two
+threads' blocks plus the graph.  The measured ratios, and those of the
+argsort-and-gather build, whole-text edge-list scan, ``StringIO`` CSV read,
+full-array checks and one-task-per-block IRG draw they replaced, are in
+README's "Memory" section; the bounds sit 17-40% above the measured ratios
+and below the replaced ones.
 """
 
 import tracemalloc
@@ -14,8 +17,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from pagerank_limits import generators
 from pagerank_limits import pagerank as pr
-from pagerank_limits.generators import BiDegreeLaw, gen_dcm, sample_bidegree_sequence
+from pagerank_limits.generators import (
+    BiDegreeLaw,
+    RngStream,
+    gen_dcm,
+    gen_irg,
+    sample_bidegree_sequence,
+)
 from pagerank_limits.graph import read_edgelist, write_edgelist
 
 N = 30_000
@@ -81,3 +91,31 @@ def test_read_scores_peak(files):
     scores, peak = peak_of(lambda: pr.read_scores_csv(files / "scores.csv"))
     assert scores.size == N
     assert peak <= 6.0 * scores.nbytes
+
+
+def test_check_invariants_peak(files):
+    # the floor, mass and lower-bound checks and one truncation gap read
+    # C and B as broadcast views; the lower bound's edge weights are formed
+    # in place
+    g = read_edgelist(files / "graph.txt")
+    params = pr.PageRankParams(0.85)
+    exact = pr.solve_pagerank(g, params, with_order=20)
+    results, peak = peak_of(lambda: list(pr.check_invariants(g, params, exact,
+                                                             [exact.truncated])))
+    assert [error for _, error, _ in results] == [None] * 4
+    assert peak <= 6.0 * exact.values.nbytes
+
+
+def test_gen_irg_peak(monkeypatch):
+    # two threads, each streaming its rows through blocks of 2^17 cells at
+    # 9 bytes a cell (the 64-bit word and the screen's bool), and the graph;
+    # the bound does not grow with the block size
+    monkeypatch.setattr(generators, "_usable_cpus", lambda: 2)
+    n = 3000
+    rng = np.random.default_rng(43)
+    w_out = rng.pareto(2.5, n) + 1.0
+    w_in = rng.pareto(2.5, n) + 1.0
+    g, peak = peak_of(lambda: gen_irg(w_out, w_in, float(w_in.mean()),
+                                      RngStream(43).generator()))
+    assert g.total_multiplicity > 0
+    assert peak <= 1.25 * (2 * 9 * 2**17 + graph_bytes(g))

@@ -38,9 +38,7 @@ from .graph import (
     build_graph,
     canonical_code,
     explore_neighborhood,
-    local_distance,
     read_edgelist,
-    truncate_neighborhood,
     write_edgelist,
 )
 from .limits import (
@@ -53,10 +51,8 @@ from .limits import (
     root_pagerank,
     sample_ctbp_limit,
     sample_gw_forest,
-    sample_gw_limit,
     sample_polya_limit,
     solve_fixed_point_mc,
-    tree_neighborhood,
 )
 from .pagerank import (
     GeneralizedWeights,

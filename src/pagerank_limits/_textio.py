@@ -395,7 +395,11 @@ def parse_edges(text):
             text = _UNICODE_SPACE_RE.sub(" ", _UNICODE_BREAK_RE.sub("\v", text))
         text = text.encode("utf-8", "surrogatepass")
     # a line per line break, and the last may end without one
-    out = np.empty((3, sum(map(text.count, _BREAK_BYTES)) + 1), dtype=np.int64)
+    raw = np.frombuffer(text, dtype=np.uint8)
+    breaks = sum(int(np.count_nonzero(_is_break(raw[i:i + _PARSE_BLOCK])))
+                 for i in range(0, raw.size, _PARSE_BLOCK))
+    del raw
+    out = np.empty((3, breaks + 1), dtype=np.int64)
     rows, n, overflow = 0, None, None
     for a, b in _line_blocks(text):
         src, tgt, mult, header, late = _scan(text, a, b, source)

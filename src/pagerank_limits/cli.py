@@ -488,7 +488,7 @@ def _cmd_pagerank(args):
 
 def _cmd_census(args):
     g = read_edgelist(args.graph)
-    rng = gen.RngStream(args.seed, STREAM_CENSUS).generator() if args.sample else None
+    rng = None if args.sample is None else gen.RngStream(args.seed, STREAM_CENSUS).generator()
     cen = census(g, args.k, sample_count=args.sample, rng=rng,
                             workers=args.workers)
     write_census_csv(cen, args.output)
@@ -497,6 +497,8 @@ def _cmd_census(args):
 
 
 def _cmd_limit_sample(args):
+    if args.M is None and args.mode != "tree":
+        raise ConfigError(f"limit-sample --mode {args.mode} needs --M")
     rng = gen.RngStream(args.seed, args.stream).generator()
     model = _model_from_args(args, limits_mod.LIMIT_LAWS[args.sampler][0])
     law = limits_mod.limit_law(args.sampler, model)
@@ -613,7 +615,7 @@ def build_parser():
     p = sub.add_parser("limit-sample", help="sample a limiting object")
     p.add_argument("--sampler", required=True, choices=list(limits_mod.LIMIT_LAWS))
     p.add_argument("--mode", choices=["pool", "census", "tree"], default="pool")
-    p.add_argument("--M", type=int, required=True)
+    p.add_argument("--M", type=int, help="trees or pool size (pool and census modes)")
     p.add_argument("--depth", type=int, default=10)
     p.add_argument("--k", type=int, default=None, help="census depth (census mode)")
     p.add_argument("--c", type=float, default=0.85)

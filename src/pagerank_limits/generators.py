@@ -132,11 +132,6 @@ class BiDegreeLaw:
         else:
             self._Hs = self._Ls = self._Ps = self._cum_star = None
 
-    def star_entries(self):
-        """Support of p*(h,l) = h p(h,l)/E[out] as (h, l, p*) triples."""
-        self._require_star()
-        return list(zip(self._Hs.tolist(), self._Ls.tolist(), self._Ps.tolist()))
-
     def _require_star(self):
         if self._Hs is None:
             raise ConfigError("size-biased law undefined: mean out-degree is 0")

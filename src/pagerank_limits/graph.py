@@ -18,9 +18,7 @@ symmetry, which is exact but worst-case factorial.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -32,12 +30,9 @@ __all__ = [
     "MarkedNeighborhood",
     "build_graph",
     "explore_neighborhood",
-    "truncate_neighborhood",
     "canonical_code",
     "tree_code",
-    "local_distance",
     "read_edgelist",
-    "parse_edgelist",
     "write_edgelist",
 ]
 
@@ -82,13 +77,6 @@ class DirectedMultigraph:
         a, b = self.in_indptr[v], self.in_indptr[v + 1]
         idx = self.in_order[a:b]
         return self.src[idx], self.mult[idx]
-
-    def edge_triples(self):
-        """Distinct (source, target, multiplicity) triples, lexicographic."""
-        return zip(self.src.tolist(), self.tgt.tolist(), self.mult.tolist())
-
-    def has_dangling(self) -> bool:
-        return bool((self.d_out == 0).any())
 
 
 def build_graph(edge_list, n: int) -> DirectedMultigraph:
@@ -239,16 +227,6 @@ def _normalize_edges(edge_list):
 # edge-list text format
 
 
-def parse_edgelist(text: str):
-    """Parse the edge-list text format.
-
-    Returns ``(edges, n)`` where ``edges`` is a list of (src, tgt, mult)
-    and ``n`` is the declared vertex count, or None if no header was given.
-    """
-    src, tgt, mult, n = parse_edges(text)
-    return list(zip(src.tolist(), tgt.tolist(), mult.tolist())), n
-
-
 def read_edgelist(path) -> DirectedMultigraph:
     with open(path, "rb") as fh:
         data = fh.read()
@@ -292,45 +270,6 @@ class MarkedNeighborhood:
     @property
     def size(self) -> int:
         return len(self.marks)
-
-    @property
-    def max_node_depth(self) -> int:
-        return max(self.node_depths)
-
-    def validate(self) -> None:
-        """Check the defining invariants (meant for tests, not hot paths)."""
-        out_mult = [0] * self.size
-        for u, v, m in self.edges:
-            out_mult[u] += m
-        for i in range(self.size):
-            if self.marks[i] < out_mult[i]:
-                raise InvalidNeighborhood(
-                    f"node {i}: mark {self.marks[i]} < local out-degree {out_mult[i]}"
-                )
-        children = [[] for _ in range(self.size)]
-        for u, v, _ in self.edges:
-            children[v].append(u)
-        seen = {self.root}
-        frontier = [self.root]
-        dist = {self.root: 0}
-        while frontier:
-            nxt = []
-            for v in frontier:
-                for u in children[v]:
-                    if u not in seen:
-                        seen.add(u)
-                        dist[u] = dist[v] + 1
-                        nxt.append(u)
-            frontier = nxt
-        if len(seen) != self.size:
-            raise InvalidNeighborhood("node unreachable from the root by reversed edges")
-        for i in range(self.size):
-            if dist[i] > self.depth:
-                raise InvalidNeighborhood(f"node {i} beyond exploration depth")
-
-
-class InvalidNeighborhood(InputError):
-    pass
 
 
 def explore_neighborhood(g: DirectedMultigraph, root: int, k: int, marks=None) -> MarkedNeighborhood:
@@ -398,36 +337,6 @@ def explore_neighborhood(g: DirectedMultigraph, root: int, k: int, marks=None) -
         depth=k,
         complete=complete,
     )
-
-
-def truncate_neighborhood(nbhd: MarkedNeighborhood, j: int) -> MarkedNeighborhood:
-    """Depth-j truncation; equals exploring to depth j (discovery order is BFS)."""
-    if j >= nbhd.depth and not nbhd.complete:
-        if j == nbhd.depth:
-            return nbhd
-        raise UsageDepthError(
-            f"cannot truncate to depth {j}: explored only to {nbhd.depth}"
-        )
-    cut = nbhd.size
-    for i, d in enumerate(nbhd.node_depths):
-        if d > j:
-            cut = i
-            break
-    edges = [(u, v, m) for (u, v, m) in nbhd.edges if u < cut and v < cut]
-    if j == 0:
-        edges = []
-    return MarkedNeighborhood(
-        marks=nbhd.marks[:cut],
-        orig_ids=nbhd.orig_ids[:cut],
-        node_depths=nbhd.node_depths[:cut],
-        edges=edges,
-        depth=j,
-        complete=nbhd.complete and cut == nbhd.size and len(edges) == len(nbhd.edges),
-    )
-
-
-class UsageDepthError(InputError):
-    pass
 
 
 # ---------------------------------------------------------------------------
@@ -671,29 +580,3 @@ def _serialize(nbhd, order) -> bytes:
     triples = sorted((pos[u], pos[v], m) for u, v, m in nbhd.edges)
     edges = ";".join(f"{a},{b},{m}" for a, b, m in triples)
     return f"{nbhd.size}|{marks}|{edges}".encode()
-
-
-# ---------------------------------------------------------------------------
-# local pseudodistance
-
-
-def local_distance(a: MarkedNeighborhood, b: MarkedNeighborhood) -> Fraction:
-    """1/(1+kappa) for the first depth kappa >= 1 at which truncations differ.
-
-    Returns 0 when every comparable truncation agrees; by construction this
-    is the distance-zero equivalence of explorable neighborhoods, not
-    whole-graph isomorphism.
-    """
-    ha = math.inf if a.complete else a.depth
-    hb = math.inf if b.complete else b.depth
-    horizon = min(ha, hb)
-    if horizon is math.inf:
-        horizon = max(a.max_node_depth, b.max_node_depth) + 1
-    k = 1
-    while k <= horizon:
-        ca = canonical_code(truncate_neighborhood(a, k))
-        cb = canonical_code(truncate_neighborhood(b, k))
-        if ca != cb:
-            return Fraction(1, 1 + k)
-        k += 1
-    return Fraction(0)

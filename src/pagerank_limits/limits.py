@@ -28,7 +28,6 @@ import numpy as np
 from ._textio import read_table, write_edges, write_table
 from .errors import ConfigError, ResourceError, UsageError
 from .generators import BiDegreeLaw
-from .graph import MarkedNeighborhood
 from .pagerank import GeneralizedWeights, PageRankParams
 
 __all__ = [
@@ -40,14 +39,12 @@ __all__ = [
     "limit_law",
     "PolyaParams",
     "malthusian",
-    "sample_gw_limit",
     "sample_gw_forest",
     "sample_ctbp_limit",
     "sample_polya_limit",
     "root_pagerank",
     "solve_fixed_point_mc",
     "gw_root_rank_pool",
-    "tree_neighborhood",
     "write_pool_csv",
     "read_pool_csv",
     "write_tree_edgelist",
@@ -217,54 +214,18 @@ def malthusian(rate_base: float, tol: float = 1e-12) -> float:
 # limit samplers
 
 
-def sample_gw_limit(law: BiDegreeLaw, depth: int, rng) -> LimitTree:
-    """Marked branching tree: root (mark, in-degree) ~ p, other nodes ~ p*.
-
-    Every node spawns in-degree children; the tree is truncated at ``depth``
-    (nodes there keep their marks but spawn nothing).
-    """
-    if depth < 0:
-        raise ConfigError(f"depth must be >= 0, got {depth}")
-    h, l = law.sample(rng, 1)
-    marks = [int(h[0])]
-    parents = [-1]
-    depths = [0]
-    prev_level = [0]
-    prev_counts = [int(l[0])]
-    for d in range(1, depth + 1):
-        total = sum(prev_counts)
-        if total == 0:
-            break
-        hs, ls = law.sample_star(rng, total)
-        level = []
-        pos = 0
-        for node, cnt in zip(prev_level, prev_counts):
-            for _ in range(cnt):
-                level.append(len(parents))
-                parents.append(node)
-                marks.append(int(hs[pos]))
-                depths.append(d)
-                pos += 1
-        prev_level = level
-        prev_counts = ls.tolist() if d < depth else []
-    return LimitTree(
-        parent=np.asarray(parents, dtype=np.int64),
-        mark=np.asarray(marks, dtype=np.int64),
-        node_depth=np.asarray(depths, dtype=np.int32),
-        truncation_depth=depth,
-    )
-
-
 def sample_gw_forest(law: BiDegreeLaw, depth: int, M: int, rng) -> LimitForest:
-    """M trees of :func:`sample_gw_limit`, drawn in one batch.
+    """M marked branching trees, drawn in one batch: root (mark, in-degree)
+    ~ p, other nodes ~ p*, every node spawning in-degree children down to
+    ``depth`` (nodes there keep their marks but spawn nothing).
 
-    Consumes ``rng`` exactly as M sequential ``sample_gw_limit`` calls do, so
-    tree i equals the i-th of those calls.  Each call draws one uniform for
-    the root and then one contiguous block per level, as long as the level
-    has nodes, so the M trees read one run of uniforms in which every tree's
-    levels follow from prefix sums of the star in-degrees.  The run's length
-    is found on a copy of the bit generator; then exactly that many uniforms
-    are drawn from ``rng``, which leaves it where the sequential calls would.
+    Consumes ``rng`` exactly as drawing the M trees one at a time does: each
+    tree draws one uniform for the root and then one contiguous block per
+    level, as long as the level has nodes, so the M trees read one run of
+    uniforms in which every tree's levels follow from prefix sums of the star
+    in-degrees.  The run's length is found on a copy of the bit generator;
+    then exactly that many uniforms are drawn from ``rng``, which leaves it
+    where the tree-at-a-time draws would.
     Each uniform is inverted through p* once, for the level bounds and the
     non-roots' pairs alike, and the roots' uniforms once more through p.
     """
@@ -592,7 +553,7 @@ def gw_root_rank_pool(law: BiDegreeLaw, c: float | None, depth: int, M: int, rng
                       c_sampler=None, b_sampler=None) -> np.ndarray:
     """M independent root-rank samples by direct level-wise tree sampling.
 
-    Mathematically the same sampler as root_pagerank over sample_gw_limit,
+    Mathematically the same sampler as root_pagerank over sample_gw_forest,
     vectorized across trees; independent of the pool-resampling route, which
     it serves as an oracle for.  Memory grows with mean offspring^depth.
     """
@@ -641,7 +602,7 @@ class GwLaw:
         return {"law": self.law.entries}
 
     def tree(self, depth: int, rng) -> LimitTree:
-        return sample_gw_limit(self.law, depth, rng)
+        return sample_gw_forest(self.law, depth, 1, rng).tree(0)
 
     def forest(self, depth: int, M: int, rng) -> LimitForest:
         return sample_gw_forest(self.law, depth, M, rng)
@@ -747,28 +708,6 @@ def _check_depth(truncation_depth, k):
         raise UsageError(
             f"tree truncated at depth {truncation_depth}, cannot take depth {k}"
         )
-
-
-def tree_neighborhood(t: LimitTree, k: int) -> MarkedNeighborhood:
-    """Depth-k truncation of the tree as a rooted marked neighborhood."""
-    _check_depth(t.truncation_depth, k)
-    keep = np.nonzero(t.node_depth <= k)[0]
-    local = {int(v): i for i, v in enumerate(keep)}
-    edges = []
-    if k > 0:
-        for i, v in enumerate(keep.tolist()):
-            if v == 0:
-                continue
-            edges.append((i, local[int(t.parent[v])], 1))
-    complete = t.truncation_depth is None and k >= t.max_depth
-    return MarkedNeighborhood(
-        marks=[int(t.mark[v]) for v in keep.tolist()],
-        orig_ids=keep.tolist(),
-        node_depths=[int(t.node_depth[v]) for v in keep.tolist()],
-        edges=edges,
-        depth=k,
-        complete=complete,
-    )
 
 
 def write_tree_edgelist(t: LimitTree, path) -> None:

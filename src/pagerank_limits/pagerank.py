@@ -391,17 +391,10 @@ def _slack(g, params, exact):
     return rounding, c_max * g.n * residual, residual * c_max / (1.0 - c_max)
 
 
-def truncation_gap(g: DirectedMultigraph, params, N: int,
-                   exact: PageRankVector | None = None,
-                   truncated: PageRankVector | None = None):
+def truncation_gap(g: DirectedMultigraph, params, N: int, exact: PageRankVector,
+                   truncated: PageRankVector):
     """Mean of R - R^(N) and its bound, sum_{k>N} c_max^k mean(B); checks
     0 <= gap <= bound, which is c^(N+1) for standard params."""
-    if exact is None:
-        exact = solve_pagerank(g, params, N if truncated is None else None)
-    if truncated is None:
-        truncated = exact.truncated
-        if truncated is None or truncated.order != N:
-            truncated = pagerank_truncated(g, params, N)
     mean_gap = _mean(exact.values - truncated.values)
     if isinstance(params, PageRankParams):
         bound = params.c ** (N + 1)
@@ -430,15 +423,12 @@ def generalized_mass_ok(g: DirectedMultigraph, params, exact: PageRankVector) ->
     return bool(abs(total - rhs) <= mass + rounding * (abs(total) + abs(rhs)))
 
 
-def lower_bound_check(g: DirectedMultigraph, params,
-                      exact: PageRankVector | None = None) -> float:
+def lower_bound_check(g: DirectedMultigraph, params, exact: PageRankVector) -> float:
     """Verify R_i >= R^(1)_i = B_i + sum_j C_j e_{j,i}/d_out_j B_j for every vertex.
 
     The bound is the order-1 truncation, hence valid by monotonicity of the
     path sums.  Returns 1.0; any violation raises with the offending vertices.
     """
-    if exact is None:
-        exact = solve_pagerank(g, params)
     C, B = _coefficients(g, params)
     # the rows of the pull system times B, added in the same (source) order;
     # the edge weight mult / d_out * C B is formed in place

@@ -9,9 +9,17 @@ color refinement ranked by multi-key ``lexsort``, the per-tree walk that
 locates branching trees in a uniform stream, the line-by-line str-method
 edge-list parser, the line-at-a-time file writers and float-CSV readers,
 the dense IRG sampler, and the argsort-and-gather graph build.
-None of it shares code with the implementation paths it checks.
+None of these shares code with the implementation paths it checks.
+
+It also holds what only tests call: the local pseudodistance and the
+truncations it compares, the per-tree branching-tree sampler that
+``sample_gw_forest`` must match, limit trees as neighborhoods, small views
+of library objects (edge triples, dangling vertices, the star law, parsed
+edge lists, neighborhood invariants), and the identity checks with any
+missing score vector solved for.
 """
 
+import math
 import re
 from collections import Counter
 from fractions import Fraction
@@ -20,7 +28,8 @@ from itertools import permutations
 import numpy as np
 import scipy.sparse as sp
 
-from pagerank_limits.errors import InputError
+from pagerank_limits._textio import parse_edges
+from pagerank_limits.errors import ConfigError, InputError, UsageError
 from pagerank_limits.graph import (
     DirectedMultigraph,
     MarkedNeighborhood,
@@ -28,7 +37,13 @@ from pagerank_limits.graph import (
     canonical_code,
     explore_neighborhood,
 )
-from pagerank_limits.limits import tree_neighborhood
+from pagerank_limits.limits import LimitTree
+from pagerank_limits.pagerank import (
+    lower_bound_check,
+    pagerank_truncated,
+    solve_pagerank,
+    truncation_gap,
+)
 
 
 def brute_force_isomorphic(a: MarkedNeighborhood, b: MarkedNeighborhood) -> bool:
@@ -60,7 +75,7 @@ def brute_force_isomorphic(a: MarkedNeighborhood, b: MarkedNeighborhood) -> bool
 def enum_truncated_pagerank(g: DirectedMultigraph, c: float, N: int) -> np.ndarray:
     """Literal enumeration of every walk of length <= N ending at each vertex."""
     preds = [[] for _ in range(g.n)]
-    for s, t, m in g.edge_triples():
+    for s, t, m in edge_triples(g):
         preds[t].append((s, m))
 
     def walk_weights(end, k):
@@ -85,7 +100,7 @@ def enum_truncated_pagerank(g: DirectedMultigraph, c: float, N: int) -> np.ndarr
 def dense_exact_pagerank(g: DirectedMultigraph, c: float) -> np.ndarray:
     """Solve (I - c Q^T) R = (1-c) 1 densely."""
     q = np.zeros((g.n, g.n))
-    for s, t, m in g.edge_triples():
+    for s, t, m in edge_triples(g):
         q[s, t] = m / g.d_out[s]
     return np.linalg.solve(np.eye(g.n) - c * q.T, np.full(g.n, 1.0 - c))
 
@@ -99,7 +114,7 @@ def pull_matrix(g: DirectedMultigraph) -> sp.csr_matrix:
 
 def dense_generalized(g: DirectedMultigraph, C, B) -> np.ndarray:
     a = np.zeros((g.n, g.n))
-    for s, t, m in g.edge_triples():
+    for s, t, m in edge_triples(g):
         a[s, t] = C[s] * m / g.d_out[s]
     return np.linalg.solve(np.eye(g.n) - a.T, np.asarray(B, dtype=float))
 
@@ -466,3 +481,152 @@ def _segment_sums_reference(values, bounds, name):
             raise InputError(f"{name(i)} {total} exceeds int64")
         sums.append(total)
     return np.asarray(sums, dtype=np.int64)
+
+
+def edge_triples(g: DirectedMultigraph):
+    """Distinct (source, target, multiplicity) triples, lexicographic."""
+    return zip(g.src.tolist(), g.tgt.tolist(), g.mult.tolist())
+
+
+def has_dangling(g: DirectedMultigraph) -> bool:
+    return bool((g.d_out == 0).any())
+
+
+def star_entries(law):
+    """Support of p*(h,l) = h p(h,l)/E[out] as (h, l, p*) triples, read
+    from the arrays the law samples p* by."""
+    law._require_star()
+    return list(zip(law._Hs.tolist(), law._Ls.tolist(), law._Ps.tolist()))
+
+
+def parse_edgelist(text):
+    """``(edges, n)`` of the edge-list text: edges as a list of (src, tgt,
+    mult), ``n`` the declared vertex count or None."""
+    src, tgt, mult, n = parse_edges(text)
+    return list(zip(src.tolist(), tgt.tolist(), mult.tolist())), n
+
+
+def solved_truncation_gap(g, params, N, exact=None, truncated=None):
+    """``truncation_gap`` with a missing exact or R^(N) vector solved for."""
+    exact = solve_pagerank(g, params) if exact is None else exact
+    truncated = pagerank_truncated(g, params, N) if truncated is None else truncated
+    return truncation_gap(g, params, N, exact, truncated)
+
+
+def solved_lower_bound_check(g, params, exact=None):
+    """``lower_bound_check`` with a missing exact vector solved for."""
+    return lower_bound_check(g, params, solve_pagerank(g, params) if exact is None else exact)
+
+
+def validate_neighborhood(nbhd: MarkedNeighborhood) -> None:
+    """Assert the defining invariants: every mark dominates the node's local
+    out-degree, and every node is reached from the root by reversed edges
+    within the exploration depth."""
+    out_mult = [0] * nbhd.size
+    children = [[] for _ in range(nbhd.size)]
+    for u, v, m in nbhd.edges:
+        out_mult[u] += m
+        children[v].append(u)
+    for i in range(nbhd.size):
+        assert nbhd.marks[i] >= out_mult[i], f"node {i}: mark below local out-degree"
+    dist = {nbhd.root: 0}
+    frontier = [nbhd.root]
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for u in children[v]:
+                if u not in dist:
+                    dist[u] = dist[v] + 1
+                    nxt.append(u)
+        frontier = nxt
+    assert len(dist) == nbhd.size, "node unreachable from the root by reversed edges"
+    assert max(dist.values()) <= nbhd.depth, "node beyond exploration depth"
+
+
+def truncate_neighborhood(nbhd: MarkedNeighborhood, j: int) -> MarkedNeighborhood:
+    """Depth-j truncation; equals exploring to depth j (discovery order is BFS)."""
+    if j >= nbhd.depth and not nbhd.complete:
+        if j == nbhd.depth:
+            return nbhd
+        raise InputError(f"cannot truncate to depth {j}: explored only to {nbhd.depth}")
+    cut = next((i for i, d in enumerate(nbhd.node_depths) if d > j), nbhd.size)
+    edges = [] if j == 0 else [(u, v, m) for u, v, m in nbhd.edges if u < cut and v < cut]
+    return MarkedNeighborhood(
+        marks=nbhd.marks[:cut],
+        orig_ids=nbhd.orig_ids[:cut],
+        node_depths=nbhd.node_depths[:cut],
+        edges=edges,
+        depth=j,
+        complete=nbhd.complete and cut == nbhd.size and len(edges) == len(nbhd.edges),
+    )
+
+
+def local_distance(a: MarkedNeighborhood, b: MarkedNeighborhood) -> Fraction:
+    """The local pseudodistance: 1/(1+kappa) for the first depth kappa >= 1
+    at which the truncations' canonical codes differ.
+
+    Returns 0 when every comparable truncation agrees; by construction this
+    is the distance-zero equivalence of explorable neighborhoods, not
+    whole-graph isomorphism.
+    """
+    horizon = min(math.inf if a.complete else a.depth, math.inf if b.complete else b.depth)
+    if horizon is math.inf:
+        horizon = max(a.node_depths + b.node_depths) + 1
+    for k in range(1, horizon + 1):
+        if (canonical_code(truncate_neighborhood(a, k))
+                != canonical_code(truncate_neighborhood(b, k))):
+            return Fraction(1, 1 + k)
+    return Fraction(0)
+
+
+def sample_gw_limit(law, depth: int, rng) -> LimitTree:
+    """One marked branching tree, one Python node at a time: root (mark,
+    in-degree) ~ p, other nodes ~ p*, each spawning in-degree children, cut
+    at ``depth`` (nodes there keep their marks but spawn nothing)."""
+    if depth < 0:
+        raise ConfigError(f"depth must be >= 0, got {depth}")
+    h, l = law.sample(rng, 1)
+    marks, parents, depths = [int(h[0])], [-1], [0]
+    prev_level, prev_counts = [0], [int(l[0])]
+    for d in range(1, depth + 1):
+        total = sum(prev_counts)
+        if total == 0:
+            break
+        hs, ls = law.sample_star(rng, total)
+        level = []
+        pos = 0
+        for node, cnt in zip(prev_level, prev_counts):
+            for _ in range(cnt):
+                level.append(len(parents))
+                parents.append(node)
+                marks.append(int(hs[pos]))
+                depths.append(d)
+                pos += 1
+        prev_level = level
+        prev_counts = ls.tolist() if d < depth else []
+    return LimitTree(
+        parent=np.asarray(parents, dtype=np.int64),
+        mark=np.asarray(marks, dtype=np.int64),
+        node_depth=np.asarray(depths, dtype=np.int32),
+        truncation_depth=depth,
+    )
+
+
+def tree_neighborhood(t: LimitTree, k: int) -> MarkedNeighborhood:
+    """Depth-k truncation of the tree as a rooted marked neighborhood."""
+    if k < 0:
+        raise UsageError(f"depth must be >= 0, got {k}")
+    if t.truncation_depth is not None and k > t.truncation_depth:
+        raise UsageError(f"tree truncated at depth {t.truncation_depth}, cannot take depth {k}")
+    keep = np.nonzero(t.node_depth <= k)[0].tolist()
+    local = {v: i for i, v in enumerate(keep)}
+    edges = [] if k == 0 else [(i, local[int(t.parent[v])], 1)
+                               for i, v in enumerate(keep) if v != 0]
+    return MarkedNeighborhood(
+        marks=[int(t.mark[v]) for v in keep],
+        orig_ids=keep,
+        node_depths=[int(t.node_depth[v]) for v in keep],
+        edges=edges,
+        depth=k,
+        complete=t.truncation_depth is None and k >= t.max_depth,
+    )

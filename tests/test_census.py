@@ -20,7 +20,13 @@ from pagerank_limits.census import (
     tv_distance,
     write_census_csv,
 )
-from _oracles import per_root_census, per_tree_census_limit, rank_rows_lexsort, refine_lexsort
+from _oracles import (
+    per_root_census,
+    per_tree_census_limit,
+    rank_rows_lexsort,
+    refine_lexsort,
+    sample_gw_limit,
+)
 from pagerank_limits.errors import InputError, SizeError, UsageError
 from pagerank_limits.generators import (
     BiDegreeLaw,
@@ -38,7 +44,6 @@ from pagerank_limits.limits import (
     TreeLaw,
     malthusian,
     sample_ctbp_limit,
-    sample_gw_limit,
     sample_polya_limit,
 )
 

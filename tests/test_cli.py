@@ -9,6 +9,8 @@ from pagerank_limits import cli
 from pagerank_limits.errors import ConfigError, InvariantViolation
 from pagerank_limits.limits import LIMIT_LAWS, limit_law
 
+from _oracles import sample_gw_limit, solved_truncation_gap
+
 DCM_LAW = [[1, 2, 0.5], [2, 1, 0.5]]
 
 
@@ -170,6 +172,31 @@ class TestSubcommands:
                        "--seed", "5", "--output", str(out)])
         assert rc == 0
         assert out.read_text().startswith("code_hex,count")
+
+    def test_census_sample_zero_rejected_by_census(self, tmp_path, capsys):
+        g, out = tmp_path / "g.txt", tmp_path / "c.csv"
+        cli.main(["generate", "--model", "dcm", "--law", json.dumps(DCM_LAW),
+                  "--n", "50", "--seed", "2", "--output", str(g)])
+        capsys.readouterr()
+        assert cli.main(["census", "--graph", str(g), "--k", "1", "--sample", "0",
+                         "--output", str(out)]) == 1
+        assert capsys.readouterr().err == "error: sample_count must be in [1, 50]\n"
+        assert not out.exists()
+
+    def test_limit_sample_tree_needs_no_M(self, tmp_path):
+        argv = ["limit-sample", "--sampler", "gw", "--mode", "tree", "--law",
+                json.dumps(DCM_LAW), "--depth", "3", "--seed", "4", "--output"]
+        assert cli.main([*argv, str(tmp_path / "a.txt")]) == 0
+        assert cli.main([*argv, str(tmp_path / "b.txt"), "--M", "7"]) == 0
+        assert (tmp_path / "a.txt").read_bytes() == (tmp_path / "b.txt").read_bytes()
+
+    @pytest.mark.parametrize("mode", ["pool", "census"])
+    def test_limit_sample_pool_and_census_need_M(self, tmp_path, capsys, mode):
+        out = tmp_path / "out"
+        assert cli.main(["limit-sample", "--sampler", "gw", "--mode", mode, "--law",
+                         json.dumps(DCM_LAW), "--output", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: limit-sample --mode {mode} needs --M\n"
+        assert not out.exists()
 
     def test_verify_ok(self, tmp_path, capsys):
         g = tmp_path / "g.txt"
@@ -533,7 +560,6 @@ class TestRunExperiment:
         from _oracles import per_tree_census_limit
         from pagerank_limits.census import NeighborhoodCensus, write_census_csv
         from pagerank_limits.generators import RngStream
-        from pagerank_limits.limits import sample_gw_limit
 
         out = tmp_path / "lc.csv"
         assert cli.main(["limit-sample", "--sampler", "gw", "--mode", "census",
@@ -589,7 +615,7 @@ def _library_law(sampler):
     law = BiDegreeLaw([tuple(row) for row in DCM_LAW])
     if sampler in ("fixed_point", "fixed-point", "gw"):
         fn = lm.gw_root_rank_pool if sampler == "gw" else lm.solve_fixed_point_mc
-        return (lm.TreeLaw(lambda depth, r: lm.sample_gw_limit(law, depth, r)),
+        return (lm.TreeLaw(lambda depth, r: sample_gw_limit(law, depth, r)),
                 (lambda c, depth, M, r: fn(law, c, depth, M, r)),
                 {"law": DCM_LAW})
     if sampler == "ctbp":
@@ -652,6 +678,21 @@ class TestLimitLawOutputs:
             assert meta == {"sampler": sampler, "M": M, "depth": depth, "seed": seed,
                             "c": c, **fields}
         assert out.read_bytes() == want.read_bytes()
+
+    @pytest.mark.parametrize("depth", [0, 3, 6])
+    def test_gw_tree_matches_the_per_tree_sampler(self, tmp_path, depth):
+        from pagerank_limits.generators import RngStream
+        from pagerank_limits.limits import write_tree_edgelist
+
+        law = cli._parse_law(DCM_LAW, "law")
+        for seed in range(5):
+            out, want = tmp_path / f"out{seed}", tmp_path / f"want{seed}"
+            assert cli.main(["limit-sample", "--sampler", "gw", "--mode", "tree", "--M", "1",
+                             "--depth", str(depth), "--seed", str(seed),
+                             "--output", str(out), *LIMIT_ARGS["gw"]]) == 0
+            rng = RngStream(seed, cli.STREAM_LIMITS).generator()
+            write_tree_edgelist(sample_gw_limit(law, depth, rng), want)
+            assert out.read_bytes() == want.read_bytes()
 
     @pytest.mark.parametrize("sampler,model,generalized", [
         ("gw", {"name": "dcm", "law": DCM_LAW}, False),
@@ -790,7 +831,7 @@ class TestInvariantChecks:
         assert np.array_equal(cli.pr.read_scores_csv(out), want.values)
         meta = json.loads((tmp_path / "s.csv.meta.json").read_text())
         assert meta["order"] == 4 and meta["c_max"] == w.c_max
-        assert (meta["mean_gap"], meta["gap_bound"]) == cli.pr.truncation_gap(graph, w, 4)
+        assert (meta["mean_gap"], meta["gap_bound"]) == solved_truncation_gap(graph, w, 4)
 
 
 class TestConfigFieldErrors:

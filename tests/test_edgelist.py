@@ -20,9 +20,9 @@ from hypothesis import strategies as st
 
 from pagerank_limits import _textio
 from pagerank_limits.errors import InputError
-from pagerank_limits.graph import build_graph, parse_edgelist, read_edgelist
+from pagerank_limits.graph import build_graph, read_edgelist
 
-from _oracles import parse_edgelist_reference
+from _oracles import edge_triples, parse_edgelist, parse_edgelist_reference
 
 SETTINGS = settings(max_examples=400, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -179,7 +179,7 @@ def test_read_edgelist_matches_parse(tmp_path):
     edges, n = parse_edgelist(text)
     g, want = read_edgelist(path), build_graph(edges, n)
     assert g.n == want.n == 5
-    assert list(g.edge_triples()) == list(want.edge_triples())
+    assert list(edge_triples(g)) == list(edge_triples(want))
     path.write_bytes(b"0 1\r\n1 x\r\n")
     with pytest.raises(InputError, match="^line 2: non-integer field in '1 x'"):
         read_edgelist(path)
@@ -242,6 +242,17 @@ def test_line_breaks_at_a_cut(brk):
         assert str(got.value) == "line 8: non-integer field in '1 x'"
 
 
+def test_every_break_byte_ends_a_row():
+    # one edge line ended by each ASCII line break, and a last one without:
+    # the columns sized from the break count must hold a row for each
+    text = "".join(f"{i} {i + 1}{brk}" for i, brk in enumerate("\n\v\f\r\x1c\x1d\x1e"))
+    text += "7 8"
+    for size in (*BLOCK_SIZES, 1 << 18):
+        with blocks_of(size):
+            assert parse_edgelist(text) == parse_edgelist_reference(text)
+            assert len(parse_edgelist(text)[0]) == 8
+
+
 def test_error_lines_count_earlier_blocks():
     top = 2**63
     for size in BLOCK_SIZES:
@@ -265,6 +276,6 @@ def test_non_ascii_text_in_blocks(tmp_path):
         with blocks_of(size):
             assert parse_edgelist(text) == want
             g = read_edgelist(path)
-        assert list(g.edge_triples()) == list(build_graph(*want).edge_triples())
+        assert list(edge_triples(g)) == list(edge_triples(build_graph(*want)))
     with pytest.raises(InputError, match="^line 7: non-integer field in '1 \u00e9'"):
         parse_edgelist(text + "1 \u00e9\n")

@@ -3,6 +3,7 @@ the command line loads only what every command needs."""
 
 import ast
 import importlib
+import inspect
 import json
 import os
 import pkgutil
@@ -34,6 +35,27 @@ def test_package_imports_resolve_to_their_modules():
             assert alias.name in getattr(mod, "__all__", [alias.name]), alias.name
             assert getattr(pagerank_limits, alias.asname or alias.name) is \
                 getattr(mod, alias.name)
+
+
+# public names that only tests called: moved to tests/_oracles.py or deleted
+TEST_ONLY = ("local_distance", "truncate_neighborhood", "UsageDepthError",
+             "InvalidNeighborhood", "parse_edgelist", "sample_gw_limit",
+             "tree_neighborhood")
+TEST_ONLY_METHODS = {"DirectedMultigraph": ("edge_triples", "has_dangling"),
+                     "MarkedNeighborhood": ("validate", "max_node_depth"),
+                     "BiDegreeLaw": ("star_entries",)}
+
+
+def test_test_only_api_left_the_library():
+    owners = [pagerank_limits, *(importlib.import_module(f"pagerank_limits.{m}")
+                                 for m in MODULES)]
+    assert [(o.__name__, n) for o in owners for n in TEST_ONLY if hasattr(o, n)] == []
+    assert [(c, n) for c, names in TEST_ONLY_METHODS.items() for n in names
+            if hasattr(getattr(pagerank_limits, c), n)] == []
+    # the identity checks take the vectors they check and never solve
+    for check in (pagerank_limits.truncation_gap, pagerank_limits.lower_bound_check):
+        params = inspect.signature(check).parameters.values()
+        assert [p.name for p in params if p.default is not p.empty] == [], check.__name__
 
 
 def _overview_rows():

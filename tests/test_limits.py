@@ -22,19 +22,21 @@ from pagerank_limits.limits import (
     root_pagerank,
     sample_ctbp_limit,
     sample_gw_forest,
-    sample_gw_limit,
     sample_polya_limit,
     solve_fixed_point_mc,
-    tree_neighborhood,
     write_pool_csv,
+    write_tree_edgelist,
 )
 
 from _oracles import (
     exact_gw_mean,
     gw_tree_starts_walk,
+    sample_gw_limit,
+    tree_neighborhood,
     tree_root_rank_descending,
     tree_root_rank_enum,
     tree_root_rank_enum_generalized,
+    validate_neighborhood,
 )
 
 UNIFORM33 = BiDegreeLaw([(h, l, 1 / 9) for h in (1, 2, 3) for l in (1, 2, 3)])
@@ -549,13 +551,35 @@ class TestFixedPointPool:
             solve_fixed_point_mc(UNIFORM33, None, 3, 100, RngStream(71).generator())
 
 
+class TestGwLawTree:
+    """``GwLaw.tree`` draws a forest of one tree: the per-tree sampler's
+    tree, column dtypes, file bytes and stream position."""
+
+    LAW_BAL = BiDegreeLaw([(1, 1, 0.5), (2, 2, 0.5)])
+
+    @pytest.mark.parametrize("depth", [0, 1, 2, 5])
+    @pytest.mark.parametrize("law", [UNIFORM33, LAW_BAL], ids=["law33", "law_bal"])
+    def test_matches_the_per_tree_sampler(self, tmp_path, law, depth):
+        for seed in range(40):
+            ra, rb = RngStream(seed).generator(), RngStream(seed).generator()
+            got, want = GwLaw(law).tree(depth, ra), sample_gw_limit(law, depth, rb)
+            for name in ("parent", "mark", "node_depth"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert a.dtype == b.dtype and np.array_equal(a, b), (seed, name)
+            assert got.truncation_depth == want.truncation_depth == depth
+            write_tree_edgelist(got, tmp_path / "got.txt")
+            write_tree_edgelist(want, tmp_path / "want.txt")
+            assert (tmp_path / "got.txt").read_bytes() == (tmp_path / "want.txt").read_bytes()
+            assert ra.random(4).tolist() == rb.random(4).tolist()
+
+
 class TestTreeNeighborhood:
     def test_valid_and_codes_stable(self):
         rng = RngStream(72).generator()
         for _ in range(20):
             t = sample_gw_limit(UNIFORM33, 2, rng)
             nb = tree_neighborhood(t, 2)
-            nb.validate()
+            validate_neighborhood(nb)
             assert canonical_code(nb).startswith(b"T")
 
     def test_depth_zero_class(self):

@@ -18,7 +18,6 @@ from pagerank_limits.pagerank import (
     read_scores_csv,
     solve_and_sweep,
     solve_pagerank,
-    truncation_gap,
     truncation_sweep,
     write_scores_csv,
 )
@@ -27,8 +26,11 @@ from _oracles import (
     dense_exact_pagerank,
     dense_generalized,
     enum_truncated_pagerank,
+    has_dangling,
     pull_matrix,
     random_small_graph,
+    solved_lower_bound_check,
+    solved_truncation_gap,
 )
 
 
@@ -154,7 +156,7 @@ class TestTruncationSweep:
         rng = RngStream(15).generator()
         for n in (1, 7, 300):
             g = random_graph(rng, n, dangling)
-            assert g.has_dangling() == dangling
+            assert has_dangling(g) == dangling
             p = PageRankParams(c=float(rng.choice([0.5, 0.85])))
             mat = p.c * pull_matrix(g)
             offset = np.full(g.n, 1.0 - p.c)
@@ -240,18 +242,6 @@ class TestOnePass:
         for got, want in zip(sweep, truncation_sweep(g, p, 12), strict=True):
             assert got.order == want.order
             assert np.array_equal(got.values, want.values)
-
-    def test_truncation_gap_solves_once(self, monkeypatch):
-        builds = []
-
-        class Counted(pr._OrderedSystem):
-            def __init__(self, g, damping, offset):
-                builds.append(g)
-                super().__init__(g, damping, offset)
-
-        monkeypatch.setattr(pr, "_OrderedSystem", Counted)
-        gap, bound = truncation_gap(cycle3(), PageRankParams(c=0.5), 2)
-        assert abs(gap - 0.125) < 1e-10 and len(builds) == 1
 
 
 def kernel_rows(system):
@@ -470,17 +460,17 @@ class TestGeneralizedMass:
 
 class TestTruncationGap:
     def test_cycle_tight(self):
-        gap, bound = truncation_gap(cycle3(), PageRankParams(c=0.5), 2)
+        gap, bound = solved_truncation_gap(cycle3(), PageRankParams(c=0.5), 2)
         assert bound == 0.125
         assert abs(gap - 0.125) < 1e-10
 
     def test_star_zero_gap(self):
-        gap, bound = truncation_gap(star(), PageRankParams(c=0.5), 1)
+        gap, bound = solved_truncation_gap(star(), PageRankParams(c=0.5), 1)
         assert abs(gap) < 1e-12 and bound == 0.25
 
     def test_gap_shrinks_geometrically(self):
         p = PageRankParams(c=0.5)
-        gaps = [truncation_gap(cycle3(), p, N)[0] for N in range(8)]
+        gaps = [solved_truncation_gap(cycle3(), p, N)[0] for N in range(8)]
         assert all(g2 <= g1 * 0.5 + 1e-12 for g1, g2 in zip(gaps, gaps[1:]))
 
     def test_violation_raises(self):
@@ -488,21 +478,7 @@ class TestTruncationGap:
         fake = pagerank_truncated(cycle3(), p, 5)
         fake.values = fake.values + 1.0  # corrupt to exceed the exact solution
         with pytest.raises(InvariantViolation):
-            truncation_gap(cycle3(), p, 5, truncated=fake)
-
-    def test_exact_without_truncated_takes_iterates_not_a_solve(self, monkeypatch):
-        def no_solve(*args):
-            raise AssertionError("truncation_gap ran a second solve")
-
-        rng = RngStream(36).generator()
-        g = random_graph(rng, 200, True)
-        for p in (PageRankParams(c=0.85),
-                  GeneralizedWeights(C=rng.uniform(0.0, 0.8, 200), B=rng.exponential(0.2, 200))):
-            exact = solve_pagerank(g, p)
-            want = truncation_gap(g, p, 6, exact, pagerank_truncated(g, p, 6))
-            with monkeypatch.context() as m:
-                m.setattr(pr._OrderedSystem, "solve", no_solve)
-                assert truncation_gap(g, p, 6, exact) == want
+            solved_truncation_gap(cycle3(), p, 5, truncated=fake)
 
 
 class TestGapBoundEverywhere:
@@ -515,7 +491,7 @@ class TestGapBoundEverywhere:
                 p = PageRankParams(c=c)
                 exact = solve_pagerank(g, p)
                 for N in range(0, 9, 2):
-                    gap, bound = truncation_gap(g, p, N, exact=exact)
+                    gap, bound = solved_truncation_gap(g, p, N, exact=exact)
                     assert -1e-10 <= gap <= bound + 1e-10
 
 
@@ -525,7 +501,7 @@ class TestMassIdentity:
         seen = 0
         for _ in range(40):
             g = random_small_graph(rng)
-            if g.n == 0 or g.has_dangling():
+            if g.n == 0 or has_dangling(g):
                 continue
             seen += 1
             v = solve_pagerank(g, PageRankParams(c=0.85))
@@ -627,14 +603,14 @@ class TestLowerBound:
                 lower_bound_check(g, p, exact=below)
 
     def test_examples(self):
-        assert lower_bound_check(build_graph([], 3), PageRankParams(c=0.85)) == 1.0
-        assert lower_bound_check(cycle3(), PageRankParams(c=0.5)) == 1.0
+        assert solved_lower_bound_check(build_graph([], 3), PageRankParams(c=0.85)) == 1.0
+        assert solved_lower_bound_check(cycle3(), PageRankParams(c=0.5)) == 1.0
 
     def test_random_graphs(self):
         rng = RngStream(19).generator()
         for _ in range(20):
             g = random_small_graph(rng)
-            assert lower_bound_check(g, PageRankParams(c=0.85)) == 1.0
+            assert solved_lower_bound_check(g, PageRankParams(c=0.85)) == 1.0
 
     def test_violation_detected(self):
         g = cycle3()

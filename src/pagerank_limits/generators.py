@@ -2,20 +2,20 @@
 
 Four models: the directed configuration model (uniform matching of out- to
 in-half-edges), a directed inhomogeneous random graph with independent
-edges, sequential directed preferential attachment with affine weights, and
-genealogical trees of a continuous-time pure-birth branching process.
+edges (sampled exactly in O(n + E) work by geometric skips over targets
+sorted by in-weight), sequential directed preferential attachment with
+affine weights, and genealogical trees of a continuous-time pure-birth
+branching process.
 
-Every generator consumes a ``numpy.random.Generator``; use
+Every generator consumes a ``numpy.random.Generator`` of any bit generator
+and gives the same output from the same generator state; use
 :class:`RngStream` to derive independent, reproducible generators from a
 (master seed, stream id) pair.
 """
 
 from __future__ import annotations
 
-import contextvars
 import heapq
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,17 +36,6 @@ __all__ = [
     "gen_dpa",
     "gen_ctbp_tree",
 ]
-
-# cells (rows x n raw words) drawn per block when sampling IRG edges, 1 MB
-# of words, half the per-core L2; each thread streams its row range through
-# such blocks.  Measured at n = 12 000 on two threads of a 2-core Xeon, in a
-# fresh process per seed (transient RSS, median wall over 8 seeds): one pool
-# task per 2^20-cell block +19.8 MB, 374 ms; one range per thread in blocks
-# of 2^18 cells +9.4 MB, 339 ms, 2^17 +5.4 MB, 356 ms, 2^16 +4.2 MB, 368 ms.
-# 2^17 and 2^18 then tied on wall in 16 paired seeds (8 wins each), and in
-# perfbench irg-generate (20 s runs, 4 pairs: wall_norm_s medians 0.59 and
-# 0.57 s) where 2^17 peaked 3.7 MB lower (48.6 against 52.3 MB).
-_IRG_BLOCK_CELLS = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -216,16 +205,22 @@ def gen_dcm(seq: BiDegreeSequence, rng) -> DirectedMultigraph:
 def gen_irg(w_out, w_in, theta: float, rng) -> DirectedMultigraph:
     """Independent edges i->j (i != j) with probability min{1, w_out_i w_in_j/(theta n)}.
 
-    Cell (i, j) is decided by uniform number i n + j of ``rng``, which must be
-    Philox-backed (as :class:`RngStream` generators are), and the edge is
-    present when that uniform is below p_ij.  The raw 64-bit words x are
-    screened per row against the row's largest probability (the double is
-    ``(x >> 11) 2^-53``, so ``u < p`` iff ``x >> 11 < ceil(p 2^53)``); only
-    the few words that pass get p_ij computed.  Each thread draws one
-    contiguous range of rows, block by block, from its own Philox copy
-    positioned at the range's first cell, and ``rng`` is left n^2 draws
-    further on: the graph and every later draw are those of drawing all n^2
-    uniforms in order, whatever the thread count.
+    Exact, in O(n + E) work: the skip sampler of Miller and Hagberg,
+    "Efficient generation of networks with given expected degrees" (WAW
+    2011), run on all rows at once.  The targets are sorted once by
+    ``w_in``, largest first, so along a row p_ij never increases.  A row's
+    certain cells (p_ij = 1) are then a prefix, found by bisection and
+    emitted in bulk.  From there the row goes in rounds: at candidate k,
+    with p = p_ik bounding every later p_ij, it skips a Geometric(p) number
+    of targets, keeps the target it lands on with probability p_ij / p
+    (never j = i), and moves to the next target.  It ends when it runs past
+    the last target or p is 0.  p_ij is computed as
+    ``min(1, (w_out_i * w_in_j) * scale)`` wherever it is read, so a NaN p
+    (``0 * inf`` where ``scale = 1 / (theta n)`` overflows) means no edge,
+    and ``np.errstate(invalid="raise")`` raises on it.
+
+    ``rng`` may be any ``numpy.random.Generator``; the same state gives the
+    same graph, and ``rng`` advances by O(n + E) draws.
     """
     w_out = np.asarray(w_out, dtype=np.float64)
     w_in = np.asarray(w_in, dtype=np.float64)
@@ -235,81 +230,64 @@ def gen_irg(w_out, w_in, theta: float, rng) -> DirectedMultigraph:
         raise ConfigError("weights must be positive and finite")
     if not 0 < theta < np.inf:
         raise ConfigError(f"theta must be positive and finite, got {theta}")
-    bit_gen = getattr(rng, "bit_generator", None)
-    if not isinstance(bit_gen, np.random.Philox):
-        raise ConfigError(
-            f"gen_irg needs a Philox-backed generator, got {type(bit_gen or rng).__name__}")
     n = w_out.size
     if n == 0:
         return build_graph([], 0)
-    scale = 1.0 / (theta * n)
-    # fmin takes a NaN row bound (0 * inf where scale overflows) to 1 instead
-    # of casting NaN below; that row's p_ij are all NaN, so it has no edges
-    rowmax = np.fmin(1.0, (w_out * w_in.max()) * scale)
-    # u < rowmax iff x >> 11 < t = ceil(rowmax 2^53) iff x <= bound = t 2^11 - 1;
-    # t >= 1 only adds candidates, and t = 2^53 (rowmax 1) wraps bound to 2^64 - 1
-    t = np.maximum(np.ceil(rowmax * 2.0**53).astype(np.uint64), np.uint64(1))
-    bound = (t << np.uint64(11)) - np.uint64(1)
-    rows = max(1, _IRG_BLOCK_CELLS // n)
-    blocks = -(-n // rows)
-
-    def draw(first, stop):
-        """Edges of rows [first, stop), drawn block by block from one copy."""
-        words_at = _philox_at(start, first * n)
-        parts = []
-        for r0 in range(first, stop, rows):
-            r1 = min(stop, r0 + rows)
-            words = words_at.random_raw((r1 - r0) * n)
-            # flat row-major indices: np.nonzero on the 2-D mask costs 6 to 10 times as much
-            flat = np.flatnonzero(words.reshape(r1 - r0, n) <= bound[r0:r1, None])
-            u = (words[flat] >> np.uint64(11)) * 2.0**-53
-            del words  # before the next block's words are drawn
-            bi, bj = np.divmod(flat, n)
-            bi += r0
-            hit = (u < np.minimum(1.0, (w_out[bi] * w_in[bj]) * scale)) & (bi != bj)
-            parts.append((bi[hit], bj[hit]))
-        return parts
-
-    start = bit_gen.state
-    threads = min(_usable_cpus(), blocks, 8)
-    # thread k draws blocks [k blocks / threads, (k + 1) blocks / threads)
-    cuts = [min(n, blocks * k // threads * rows) for k in range(threads + 1)]
-    with ThreadPoolExecutor(threads) as pool:
-        # each range runs in a copy of the caller's context, which holds np.errstate
-        futures = [pool.submit(contextvars.copy_context().run, draw, first, stop)
-                   for first, stop in zip(cuts, cuts[1:])]
-        parts = [part for f in futures for part in f.result()]
-    end = _philox_at(start, n * n).state
-    # advance() clears the cached half word of 32-bit draws; uniforms never touch it
-    end["has_uint32"], end["uinteger"] = start["has_uint32"], start["uinteger"]
-    bit_gen.state = end
-    src = np.concatenate([bi for bi, _ in parts])
-    tgt = np.concatenate([bj for _, bj in parts])
-    return build_graph((src, tgt), n)
+    # the sampler's arrays are freed before the graph is built
+    return build_graph(_irg_edges(w_out, w_in, 1.0 / (theta * n), rng), n)
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on; ``sched_getaffinity`` exists only on Linux."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+def _irg_edges(w_out, w_in, scale, rng):
+    """(src, tgt) of :func:`gen_irg`'s edges, p_ij = min(1, (w_out_i * w_in_j) * scale)."""
+    n = w_out.size
+    order = np.argsort(-w_in, kind="stable")  # ties in index order on every platform
+    w_sorted = w_in[order]
 
+    def p_at(rows, k):
+        """p of rows ``rows`` at sorted target positions ``k``."""
+        return np.minimum(1.0, (w_out[rows] * w_sorted[k]) * scale)
 
-def _philox_at(state, k: int) -> np.random.Philox:
-    """A Philox bit generator ``k`` 64-bit words past ``state``.
+    # certain prefixes: bisect [lo, hi) down to the first position with p < 1
+    rows = np.arange(n)
+    pos = np.zeros(n, dtype=np.int64)
+    certain = np.flatnonzero(p_at(rows, 0) == 1.0)
+    lo = np.ones(certain.size, dtype=np.int64)
+    hi = np.full(certain.size, n, dtype=np.int64)
+    while (open_ := np.flatnonzero(lo < hi)).size:
+        mid = (lo[open_] + hi[open_]) // 2
+        one = p_at(certain[open_], mid) == 1.0
+        lo[open_[one]] = mid[one] + 1
+        hi[open_[~one]] = mid[~one]
+    pos[certain] = lo
+    src = np.repeat(certain, lo)
+    tgt = order[np.arange(src.size) - np.repeat(np.cumsum(lo) - lo, lo)]
+    keep = src != tgt
+    srcs, tgts = [src[keep]], [tgt[keep]]
 
-    Philox keeps a buffer of 4 words; ``advance(j)`` skips j whole buffers
-    and empties the current one, so drain it first.  The seed 0 only spares
-    ``Philox()`` its read of OS entropy; ``state`` replaces what it seeds.
-    """
-    bg = np.random.Philox(0)
-    bg.state = state
-    head = min(k, 4 - state["buffer_pos"])
-    bg.random_raw(head)
-    if k > head:
-        bg.advance((k - head) // 4)
-        bg.random_raw((k - head) % 4)
-    return bg
+    # one geometric skip per live row and round
+    live = pos < n
+    rows, pos = rows[live], pos[live]
+    while rows.size:
+        p = p_at(rows, pos)
+        live = p > 0  # 0, or NaN: no later edge
+        rows, pos, p = rows[live], pos[live], p[live]
+        # the skip G = floor(log(1 - U) / log(1 - p)) is Geometric(p); it
+        # passes the n - pos targets left iff log(1 - U) <= (n - pos) log(1 - p)
+        log_u = np.log1p(-rng.random(rows.size))
+        log_miss = np.log1p(-p)
+        live = log_u > (n - pos) * log_miss
+        rows, pos, p = rows[live], pos[live], p[live]
+        land = pos + np.floor(log_u[live] / log_miss[live]).astype(np.int64)
+        live = land < n  # the division can round up to n - pos
+        rows, land, p = rows[live], land[live], p[live]
+        target = order[land]
+        hit = (rng.random(rows.size) < p_at(rows, land) / p) & (target != rows)
+        srcs.append(rows[hit])
+        tgts.append(target[hit])
+        pos = land + 1
+        live = pos < n
+        rows, pos = rows[live], pos[live]
+    return np.concatenate(srcs), np.concatenate(tgts)
 
 
 @dataclass(frozen=True)

@@ -431,11 +431,18 @@ def lower_bound_check(g: DirectedMultigraph, params, exact: PageRankVector) -> f
     """
     C, B = _coefficients(g, params)
     # the rows of the pull system times B, added in the same (source) order;
-    # the edge weight mult / d_out * C B is formed in place
+    # the edge weight mult / d_out * C B is formed in place, and standard
+    # params' C B is the one product c (1 - c).  np.add.at sums in edge
+    # order as np.bincount does, without bincount's copy of a read-only tgt
     weight = np.divide(g.mult, g.d_out[g.src])
-    weight *= (C * B)[g.src]
-    bound = B + np.bincount(g.tgt, weights=weight, minlength=g.n)
+    if isinstance(params, PageRankParams):
+        weight *= params.c * (1.0 - params.c)
+    else:
+        weight *= (C * B)[g.src]
+    bound = np.zeros(g.n)
+    np.add.at(bound, g.tgt, weight)
     del weight
+    bound += B
     bad = np.nonzero(exact.values < bound - _slack(g, params, exact)[0] * bound)[0]
     if bad.size:
         head = ", ".join(str(int(v)) for v in bad[:10])

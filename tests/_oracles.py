@@ -382,24 +382,34 @@ def read_float_csv_reference(path, header) -> np.ndarray:
     return np.asarray(rows, dtype=np.float64).reshape(len(rows), header.count(",") + 1)
 
 
+def irg_cell_probabilities(w_out, w_in, theta, start=0, stop=None):
+    """Rows ``[start, stop)`` of the IRG edge probabilities:
+    ``p_ij = min(1, (w_out_i w_in_j) / (theta n))`` (NaN where the scale
+    overflows against a product that underflows) and ``p_ii = 0``."""
+    w_out = np.asarray(w_out, dtype=np.float64)
+    w_in = np.asarray(w_in, dtype=np.float64)
+    n = w_out.size
+    stop = n if stop is None else stop
+    scale = 1.0 / (theta * n)
+    probs = np.minimum(1.0, np.outer(w_out[start:stop], w_in) * scale)
+    rows = np.arange(start, stop)
+    probs[rows - start, rows] = 0.0
+    return probs
+
+
 def gen_irg_dense(w_out, w_in, theta, rng):
     """IRG edges from the full probability matrix and one uniform per cell.
 
     Cells are decided in row-major order, row blocks of about 4M cells at a
-    time, each by ``rng.random() < p_ij`` with
-    ``p_ij = min(1, (w_out_i w_in_j) / (theta n))`` and ``p_ii = 0``.
+    time, each by ``rng.random() < p_ij`` with ``p_ij`` from
+    :func:`irg_cell_probabilities`.
     """
-    w_out = np.asarray(w_out, dtype=np.float64)
-    w_in = np.asarray(w_in, dtype=np.float64)
-    n = w_out.size
-    scale = 1.0 / (theta * n)
+    n = np.size(w_out)
     block = max(1, 4_000_000 // max(n, 1))
     srcs, tgts = [], []
     for start in range(0, n, block):
         stop = min(n, start + block)
-        probs = np.minimum(1.0, np.outer(w_out[start:stop], w_in) * scale)
-        rows = np.arange(start, stop)
-        probs[rows - start, rows] = 0.0
+        probs = irg_cell_probabilities(w_out, w_in, theta, start, stop)
         hit = rng.random(probs.shape) < probs
         bi, bj = np.nonzero(hit)
         srcs.append(bi + start)

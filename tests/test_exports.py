@@ -93,11 +93,12 @@ def _run_python(code, cwd):
 def test_cli_import_loads_no_scipy_and_no_multiprocessing(tmp_path):
     # each command pays its imports: scipy.sparse cost about 0.25 s of start-up,
     # multiprocessing 15-27 ms, numpy.ma 16-21 ms, and none is needed by a
-    # default command
+    # default command; census imports its process pool only for workers > 1
     loaded = _run_python("import sys, pagerank_limits.cli; print(*sys.modules)",
                          tmp_path).split()
     assert "pagerank_limits.cli" in loaded
     assert [m for m in loaded if m.split(".")[0] in ("scipy", "multiprocessing")] == []
+    assert [m for m in loaded if m.startswith("concurrent.futures")] == []
     assert [m for m in loaded if m == "numpy.ma" or m.startswith("numpy.ma.")] == []
 
 

@@ -1,12 +1,9 @@
-import os
-from concurrent.futures import ThreadPoolExecutor
-
 import numpy as np
 import pytest
+import scipy.stats
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from pagerank_limits import generators
 from pagerank_limits.errors import ConfigError
 from pagerank_limits.generators import (
     BiDegreeLaw,
@@ -22,7 +19,7 @@ from pagerank_limits.generators import (
 )
 from pagerank_limits.graph import write_edgelist
 
-from _oracles import edge_triples, gen_irg_dense, star_entries
+from _oracles import edge_triples, gen_irg_dense, irg_cell_probabilities, star_entries
 
 UNIFORM33 = BiDegreeLaw([(h, l, 1 / 9) for h in (1, 2, 3) for l in (1, 2, 3)])
 
@@ -232,19 +229,15 @@ class TestIrg:
         with pytest.raises(ConfigError, match="theta"):
             gen_irg(w, w, bad, RngStream(1).generator())
 
-    def test_needs_philox(self):
-        w = np.full(10, 2.0)
-        with pytest.raises(ConfigError, match="PCG64"):
-            gen_irg(w, w, 1.0, np.random.default_rng(1))
-
-
-def _live_state(rng):
-    """The parts of a Philox generator's state that later draws read: the
-    buffer's words before ``buffer_pos`` are spent."""
-    s = rng.bit_generator.state
-    pos = s["buffer_pos"]
-    return (s["state"]["counter"].tolist(), s["state"]["key"].tolist(), pos,
-            s["buffer"][pos:].tolist(), s["has_uint32"], s["uinteger"])
+    def test_accepts_any_generator(self):
+        # the same state gives the same graph, from any bit generator
+        w = 10.0 ** np.random.default_rng(8).uniform(-1.0, 2.0, 300)
+        for bit_generator in (np.random.PCG64, np.random.MT19937, np.random.Philox):
+            a, b = (np.random.Generator(bit_generator(8)) for _ in range(2))
+            ga, gb = gen_irg(w, w, 1.0, a), gen_irg(w, w, 1.0, b)
+            assert ga.total_multiplicity > 0
+            assert list(edge_triples(ga)) == list(edge_triples(gb))
+            assert a.random() == b.random()
 
 
 def _irg_weights(rng, n):
@@ -257,114 +250,91 @@ def _irg_weights(rng, n):
 
 
 class TestIrgAgainstDense:
-    """``gen_irg`` makes the decisions and leaves the rng where the dense
-    sampler (``_oracles.gen_irg_dense``: one ``rng.random()`` per cell)
-    does, from any Philox buffer position and with any block split."""
+    """``gen_irg`` draws each cell (i, j) with the probability that
+    ``_oracles.irg_cell_probabilities`` defines, as the dense sampler
+    ``_oracles.gen_irg_dense`` (one ``rng.random()`` per cell) does."""
 
-    @settings(max_examples=150, deadline=None,
+    @pytest.mark.parametrize("theta", [1e-3, 0.1, 1.0, 10.0])
+    def test_cell_frequencies(self, theta):
+        # n = 20 with the weights' clamped, underflowing and mid-range cells;
+        # the 4 thetas' 2 tests each share a family-wise level of 1e-6
+        n, graphs = 20, 2000
+        w_out = _irg_weights(np.random.default_rng([7, 0]), n)
+        w_in = _irg_weights(np.random.default_rng([7, 1]), n)
+        p = irg_cell_probabilities(w_out, w_in, theta)
+        counts = np.zeros((n, n), dtype=np.int64)
+        rng = RngStream(17).generator()
+        for _ in range(graphs):
+            g = gen_irg(w_out, w_in, theta, rng)
+            assert (g.mult == 1).all()
+            counts[g.src, g.tgt] += 1
+        assert (counts[p == 0] == 0).all()
+        assert (counts[p == 1] == graphs).all()
+        # cells with 5 or more expected hits and misses: chi-square; the
+        # hits of the rarer ones pooled against their Poisson law
+        mean = graphs * p
+        wide = (mean >= 5) & (graphs - mean >= 5)
+        rare = (p > 0) & (mean < 5)
+        assert (wide | rare)[(p > 0) & (p < 1)].all() and wide.sum() >= 10
+        chi2 = float(((counts[wide] - mean[wide]) ** 2 / (mean[wide] * (1 - p[wide]))).sum())
+        pooled, pooled_mean = counts[rare].sum(), mean[rare].sum()
+        pvalues = [scipy.stats.chi2.sf(chi2, wide.sum()),
+                   2 * min(scipy.stats.poisson.cdf(pooled, pooled_mean),
+                           scipy.stats.poisson.sf(pooled - 1, pooled_mean))]
+        assert min(pvalues) >= 1e-6 / 8, pvalues
+
+    @settings(max_examples=100, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     @given(n=st.integers(1, 300), seed=st.integers(0, 2**32 - 1),
-           theta=st.sampled_from([1e-3, 0.1, 1.0, 10.0]), skip=st.integers(0, 7),
-           half_word=st.booleans(), block_cells=st.integers(1, 3000))
-    def test_identical_draws(self, n, seed, theta, skip, half_word, block_cells):
+           theta=st.sampled_from([1e-3, 0.1, 1.0, 10.0]))
+    def test_certain_and_impossible_cells(self, n, seed, theta):
+        # every p = 1 cell is an edge, no p = 0 cell or diagonal cell is,
+        # and the same generator state gives the same graph and end state
         w_out = _irg_weights(np.random.default_rng([seed, 0]), n)
         w_in = _irg_weights(np.random.default_rng([seed, 1]), n)
-        fast, dense = RngStream(seed).generator(), RngStream(seed).generator()
-        for rng in (fast, dense):
-            rng.random(skip)
-            if half_word:
-                rng.integers(2**32, dtype=np.uint32)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(generators, "_IRG_BLOCK_CELLS", block_cells)
-            for _ in range(2):
-                a = gen_irg(w_out, w_in, theta, fast)
-                b = gen_irg_dense(w_out, w_in, theta, dense)
-                assert np.array_equal(a.src, b.src)
-                assert np.array_equal(a.tgt, b.tgt)
-                assert np.array_equal(a.mult, b.mult)
-                assert np.array_equal(fast.random(5), dense.random(5))
-        assert fast.integers(2**32, dtype=np.uint32) == dense.integers(2**32, dtype=np.uint32)
+        p = irg_cell_probabilities(w_out, w_in, theta)
+        a, b = RngStream(seed).generator(), RngStream(seed).generator()
+        g = gen_irg(w_out, w_in, theta, a)
+        edges = np.zeros((n, n), dtype=bool)
+        edges[g.src, g.tgt] = True
+        assert (g.mult == 1).all()
+        assert (p[edges] > 0).all()
+        assert edges[p == 1].all()
+        assert list(edge_triples(g)) == list(edge_triples(gen_irg(w_out, w_in, theta, b)))
+        assert a.random() == b.random()
 
-    @pytest.mark.parametrize("above", [0, 1])
-    @pytest.mark.parametrize("diagonal", [1.0, 2.0])
-    def test_word_at_the_threshold(self, above, diagonal):
-        # cell (0, 1) gets u = m 2^-53 from the word x = m 2^11 + 2047 and
-        # p = (m + above) 2^-53, an edge iff above; the row bound is p itself
-        # (x is then the largest word the screen passes when above = 1) or,
-        # through p_00, 2p (the exact test decides)
-        rng = RngStream(7).generator()
-        probe = np.random.Philox()
-        probe.state = rng.bit_generator.state
-        words = probe.random_raw(1 << 14)
-        k = int(np.flatnonzero((words[1:] & np.uint64(2047)) == 2047)[0]) + 1
-        dense = RngStream(7).generator()
-        for r in (rng, dense):
-            r.random(k - 1)  # word k decides cell (0, 1)
-        w_out = np.array([float((int(words[k]) >> 11) + above) * 2.0**-53, 1.0])
-        w_in = np.array([diagonal, 1.0])
-        g = gen_irg(w_out, w_in, 0.5, rng)
-        assert list(edge_triples(g)) == list(edge_triples(gen_irg_dense(w_out, w_in, 0.5, dense)))
-        assert ((0, 1, 1) in list(edge_triples(g))) == bool(above)
+    @pytest.mark.parametrize("n,certain", [(8, 0), (8, 1), (8, 2), (8, 7), (8, 8),
+                                           (1024, 1), (1024, 500), (1024, 1023), (1024, 1024)])
+    def test_certain_prefix_at_the_threshold(self, n, certain):
+        # theta n = 1: row 0 has p_0j = w_in_j, exactly 1 on `certain`
+        # random cells (its own perhaps among them) and 1e-12 elsewhere; a
+        # prefix one cell too long or too short shows as a wrong edge set
+        w_in = np.full(n, 1e-12)
+        w_in[np.random.default_rng([n, certain]).permutation(n)[:certain]] = 1.0
+        w_out = np.full(n, 1e-12)
+        w_out[0] = 1.0
+        g = gen_irg(w_out, w_in, 1.0 / n, RngStream(certain).generator())
+        assert list(edge_triples(g)) == [(0, int(j), 1) for j in np.flatnonzero(w_in == 1.0)
+                                         if j != 0]
+
+    def test_certain_rows_draw_nothing(self):
+        # p = 1 everywhere: each row is one bulk prefix and no round runs
+        rng = RngStream(5).generator()
+        g = gen_irg(np.full(300, 1e3), np.full(300, 1e3), 1.0, rng)
+        assert g.total_multiplicity == 300 * 299
+        assert rng.random() == RngStream(5).generator().random()
 
     def test_overflowing_scale(self):
         # 1/(theta n) = inf: rows 1 and 3 have p = 1, rows 0 and 2 p = 0 * inf = NaN
         w_out = np.array([1e-170, 1e100, 1e-170, 1.0])
         w_in = np.full(4, 1e-170)
-        a, b = RngStream(3).generator(), RngStream(3).generator()
         with pytest.raises(FloatingPointError), np.errstate(invalid="raise"):
             gen_irg(w_out, w_in, 1e-320, RngStream(3).generator())
-        with np.errstate(invalid="ignore"):  # also in gen_irg's threads
-            ga = gen_irg(w_out, w_in, 1e-320, a)
-            gb = gen_irg_dense(w_out, w_in, 1e-320, b)
+        with np.errstate(invalid="ignore"):
+            ga = gen_irg(w_out, w_in, 1e-320, RngStream(3).generator())
+            gb = gen_irg_dense(w_out, w_in, 1e-320, RngStream(3).generator())
         assert ga.total_multiplicity == 6
         assert list(edge_triples(ga)) == list(edge_triples(gb))
-        assert np.array_equal(a.random(5), b.random(5))
-
-    def _assert_matches_dense(self, n, seed):
-        w_out = _irg_weights(np.random.default_rng([seed, 0]), n)
-        w_in = _irg_weights(np.random.default_rng([seed, 1]), n)
-        fast, dense = RngStream(seed).generator(), RngStream(seed).generator()
-        for rng in (fast, dense):
-            rng.random(3)
-        a = gen_irg(w_out, w_in, 1.0, fast)
-        b = gen_irg_dense(w_out, w_in, 1.0, dense)
-        assert a.total_multiplicity > 0
-        assert np.array_equal(a.src, b.src)
-        assert np.array_equal(a.tgt, b.tgt)
-        assert np.array_equal(a.mult, b.mult)
-        assert _live_state(fast) == _live_state(dense)
-        assert np.array_equal(fast.random(5), dense.random(5))
-        assert fast.integers(2**32, dtype=np.uint32) == dense.integers(2**32, dtype=np.uint32)
-
-    @pytest.mark.parametrize("cpus", [1, 2, 3, 5])
-    def test_row_ranges_do_not_move_a_bit(self, cpus, monkeypatch):
-        # blocks of one row (fewer cells than a row), of 7 rows, and of all
-        # 57 rows: 57, 9 and 1 blocks cut into min(cpus, blocks) row ranges
-        monkeypatch.setattr(generators, "_usable_cpus", lambda: cpus)
-        for cells in (28, 7 * 57, 57 * 57):
-            monkeypatch.setattr(generators, "_IRG_BLOCK_CELLS", cells)
-            self._assert_matches_dense(57, cells)
-
-    @pytest.mark.parametrize("cpus", [1, 4])
-    def test_thread_count_does_not_matter(self, cpus, monkeypatch):
-        # n = 2048 at the default block size is 16 blocks, so with 4 usable
-        # CPUs they run in 4 threads
-        pools = []
-
-        class RecordingPool(ThreadPoolExecutor):
-            def __init__(self, max_workers):
-                pools.append(max_workers)
-                super().__init__(max_workers)
-
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
-        monkeypatch.setattr(generators, "ThreadPoolExecutor", RecordingPool)
-        self._assert_matches_dense(2048, 41)
-        assert pools == [cpus]
-
-    def test_without_sched_getaffinity(self, monkeypatch):
-        # os.sched_getaffinity exists only on Linux; elsewhere os.cpu_count() is used
-        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-        self._assert_matches_dense(2048, 42)
 
 
 class TestDpa:

@@ -92,6 +92,8 @@ def census(g: DirectedMultigraph, k: int, sample_count: int | None = None,
     """
     if k < 0:
         raise UsageError(f"depth must be >= 0, got {k}")
+    if workers < 1:
+        raise UsageError(f"workers must be >= 1, got {workers}")
     if sample_count is None:
         roots = np.arange(g.n)
     else:

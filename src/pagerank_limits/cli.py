@@ -226,6 +226,7 @@ def validate_config(raw):
     cfg["comparison"] = {"census_depths": depths, "thresholds": thresholds}
 
     cfg["threads"] = _integer(raw.get("threads", 1), "threads")
+    _require(cfg["threads"] >= 1, "threads", f"must be >= 1, got {cfg['threads']}")
     cfg["_raw"] = raw
     return cfg
 
@@ -292,7 +293,8 @@ def limit_pool(cfg, rng):
 def run_experiment(config_path, output_dir, threads=None):
     """Full pipeline; returns (record, exit_code)."""
     cfg = load_config(config_path)
-    if threads:
+    if threads is not None:
+        _require(threads >= 1, "--threads", f"must be >= 1, got {threads}")
         cfg["threads"] = threads
     out = Path(output_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -347,8 +349,7 @@ def run_experiment(config_path, output_dir, threads=None):
                     C=genspec["c_sampler"](wrng, n), B=genspec["b_sampler"](wrng, n),
                     tol=params.tol, max_iter=params.max_iter)
             exact = pr.solve_pagerank(g, weights, with_order=N)
-            entry["mean_gap"], entry["gap_bound"] = _checked(
-                g, weights, exact, [exact.truncated], f" at n={n}")
+            entry["mean_gap"], entry["gap_bound"] = _checked(g, weights, exact, f" at n={n}")
             entry.update(gap_ok=True, mass_ok=True, lower_bound_ok=True)
             entry["iterations"] = exact.iterations
             entry["residual"] = exact.residual
@@ -392,10 +393,10 @@ def run_experiment(config_path, output_dir, threads=None):
     return record, EXIT_OK
 
 
-def _checked(g, params, exact, truncated=(), where=""):
+def _checked(g, params, exact, where=""):
     """Raise on the first failed invariant, else return the last truncation gap."""
     gap = None
-    for name, error, value in pr.check_invariants(g, params, exact, truncated):
+    for name, error, value in pr.check_invariants(g, params, exact):
         if error is not None:
             raise InvariantViolation(f"{name.replace('-', ' ')} failed{where}: {error}")
         gap = value or gap
@@ -479,9 +480,8 @@ def _cmd_pagerank(args):
     else:
         params = pr.PageRankParams(c=args.c, tol=args.tol, max_iter=args.max_iter)
     exact = pr.solve_pagerank(g, params, with_order=args.N)
-    vec = exact if args.N is None else exact.truncated
-    gap = _checked(g, params, exact, [] if args.N is None else [vec])
-    pr.write_scores_csv(vec, args.output, gap=gap)
+    gap = _checked(g, params, exact)
+    pr.write_scores_csv(exact.truncated or exact, args.output, gap=gap)
     print(f"wrote {args.output}")
     return EXIT_OK
 
@@ -546,13 +546,11 @@ def _cmd_verify(args):
     params = pr.PageRankParams(c=args.c)
     totals = (int(g.d_out.sum()), int(g.d_in.sum()), g.total_multiplicity)
     degrees = None if len(set(totals)) == 1 else f"degree sums {totals} disagree"
-    if args.max_order >= 0:
-        exact, sweep = pr.solve_and_sweep(g, params, args.max_order)
-    else:
-        exact, sweep = pr.solve_pagerank(g, params), ()
+    exact = pr.solve_pagerank(g, params,
+                              with_order=args.max_order if args.max_order >= 0 else None)
     failures = 0
     for name, error, _ in chain([("degree-consistency", degrees, None)],
-                                pr.check_invariants(g, params, exact, sweep)):
+                                pr.check_invariants(g, params, exact)):
         failures += error is not None
         print(f"PASS {name}" if error is None else f"FAIL {name}: {error}")
     print(f"{'OK' if failures == 0 else 'FAILED'}: {failures} violations")

@@ -53,7 +53,8 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 DEFAULT_CTBP_NODE_CAP = 10_000_000
-DEFAULT_POSITION_FLOOR = 1e-12
+# a polya root below this position is redrawn: its offspring rate x^-psi - 1 explodes
+POSITION_FLOOR = 1e-12
 
 
 @dataclass
@@ -384,8 +385,7 @@ def sample_ctbp_limit(rate_base: float, alpha_star: float, rng,
     )
 
 
-def sample_polya_limit(p: PolyaParams, depth: int, rng,
-                       position_floor: float = DEFAULT_POSITION_FLOOR) -> LimitTree:
+def sample_polya_limit(p: PolyaParams, depth: int, rng) -> LimitTree:
     """Point tree: positions in (0,1], Gamma strengths, Poisson offspring.
 
     The root sits at U^chi; a node at position x with strength g spawns
@@ -397,8 +397,8 @@ def sample_polya_limit(p: PolyaParams, depth: int, rng,
         raise ConfigError(f"depth must be >= 0, got {depth}")
     chi, psi, shape = p.chi, p.psi, p.gamma_shape
     x0 = rng.random() ** chi
-    while x0 < position_floor:
-        logger.info("root position %g below floor %g; resampling", x0, position_floor)
+    while x0 < POSITION_FLOOR:
+        logger.info("root position %g below floor %g; resampling", x0, POSITION_FLOOR)
         x0 = rng.random() ** chi
     parents = [-1]
     depths = [0]

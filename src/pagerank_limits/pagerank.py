@@ -10,7 +10,8 @@ either.  N iterations from R = B equal the weighted sum over directed paths
 of length at most N ending at each vertex, exactly.  Vertices with
 out-degree zero absorb score and forward none, which keeps the standard
 mean score at most 1.  The exact solve starts from the same vector, so its
-iterate N is R^(N): one pass yields both, and every variant runs the one
+iterate N is R^(N): one pass yields both, with the means of R^(0), ...,
+R^(N) that the truncation bound checks, and every variant runs the one
 kernel, :class:`_OrderedSystem`.
 
 The kernel stores the pull system in jagged-diagonal storage (Saad,
@@ -32,7 +33,7 @@ from itertools import islice
 import numpy as np
 
 from ._textio import read_table, write_json, write_table
-from .errors import ConfigError, ConvergenceError, InvariantViolation
+from .errors import ConfigError, ConvergenceError, InvariantViolation, UsageError
 from .graph import DirectedMultigraph
 
 __all__ = [
@@ -41,9 +42,7 @@ __all__ = [
     "GeneralizedWeights",
     "solve_pagerank",
     "pagerank_truncated",
-    "truncation_sweep",
     "truncation_gap",
-    "solve_and_sweep",
     "generalized_mass_ok",
     "lower_bound_check",
     "check_invariants",
@@ -79,6 +78,10 @@ class PageRankVector:
     iterations: int
     residual: float | None = None
     truncated: PageRankVector | None = None  # R^(N) of the same pass, on request
+    # with ``truncated``: the means of R^(0), ..., R^(N) of the same pass and,
+    # last, of this vector, each numpy's pairwise mean over the iterate in the
+    # solver's row order
+    means: tuple = ()
 
     @property
     def mean(self) -> float:
@@ -226,18 +229,23 @@ class _OrderedSystem:
 
     def solve(self, params, order=None):
         """The fixed point, iterated until the sup-norm step is below
-        ``params.tol``, with R^(order) of the same pass as its ``truncated``.
+        ``params.tol``.  With an ``order`` N its ``truncated`` is R^(N) of the
+        same pass and its ``means`` are those of R^(0), ..., R^(N) and of the
+        fixed point, taken in row order as each iterate comes.
 
-        When ``order`` exceeds the iteration count the same recurrence runs
-        on to it.
+        When N exceeds the iteration count the same recurrence runs on to it.
         """
+        N = -1 if order is None else order
         iterates = self.iterates()
         r = next(iterates)
-        kept = r if order == 0 else None
+        means = [_mean(r)] if N >= 0 else []
+        kept = r if N == 0 else None
         for k in range(1, params.max_iter + 1):
             prev, r = r, next(iterates)
-            if k == order:
-                kept = r
+            if k <= N:
+                means.append(_mean(r))
+                if k == N:
+                    kept = r
             # the step overwrites the previous iterate, still cached from the
             # mat-vec, unless that iterate is kept; it needs no abs, since the
             # iterates rise: C, B >= 0, and every rounding is monotone
@@ -245,14 +253,16 @@ class _OrderedSystem:
             delta = float(step.max()) if r.size else 0.0
             del prev, step  # so the next mat-vec runs with one iterate fewer held
             if delta < params.tol:
-                if order is not None and order > k:
-                    kept = _last(islice(iterates, order - k))
-                truncated = None if kept is None else PageRankVector(
-                    values=self.in_vertex_order(kept), order=order, params=params,
-                    iterations=order)
+                truncated = None
+                if N >= 0:
+                    for kept in islice(iterates, max(N - k, 0)):
+                        means.append(_mean(kept))
+                    truncated = PageRankVector(values=self.in_vertex_order(kept), order=N,
+                                               params=params, iterations=N)
+                    means.append(_mean(r))
                 return PageRankVector(values=self.in_vertex_order(r), order="exact",
                                       params=params, iterations=k, residual=delta,
-                                      truncated=truncated)
+                                      truncated=truncated, means=tuple(means))
         desc = (f"pagerank(c={params.c})" if isinstance(params, PageRankParams)
                 else f"generalized(c_max={params.c_max})")
         raise ConvergenceError(
@@ -261,12 +271,6 @@ class _OrderedSystem:
             residual=delta,
             iterations=params.max_iter,
         )
-
-    def sweep(self, N, params):
-        """PageRankVectors of R^(0), ..., R^(N), in vertex order."""
-        for k, r in enumerate(islice(self.iterates(), N + 1)):
-            yield PageRankVector(values=self.in_vertex_order(r), order=k, params=params,
-                                 iterations=k)
 
 
 def _system(g, params):
@@ -288,33 +292,13 @@ def solve_pagerank(g: DirectedMultigraph, params, with_order: int | None = None
     ``params`` is :class:`GeneralizedWeights`, or :class:`PageRankParams`
     read as C = c, B = 1 - c; either carries the stopping rule.  With
     ``with_order=N`` the result's ``truncated`` is R^(N), iterate N of this
-    same pass: bit for bit what :func:`pagerank_truncated` returns.
+    same pass: bit for bit what :func:`pagerank_truncated` returns.  Its
+    ``means`` are those of R^(0), ..., R^(N) and R, which
+    :func:`check_invariants` checks the truncation bound on at every order.
     """
     if with_order is not None:
         _check_order(with_order)
     return _system(g, params).solve(params, with_order)
-
-
-def solve_and_sweep(g: DirectedMultigraph, params, N: int):
-    """``(solve_pagerank(g, params), truncation_sweep(g, params, N))`` on one
-    pull system.
-
-    The sweep reruns the first N iterates of the solve one at a time, so a
-    caller that keeps only the current one holds O(n) memory.
-    """
-    _check_order(N)
-    system = _system(g, params)
-    return system.solve(params), system.sweep(N, params)
-
-
-def truncation_sweep(g: DirectedMultigraph, params, N: int):
-    """Iterator over R^(0), R^(1), ..., R^(N), one pull iteration apart.
-
-    The pull system is built once, on the call; each step yields a new
-    vector, so a caller that keeps only the current one holds O(n) memory.
-    """
-    _check_order(N)
-    return _system(g, params).sweep(N, params)
 
 
 def _check_order(N):
@@ -322,37 +306,37 @@ def _check_order(N):
         raise ConfigError(f"truncation order must be >= 0, got {N}")
 
 
-def _last(items):
-    return deque(items, maxlen=1)[0]
-
-
 def pagerank_truncated(g: DirectedMultigraph, params, N: int) -> PageRankVector:
     """Weighted sum over directed paths of length <= N, via N pull iterations
     from R = B."""
-    return _last(truncation_sweep(g, params, N))
+    _check_order(N)
+    system = _system(g, params)
+    r = deque(islice(system.iterates(), N + 1), maxlen=1)[0]
+    return PageRankVector(values=system.in_vertex_order(r), order=N, params=params,
+                          iterations=N)
 
 
 # ---------------------------------------------------------------------------
 # identity checks
 
 
-def check_invariants(g: DirectedMultigraph, params, exact: PageRankVector,
-                     truncated=()):
-    """Check every identity on ``exact`` and the R^(N) vectors in ``truncated``.
+def check_invariants(g: DirectedMultigraph, params, exact: PageRankVector):
+    """Check every identity on ``exact``, and the truncation bound at each order
+    whose mean ``exact`` recorded (``solve_pagerank(..., with_order=N)``).
 
     ``params`` is :class:`GeneralizedWeights`, or :class:`PageRankParams`
     read as C = c, B = 1 - c.  Yields ``(name, error, gap)`` (``error`` None
-    when it holds) for ``teleport-floor`` (R >= B), ``mass-identity``, each
-    ``truncation-bound-N<k>`` (``gap`` from :func:`truncation_gap`) and
-    ``lower-bound``.  The tolerances are :func:`_slack`'s, derived in README.
+    when it holds) for ``teleport-floor`` (R >= B), ``mass-identity``,
+    ``truncation-bound-N<k>`` for k = 0..N (``gap`` from
+    :func:`truncation_gap`) and ``lower-bound``.  The tolerances are
+    :func:`_slack`'s, derived in README.
     """
     below = int((exact.values < _coefficients(g, params)[1]).sum())
     yield "teleport-floor", f"{below} vertices below B" if below else None, None
     yield ("mass-identity", None if generalized_mass_ok(g, params, exact)
            else f"sum R = {float(exact.values.sum())!r} off the identity", None)
-    for vec in truncated:
-        yield (f"truncation-bound-N{vec.order}",
-               *_outcome(truncation_gap, g, params, vec.order, exact, vec))
+    for k in range(len(exact.means) - 1):
+        yield f"truncation-bound-N{k}", *_outcome(truncation_gap, g, params, exact, k)
     yield "lower-bound", _outcome(lower_bound_check, g, params, exact)[0], None
 
 
@@ -391,17 +375,24 @@ def _slack(g, params, exact):
     return rounding, c_max * g.n * residual, residual * c_max / (1.0 - c_max)
 
 
-def truncation_gap(g: DirectedMultigraph, params, N: int, exact: PageRankVector,
-                   truncated: PageRankVector):
-    """Mean of R - R^(N) and its bound, sum_{k>N} c_max^k mean(B); checks
-    0 <= gap <= bound, which is c^(N+1) for standard params."""
-    mean_gap = _mean(exact.values - truncated.values)
+def truncation_gap(g: DirectedMultigraph, params, exact: PageRankVector, N: int):
+    """mean(R) - mean(R^(N)) and its bound, sum_{k>N} c_max^k mean(B); checks
+    0 <= gap <= bound, which is c^(N+1) for standard params.
+
+    Both means are those ``exact`` recorded in its solve, each numpy's pairwise
+    mean over the iterate in the solver's row order.  Summed in one order over
+    iterates that rise entry by entry, the gap is exactly >= 0 for N up to the
+    iteration count; past it, the mean of R lags by at most ``_slack``'s lag.
+    """
+    if not 0 <= N < len(exact.means) - 1:
+        raise UsageError(f"no mean of R^({N}) recorded: solve with with_order >= {N}")
+    mean_gap = exact.means[-1] - exact.means[N]
     if isinstance(params, PageRankParams):
         bound = params.c ** (N + 1)
     else:
         bound = params.c_max ** (N + 1) * _mean(params.B) / (1.0 - params.c_max)
     rounding, _, lag = _slack(g, params, exact)
-    scale = 2 * rounding * abs(_mean(exact.values))
+    scale = 2 * rounding * abs(exact.means[-1])
     if not -(lag + scale) <= mean_gap <= bound + scale:
         raise InvariantViolation(f"truncation gap {mean_gap!r} outside [0, {bound!r}]")
     return mean_gap, bound

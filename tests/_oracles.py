@@ -40,7 +40,6 @@ from pagerank_limits.graph import (
 from pagerank_limits.limits import LimitTree
 from pagerank_limits.pagerank import (
     lower_bound_check,
-    pagerank_truncated,
     solve_pagerank,
     truncation_gap,
 )
@@ -516,11 +515,9 @@ def parse_edgelist(text):
     return list(zip(src.tolist(), tgt.tolist(), mult.tolist())), n
 
 
-def solved_truncation_gap(g, params, N, exact=None, truncated=None):
-    """``truncation_gap`` with a missing exact or R^(N) vector solved for."""
-    exact = solve_pagerank(g, params) if exact is None else exact
-    truncated = pagerank_truncated(g, params, N) if truncated is None else truncated
-    return truncation_gap(g, params, N, exact, truncated)
+def solved_truncation_gap(g, params, N):
+    """``truncation_gap`` at order N of a solve that records the means up to N."""
+    return truncation_gap(g, params, solve_pagerank(g, params, with_order=N), N)
 
 
 def solved_lower_bound_check(g, params, exact=None):

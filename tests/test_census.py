@@ -88,6 +88,12 @@ class TestCensus:
         with pytest.raises(UsageError):
             census(g, 1, sample_count=2)
 
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_workers_below_one_rejected(self, workers):
+        g = build_graph([(0, 1), (1, 2)], 3)
+        with pytest.raises(UsageError, match=f"workers must be >= 1, got {workers}"):
+            census(g, 1, workers=workers)
+
     def test_workers_match_sequential(self):
         rng = RngStream(84).generator()
         g = gen_dcm(sample_bidegree_sequence(UNIFORM33, 500, rng), rng)

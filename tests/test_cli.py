@@ -41,6 +41,19 @@ def counted_systems(monkeypatch):
     return builds
 
 
+def counted_matvecs(monkeypatch):
+    """One entry per PageRank mat-vec run from now on."""
+    matvecs = []
+
+    class Counted(cli.pr._OrderedSystem):
+        def apply(self, r):
+            matvecs.append(1)
+            return super().apply(r)
+
+    monkeypatch.setattr(cli.pr, "_OrderedSystem", Counted)
+    return matvecs
+
+
 class TestSubcommands:
     def test_generate_dpa(self, tmp_path, capsys):
         out = tmp_path / "g.txt"
@@ -217,7 +230,7 @@ class TestSubcommands:
         out = capsys.readouterr().out
         assert rc == 0
         assert [f"PASS truncation-bound-N{N}" in out for N in range(8)] == [True] * 7 + [False]
-        assert len(builds) <= 2  # the exact solve and the truncation sweep
+        assert builds == [300]  # the exact solve's, which every check reads
 
     @pytest.mark.parametrize("argv", [
         ["pagerank", "--c", "0.5", "--N", "6", "--output", "scores.csv"],
@@ -232,20 +245,30 @@ class TestSubcommands:
         assert cli.main([argv[0], "--graph", str(g), *argv[1:]]) == 0
         assert builds == [300]
 
+    @pytest.mark.parametrize("argv", [
+        ["pagerank", "--c", "0.5", "--N", "20", "--output", "scores.csv"],
+        ["verify", "--c", "0.5", "--max-order", "20"],
+    ])
+    def test_truncation_checks_run_on_the_solve_pass(self, tmp_path, monkeypatch, argv):
+        # every order's gap comes from the solve's own iterates: max(iterations,
+        # 20) mat-vecs in all, not a further 20 to rebuild R^(0), ..., R^(20)
+        g = tmp_path / "g.txt"
+        cli.main(["generate", "--model", "dcm", "--law", json.dumps(DCM_LAW),
+                  "--n", "300", "--seed", "6", "--output", str(g)])
+        matvecs = counted_matvecs(monkeypatch)
+        argv = [str(tmp_path / a) if a.endswith(".csv") else a for a in argv]
+        assert cli.main([argv[0], "--graph", str(g), *argv[1:]]) == 0
+        monkeypatch.undo()
+        exact = cli.pr.solve_pagerank(cli.read_edgelist(g), cli.pr.PageRankParams(c=0.5))
+        assert len(matvecs) == max(exact.iterations, 20)
+
     @pytest.mark.parametrize("N", [6, 200])
     def test_truncated_pagerank_runs_the_exact_solve_only(self, tmp_path, monkeypatch, N):
         # R^(N) comes out of the exact solve: max(iterations, N) mat-vecs in all
         g = tmp_path / "g.txt"
         cli.main(["generate", "--model", "dcm", "--law", json.dumps(DCM_LAW),
                   "--n", "300", "--seed", "6", "--output", str(g)])
-        matvecs = []
-
-        class Counted(cli.pr._OrderedSystem):
-            def apply(self, r):
-                matvecs.append(1)
-                return super().apply(r)
-
-        monkeypatch.setattr(cli.pr, "_OrderedSystem", Counted)
+        matvecs = counted_matvecs(monkeypatch)
         out = tmp_path / "s.csv"
         assert cli.main(["pagerank", "--graph", str(g), "--c", "0.5", "--N", str(N),
                          "--output", str(out)]) == 0
@@ -300,6 +323,17 @@ class TestConfigValidation:
         rc = cli.main(["run", "--config", str(cfg), "--output-dir", str(tmp_path / "o")])
         assert rc == 1
         assert "pagerank.c" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("threads", [0, -3])
+    def test_worker_count_below_one_rejected(self, tmp_path, threads):
+        cfg = tmp_path / "config.json"
+        write_config(cfg, threads=threads)
+        with pytest.raises(ConfigError, match=f"threads: must be >= 1, got {threads}"):
+            cli.validate_config(json.loads(cfg.read_text()))
+        write_config(cfg)
+        with pytest.raises(ConfigError, match=f"--threads: must be >= 1, got {threads}"):
+            cli.run_experiment(cfg, tmp_path / "out", threads=threads)
+        assert not (tmp_path / "out").exists()
 
     def test_descending_sizes_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "config.json"

@@ -37,10 +37,11 @@ def test_package_imports_resolve_to_their_modules():
                 getattr(mod, alias.name)
 
 
-# public names that only tests called: moved to tests/_oracles.py or deleted
+# public names that only tests called, moved to tests/_oracles.py or deleted,
+# and the truncation sweeps, whose checks the exact solve's own pass now feeds
 TEST_ONLY = ("local_distance", "truncate_neighborhood", "UsageDepthError",
              "InvalidNeighborhood", "parse_edgelist", "sample_gw_limit",
-             "tree_neighborhood")
+             "tree_neighborhood", "truncation_sweep", "solve_and_sweep")
 TEST_ONLY_METHODS = {"DirectedMultigraph": ("edge_triples", "has_dangling"),
                      "MarkedNeighborhood": ("validate", "max_node_depth"),
                      "BiDegreeLaw": ("star_entries",)}
@@ -56,6 +57,10 @@ def test_test_only_api_left_the_library():
     for check in (pagerank_limits.truncation_gap, pagerank_limits.lower_bound_check):
         params = inspect.signature(check).parameters.values()
         assert [p.name for p in params if p.default is not p.empty] == [], check.__name__
+    # one pass feeds every truncation check: no sweep, and no R^(N) vectors
+    assert not hasattr(pagerank_limits.pagerank._OrderedSystem, "sweep")
+    assert list(inspect.signature(pagerank_limits.pagerank.check_invariants).parameters) \
+        == ["g", "params", "exact"]
 
 
 def _overview_rows():

@@ -1,9 +1,11 @@
 """Property tests of the one invariant checker, ``pagerank.check_invariants``.
 
-Every identity holds on the solve's fixed point and on each of its iterates,
-and each check fails as soon as a score moves past the tolerance the check
-derives from the solve.
+Every identity holds on the solve's fixed point and on the mean of each of
+its iterates, and each check fails as soon as a score or a mean moves past
+the tolerance the check derives from the solve.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -46,14 +48,14 @@ def cases(draw):
     return g, GeneralizedWeights(C=C, B=rng.exponential(1.0 - c, n)), rng
 
 
-def solve_and_iterates(g, params, extra):
-    """The fixed point and R^(0), ..., R^(iterations + extra)."""
-    exact = pr.solve_pagerank(g, params)
-    return exact, pr.truncation_sweep(g, params, exact.iterations + extra)
+def solved_past_convergence(g, params, extra):
+    """The fixed point, with the means of R^(0), ..., R^(iterations + extra)."""
+    iterations = pr.solve_pagerank(g, params).iterations
+    return pr.solve_pagerank(g, params, with_order=iterations + extra)
 
 
-def errors(g, params, exact, truncated=()):
-    return {name: error for name, error, _ in check_invariants(g, params, exact, truncated)}
+def errors(g, params, exact):
+    return {name: error for name, error, _ in check_invariants(g, params, exact)}
 
 
 def perturbed(vec, values):
@@ -65,22 +67,22 @@ class TestCheckInvariants:
     @given(cases())
     def test_every_check_passes_on_the_solve_and_its_iterates(self, case):
         g, params, _ = case
-        exact, iterates = solve_and_iterates(g, params, 3)
-        iterates = list(iterates)
-        results = list(check_invariants(g, params, exact, iterates))
+        exact = solved_past_convergence(g, params, 3)
+        orders = range(exact.iterations + 4)
+        results = list(check_invariants(g, params, exact))
         assert [name for name, _, _ in results] == [
             "teleport-floor", "mass-identity",
-            *(f"truncation-bound-N{k}" for k in range(exact.iterations + 4)), "lower-bound"]
+            *(f"truncation-bound-N{k}" for k in orders), "lower-bound"]
         assert [(name, error) for name, error, _ in results if error is not None] == []
         gaps = [gap for _, _, gap in results[2:-1]]
-        assert gaps == [pr.truncation_gap(g, params, vec.order, exact, vec) for vec in iterates]
+        assert gaps == [pr.truncation_gap(g, params, exact, k) for k in orders]
         assert results[0][2] is results[1][2] is results[-1][2] is None
 
     @SETTINGS
     @given(cases())
     def test_floor_catches_one_score_one_ulp_below_b(self, case):
         g, params, _ = case
-        exact, _ = solve_and_iterates(g, params, 0)
+        exact = pr.solve_pagerank(g, params)
         B = pr._coefficients(g, params)[1]
         i = int(np.argmax(B))
         values = exact.values.copy()
@@ -92,7 +94,7 @@ class TestCheckInvariants:
     @given(cases())
     def test_mass_identity_catches_a_defect_past_its_slack(self, case):
         g, params, rng = case
-        exact, _ = solve_and_iterates(g, params, 0)
+        exact = pr.solve_pagerank(g, params)
         rounding, mass, _ = pr._slack(g, params, exact)
         C, B = pr._coefficients(g, params)
         i = int(rng.integers(g.n))
@@ -106,26 +108,26 @@ class TestCheckInvariants:
     @given(cases(), st.booleans())
     def test_truncation_bound_catches_a_gap_past_either_side(self, case, above):
         g, params, rng = case
-        exact, iterates = solve_and_iterates(g, params, 3)
-        iterates = list(iterates)
-        vec = iterates[int(rng.integers(len(iterates)))]
-        N = vec.order
-        mean_gap, bound = pr.truncation_gap(g, params, N, exact=exact, truncated=vec)
+        exact = solved_past_convergence(g, params, 3)
+        N = int(rng.integers(len(exact.means) - 1))
+        mean_gap, bound = pr.truncation_gap(g, params, exact, N)
         rounding, _, lag = pr._slack(g, params, exact)
-        scale = 2 * rounding * abs(exact.mean)
+        scale = 2 * rounding * abs(exact.means[-1])
         # past the slack by as much again, plus the rounding of the shift
-        fuzz = 4 * np.finfo(float).eps * (abs(mean_gap) + bound + lag + vec.values.max())
+        fuzz = 4 * np.finfo(float).eps * (abs(mean_gap) + bound + lag + max(exact.means))
         target = bound + 2 * scale + fuzz if above else -(lag + 2 * scale + fuzz)
-        shifted = perturbed(vec, vec.values - (target - mean_gap))
-        error = errors(g, params, exact, [shifted])[f"truncation-bound-N{N}"]
+        means = list(exact.means)
+        means[N] -= target - mean_gap
+        shifted = dataclasses.replace(exact, means=tuple(means))
+        error = errors(g, params, shifted)[f"truncation-bound-N{N}"]
         assert error is not None and "outside" in error
 
     @SETTINGS
     @given(cases())
     def test_lower_bound_catches_one_score_below_r1(self, case):
         g, params, rng = case
-        exact, iterates = solve_and_iterates(g, params, 0)
-        r1 = list(iterates)[1].values
+        exact = pr.solve_pagerank(g, params)
+        r1 = pr.pagerank_truncated(g, params, 1).values
         rounding = pr._slack(g, params, exact)[0]
         i = int(np.argmax(r1))
         values = exact.values.copy()

@@ -93,16 +93,16 @@ def test_read_scores_peak(files):
 
 
 def test_check_invariants_peak(files):
-    # the floor, mass and lower-bound checks and one truncation gap read
-    # C and B as broadcast views; the lower bound's edge weights are formed
-    # in place and summed by target without a copy of tgt, so its divide
-    # (the weights beside the d_out gather) sets the peak
+    # the floor, mass and lower-bound checks read C and B as broadcast views,
+    # and the 21 truncation gaps the solve's recorded means; the lower
+    # bound's edge weights are formed in place and summed by target without
+    # a copy of tgt, so its divide (the weights beside the d_out gather) sets
+    # the peak
     g = read_edgelist(files / "graph.txt")
     params = pr.PageRankParams(0.85)
     exact = pr.solve_pagerank(g, params, with_order=20)
-    results, peak = peak_of(lambda: list(pr.check_invariants(g, params, exact,
-                                                             [exact.truncated])))
-    assert [error for _, error, _ in results] == [None] * 4
+    results, peak = peak_of(lambda: list(pr.check_invariants(g, params, exact)))
+    assert [error for _, error, _ in results] == [None] * 24
     assert peak <= 4.8 * exact.values.nbytes
 
 

@@ -6,7 +6,12 @@ from hypothesis import strategies as st
 
 from pagerank_limits import PamParams, RngStream, gen_dpa, gen_irg
 from pagerank_limits import pagerank as pr
-from pagerank_limits.errors import ConfigError, ConvergenceError, InvariantViolation
+from pagerank_limits.errors import (
+    ConfigError,
+    ConvergenceError,
+    InvariantViolation,
+    UsageError,
+)
 from pagerank_limits.graph import build_graph
 from pagerank_limits.pagerank import (
     GeneralizedWeights,
@@ -16,9 +21,8 @@ from pagerank_limits.pagerank import (
     pagerank_truncated,
     generalized_mass_ok,
     read_scores_csv,
-    solve_and_sweep,
     solve_pagerank,
-    truncation_sweep,
+    truncation_gap,
     write_scores_csv,
 )
 
@@ -151,6 +155,8 @@ def random_graph(rng, n, dangling):
 
 
 class TestTruncationSweep:
+    """R^(N) for every order N = 0..20, each solved from scratch."""
+
     @pytest.mark.parametrize("dangling", [True, False])
     def test_iterates_bitwise_equal_per_order_solves(self, dangling):
         rng = RngStream(15).generator()
@@ -160,28 +166,16 @@ class TestTruncationSweep:
             p = PageRankParams(c=float(rng.choice([0.5, 0.85])))
             mat = p.c * pull_matrix(g)
             offset = np.full(g.n, 1.0 - p.c)
-            sweep = list(truncation_sweep(g, p, 20))
-            assert [v.order for v in sweep] == list(range(21))
-            for N, vec in enumerate(sweep):
-                # N pull iterations, each order solved from scratch
-                r = offset.copy()
-                for _ in range(N):
-                    r = mat @ r + offset
+            r = offset.copy()
+            for N in range(21):
+                vec = pagerank_truncated(g, p, N)
                 assert np.array_equal(vec.values, r)
-                assert np.array_equal(vec.values, pagerank_truncated(g, p, N).values)
-                assert vec.iterations == N
+                assert vec.order == vec.iterations == N
+                r = mat @ r + offset
 
     def test_bad_order_raises_on_call(self):
         with pytest.raises(ConfigError, match="order"):
-            truncation_sweep(cycle3(), PageRankParams(c=0.5), -1)
-
-    def test_iterates_are_distinct_arrays(self):
-        sweep = truncation_sweep(star(), PageRankParams(c=0.5), 2)
-        first = next(sweep).values.copy()
-        held = next(sweep)
-        next(sweep)
-        assert np.array_equal(first, [0.5, 0.5, 0.5])
-        assert np.array_equal(held.values, [1.0, 0.5, 0.5])
+            pagerank_truncated(cycle3(), PageRankParams(c=0.5), -1)
 
 
 class TestOnePass:
@@ -221,10 +215,28 @@ class TestOnePass:
                 assert np.array_equal(both.truncated.values,
                                       pagerank_truncated(g, w, N).values)
 
+    @pytest.mark.parametrize("generalized", [False, True])
+    def test_means_are_those_of_the_truncated_solves(self, generalized):
+        # one mean per order, past convergence too, then the fixed point's;
+        # taken in the solver's row order, each is the vertex-order mean up
+        # to the rounding of a sum
+        rng = RngStream(35).generator()
+        for n in (1, 9, 300):
+            g = random_graph(rng, n, True)
+            p = (GeneralizedWeights(C=rng.uniform(0, 0.85, n), B=rng.exponential(0.15, n))
+                 if generalized else PageRankParams(c=0.85))
+            exact = solve_pagerank(g, p)
+            N = exact.iterations + 7
+            both = solve_pagerank(g, p, with_order=N)
+            assert len(both.means) == N + 2
+            want = [pagerank_truncated(g, p, k).values.mean() for k in range(N + 1)]
+            assert np.allclose(both.means, [*want, exact.values.mean()], rtol=1e-14, atol=0)
+
     def test_without_order_nothing_is_kept(self):
         assert solve_pagerank(cycle3(), PageRankParams(c=0.5)).truncated is None
         w = GeneralizedWeights(C=np.full(3, 0.5), B=np.full(3, 0.5))
         assert solve_pagerank(cycle3(), w).truncated is None
+        assert solve_pagerank(cycle3(), w).means == ()
 
     def test_bad_orders_rejected(self):
         w = GeneralizedWeights(C=np.full(3, 0.5), B=np.full(3, 0.5))
@@ -232,16 +244,6 @@ class TestOnePass:
             solve_pagerank(cycle3(), PageRankParams(c=0.5), with_order=-1)
         with pytest.raises(ConfigError, match="order"):
             solve_pagerank(cycle3(), w, with_order=-1)
-
-    def test_solve_and_sweep_equal_separate_calls(self):
-        rng = RngStream(33).generator()
-        g = random_graph(rng, 300, True)
-        p = PageRankParams(c=0.7)
-        exact, sweep = solve_and_sweep(g, p, 12)
-        assert np.array_equal(exact.values, solve_pagerank(g, p).values)
-        for got, want in zip(sweep, truncation_sweep(g, p, 12), strict=True):
-            assert got.order == want.order
-            assert np.array_equal(got.values, want.values)
 
 
 def kernel_rows(system):
@@ -321,22 +323,17 @@ def vertex_order_run(mat, offset, tol, N):
 
 def check_against_recurrence(g, params, mat, offset, N):
     """Every kernel output for ``params`` on ``g`` equals the vertex-order
-    recurrence ``mat @ r + offset`` bit for bit: the solve with R^(N), the
-    truncated solve, and both sweeps."""
+    recurrence ``mat @ r + offset`` bit for bit: the solve with R^(N) and
+    the truncated solve; the solve's means are the iterates' up to the
+    rounding of a sum."""
     r, it, delta, iterates = vertex_order_run(mat, offset, params.tol, N)
     got = solve_pagerank(g, params, with_order=N)
     assert np.array_equal(got.values, r)
     assert (got.iterations, got.residual) == (it, delta)
     assert np.array_equal(got.truncated.values, iterates[N])
     assert np.array_equal(pagerank_truncated(g, params, N).values, iterates[N])
-    exact, sweep = solve_and_sweep(g, params, N)
-    assert np.array_equal(exact.values, r)
-    assert (exact.iterations, exact.residual) == (it, delta)
-    for vecs in (sweep, truncation_sweep(g, params, N)):
-        vecs = list(vecs)
-        assert [v.order for v in vecs] == list(range(N + 1))
-        for v in vecs:
-            assert np.array_equal(v.values, iterates[v.order])
+    want = [float(v.mean()) if v.size else 0.0 for v in [*iterates[:N + 1], r]]
+    assert np.allclose(got.means, want, rtol=1e-14, atol=0)
 
 
 def generalized_matrix(g, w):
@@ -397,9 +394,9 @@ class TestOrderedKernel:
         g = build_graph([(0, 1), (1, 2), (3, 2)], 4)
         w = GeneralizedWeights(C=np.array([0.5, 0.5, 0.0, -0.0]), B=np.full(4, -0.0))
         r, _, _, iterates = vertex_order_run(generalized_matrix(g, w), w.B, w.tol, 2)
-        for vec in truncation_sweep(g, w, 2):
-            want = iterates[vec.order]
-            assert np.array_equal(np.signbit(vec.values), np.signbit(want))
+        for N in range(3):
+            vec = pagerank_truncated(g, w, N)
+            assert np.array_equal(np.signbit(vec.values), np.signbit(iterates[N]))
         assert np.array_equal(np.signbit(solve_pagerank(g, w).values), np.signbit(r))
 
 
@@ -475,10 +472,18 @@ class TestTruncationGap:
 
     def test_violation_raises(self):
         p = PageRankParams(c=0.5)
-        fake = pagerank_truncated(cycle3(), p, 5)
-        fake.values = fake.values + 1.0  # corrupt to exceed the exact solution
+        exact = solve_pagerank(cycle3(), p, with_order=5)
+        # corrupt R^(5)'s mean to exceed the exact solution's
+        exact.means = (*exact.means[:5], exact.means[5] + 1.0, *exact.means[6:])
         with pytest.raises(InvariantViolation):
-            solved_truncation_gap(cycle3(), p, 5, truncated=fake)
+            truncation_gap(cycle3(), p, exact, 5)
+
+    def test_unrecorded_order_raises(self):
+        p = PageRankParams(c=0.5)
+        for exact, N in ((solve_pagerank(cycle3(), p), 0),
+                         (solve_pagerank(cycle3(), p, with_order=3), 4)):
+            with pytest.raises(UsageError, match=f"no mean of R\\^\\({N}\\) recorded"):
+                truncation_gap(cycle3(), p, exact, N)
 
 
 class TestGapBoundEverywhere:
@@ -489,9 +494,9 @@ class TestGapBoundEverywhere:
             g = random_small_graph(rng)
             for c in (0.3, 0.85):
                 p = PageRankParams(c=c)
-                exact = solve_pagerank(g, p)
+                exact = solve_pagerank(g, p, with_order=8)
                 for N in range(0, 9, 2):
-                    gap, bound = solved_truncation_gap(g, p, N, exact=exact)
+                    gap, bound = truncation_gap(g, p, exact, N)
                     assert -1e-10 <= gap <= bound + 1e-10
 
 
@@ -558,7 +563,7 @@ class TestGeneralized:
 
     def test_weights_of_another_length_rejected(self):
         w = GeneralizedWeights(C=np.full(2, 0.5), B=np.full(2, 0.5))
-        for solve in (solve_pagerank, lambda g, w: truncation_sweep(g, w, 2)):
+        for solve in (solve_pagerank, lambda g, w: pagerank_truncated(g, w, 2)):
             with pytest.raises(ConfigError, match="weights have length 2, graph has 3"):
                 solve(cycle3(), w)
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._textio import read_table, write_table
+from ._textio import write_table
 from .errors import InputError, SizeError, UsageError
 from .graph import (
     _INT64_MAX,
@@ -42,7 +42,6 @@ __all__ = [
     "write_census_csv",
     "read_census_csv",
     "write_tail_csv",
-    "read_tail_csv",
 ]
 
 
@@ -431,11 +430,6 @@ def write_census_csv(c: NeighborhoodCensus, path) -> None:
 def write_tail_csv(a: TailSample, thresholds, path) -> None:
     """Write the empirical CCDF at the given thresholds as `r,ccdf` rows."""
     write_table(path, "r,ccdf", [np.asarray(thresholds), ccdf(a, thresholds)])
-
-
-def read_tail_csv(path):
-    table = read_table(path, "r,ccdf")
-    return table[:, 0], table[:, 1]
 
 
 def read_census_csv(path, depth: int) -> NeighborhoodCensus:

@@ -18,7 +18,6 @@ deliberately distinct so each can check the other.  Each law is an object
 
 from __future__ import annotations
 
-import copy
 import logging
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -216,125 +215,56 @@ def malthusian(rate_base: float, tol: float = 1e-12) -> float:
 
 
 def sample_gw_forest(law: BiDegreeLaw, depth: int, M: int, rng) -> LimitForest:
-    """M marked branching trees, drawn in one batch: root (mark, in-degree)
+    """M marked branching trees, drawn level by level: root (mark, in-degree)
     ~ p, other nodes ~ p*, every node spawning in-degree children down to
     ``depth`` (nodes there keep their marks but spawn nothing).
 
-    Consumes ``rng`` exactly as drawing the M trees one at a time does: each
-    tree draws one uniform for the root and then one contiguous block per
-    level, as long as the level has nodes, so the M trees read one run of
-    uniforms in which every tree's levels follow from prefix sums of the star
-    in-degrees.  The run's length is found on a copy of the bit generator;
-    then exactly that many uniforms are drawn from ``rng``, which leaves it
-    where the tree-at-a-time draws would.
-    Each uniform is inverted through p* once, for the level bounds and the
-    non-roots' pairs alike, and the roots' uniforms once more through p.
+    Draws with :func:`_gw_levels`, as :func:`gw_root_rank_pool` does: the
+    M roots from p, then one draw from p* per level for the nodes of every
+    tree at once.  A stable sort by tree then puts each tree's nodes back
+    to back, in breadth-first order.  A forest of one tree draws as that
+    tree alone would.
     """
     if depth < 0:
         raise ConfigError(f"depth must be >= 0, got {depth}")
     if M < 1:
         raise ConfigError(f"forest needs M >= 1 trees, got {M}")
-    probe = np.random.Generator(copy.deepcopy(rng.bit_generator))
-    starts, total = _gw_tree_starts(law, depth, M, probe)
-    u = rng.random(total)
-    mark, kids = _star_pairs(law, u)
-    root_mark, root_kids = law.from_uniforms(u[starts])
-    # level d of tree i is nodes bounds[i, d]:bounds[i, d + 1]; level 0 is the root
-    bounds = np.stack(list(_gw_level_starts(kids, starts, root_kids, depth)), axis=1)
-    node_depth = np.repeat(np.tile(np.arange(depth + 1, dtype=np.int32), M),
-                           np.diff(bounds, axis=1).ravel())
-    if total > M:
-        law._require_star()  # non-roots are drawn from p*
-    mark[starts], kids[starts] = root_mark, root_kids
-    kids[node_depth == depth] = 0
-    # in node order, the non-roots are the children of the nodes in node order
-    parent = np.full(total, -1, dtype=np.int64)
-    parent[node_depth > 0] = np.repeat(np.arange(total), kids)
-    return LimitForest(parent=parent, mark=mark, node_depth=node_depth,
-                       start=np.append(starts, total), truncation_depth=depth)
+    levels = list(_gw_levels(law, depth, M, rng))
+    first = np.cumsum([0] + [mark.size for _, mark in levels])
+    # per level: each node's tree, and its parent's index in level order
+    tree, up = [np.arange(M)], [np.full(M, -1)]
+    for d, (ptr, _) in enumerate(levels[1:]):
+        tree.append(tree[-1][ptr])
+        up.append(first[d] + ptr)
+    # each level lists its nodes by parent, so a stable sort by tree keeps
+    # every tree's nodes in breadth-first order
+    order = np.argsort(np.concatenate(tree), kind="stable")
+    pos = np.empty_like(order)
+    pos[order] = np.arange(order.size)
+    up = np.concatenate(up)[order]
+    node_depth = np.repeat(np.arange(len(levels), dtype=np.int32), np.diff(first))
+    return LimitForest(parent=np.where(up < 0, -1, pos[up]),
+                       mark=np.concatenate([mark for _, mark in levels])[order],
+                       node_depth=node_depth[order], start=np.append(pos[:M], first[-1]),
+                       truncation_depth=depth)
 
 
-def _star_pairs(law, u):
-    """(h, l) of p* by inverse CDF at each uniform; zeros when p* is
-    undefined (mean out-degree 0, where no tree has a non-root)."""
-    if law.mean_out > 0:
-        return law.from_uniforms(u, star=True)
-    return np.zeros(u.size, dtype=np.int64), np.zeros(u.size, dtype=np.int64)
-
-
-# uniforms the probe draws at a time while locating trees in the stream
-_PROBE_CHUNK = 1 << 13
-
-
-def _gw_tree_starts(law, depth, M, probe):
-    """Stream offsets where M consecutive trees start, and where the last ends.
-
-    The probe's uniforms are read through a window that slides past every
-    whole tree it holds and at least doubles when the next tree overruns it,
-    so memory stays at a few chunks however large the forest.  The window
-    keeps each uniform's root and star in-degrees, so every uniform is
-    inverted once.  The trees inside a window are a chain, each starting
-    where the last ended; :func:`_tree_chain` follows it by pointer doubling.
+def _gw_levels(law, depth, M, rng):
+    """Yield ``(parent_ptr, mark)`` for each level 0..depth of M marked
+    branching trees, until a level is empty: the roots' (mark, in-degree)
+    drawn from p, then each next level's from p*, one draw per level in
+    parent order.  ``parent_ptr`` indexes the previous level (None for the
+    roots).  Each level is drawn when the generator resumes, so a consumer
+    may draw values of its own for a level before asking for the next.
     """
-    parts, found = [], 0
-    offset = 0  # stream position of the window's first uniform
-    l_root = l_star = np.zeros(0, dtype=np.int64)
-    while found < M:
-        fresh = probe.random(max(l_root.size, _PROBE_CHUNK))
-        l_root = np.concatenate([l_root, law.from_uniforms(fresh)[1]])
-        l_star = np.concatenate([l_star, _star_pairs(law, fresh)[1]])
-        for end in _gw_level_starts(l_star, np.arange(l_root.size), l_root, depth):
-            pass  # only the tree ends are needed; earlier levels are dropped as they go
-        chain, p = _tree_chain(end, M - found)
-        parts.append(offset + chain)
-        found += chain.size
-        offset += p
-        l_root, l_star = l_root[p:], l_star[p:]
-    return np.concatenate(parts), offset
-
-
-def _tree_chain(end, limit):
-    """Starts 0, end[0], end[end[0]], ... of the trees that end within the
-    window of ``end.size`` uniforms, at most ``limit`` of them, and the
-    position after the last of those trees.
-
-    List ranking by pointer doubling (Wyllie's method): a tree that overruns
-    the window, and the window's end, are absorbing states of the jump map,
-    and each round appends the jumps of every position listed so far and
-    squares the map, until the list reaches an absorbing state or holds
-    more than ``limit`` trees.  O(B log B) array work for B uniforms.
-    """
-    B = end.size
-    here = np.arange(B + 1)
-    jump = np.append(np.where(end <= B, end, here[:-1]), B)
-    live = jump != here
-    chain = np.zeros(1, dtype=np.int64)
-    while chain.size <= limit and jump[chain[-1]] != chain[-1]:
-        chain = np.concatenate([chain, jump[chain]])
-        jump = jump[jump]
-    count = min(int(live[chain].sum()), limit)
-    return chain[:count], int(chain[count])
-
-
-def _gw_level_starts(l_star, p, width, depth):
-    """Yield, for the trees rooted at stream positions ``p`` with root
-    in-degrees ``width``, the start of each level 0..depth and then the
-    tree's end, given the star in-degree ``l_star`` at every position.
-
-    Reads past ``l_star`` are clipped; the boundaries only grow, so a tree
-    that needs more uniforms than the stream holds ends beyond its size.
-    """
-    B = l_star.size
-    csum = np.zeros(B + 1, dtype=np.int64)
-    np.cumsum(l_star, out=csum[1:])
-    lo, hi = p, p + 1
-    yield lo
-    yield hi
-    for d in range(1, depth + 1):
-        lo, hi = hi, hi + width
-        yield hi
-        if d < depth:
-            width = csum[np.minimum(hi, B)] - csum[np.minimum(lo, B)]
+    mark, kids = law.sample(rng, M)
+    yield None, mark
+    for _ in range(depth):
+        if not kids.any():
+            return
+        parent_ptr = np.repeat(np.arange(kids.size), kids)
+        mark, kids = law.sample_star(rng, parent_ptr.size)
+        yield parent_ptr, mark
 
 
 def sample_ctbp_limit(rate_base: float, alpha_star: float, rng,
@@ -498,6 +428,11 @@ def _weight_samplers(c, c_sampler, b_sampler):
     return c_sampler, b_sampler
 
 
+def _check_pool_size(M):
+    if M < 1:
+        raise ConfigError(f"pool size must be >= 1, got {M}")
+
+
 def _node_c(C):
     """A pool's drawn node C values as float64, rejected unless all are below 1."""
     C = np.asarray(C, dtype=np.float64)
@@ -523,8 +458,7 @@ def solve_fixed_point_mc(law: BiDegreeLaw, c: float | None, depth: int,
     """
     if depth < 0:
         raise ConfigError(f"depth must be >= 0, got {depth}")
-    if pool_size < 1:
-        raise ConfigError(f"pool size must be >= 1, got {pool_size}")
+    _check_pool_size(pool_size)
     c_sampler, b_sampler = _weight_samplers(c, c_sampler, b_sampler)
     M = pool_size
     if depth == 0:
@@ -553,35 +487,23 @@ def gw_root_rank_pool(law: BiDegreeLaw, c: float | None, depth: int, M: int, rng
                       c_sampler=None, b_sampler=None) -> np.ndarray:
     """M independent root-rank samples by direct level-wise tree sampling.
 
-    Mathematically the same sampler as root_pagerank over sample_gw_forest,
-    vectorized across trees; independent of the pool-resampling route, which
-    it serves as an oracle for.  Memory grows with mean offspring^depth.
+    Draws the trees of :func:`sample_gw_forest` level by level with
+    :func:`_gw_levels`, each level's B values right after its nodes, then
+    folds the levels from the deepest up, drawing each level's C values.
+    Mathematically root_pagerank over sample_gw_forest, vectorized across
+    trees; independent of the pool-resampling route, which it serves as an
+    oracle for.  Memory grows with mean offspring^depth.
     """
     if depth < 0:
         raise ConfigError(f"depth must be >= 0, got {depth}")
+    _check_pool_size(M)
     c_sampler, b_sampler = _weight_samplers(c, c_sampler, b_sampler)
-    _, l = law.sample(rng, M)
-    vals = np.asarray(b_sampler(rng, M), dtype=np.float64)
-    levels = [(None, None, vals)]
-    counts = l
-    for d in range(1, depth + 1):
-        total = int(counts.sum())
-        if total == 0:
-            counts = np.zeros(0, dtype=np.int64)
-            levels.append((np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64),
-                           np.zeros(0)))
-            break
-        parent_ptr = np.repeat(np.arange(counts.size), counts)
-        h, l2 = law.sample_star(rng, total)
-        lvl_vals = np.asarray(b_sampler(rng, total), dtype=np.float64)
-        levels.append((parent_ptr, h, lvl_vals))
-        counts = l2 if d < depth else np.zeros(0, dtype=np.int64)
+    levels = [(parent_ptr, mark, np.asarray(b_sampler(rng, mark.size), dtype=np.float64))
+              for parent_ptr, mark in _gw_levels(law, depth, M, rng)]
     for d in range(len(levels) - 1, 0, -1):
-        parent_ptr, h, lvl_vals = levels[d]
-        if lvl_vals.size == 0:
-            continue
-        coef = _node_c(c_sampler(rng, lvl_vals.size)) / h
-        np.add.at(levels[d - 1][2], parent_ptr, coef * lvl_vals)
+        parent_ptr, mark, vals = levels[d]
+        coef = _node_c(c_sampler(rng, vals.size)) / mark
+        np.add.at(levels[d - 1][2], parent_ptr, coef * vals)
     return levels[0][2]
 
 
@@ -631,6 +553,7 @@ class TreeLaw:
         return LimitForest.of_trees((self.tree(depth, rng) for _ in range(M)), depth)
 
     def pool(self, c, depth, M, rng, c_sampler=None, b_sampler=None) -> np.ndarray:
+        _check_pool_size(M)
         c_sampler, b_sampler = _weight_samplers(c, c_sampler, b_sampler)
         vals = np.empty(M)
         for first in range(0, M, _FOREST_TREES):

@@ -5,18 +5,19 @@ isomorphism, literal walk enumeration for truncated scores, dense linear
 solves for exact scores, scipy's sparse pull matrix for the vertex-order
 PageRank recurrence, Fraction arithmetic for the branching-tree mean,
 one exploration plus one canonical code per root or tree for censuses,
-color refinement ranked by multi-key ``lexsort``, the per-tree walk that
-locates branching trees in a uniform stream, the line-by-line str-method
-edge-list parser, the line-at-a-time file writers and float-CSV readers,
-the dense IRG sampler, and the argsort-and-gather graph build.
+color refinement ranked by multi-key ``lexsort``, the line-by-line
+str-method edge-list parser, the line-at-a-time file writers and
+float-CSV readers, the dense IRG sampler, and the argsort-and-gather
+graph build.
 None of these shares code with the implementation paths it checks.
 
 It also holds what only tests call: the local pseudodistance and the
-truncations it compares, the per-tree branching-tree sampler that
-``sample_gw_forest`` must match, limit trees as neighborhoods, small views
-of library objects (edge triples, dangling vertices, the star law, parsed
-edge lists, neighborhood invariants), and the identity checks with any
-missing score vector solved for.
+truncations it compares, the node-at-a-time branching-tree sampler that
+``sample_gw_forest`` must match (and a law drawing with it), limit trees
+as neighborhoods, small views of library objects (edge triples, dangling
+vertices, the star law, parsed edge lists, neighborhood invariants), the
+tail-CSV reader, and the identity checks with any missing score vector
+solved for.
 """
 
 import math
@@ -28,7 +29,7 @@ from itertools import permutations
 import numpy as np
 import scipy.sparse as sp
 
-from pagerank_limits._textio import parse_edges
+from pagerank_limits._textio import parse_edges, read_table
 from pagerank_limits.errors import ConfigError, InputError, UsageError
 from pagerank_limits.graph import (
     DirectedMultigraph,
@@ -37,7 +38,7 @@ from pagerank_limits.graph import (
     canonical_code,
     explore_neighborhood,
 )
-from pagerank_limits.limits import LimitTree
+from pagerank_limits.limits import LimitForest, LimitTree
 from pagerank_limits.pagerank import (
     lower_bound_check,
     solve_pagerank,
@@ -206,9 +207,9 @@ def per_root_census(g: DirectedMultigraph, k: int, roots=None) -> Counter:
     return Counter(canonical_code(explore_neighborhood(g, int(v), k)) for v in roots)
 
 
-def per_tree_census_limit(sampler, k: int, M: int, rng) -> Counter:
-    """Canonical-code counts of M trees drawn one by one and truncated to depth k."""
-    return Counter(canonical_code(tree_neighborhood(sampler(rng), k)) for _ in range(M))
+def tree_census(trees, k: int) -> Counter:
+    """Canonical-code counts of the trees, each truncated to depth k."""
+    return Counter(canonical_code(tree_neighborhood(t, k)) for t in trees)
 
 
 def rank_rows_lexsort(rows):
@@ -259,39 +260,6 @@ def refine_lexsort(marks, src, tgt, k):
         col = new
         levels.append(col)
     return levels, ptr, src
-
-
-def gw_tree_starts_walk(law, depth, M, probe, chunk):
-    """Stream offsets where M consecutive branching trees start, and where
-    the last ends, found by chasing one tree end at a time.
-
-    The probe's uniforms are read through a window that slides past every
-    whole tree it holds and grows by ``max(window size, chunk)`` uniforms
-    when the next tree overruns it.  Every tree end in the window is
-    recomputed from the window's uniforms on each pass.
-    """
-    starts = []
-    offset = 0  # stream position of window[0]
-    window = np.zeros(0)
-    while len(starts) < M:
-        window = np.concatenate([window, probe.random(max(window.size, chunk))])
-        B = window.size
-        l_star = (law.from_uniforms(window, star=True)[1] if law.mean_out > 0
-                  else np.zeros(B, np.int64))
-        csum = np.zeros(B + 1, dtype=np.int64)
-        np.cumsum(l_star, out=csum[1:])
-        lo, end = np.arange(B), np.arange(B) + 1
-        width = law.from_uniforms(window)[1]
-        for d in range(1, depth + 1):
-            lo, end = end, end + width
-            width = csum[np.minimum(end, B)] - csum[np.minimum(lo, B)]
-        p = 0
-        while len(starts) < M and p < B and end[p] <= B:
-            starts.append(offset + p)
-            p = int(end[p])
-        offset += p
-        window = window[p:]
-    return np.asarray(starts, dtype=np.int64), offset
 
 
 _HEADER_RE = re.compile(r"#\s*n\s*=\s*(\d+)\s*$")
@@ -379,6 +347,12 @@ def read_float_csv_reference(path, header) -> np.ndarray:
             if line:
                 rows.append([float(f) for f in line.split(",")])
     return np.asarray(rows, dtype=np.float64).reshape(len(rows), header.count(",") + 1)
+
+
+def read_tail_csv(path):
+    """The (r, ccdf) columns of ``census.write_tail_csv``'s file."""
+    table = read_table(path, "r,ccdf")
+    return table[:, 0], table[:, 1]
 
 
 def irg_cell_probabilities(w_out, w_in, theta, start=0, stop=None):
@@ -586,37 +560,59 @@ def local_distance(a: MarkedNeighborhood, b: MarkedNeighborhood) -> Fraction:
     return Fraction(0)
 
 
-def sample_gw_limit(law, depth: int, rng) -> LimitTree:
-    """One marked branching tree, one Python node at a time: root (mark,
-    in-degree) ~ p, other nodes ~ p*, each spawning in-degree children, cut
-    at ``depth`` (nodes there keep their marks but spawn nothing)."""
+def sample_gw_trees(law, depth: int, M: int, rng, on_level=None) -> list:
+    """M marked branching trees, one Python node at a time, in the draw order
+    of ``sample_gw_forest``: the M roots' (mark, in-degree) ~ p, then each
+    level of all M trees at once ~ p*, every node spawning in-degree
+    children, cut at ``depth`` (nodes there keep their marks but spawn
+    nothing).  ``on_level(n)``, when given, is called after each level's n
+    nodes are drawn."""
     if depth < 0:
         raise ConfigError(f"depth must be >= 0, got {depth}")
-    h, l = law.sample(rng, 1)
-    marks, parents, depths = [int(h[0])], [-1], [0]
-    prev_level, prev_counts = [0], [int(l[0])]
+    on_level = on_level or (lambda n: None)
+    h, l = law.sample(rng, M)
+    on_level(M)
+    trees = [([int(h[i])], [-1], [0]) for i in range(M)]  # marks, parents, depths
+    level = [(i, 0, int(l[i])) for i in range(M)]  # (tree, node, in-degree)
     for d in range(1, depth + 1):
-        total = sum(prev_counts)
+        total = sum(cnt for _, _, cnt in level)
         if total == 0:
             break
         hs, ls = law.sample_star(rng, total)
-        level = []
-        pos = 0
-        for node, cnt in zip(prev_level, prev_counts):
+        on_level(total)
+        pos, nxt = 0, []
+        for i, node, cnt in level:
+            marks, parents, depths = trees[i]
             for _ in range(cnt):
-                level.append(len(parents))
+                nxt.append((i, len(parents), int(ls[pos])))
                 parents.append(node)
                 marks.append(int(hs[pos]))
                 depths.append(d)
                 pos += 1
-        prev_level = level
-        prev_counts = ls.tolist() if d < depth else []
-    return LimitTree(
-        parent=np.asarray(parents, dtype=np.int64),
-        mark=np.asarray(marks, dtype=np.int64),
-        node_depth=np.asarray(depths, dtype=np.int32),
-        truncation_depth=depth,
-    )
+        level = nxt
+    return [LimitTree(parent=np.asarray(parents, dtype=np.int64),
+                      mark=np.asarray(marks, dtype=np.int64),
+                      node_depth=np.asarray(depths, dtype=np.int32),
+                      truncation_depth=depth)
+            for marks, parents, depths in trees]
+
+
+def sample_gw_limit(law, depth: int, rng) -> LimitTree:
+    """One marked branching tree: :func:`sample_gw_trees` with M = 1."""
+    return sample_gw_trees(law, depth, 1, rng)[0]
+
+
+class GwOracleLaw:
+    """``GwLaw``'s trees and forests drawn by :func:`sample_gw_trees`."""
+
+    def __init__(self, law):
+        self.law = law
+
+    def tree(self, depth, rng):
+        return sample_gw_limit(self.law, depth, rng)
+
+    def forest(self, depth, M, rng):
+        return LimitForest.of_trees(sample_gw_trees(self.law, depth, M, rng), depth)
 
 
 def tree_neighborhood(t: LimitTree, k: int) -> MarkedNeighborhood:

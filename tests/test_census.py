@@ -21,11 +21,14 @@ from pagerank_limits.census import (
     write_census_csv,
 )
 from _oracles import (
+    GwOracleLaw,
     per_root_census,
-    per_tree_census_limit,
     rank_rows_lexsort,
+    read_tail_csv,
     refine_lexsort,
     sample_gw_limit,
+    sample_gw_trees,
+    tree_census,
 )
 from pagerank_limits.errors import InputError, SizeError, UsageError
 from pagerank_limits.generators import (
@@ -214,17 +217,15 @@ class TestCensusLimit:
     @pytest.mark.parametrize("k", [0, 1, 2, 3])
     @pytest.mark.parametrize("seed", [130, 131])
     def test_gw_forest_matches_per_tree(self, k, seed, monkeypatch):
-        # 700-tree blocks: four full blocks and a partial one
+        # 700-tree blocks: four full blocks and a partial one, each drawn as
+        # the node-at-a-time oracle draws that many trees
         monkeypatch.setattr(census_module, "_FOREST_TREES", 700)
         law = BiDegreeLaw([(1, 1, 0.3), (2, 3, 0.4), (3, 1, 0.2), (4, 4, 0.1)])
         rf, rt, ro = (RngStream(seed).generator() for _ in range(3))
         forest = census_limit(GwLaw(law), k, 3000, rf)
-        per_tree = census_limit(TreeLaw(lambda depth, r: sample_gw_limit(law, k, r)), k,
-                                3000, rt)
-        assert forest.counts == per_tree.counts
-        assert forest.counts == per_tree_census_limit(lambda r: sample_gw_limit(law, k, r),
-                                                      k, 3000, ro)
-        # the forest leaves the stream where the per-tree calls did
+        assert forest.counts == census_limit(GwOracleLaw(law), k, 3000, rt).counts
+        trees = [t for m in (700, 700, 700, 700, 200) for t in sample_gw_trees(law, k, m, ro)]
+        assert forest.counts == tree_census(trees, k)
         assert rf.random() == rt.random() == ro.random()
 
     @pytest.mark.parametrize("k", [0, 1, 2])
@@ -236,8 +237,8 @@ class TestCensusLimit:
         for i, sampler in enumerate(samplers):
             got = census_limit(TreeLaw(lambda depth, r: sampler(r)), k, 1500,
                                RngStream(132, i).generator())
-            want = per_tree_census_limit(sampler, k, 1500, RngStream(132, i).generator())
-            assert got.counts == want
+            r = RngStream(132, i).generator()
+            assert got.counts == tree_census((sampler(r) for _ in range(1500)), k)
 
     def test_depth_beyond_truncation_rejected(self):
         law = BiDegreeLaw([(1, 1, 1.0)])
@@ -513,7 +514,7 @@ class TestCensusCsv:
         assert str(err.value) == f"{path}: line 4: {message}"
 
     def test_tail_csv_roundtrip(self, tmp_path):
-        from pagerank_limits.census import read_tail_csv, write_tail_csv
+        from pagerank_limits.census import write_tail_csv
 
         sample = TailSample([0.15, 0.575, 1.0])
         write_tail_csv(sample, [0.1, 0.5, 1.0], tmp_path / "t.csv")

@@ -9,7 +9,7 @@ from pagerank_limits import cli
 from pagerank_limits.errors import ConfigError, InvariantViolation
 from pagerank_limits.limits import LIMIT_LAWS, limit_law
 
-from _oracles import sample_gw_limit, solved_truncation_gap
+from _oracles import GwOracleLaw, sample_gw_limit, solved_truncation_gap
 
 DCM_LAW = [[1, 2, 0.5], [2, 1, 0.5]]
 
@@ -591,7 +591,7 @@ class TestRunExperiment:
             assert entry["census_paths"]["0"]["exact"] == 0
 
     def test_limit_sample_census_mode_matches_per_tree(self, tmp_path):
-        from _oracles import per_tree_census_limit
+        from _oracles import sample_gw_trees, tree_census
         from pagerank_limits.census import NeighborhoodCensus, write_census_csv
         from pagerank_limits.generators import RngStream
 
@@ -600,8 +600,8 @@ class TestRunExperiment:
                          "--law", json.dumps(DCM_LAW), "--M", "2000", "--k", "2",
                          "--seed", "5", "--output", str(out)]) == 0
         law = cli._parse_law(DCM_LAW, "law")
-        counts = per_tree_census_limit(lambda r: sample_gw_limit(law, 2, r), 2, 2000,
-                                       RngStream(5, cli.STREAM_LIMITS).generator())
+        rng = RngStream(5, cli.STREAM_LIMITS).generator()
+        counts = tree_census(sample_gw_trees(law, 2, 2000, rng), 2)
         write_census_csv(NeighborhoodCensus(2, counts, 2000), tmp_path / "want.csv")
         assert out.read_bytes() == (tmp_path / "want.csv").read_bytes()
 
@@ -631,6 +631,16 @@ def test_limit_args_cover_the_registry():
     assert set(LIMIT_ARGS) == set(LIMIT_LAWS)
 
 
+@pytest.mark.parametrize("M", [0, -1])
+@pytest.mark.parametrize("sampler", list(LIMIT_LAWS))
+def test_limit_sample_rejects_empty_pools(tmp_path, capsys, sampler, M):
+    out = tmp_path / "pool.csv"
+    assert cli.main(["limit-sample", "--sampler", sampler, "--mode", "pool",
+                     "--M", str(M), "--output", str(out), *LIMIT_ARGS[sampler]]) == 1
+    assert capsys.readouterr().err == f"error: pool size must be >= 1, got {M}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_limit_law_error_lists_the_registry(monkeypatch):
     monkeypatch.setitem(LIMIT_LAWS, "new_law", ("irg", lambda model: None))
     with pytest.raises(ConfigError) as err:
@@ -640,16 +650,17 @@ def test_limit_law_error_lists_the_registry(monkeypatch):
 
 
 def _library_law(sampler):
-    """(per-tree law, pool, sidecar fields) composed directly from the
-    library, independently of the law registry: every law is drawn one tree
-    at a time, and ctbp/polya pools rank one tree at a time."""
+    """(law, pool, sidecar fields) composed directly from the library and
+    the oracles, independently of the law registry: dcm trees and forests
+    come from the node-at-a-time oracle, other laws are drawn one tree at a
+    time, and ctbp/polya pools rank one tree at a time."""
     from pagerank_limits import limits as lm
     from pagerank_limits.generators import BiDegreeLaw
 
     law = BiDegreeLaw([tuple(row) for row in DCM_LAW])
     if sampler in ("fixed_point", "fixed-point", "gw"):
         fn = lm.gw_root_rank_pool if sampler == "gw" else lm.solve_fixed_point_mc
-        return (lm.TreeLaw(lambda depth, r: sample_gw_limit(law, depth, r)),
+        return (GwOracleLaw(law),
                 (lambda c, depth, M, r: fn(law, c, depth, M, r)),
                 {"law": DCM_LAW})
     if sampler == "ctbp":

@@ -41,7 +41,7 @@ def test_package_imports_resolve_to_their_modules():
 # and the truncation sweeps, whose checks the exact solve's own pass now feeds
 TEST_ONLY = ("local_distance", "truncate_neighborhood", "UsageDepthError",
              "InvalidNeighborhood", "parse_edgelist", "sample_gw_limit",
-             "tree_neighborhood", "truncation_sweep", "solve_and_sweep")
+             "tree_neighborhood", "truncation_sweep", "solve_and_sweep", "read_tail_csv")
 TEST_ONLY_METHODS = {"DirectedMultigraph": ("edge_triples", "has_dangling"),
                      "MarkedNeighborhood": ("validate", "max_node_depth"),
                      "BiDegreeLaw": ("star_entries",)}
@@ -57,6 +57,9 @@ def test_test_only_api_left_the_library():
     for check in (pagerank_limits.truncation_gap, pagerank_limits.lower_bound_check):
         params = inspect.signature(check).parameters.values()
         assert [p.name for p in params if p.default is not p.empty] == [], check.__name__
+    # gw forests are drawn level by level, with no probe of the stream
+    assert [n for n in ("_gw_tree_starts", "_tree_chain", "_PROBE_CHUNK")
+            if hasattr(pagerank_limits.limits, n)] == []
     # one pass feeds every truncation check: no sweep, and no R^(N) vectors
     assert not hasattr(pagerank_limits.pagerank._OrderedSystem, "sweep")
     assert list(inspect.signature(pagerank_limits.pagerank.check_invariants).parameters) \

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pagerank_limits.census import census_limit
 from pagerank_limits.errors import ConfigError, ResourceError, UsageError
 from pagerank_limits.generators import BiDegreeLaw, RngStream
-from pagerank_limits import limits as limits_mod
 from pagerank_limits.graph import canonical_code
 from pagerank_limits.pagerank import GeneralizedWeights
 from pagerank_limits.limits import (
@@ -30,8 +30,9 @@ from pagerank_limits.limits import (
 
 from _oracles import (
     exact_gw_mean,
-    gw_tree_starts_walk,
     sample_gw_limit,
+    sample_gw_trees,
+    tree_census,
     tree_neighborhood,
     tree_root_rank_descending,
     tree_root_rank_enum,
@@ -41,6 +42,12 @@ from _oracles import (
 
 UNIFORM33 = BiDegreeLaw([(h, l, 1 / 9) for h in (1, 2, 3) for l in (1, 2, 3)])
 PATH_LAW = BiDegreeLaw([(1, 1, 1.0)])
+
+
+def assert_same_forest(got, want):
+    for name in ("parent", "mark", "node_depth", "start"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
 
 
 class TestMalthusian:
@@ -119,25 +126,28 @@ class TestGwForest:
 
     @pytest.mark.parametrize("depth", [0, 1, 2, 4])
     def test_trees_and_stream_match_sequential_calls(self, depth):
+        # the forest, and census_limit's census of it, are bit for bit the
+        # node-at-a-time oracle's M trees, and the stream ends where its does
         for i, law in enumerate(self.LAWS):
-            rf, rs = RngStream(60, i).generator(), RngStream(60, i).generator()
-            forest = sample_gw_forest(law, depth, 400, rf)
-            assert forest.roots.size == 400 and forest.truncation_depth == depth
-            for j in range(400):
-                want, got = sample_gw_limit(law, depth, rs), forest.tree(j)
-                assert np.array_equal(got.parent, want.parent)
-                assert np.array_equal(got.mark, want.mark)
-                assert np.array_equal(got.node_depth, want.node_depth)
-            assert rf.random() == rs.random()
+            for M in (1, 400):
+                rf, rs = RngStream(60, i).generator(), RngStream(60, i).generator()
+                forest = sample_gw_forest(law, depth, M, rf)
+                trees = sample_gw_trees(law, depth, M, rs)
+                assert forest.roots.size == M and forest.truncation_depth == depth
+                assert_same_forest(forest, LimitForest.of_trees(trees, depth))
+                assert rf.random() == rs.random()
+                rc, ro = RngStream(61, i).generator(), RngStream(61, i).generator()
+                got = census_limit(GwLaw(law), depth, M, rc)
+                assert got.counts == tree_census(sample_gw_trees(law, depth, M, ro), depth)
+                assert rc.random() == ro.random()
 
-    def test_probe_window_slides_and_grows(self, monkeypatch):
-        # one-uniform chunks make trees overrun the probe's window again and again
-        monkeypatch.setattr(limits_mod, "_PROBE_CHUNK", 1)
+    def test_rare_large_trees(self):
+        # mostly single nodes, now and then a tree of thousands
         law = BiDegreeLaw([(1, 0, 0.9), (10, 19, 0.1)])
         rf, rs = RngStream(61).generator(), RngStream(61).generator()
         forest = sample_gw_forest(law, 3, 50, rf)
-        assert forest.start[-1] == sum(sample_gw_limit(law, 3, rs).size for _ in range(50))
-        assert rf.random() == rs.random()
+        assert_same_forest(forest, LimitForest.of_trees(sample_gw_trees(law, 3, 50, rs), 3))
+        assert forest.start[-1] > 1000 and rf.random() == rs.random()
 
     def test_of_trees_truncates(self):
         rng = RngStream(62).generator()
@@ -157,46 +167,14 @@ class TestGwForest:
 
 
 class TestGwTreeStarts:
-    """Pointer-doubled tree starts against the per-tree walk."""
-
-    @settings(max_examples=120, deadline=None)
-    @given(law=st.sampled_from(TestGwForest.LAWS), depth=st.integers(0, 4),
-           chunk=st.sampled_from([1, 7, 8192]), M=st.integers(1, 300),
-           seed=st.integers(0, 2**32 - 1))
-    def test_matches_per_tree_walk(self, law, depth, chunk, M, seed):
-        pa, pb = (np.random.Generator(np.random.Philox(seed)) for _ in range(2))
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(limits_mod, "_PROBE_CHUNK", chunk)
-            starts, total = limits_mod._gw_tree_starts(law, depth, M, pa)
-        want_starts, want_total = gw_tree_starts_walk(law, depth, M, pb, chunk)
-        assert np.array_equal(starts, want_starts) and total == want_total
-        assert pa.random() == pb.random()  # the same windows were drawn
-
-    @pytest.mark.parametrize("M", [1, 5, 100])
-    def test_chain_stops_mid_window(self, M):
-        pa, pb = (np.random.Generator(np.random.Philox(70)) for _ in range(2))
-        starts, total = limits_mod._gw_tree_starts(UNIFORM33, 2, M, pa)
-        assert starts.size == M and total < limits_mod._PROBE_CHUNK
-        want = gw_tree_starts_walk(UNIFORM33, 2, M, pb, limits_mod._PROBE_CHUNK)
-        assert np.array_equal(starts, want[0]) and total == want[1]
-
-    def test_chain_of_overrunning_and_exact_fits(self):
-        # the trees at 0 and 2 end at 2 and 3; the one at 3 overruns the 8 uniforms
-        chain, after = limits_mod._tree_chain(np.array([2, 9, 3, 9, 8, 8, 8, 8]), 10)
-        assert chain.tolist() == [0, 2] and after == 3
-        chain, after = limits_mod._tree_chain(np.array([1, 2, 3, 4]), 10)
-        assert chain.tolist() == [0, 1, 2, 3] and after == 4
-        chain, after = limits_mod._tree_chain(np.array([1, 2, 3, 4]), 2)
-        assert chain.tolist() == [0, 1] and after == 2
-        chain, after = limits_mod._tree_chain(np.array([5, 2]), 3)
-        assert chain.size == 0 and after == 0
+    """Where the forest's trees start when few or no nodes have children."""
 
     def test_roots_only_law(self):
         law = BiDegreeLaw([(0, 0, 1.0)])
         rf, rs = RngStream(71).generator(), RngStream(71).generator()
         forest = sample_gw_forest(law, 3, 50, rf)
         assert forest.start.tolist() == list(range(51)) and not forest.mark.any()
-        assert all(sample_gw_limit(law, 3, rs).size == 1 for _ in range(50))
+        assert all(t.size == 1 for t in sample_gw_trees(law, 3, 50, rs))
         assert rf.random() == rs.random()
 
     def test_non_roots_need_star_law(self):
@@ -394,6 +372,14 @@ class TestFold:
         with pytest.raises(ConfigError, match="need damping c in"):
             TreeLaw.ctbp(1.0).pool(1.0, 3, 5, RngStream(156).generator())
 
+    @pytest.mark.parametrize("M", [0, -1])
+    def test_every_pool_rejects_empty_sizes(self, M):
+        laws = [GwLaw(UNIFORM33), GwLaw(UNIFORM33, direct=True), TreeLaw.polya(2, 1.0),
+                TreeLaw.ctbp(1.0)]
+        for law in laws:
+            with pytest.raises(ConfigError, match=rf"^pool size must be >= 1, got {M}$"):
+                law.pool(0.5, 3, M, RngStream(158).generator())
+
 
 class TestCtbpLimit:
     def test_root_only_probability(self):
@@ -533,6 +519,29 @@ class TestFixedPointPool:
             for _ in range(5000)
         ])
         assert ks_distance(TailSample(direct), TailSample(objs)) < 0.04
+
+    @pytest.mark.parametrize("law", [UNIFORM33, TestGwForest.LAWS[2]], ids=["law33", "extinct"])
+    def test_direct_pool_ranks_the_oracle_trees(self, law):
+        # each level's B is drawn right after its nodes, then each level's C
+        # from the deepest up; only the summation order differs from the oracle
+        cs, bs = TestFold.C_LAW, TestFold.B_LAW
+        rp, rng, B = RngStream(72).generator(), RngStream(72).generator(), []
+        got = gw_root_rank_pool(law, None, 3, 60, rp, c_sampler=cs, b_sampler=bs)
+        trees = sample_gw_trees(law, 3, 60, rng, on_level=lambda n: B.append(bs(rng, n)))
+        # the roots draw no C; each other level draws its C, deepest first
+        C = [np.zeros(B[0].size)] + [cs(rng, b.size) for b in B[:0:-1]][::-1]
+        seen = [0] * len(B)  # each level's nodes of the trees so far
+        want = []
+        for t in trees:
+            weights = [np.empty(t.size), np.empty(t.size)]
+            for d in range(t.max_depth + 1):
+                idx = np.flatnonzero(t.node_depth == d)
+                for w, drawn in zip(weights, (C, B)):
+                    w[idx] = drawn[d][seen[d]:seen[d] + idx.size]
+                seen[d] += idx.size
+            want.append(root_pagerank(t, GeneralizedWeights(*weights)))
+        assert seen == [b.size for b in B] and rp.random() == rng.random()
+        assert got.tolist() == pytest.approx(want, rel=1e-12)
 
     def test_generalized_pool_matches_generalized_direct(self):
         from pagerank_limits.census import TailSample, ks_distance

@@ -29,6 +29,7 @@ from pagerank_limits.pagerank import PageRankVector, read_scores_csv, write_scor
 from _oracles import (
     edge_triples,
     read_float_csv_reference,
+    read_tail_csv,
     write_edgelist_reference,
     write_pool_csv_reference,
     write_scores_csv_reference,
@@ -168,7 +169,7 @@ def test_tail_writer_matches_reference_and_reads_back(sample, thresholds, block)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "t.csv"
         path.write_bytes(got)
-        rs, fs = census_mod.read_tail_csv(path)
+        rs, fs = read_tail_csv(path)
         want = read_float_csv_reference(path, "r,ccdf")
         assert np.array_equal(bits(rs), bits(want[:, 0]))
         assert np.array_equal(bits(fs), bits(want[:, 1]))

@@ -48,10 +48,7 @@ from .limits import (
     gw_root_rank_pool,
     limit_law,
     malthusian,
-    root_pagerank,
-    sample_ctbp_limit,
     sample_gw_forest,
-    sample_polya_limit,
     solve_fixed_point_mc,
 )
 from .pagerank import (

@@ -4,16 +4,20 @@ Three limit laws are implemented: the marked branching tree with root law p
 and size-biased non-root law p* (configuration-model limit), the branching
 population observed over an exponential window (continuous-time trees), and
 the position/strength-driven point tree limiting preferential attachment.
-The truncated root rank is evaluated by the backward recursion
+Each law draws its trees level by level, for every tree of a block at once:
+a private generator (:func:`_gw_levels`, :func:`_ctbp_levels`,
+:func:`_polya_levels`) yields each level's parents and marks.  One builder
+puts the levels of a forest's trees back to back, and one pool folds them
+by the backward recursion
 
-    R(0) = 1 - c,    R(j)_v = (1 - c) + sum_children (c / mark_u) R(j-1)_u,
+    R(0) = B,    R(j)_v = B_v + sum_children (C_u / mark_u) R(j-1)_u,
 
-identical to summing reversed-path weights, and its generalized form with
-per-node (C, B) replaces (c, 1 - c).  Two Monte Carlo routes produce pools
-of root-rank samples: direct independent tree sampling (vectorized level by
-level) and the endogenous backward pool recursion with resampling; they are
-deliberately distinct so each can check the other.  Each law is an object
-(:class:`GwLaw`, :class:`TreeLaw`) that :func:`limit_law` looks up by name.
+with C = c and B = 1 - c, or per-node (C, B) drawn from given laws, which
+sums the weights of reversed paths up to the depth.  The branching-tree
+limit has a second pool, the endogenous backward pool recursion with
+resampling (:func:`solve_fixed_point_mc`); the two are deliberately
+distinct so each can check the other.  Each law is a :class:`LimitLaw`,
+which :func:`limit_law` looks up by name.
 """
 
 from __future__ import annotations
@@ -21,27 +25,23 @@ from __future__ import annotations
 import logging
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
 from ._textio import read_table, write_edges, write_table
-from .errors import ConfigError, ResourceError, UsageError
+from .errors import ConfigError, ResourceError
 from .generators import BiDegreeLaw
-from .pagerank import GeneralizedWeights, PageRankParams
 
 __all__ = [
     "LimitTree",
     "LimitForest",
-    "GwLaw",
-    "TreeLaw",
+    "LimitLaw",
     "LIMIT_LAWS",
     "limit_law",
     "PolyaParams",
     "malthusian",
     "sample_gw_forest",
-    "sample_ctbp_limit",
-    "sample_polya_limit",
-    "root_pagerank",
     "solve_fixed_point_mc",
     "gw_root_rank_pool",
     "write_pool_csv",
@@ -63,19 +63,12 @@ class LimitTree:
     Nodes are indexed in breadth-first order (parents before children), node
     0 is the root, ``parent[0] = -1``.  ``truncation_depth`` is the depth at
     which sampling was cut off, or None for a fully sampled finite tree.
-    Optional per-node columns carry model-specific data: positions and
-    strengths for the point-tree law, birth times (plus the window ``T``)
-    for branching populations.
     """
 
     parent: np.ndarray
     mark: np.ndarray
     node_depth: np.ndarray
     truncation_depth: int | None
-    position: np.ndarray | None = None
-    strength: np.ndarray | None = None
-    birth_time: np.ndarray | None = None
-    window: float | None = None
 
     @property
     def size(self) -> int:
@@ -113,24 +106,6 @@ class LimitForest:
         return LimitTree(parent=parent, mark=self.mark[a:b],
                          node_depth=self.node_depth[a:b],
                          truncation_depth=self.truncation_depth)
-
-    @classmethod
-    def of_trees(cls, trees, k: int) -> "LimitForest":
-        """Depth-k truncations of the given trees, back to back."""
-        parents, marks, depths = [], [], []
-        for t in trees:
-            _check_depth(t.truncation_depth, k)
-            cut = int(np.searchsorted(t.node_depth, k, side="right"))
-            parents.append(t.parent[:cut])
-            marks.append(t.mark[:cut])
-            depths.append(t.node_depth[:cut])
-        sizes = np.array([p.size for p in parents], dtype=np.int64)
-        start = np.zeros(sizes.size + 1, dtype=np.int64)
-        np.cumsum(sizes, out=start[1:])
-        parent = np.concatenate(parents) + np.repeat(start[:-1], sizes)
-        parent[start[:-1]] = -1
-        return cls(parent=parent, mark=np.concatenate(marks),
-                   node_depth=np.concatenate(depths), start=start, truncation_depth=k)
 
 
 @dataclass(frozen=True)
@@ -211,42 +186,7 @@ def malthusian(rate_base: float, tol: float = 1e-12) -> float:
 
 
 # ---------------------------------------------------------------------------
-# limit samplers
-
-
-def sample_gw_forest(law: BiDegreeLaw, depth: int, M: int, rng) -> LimitForest:
-    """M marked branching trees, drawn level by level: root (mark, in-degree)
-    ~ p, other nodes ~ p*, every node spawning in-degree children down to
-    ``depth`` (nodes there keep their marks but spawn nothing).
-
-    Draws with :func:`_gw_levels`, as :func:`gw_root_rank_pool` does: the
-    M roots from p, then one draw from p* per level for the nodes of every
-    tree at once.  A stable sort by tree then puts each tree's nodes back
-    to back, in breadth-first order.  A forest of one tree draws as that
-    tree alone would.
-    """
-    if depth < 0:
-        raise ConfigError(f"depth must be >= 0, got {depth}")
-    if M < 1:
-        raise ConfigError(f"forest needs M >= 1 trees, got {M}")
-    levels = list(_gw_levels(law, depth, M, rng))
-    first = np.cumsum([0] + [mark.size for _, mark in levels])
-    # per level: each node's tree, and its parent's index in level order
-    tree, up = [np.arange(M)], [np.full(M, -1)]
-    for d, (ptr, _) in enumerate(levels[1:]):
-        tree.append(tree[-1][ptr])
-        up.append(first[d] + ptr)
-    # each level lists its nodes by parent, so a stable sort by tree keeps
-    # every tree's nodes in breadth-first order
-    order = np.argsort(np.concatenate(tree), kind="stable")
-    pos = np.empty_like(order)
-    pos[order] = np.arange(order.size)
-    up = np.concatenate(up)[order]
-    node_depth = np.repeat(np.arange(len(levels), dtype=np.int32), np.diff(first))
-    return LimitForest(parent=np.where(up < 0, -1, pos[up]),
-                       mark=np.concatenate([mark for _, mark in levels])[order],
-                       node_depth=node_depth[order], start=np.append(pos[:M], first[-1]),
-                       truncation_depth=depth)
+# limit samplers: one level generator per law, one forest builder
 
 
 def _gw_levels(law, depth, M, rng):
@@ -267,151 +207,110 @@ def _gw_levels(law, depth, M, rng):
         yield parent_ptr, mark
 
 
-def sample_ctbp_limit(rate_base: float, alpha_star: float, rng,
-                      max_nodes: int = DEFAULT_CTBP_NODE_CAP) -> LimitTree:
-    """Branching population restricted to an Exp(alpha_star) window.
+def _ctbp_levels(rate_base, alpha_star, M, rng, max_nodes=DEFAULT_CTBP_NODE_CAP):
+    """Yield ``(parent_ptr, mark)`` for each level of M branching
+    populations, until a level is empty, as :func:`_gw_levels` does.
 
-    Draws T ~ Exp(alpha_star) and grows the genealogy of the pure-birth
-    process (rate k + rate_base after k children) keeping births before T.
-    All marks are 1, including the root.  Finite almost surely; a runaway
-    population beyond ``max_nodes`` raises and the caller may redraw.
+    Each root draws its window T ~ Exp(alpha_star).  A node born at t has
+    children at t plus the partial sums of independent Exp(k + rate_base)
+    gaps, k = 0, 1, ..., up to T.  A level draws them in rounds, one gap per
+    node whose window is still open, so every gap of round k has rate
+    k + rate_base and each node's children come in birth order.  All marks
+    are 1.  Finite almost surely; past ``max_nodes`` nodes it raises
+    ``ResourceError``, and the caller may redraw.
     """
-    theta = rate_base
-    if not theta > 0 or not alpha_star > 0:
-        raise ConfigError("rate_base and alpha_star must be positive")
-    T = rng.exponential(1.0 / alpha_star)
-    parents = [-1]
-    depths = [0]
-    births = [0.0]
-    queue = [0]
-    qpos = 0
-    while qpos < len(queue):
-        v = queue[qpos]
-        qpos += 1
-        t = births[v]
+    window = rng.exponential(1.0 / alpha_star, M)
+    birth = np.zeros(M)
+    nodes = M
+    yield None, np.ones(M, dtype=np.int64)
+    while True:
+        owner, t, end = np.arange(birth.size), birth, window
+        owners, births = [], []
         k = 0
-        while True:
-            t += rng.exponential(1.0 / (k + theta))
-            if t >= T:
-                break
-            child = len(parents)
-            parents.append(v)
-            depths.append(depths[v] + 1)
+        while owner.size:
+            t = t + rng.exponential(1.0 / (k + rate_base), owner.size)
+            born = t < end
+            owner, t, end = owner[born], t[born], end[born]
+            nodes += owner.size
+            if nodes > max_nodes:
+                raise ResourceError(f"population exceeded {max_nodes} nodes within the window")
+            owners.append(owner)
             births.append(t)
-            queue.append(child)
             k += 1
-            if len(parents) > max_nodes:
-                raise ResourceError(
-                    f"population exceeded {max_nodes} nodes within the window"
-                )
-    size = len(parents)
-    return LimitTree(
-        parent=np.asarray(parents, dtype=np.int64),
-        mark=np.ones(size, dtype=np.int64),
-        node_depth=np.asarray(depths, dtype=np.int32),
-        truncation_depth=None,
-        birth_time=np.asarray(births, dtype=np.float64),
-        window=float(T),
-    )
+        parent_ptr = np.concatenate(owners)
+        if not parent_ptr.size:
+            return
+        # round k holds each parent's (k+1)-th child: a stable sort by parent
+        # keeps every parent's children in birth order
+        order = np.argsort(parent_ptr, kind="stable")
+        parent_ptr = parent_ptr[order]
+        birth, window = np.concatenate(births)[order], window[parent_ptr]
+        yield parent_ptr, np.ones(order.size, dtype=np.int64)
 
 
-def sample_polya_limit(p: PolyaParams, depth: int, rng) -> LimitTree:
-    """Point tree: positions in (0,1], Gamma strengths, Poisson offspring.
+def _polya_levels(params, depth, M, rng):
+    """Yield ``(parent_ptr, mark)`` for each level 0..depth of M point trees,
+    until a level is empty, as :func:`_gw_levels` does.
 
-    The root sits at U^chi; a node at position x with strength g spawns
-    Poisson(g (x^-psi - 1)) children, positions i.i.d. with CDF
-    (t^psi - x^psi)/(1 - x^psi) on [x, 1].  All marks equal m.  Nodes at the
-    truncation depth still draw strengths so their marks stay defined.
+    The roots sit at U^chi; a root below ``POSITION_FLOOR`` is redrawn.
+    Each next level draws Gamma(m + delta) strengths g for the nodes of the
+    last one, Poisson(g (x^-psi - 1)) children of a node at x, and child
+    positions i.i.d. with CDF (t^psi - x^psi)/(1 - x^psi) on [x, 1].  All
+    marks equal m.  Positions are kept as y = x^psi, which takes no power
+    per node: the root's y is U^(chi psi) = U^(1 - chi), and a child's y is
+    uniform on [y, 1].
     """
-    if depth < 0:
-        raise ConfigError(f"depth must be >= 0, got {depth}")
-    chi, psi, shape = p.chi, p.psi, p.gamma_shape
-    x0 = rng.random() ** chi
-    while x0 < POSITION_FLOOR:
-        logger.info("root position %g below floor %g; resampling", x0, POSITION_FLOOR)
-        x0 = rng.random() ** chi
-    parents = [-1]
-    depths = [0]
-    positions = [x0]
-    strengths = [float(rng.gamma(shape))]
-    queue = [0]
-    qpos = 0
-    while qpos < len(queue):
-        v = queue[qpos]
-        qpos += 1
-        if depths[v] >= depth:
-            continue
-        x = positions[v]
-        lam = strengths[v] * (x ** (-psi) - 1.0)
-        count = int(rng.poisson(lam))
-        if count == 0:
-            continue
-        u = rng.random(count)
-        xp = x ** psi
-        child_pos = (xp + u * (1.0 - xp)) ** (1.0 / psi)
-        for i in range(count):
-            child = len(parents)
-            parents.append(v)
-            depths.append(depths[v] + 1)
-            positions.append(float(child_pos[i]))
-            strengths.append(float(rng.gamma(shape)))
-            queue.append(child)
-    size = len(parents)
-    return LimitTree(
-        parent=np.asarray(parents, dtype=np.int64),
-        mark=np.full(size, p.m, dtype=np.int64),
-        node_depth=np.asarray(depths, dtype=np.int32),
-        truncation_depth=depth,
-        position=np.asarray(positions, dtype=np.float64),
-        strength=np.asarray(strengths, dtype=np.float64),
-    )
+    y = rng.random(M) ** (1.0 - params.chi)
+    floor = POSITION_FLOOR ** params.psi
+    low = np.flatnonzero(y < floor)
+    while low.size:
+        logger.info("%d root positions below floor %g; resampling", low.size, POSITION_FLOOR)
+        y[low] = rng.random(low.size) ** (1.0 - params.chi)
+        low = low[y[low] < floor]
+    yield None, np.full(M, params.m, dtype=np.int64)
+    for _ in range(depth):
+        strength = rng.gamma(params.gamma_shape, size=y.size)
+        parent_ptr = np.repeat(np.arange(y.size), rng.poisson(strength * (1.0 / y - 1.0)))
+        if not parent_ptr.size:
+            return
+        y = y[parent_ptr]
+        y += rng.random(y.size) * (1.0 - y)
+        yield parent_ptr, np.full(y.size, params.m, dtype=np.int64)
 
 
-# ---------------------------------------------------------------------------
-# root rank evaluation
+def _forest(levels, depth) -> LimitForest:
+    """The trees whose levels ``levels`` yields, back to back, cut at
+    ``depth`` (None for whole trees).
 
-
-def _resolve_depth(t: LimitTree, N):
-    if N is None:
-        return t.truncation_depth if t.truncation_depth is not None else t.max_depth
-    _check_depth(t.truncation_depth, N)
-    return N
-
-
-def root_pagerank(t: LimitTree, c, N: int | None = None) -> float:
-    """Truncated root rank R_v = B_v + sum_children (C_u / mark_u) R_u, the
-    reversed-path weights up to length N.
-
-    ``c`` is the damping factor, read as C = c, B = 1 - c at every node, or
-    :class:`~pagerank_limits.pagerank.GeneralizedWeights` with one (C, B)
-    entry per tree node.
+    Each level lists its nodes by parent, so a stable sort by tree puts
+    every tree's nodes in breadth-first order.  A forest of one tree draws
+    as that tree alone would.
     """
-    if isinstance(c, GeneralizedWeights):
-        if c.C.size != t.size:
-            raise ConfigError(f"tree has {t.size} nodes but the weights have {c.C.size}")
-        vals, C = c.B.copy(), c.C  # _fold adds into vals
-    else:
-        c = PageRankParams(c=c).c
-        vals, C = np.full(t.size, 1.0 - c), np.full(t.size, c)
-    _fold(t, vals, C, _resolve_depth(t, N))
-    return float(vals[0])
+    levels = list(levels)
+    M = levels[0][1].size
+    first = np.cumsum([0] + [mark.size for _, mark in levels])
+    # per level: each node's tree, and its parent's index in level order
+    tree, up = [np.arange(M)], [np.full(M, -1)]
+    for d, (ptr, _) in enumerate(levels[1:]):
+        tree.append(tree[-1][ptr])
+        up.append(first[d] + ptr)
+    order = np.argsort(np.concatenate(tree), kind="stable")
+    pos = np.empty_like(order)
+    pos[order] = np.arange(order.size)
+    up = np.concatenate(up)[order]
+    node_depth = np.repeat(np.arange(len(levels), dtype=np.int32), np.diff(first))
+    return LimitForest(parent=np.where(up < 0, -1, pos[up]),
+                       mark=np.concatenate([mark for _, mark in levels])[order],
+                       node_depth=node_depth[order], start=np.append(pos[:M], first[-1]),
+                       truncation_depth=depth)
 
 
-def _fold(forest, vals, C, top: int):
-    """Push (C/mark) times each node's value into its parent's, in place,
-    from depth ``top`` up; deeper nodes are left out.
-
-    ``forest`` is a :class:`LimitForest`, or a :class:`LimitTree` as a
-    forest of one tree, with each tree's nodes in BFS order.  Each level is
-    pushed in descending node order, so a parent sums its children's terms
-    from the last child to the first: a forest folds bit for bit as each of
-    its trees alone.
-    """
-    order = np.argsort(forest.node_depth, kind="stable")
-    starts = np.searchsorted(forest.node_depth[order], np.arange(top + 2))
-    for d in range(top, 0, -1):
-        idx = order[starts[d]:starts[d + 1]][::-1]
-        np.add.at(vals, forest.parent[idx], C[idx] / forest.mark[idx] * vals[idx])
+def sample_gw_forest(law: BiDegreeLaw, depth: int, M: int, rng) -> LimitForest:
+    """M marked branching trees, the forest of :meth:`LimitLaw.gw`: root
+    (mark, in-degree) ~ p, other nodes ~ p*, every node spawning in-degree
+    children down to ``depth`` (nodes there keep their marks but spawn
+    nothing), one draw per level for every tree at once."""
+    return LimitLaw.gw(law).forest(depth, M, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -439,6 +338,22 @@ def _node_c(C):
     if C.size and not float(C.max()) < 1.0:  # NaN fails too
         raise ConfigError(f"max node C must be < 1, got {float(C.max())}")
     return C
+
+
+def _root_ranks(levels, rng, c_sampler, b_sampler) -> np.ndarray:
+    """Root ranks of the trees whose levels ``levels`` yields.
+
+    Each level's B values are drawn right after its nodes; then, from the
+    deepest level up, each level draws its C values and pushes (C / mark)
+    times each node's value into its parent's.
+    """
+    levels = [(parent_ptr, mark, np.asarray(b_sampler(rng, mark.size), dtype=np.float64))
+              for parent_ptr, mark in levels]
+    for d in range(len(levels) - 1, 0, -1):
+        parent_ptr, mark, vals = levels[d]
+        coef = _node_c(c_sampler(rng, vals.size)) / mark
+        np.add.at(levels[d - 1][2], parent_ptr, coef * vals)
+    return levels[0][2]
 
 
 def solve_fixed_point_mc(law: BiDegreeLaw, c: float | None, depth: int,
@@ -487,126 +402,123 @@ def gw_root_rank_pool(law: BiDegreeLaw, c: float | None, depth: int, M: int, rng
                       c_sampler=None, b_sampler=None) -> np.ndarray:
     """M independent root-rank samples by direct level-wise tree sampling.
 
-    Draws the trees of :func:`sample_gw_forest` level by level with
-    :func:`_gw_levels`, each level's B values right after its nodes, then
-    folds the levels from the deepest up, drawing each level's C values.
-    Mathematically root_pagerank over sample_gw_forest, vectorized across
-    trees; independent of the pool-resampling route, which it serves as an
-    oracle for.  Memory grows with mean offspring^depth.
+    The pool of :meth:`LimitLaw.gw`: each block of trees drawn as
+    :func:`sample_gw_forest` draws them and folded level by level, so
+    memory is bounded by one block's trees.  Independent of the
+    pool-resampling route, which it serves as an oracle for.
     """
-    if depth < 0:
-        raise ConfigError(f"depth must be >= 0, got {depth}")
-    _check_pool_size(M)
-    c_sampler, b_sampler = _weight_samplers(c, c_sampler, b_sampler)
-    levels = [(parent_ptr, mark, np.asarray(b_sampler(rng, mark.size), dtype=np.float64))
-              for parent_ptr, mark in _gw_levels(law, depth, M, rng)]
-    for d in range(len(levels) - 1, 0, -1):
-        parent_ptr, mark, vals = levels[d]
-        coef = _node_c(c_sampler(rng, vals.size)) / mark
-        np.add.at(levels[d - 1][2], parent_ptr, coef * vals)
-    return levels[0][2]
+    return LimitLaw.gw(law).pool(c, depth, M, rng, c_sampler=c_sampler, b_sampler=b_sampler)
 
 
 # ---------------------------------------------------------------------------
 # limit laws
 
 
-@dataclass(frozen=True)
-class GwLaw:
-    """Branching-tree limit of the configuration model; its pools come from
-    :func:`gw_root_rank_pool` when ``direct``, else :func:`solve_fixed_point_mc`."""
-
-    law: BiDegreeLaw
-    direct: bool = False
-
-    @property
-    def meta(self) -> dict:
-        return {"law": self.law.entries}
-
-    def tree(self, depth: int, rng) -> LimitTree:
-        return sample_gw_forest(self.law, depth, 1, rng).tree(0)
-
-    def forest(self, depth: int, M: int, rng) -> LimitForest:
-        return sample_gw_forest(self.law, depth, M, rng)
-
-    def pool(self, c, depth, M, rng, c_sampler=None, b_sampler=None) -> np.ndarray:
-        fn = gw_root_rank_pool if self.direct else solve_fixed_point_mc
-        return fn(self.law, c, depth, M, rng, c_sampler=c_sampler, b_sampler=b_sampler)
-
-
-# trees drawn together by census_limit or a TreeLaw pool, which bounds their memory
+# roots drawn together by a forest or a pool block, which bounds their memory
 _FOREST_TREES = 1 << 12
 
 
-@dataclass(frozen=True)
-class TreeLaw:
-    """A limit law drawn one tree at a time by ``tree(depth, rng) -> LimitTree``.
+def _check_depth(depth):
+    if depth < 0:
+        raise ConfigError(f"depth must be >= 0, got {depth}")
 
-    ``pool`` draws each tree and then its nodes' C and B, and folds the
-    trees a block at a time, as per-tree :func:`root_pagerank` does.
+
+def _redrawn(draw):
+    """``draw()``, drawn again while it overruns a node cap, up to 10 attempts."""
+    for _ in range(10):
+        try:
+            return draw()
+        except ResourceError:
+            pass
+    raise ResourceError("limit population kept exceeding the node cap")
+
+
+@dataclass(frozen=True)
+class LimitLaw:
+    """A limit law whose trees are drawn level by level, a block at a time.
+
+    ``levels(depth, M, rng)`` yields ``(parent_ptr, mark)`` for each level
+    of M trees down to ``depth``, as :func:`_gw_levels` does.  A ``finite``
+    law's trees end almost surely: ``tree`` and ``pool`` draw them whole
+    (depth None) whatever the depth, and ``forest`` cuts every law's trees.
+    ``pool`` folds the levels, or calls :func:`solve_fixed_point_mc` for a
+    law with a ``fixed_point`` bi-degree law.  A block whose draw overruns
+    a node cap is redrawn, up to 10 attempts.  ``meta`` holds the law's
+    fields for a pool's sidecar.
     """
 
-    tree: Callable[[int, np.random.Generator], LimitTree]
+    levels: Callable
     meta: dict = field(default_factory=dict)
+    finite: bool = False
+    fixed_point: BiDegreeLaw | None = None
+
+    def _reach(self, depth):
+        """The checked ``depth``, or None (whole trees) for a finite law."""
+        _check_depth(depth)
+        return None if self.finite else depth
+
+    def tree(self, depth: int, rng) -> LimitTree:
+        depth = self._reach(depth)
+        return _redrawn(lambda: _forest(self.levels(depth, 1, rng), depth)).tree(0)
 
     def forest(self, depth: int, M: int, rng) -> LimitForest:
-        return LimitForest.of_trees((self.tree(depth, rng) for _ in range(M)), depth)
+        _check_depth(depth)
+        if M < 1:
+            raise ConfigError(f"forest needs M >= 1 trees, got {M}")
+        return _redrawn(lambda: _forest(self.levels(depth, M, rng), depth))
 
     def pool(self, c, depth, M, rng, c_sampler=None, b_sampler=None) -> np.ndarray:
+        """M independent root ranks, a block of ``_FOREST_TREES`` trees at a
+        time; see :func:`_root_ranks` for the order of the (C, B) draws."""
+        depth = self._reach(depth)
+        if self.fixed_point is not None:
+            return solve_fixed_point_mc(self.fixed_point, c, depth, M, rng,
+                                        c_sampler=c_sampler, b_sampler=b_sampler)
         _check_pool_size(M)
         c_sampler, b_sampler = _weight_samplers(c, c_sampler, b_sampler)
         vals = np.empty(M)
         for first in range(0, M, _FOREST_TREES):
-            trees, C, ranks = [], [], []
-            for _ in range(min(_FOREST_TREES, M - first)):
-                trees.append(self.tree(depth, rng))
-                C.append(_node_c(c_sampler(rng, trees[-1].size)))
-                ranks.append(np.asarray(b_sampler(rng, trees[-1].size), dtype=np.float64))
-            top = max(t.max_depth for t in trees)
-            ranks = np.concatenate(ranks)
-            forest = LimitForest.of_trees(trees, top)
-            _fold(forest, ranks, np.concatenate(C), top)
-            vals[first:first + len(trees)] = ranks[forest.roots]
+            m = min(_FOREST_TREES, M - first)
+            vals[first:first + m] = _redrawn(
+                lambda: _root_ranks(self.levels(depth, m, rng), rng, c_sampler, b_sampler))
         return vals
 
     @classmethod
-    def ctbp(cls, rate_base: float) -> "TreeLaw":
-        """Branching population over an Exp(a*) window, a* the Malthusian rate.
-
-        Its trees are finite, so ``tree`` and ``pool`` ignore ``depth`` and
-        give whole trees; ``forest`` cuts them.  A draw that overruns the
-        node cap is redrawn, up to 10 attempts.
-        """
-        alpha = malthusian(rate_base)
-
-        def tree(depth, rng):
-            for _ in range(10):
-                try:
-                    return sample_ctbp_limit(rate_base, alpha, rng)
-                except ResourceError:
-                    pass
-            raise ResourceError("limit population kept exceeding the node cap")
-        return cls(tree, {"alpha_star": alpha})
+    def gw(cls, law: BiDegreeLaw, fixed_point: bool = False) -> "LimitLaw":
+        """Branching-tree limit of the configuration model; its pools come
+        from :func:`solve_fixed_point_mc` when ``fixed_point``."""
+        return cls(lambda depth, M, rng: _gw_levels(law, depth, M, rng), {"law": law.entries},
+                   fixed_point=law if fixed_point else None)
 
     @classmethod
-    def polya(cls, m: int, delta: float) -> "TreeLaw":
-        """Point tree limiting preferential attachment, truncated at ``depth``."""
+    def ctbp(cls, rate_base: float) -> "LimitLaw":
+        """Branching population over an Exp(a*) window, a* the Malthusian rate."""
+        alpha = malthusian(rate_base)
+
+        def levels(depth, M, rng):
+            return islice(_ctbp_levels(rate_base, alpha, M, rng),
+                          None if depth is None else depth + 1)
+        return cls(levels, {"alpha_star": alpha}, finite=True)
+
+    @classmethod
+    def polya(cls, m: int, delta: float) -> "LimitLaw":
+        """Point tree limiting preferential attachment."""
         params = PolyaParams(m=m, delta=delta)
-        return cls(lambda depth, rng: sample_polya_limit(params, depth, rng))
+        return cls(lambda depth, M, rng: _polya_levels(params, depth, M, rng))
 
 
 # limit sampler name -> (the model whose local limit it samples, its law from
 # that model's parameters); a model's first sampler is its default
 LIMIT_LAWS = {
-    "fixed_point": ("dcm", lambda model: GwLaw(model["law"])),
-    "fixed-point": ("dcm", lambda model: GwLaw(model["law"])),
-    "gw": ("dcm", lambda model: GwLaw(model["law"], direct=True)),
-    "ctbp": ("ctbp", lambda model: TreeLaw.ctbp(model["theta"])),
-    "polya": ("dpa", lambda model: TreeLaw.polya(model["m"], model["delta"])),
+    "fixed_point": ("dcm", lambda model: LimitLaw.gw(model["law"], fixed_point=True)),
+    "fixed-point": ("dcm", lambda model: LimitLaw.gw(model["law"], fixed_point=True)),
+    "gw": ("dcm", lambda model: LimitLaw.gw(model["law"])),
+    "ctbp": ("ctbp", lambda model: LimitLaw.ctbp(model["theta"])),
+    "polya": ("dpa", lambda model: LimitLaw.polya(model["m"], model["delta"])),
 }
 
 
-def limit_law(sampler: str, model: dict):
+def limit_law(sampler: str, model: dict) -> LimitLaw:
     """The law ``sampler`` names for ``model``: its ``name`` and parameters
     (dcm: ``law``, a :class:`BiDegreeLaw`; ctbp: ``theta``; dpa: ``m``, ``delta``)."""
     name, make = LIMIT_LAWS.get(str(sampler), (None, None))
@@ -622,15 +534,6 @@ def limit_law(sampler: str, model: dict):
 
 # ---------------------------------------------------------------------------
 # conversions and I/O
-
-
-def _check_depth(truncation_depth, k):
-    if k < 0:
-        raise UsageError(f"depth must be >= 0, got {k}")
-    if truncation_depth is not None and k > truncation_depth:
-        raise UsageError(
-            f"tree truncated at depth {truncation_depth}, cannot take depth {k}"
-        )
 
 
 def write_tree_edgelist(t: LimitTree, path) -> None:

@@ -13,16 +13,20 @@ None of these shares code with the implementation paths it checks.
 
 It also holds what only tests call: the local pseudodistance and the
 truncations it compares, the node-at-a-time branching-tree sampler that
-``sample_gw_forest`` must match (and a law drawing with it), limit trees
-as neighborhoods, small views of library objects (edge triples, dangling
-vertices, the star law, parsed edge lists, neighborhood invariants), the
-tail-CSV reader, and the identity checks with any missing score vector
-solved for.
+``sample_gw_forest`` must match (and a law drawing with it), the per-tree
+point-tree and branching-population samplers, the per-tree root rank and
+the per-tree limit law they make up (the references for the level-wise
+laws), limit trees as neighborhoods, small views of library objects (edge
+triples, dangling vertices, the star law, parsed edge lists, neighborhood
+invariants), the tail-CSV reader, and the identity checks with any missing
+score vector solved for.
 """
 
 import math
 import re
 from collections import Counter
+from collections.abc import Callable
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
 
@@ -30,7 +34,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from pagerank_limits._textio import parse_edges, read_table
-from pagerank_limits.errors import ConfigError, InputError, UsageError
+from pagerank_limits.errors import ConfigError, InputError, ResourceError, UsageError
 from pagerank_limits.graph import (
     DirectedMultigraph,
     MarkedNeighborhood,
@@ -38,8 +42,16 @@ from pagerank_limits.graph import (
     canonical_code,
     explore_neighborhood,
 )
-from pagerank_limits.limits import LimitForest, LimitTree
+from pagerank_limits.limits import (
+    DEFAULT_CTBP_NODE_CAP,
+    POSITION_FLOOR,
+    LimitForest,
+    LimitTree,
+    PolyaParams,
+)
 from pagerank_limits.pagerank import (
+    GeneralizedWeights,
+    PageRankParams,
     lower_bound_check,
     solve_pagerank,
     truncation_gap,
@@ -612,7 +624,7 @@ class GwOracleLaw:
         return sample_gw_limit(self.law, depth, rng)
 
     def forest(self, depth, M, rng):
-        return LimitForest.of_trees(sample_gw_trees(self.law, depth, M, rng), depth)
+        return forest_of_trees(sample_gw_trees(self.law, depth, M, rng), depth)
 
 
 def tree_neighborhood(t: LimitTree, k: int) -> MarkedNeighborhood:
@@ -633,3 +645,209 @@ def tree_neighborhood(t: LimitTree, k: int) -> MarkedNeighborhood:
         depth=k,
         complete=t.truncation_depth is None and k >= t.max_depth,
     )
+
+
+def forest_of_trees(trees, k: int) -> LimitForest:
+    """Depth-k truncations of the given trees, back to back."""
+    parents, marks, depths = [], [], []
+    for t in trees:
+        if t.truncation_depth is not None and k > t.truncation_depth:
+            raise UsageError(f"tree truncated at depth {t.truncation_depth}, "
+                             f"cannot take depth {k}")
+        cut = int(np.searchsorted(t.node_depth, k, side="right"))
+        parents.append(t.parent[:cut])
+        marks.append(t.mark[:cut])
+        depths.append(t.node_depth[:cut])
+    sizes = np.array([p.size for p in parents], dtype=np.int64)
+    start = np.zeros(sizes.size + 1, dtype=np.int64)
+    np.cumsum(sizes, out=start[1:])
+    parent = np.concatenate(parents) + np.repeat(start[:-1], sizes)
+    parent[start[:-1]] = -1
+    return LimitForest(parent=parent, mark=np.concatenate(marks),
+                       node_depth=np.concatenate(depths), start=start, truncation_depth=k)
+
+
+def trees_of_levels(levels, depth) -> list:
+    """The trees whose levels ``levels`` yields (``limits._gw_levels``'
+    contract: ``(parent_ptr, mark)`` per level, parents in order), one
+    Python node at a time: each tree's nodes listed level by level, in the
+    order the levels list them."""
+    levels = list(levels)
+    trees = [([int(m)], [-1], [0]) for m in levels[0][1]]  # marks, parents, depths
+    where = [(i, 0) for i in range(len(trees))]  # each level's (tree, node)
+    for d, (parent_ptr, mark) in enumerate(levels[1:], 1):
+        nxt = []
+        for p, m in zip(parent_ptr.tolist(), mark.tolist()):
+            i, node = where[p]
+            marks, parents, depths = trees[i]
+            nxt.append((i, len(parents)))
+            marks.append(m)
+            parents.append(node)
+            depths.append(d)
+        where = nxt
+    return [LimitTree(parent=np.asarray(parents, dtype=np.int64),
+                      mark=np.asarray(marks, dtype=np.int64),
+                      node_depth=np.asarray(depths, dtype=np.int32),
+                      truncation_depth=depth)
+            for marks, parents, depths in trees]
+
+
+@dataclass
+class SampledTree(LimitTree):
+    """A per-tree sampler's tree with its model's columns: positions and
+    strengths for the point tree, birth times (plus the window) for the
+    branching population."""
+
+    position: np.ndarray | None = None
+    strength: np.ndarray | None = None
+    birth_time: np.ndarray | None = None
+    window: float | None = None
+
+
+def sample_ctbp_limit(rate_base: float, alpha_star: float, rng,
+                      max_nodes: int = DEFAULT_CTBP_NODE_CAP) -> SampledTree:
+    """Branching population restricted to an Exp(alpha_star) window, one
+    Python node at a time.
+
+    Draws T ~ Exp(alpha_star) and grows the genealogy of the pure-birth
+    process (rate k + rate_base after k children) keeping births before T.
+    All marks are 1, including the root.  Finite almost surely; a runaway
+    population beyond ``max_nodes`` raises and the caller may redraw.
+    """
+    theta = rate_base
+    if not theta > 0 or not alpha_star > 0:
+        raise ConfigError("rate_base and alpha_star must be positive")
+    T = rng.exponential(1.0 / alpha_star)
+    parents = [-1]
+    depths = [0]
+    births = [0.0]
+    queue = [0]
+    qpos = 0
+    while qpos < len(queue):
+        v = queue[qpos]
+        qpos += 1
+        t = births[v]
+        k = 0
+        while True:
+            t += rng.exponential(1.0 / (k + theta))
+            if t >= T:
+                break
+            child = len(parents)
+            parents.append(v)
+            depths.append(depths[v] + 1)
+            births.append(t)
+            queue.append(child)
+            k += 1
+            if len(parents) > max_nodes:
+                raise ResourceError(
+                    f"population exceeded {max_nodes} nodes within the window"
+                )
+    size = len(parents)
+    return SampledTree(
+        parent=np.asarray(parents, dtype=np.int64),
+        mark=np.ones(size, dtype=np.int64),
+        node_depth=np.asarray(depths, dtype=np.int32),
+        truncation_depth=None,
+        birth_time=np.asarray(births, dtype=np.float64),
+        window=float(T),
+    )
+
+
+def sample_polya_limit(p: PolyaParams, depth: int, rng) -> SampledTree:
+    """Point tree, one Python node at a time: positions in (0,1], Gamma
+    strengths, Poisson offspring.
+
+    The root sits at U^chi; a node at position x with strength g spawns
+    Poisson(g (x^-psi - 1)) children, positions i.i.d. with CDF
+    (t^psi - x^psi)/(1 - x^psi) on [x, 1].  All marks equal m.  Nodes at the
+    truncation depth still draw strengths so their marks stay defined.
+    """
+    if depth < 0:
+        raise ConfigError(f"depth must be >= 0, got {depth}")
+    chi, psi, shape = p.chi, p.psi, p.gamma_shape
+    x0 = rng.random() ** chi
+    while x0 < POSITION_FLOOR:
+        x0 = rng.random() ** chi
+    parents = [-1]
+    depths = [0]
+    positions = [x0]
+    strengths = [float(rng.gamma(shape))]
+    queue = [0]
+    qpos = 0
+    while qpos < len(queue):
+        v = queue[qpos]
+        qpos += 1
+        if depths[v] >= depth:
+            continue
+        x = positions[v]
+        lam = strengths[v] * (x ** (-psi) - 1.0)
+        count = int(rng.poisson(lam))
+        if count == 0:
+            continue
+        u = rng.random(count)
+        xp = x ** psi
+        child_pos = (xp + u * (1.0 - xp)) ** (1.0 / psi)
+        for i in range(count):
+            child = len(parents)
+            parents.append(v)
+            depths.append(depths[v] + 1)
+            positions.append(float(child_pos[i]))
+            strengths.append(float(rng.gamma(shape)))
+            queue.append(child)
+    size = len(parents)
+    return SampledTree(
+        parent=np.asarray(parents, dtype=np.int64),
+        mark=np.full(size, p.m, dtype=np.int64),
+        node_depth=np.asarray(depths, dtype=np.int32),
+        truncation_depth=depth,
+        position=np.asarray(positions, dtype=np.float64),
+        strength=np.asarray(strengths, dtype=np.float64),
+    )
+
+
+def root_pagerank(t: LimitTree, c, N: int | None = None) -> float:
+    """Truncated root rank R_v = B_v + sum_children (C_u / mark_u) R_u, the
+    reversed-path weights up to length N, by one vectorized push per level.
+
+    ``c`` is the damping factor, read as C = c, B = 1 - c at every node, or
+    :class:`~pagerank_limits.pagerank.GeneralizedWeights` with one (C, B)
+    entry per tree node.  N defaults to the truncation depth, or the whole
+    tree when it was not cut.  Each level is pushed in descending node
+    order, so a parent sums its children's terms from the last child to the
+    first.
+    """
+    if isinstance(c, GeneralizedWeights):
+        if c.C.size != t.size:
+            raise ConfigError(f"tree has {t.size} nodes but the weights have {c.C.size}")
+        vals, C = c.B.copy(), c.C
+    else:
+        c = PageRankParams(c=c).c
+        vals, C = np.full(t.size, 1.0 - c), np.full(t.size, c)
+    if N is None:
+        N = t.truncation_depth if t.truncation_depth is not None else t.max_depth
+    elif N < 0:
+        raise UsageError(f"depth must be >= 0, got {N}")
+    elif t.truncation_depth is not None and N > t.truncation_depth:
+        raise UsageError(f"tree truncated at depth {t.truncation_depth}, cannot take depth {N}")
+    order = np.argsort(t.node_depth, kind="stable")
+    starts = np.searchsorted(t.node_depth[order], np.arange(N + 2))
+    for d in range(N, 0, -1):
+        idx = order[starts[d]:starts[d + 1]][::-1]
+        np.add.at(vals, t.parent[idx], C[idx] / t.mark[idx] * vals[idx])
+    return float(vals[0])
+
+
+@dataclass(frozen=True)
+class TreeLaw:
+    """A limit law drawn one tree at a time by ``tree(depth, rng)``, the
+    per-tree reference for ``limits.LimitLaw``: its forest cuts sequential
+    draws at the depth, and its pool ranks each tree with
+    :func:`root_pagerank` at damping ``c``."""
+
+    tree: Callable
+
+    def forest(self, depth: int, M: int, rng) -> LimitForest:
+        return forest_of_trees((self.tree(depth, rng) for _ in range(M)), depth)
+
+    def pool(self, c, depth: int, M: int, rng) -> np.ndarray:
+        return np.array([root_pagerank(self.tree(depth, rng), c) for _ in range(M)])

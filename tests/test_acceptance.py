@@ -27,10 +27,7 @@ from pagerank_limits import (
     lower_bound_check,
     malthusian,
     pagerank_truncated,
-    root_pagerank,
     sample_bidegree_sequence,
-    sample_ctbp_limit,
-    sample_polya_limit,
     solve_fixed_point_mc,
     solve_pagerank,
 )
@@ -42,16 +39,19 @@ from pagerank_limits.census import (
     ks_distance,
     tv_distance,
 )
-from pagerank_limits.limits import TreeLaw
 
 from conftest import record_criterion
 from _oracles import (
+    TreeLaw,
     dense_exact_pagerank,
     enum_truncated_pagerank,
     exact_gw_mean,
     has_dangling,
     pull_matrix,
     random_small_graph,
+    root_pagerank,
+    sample_ctbp_limit,
+    sample_polya_limit,
 )
 
 LAW33 = BiDegreeLaw([(h, l, 1 / 9) for h in (1, 2, 3) for l in (1, 2, 3)])

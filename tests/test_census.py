@@ -22,6 +22,7 @@ from pagerank_limits.census import (
 )
 from _oracles import (
     GwOracleLaw,
+    TreeLaw,
     per_root_census,
     rank_rows_lexsort,
     read_tail_csv,
@@ -29,6 +30,7 @@ from _oracles import (
     sample_gw_limit,
     sample_gw_trees,
     tree_census,
+    trees_of_levels,
 )
 from pagerank_limits.errors import InputError, SizeError, UsageError
 from pagerank_limits.generators import (
@@ -40,15 +42,7 @@ from pagerank_limits.generators import (
     sample_bidegree_sequence,
 )
 from pagerank_limits.graph import TREE_PREFIX, build_graph, canonical_code, explore_neighborhood
-from pagerank_limits.limits import (
-    GwLaw,
-    LimitTree,
-    PolyaParams,
-    TreeLaw,
-    malthusian,
-    sample_ctbp_limit,
-    sample_polya_limit,
-)
+from pagerank_limits.limits import LimitLaw, LimitTree, PolyaParams, _ctbp_levels, _polya_levels
 
 # the package attribute `census` is the function, so fetch the module itself
 census_module = importlib.import_module("pagerank_limits.census")
@@ -209,8 +203,7 @@ class TestCensusLimit:
         assert len(c.counts) == 1 and c.total == 50
 
     def test_ctbp_depth_zero(self):
-        c = census_limit(TreeLaw(lambda depth, r: sample_ctbp_limit(1.0, 2.0, r)), 0, 50,
-                         RngStream(89).generator())
+        c = census_limit(LimitLaw.ctbp(1.0), 0, 50, RngStream(89).generator())
         assert len(c.counts) == 1
         assert list(c.counts.values()) == [50]
 
@@ -222,7 +215,7 @@ class TestCensusLimit:
         monkeypatch.setattr(census_module, "_FOREST_TREES", 700)
         law = BiDegreeLaw([(1, 1, 0.3), (2, 3, 0.4), (3, 1, 0.2), (4, 4, 0.1)])
         rf, rt, ro = (RngStream(seed).generator() for _ in range(3))
-        forest = census_limit(GwLaw(law), k, 3000, rf)
+        forest = census_limit(LimitLaw.gw(law), k, 3000, rf)
         assert forest.counts == census_limit(GwOracleLaw(law), k, 3000, rt).counts
         trees = [t for m in (700, 700, 700, 700, 200) for t in sample_gw_trees(law, k, m, ro)]
         assert forest.counts == tree_census(trees, k)
@@ -230,15 +223,14 @@ class TestCensusLimit:
 
     @pytest.mark.parametrize("k", [0, 1, 2])
     def test_ctbp_and_polya_match_per_tree_oracle(self, k):
-        alpha = malthusian(1.0)
+        # each law's census is the per-tree census of the trees its levels make
         pp = PolyaParams(m=2, delta=1.0)
-        samplers = [lambda r: sample_ctbp_limit(1.0, alpha, r),
-                    lambda r: sample_polya_limit(pp, 3, r)]
-        for i, sampler in enumerate(samplers):
-            got = census_limit(TreeLaw(lambda depth, r: sampler(r)), k, 1500,
-                               RngStream(132, i).generator())
-            r = RngStream(132, i).generator()
-            assert got.counts == tree_census((sampler(r) for _ in range(1500)), k)
+        laws = [(LimitLaw.ctbp(1.0), lambda r: _ctbp_levels(1.0, 2.0, 1500, r), None),
+                (LimitLaw.polya(2, 1.0), lambda r: _polya_levels(pp, k, 1500, r), k)]
+        for i, (law, levels, depth) in enumerate(laws):
+            got = census_limit(law, k, 1500, RngStream(132, i).generator())
+            trees = trees_of_levels(levels(RngStream(132, i).generator()), depth)
+            assert got.counts == tree_census(trees, k)
 
     def test_depth_beyond_truncation_rejected(self):
         law = BiDegreeLaw([(1, 1, 1.0)])
@@ -364,8 +356,8 @@ class TestRefinement:
         monkeypatch.setattr(census_module, "_refine", spy)
         rng = RngStream(140).generator()
         census(random_multigraph(rng, 300, 1.5), 2)
-        census_limit(GwLaw(UNIFORM33), 2, 300, rng)
-        census_limit(TreeLaw(lambda depth, r: sample_ctbp_limit(1.0, 2.0, r)), 2, 300, rng)
+        census_limit(LimitLaw.gw(UNIFORM33), 2, 300, rng)
+        census_limit(LimitLaw.ctbp(1.0), 2, 300, rng)
         assert grouped == [True, True, True]
 
     def test_limit_tree_out_of_breadth_first_order_rejected(self):

@@ -641,6 +641,16 @@ def test_limit_sample_rejects_empty_pools(tmp_path, capsys, sampler, M):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("mode", ["pool", "census", "tree"])
+@pytest.mark.parametrize("sampler", list(LIMIT_LAWS))
+def test_limit_sample_rejects_negative_depth(tmp_path, capsys, sampler, mode):
+    out = tmp_path / "out"
+    assert cli.main(["limit-sample", "--sampler", sampler, "--mode", mode, "--M", "5",
+                     "--depth", "-3", "--output", str(out), *LIMIT_ARGS[sampler]]) == 1
+    assert capsys.readouterr().err == "error: depth must be >= 0, got -3\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_limit_law_error_lists_the_registry(monkeypatch):
     monkeypatch.setitem(LIMIT_LAWS, "new_law", ("irg", lambda model: None))
     with pytest.raises(ConfigError) as err:
@@ -652,8 +662,8 @@ def test_limit_law_error_lists_the_registry(monkeypatch):
 def _library_law(sampler):
     """(law, pool, sidecar fields) composed directly from the library and
     the oracles, independently of the law registry: dcm trees and forests
-    come from the node-at-a-time oracle, other laws are drawn one tree at a
-    time, and ctbp/polya pools rank one tree at a time."""
+    come from the node-at-a-time oracle and its pools from the pool
+    functions, the other laws from their ``LimitLaw`` constructors."""
     from pagerank_limits import limits as lm
     from pagerank_limits.generators import BiDegreeLaw
 
@@ -661,21 +671,13 @@ def _library_law(sampler):
     if sampler in ("fixed_point", "fixed-point", "gw"):
         fn = lm.gw_root_rank_pool if sampler == "gw" else lm.solve_fixed_point_mc
         return (GwOracleLaw(law),
-                (lambda c, depth, M, r: fn(law, c, depth, M, r)),
+                (lambda c, depth, M, r, **weights: fn(law, c, depth, M, r, **weights)),
                 {"law": DCM_LAW})
     if sampler == "ctbp":
-        alpha = lm.malthusian(1.5)
-        return (lm.TreeLaw(lambda depth, r: lm.sample_ctbp_limit(1.5, alpha, r)),
-                (lambda c, depth, M, r: np.array(
-                    [lm.root_pagerank(lm.sample_ctbp_limit(1.5, alpha, r), c)
-                     for _ in range(M)])),
-                {"theta": 1.5, "alpha_star": alpha})
-    p = lm.PolyaParams(m=2, delta=1.0)
-    return (lm.TreeLaw(lambda depth, r: lm.sample_polya_limit(p, depth, r)),
-            (lambda c, depth, M, r: np.array(
-                [lm.root_pagerank(lm.sample_polya_limit(p, depth, r), c, depth)
-                 for _ in range(M)])),
-            {"m": 2, "delta": 1.0})
+        limit = lm.LimitLaw.ctbp(1.5)
+        return limit, limit.pool, {"theta": 1.5, "alpha_star": lm.malthusian(1.5)}
+    limit = lm.LimitLaw.polya(2, 1.0)
+    return limit, limit.pool, {"m": 2, "delta": 1.0}
 
 
 class TestLimitLawOutputs:
@@ -763,14 +765,9 @@ class TestLimitLawOutputs:
 
         law, pool, fields = _library_law(sampler)
         rng = RngStream(seed, cli.STREAM_LIMITS).generator()
-        if generalized:
-            cs = cli.make_sampler(spec["c_law"], "c_law")
-            bs = cli.make_sampler(spec["b_law"], "b_law")
-            trees = (law.tree(depth, rng) for _ in range(M))
-            values = np.array([lm.root_pagerank(t, cli.pr.GeneralizedWeights(
-                C=cs(rng, t.size), B=bs(rng, t.size))) for t in trees])
-        else:
-            values = pool(c, depth, M, rng)
+        weights = {"c_sampler": cli.make_sampler(spec["c_law"], "c_law"),
+                   "b_sampler": cli.make_sampler(spec["b_law"], "b_law")} if generalized else {}
+        values = pool(c, depth, M, rng, **weights)
         lm.write_pool_csv(values, tmp_path / "want.csv")
         assert (out / "limit_pool.csv").read_bytes() == \
             (tmp_path / "want.csv").read_bytes()

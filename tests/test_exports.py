@@ -38,13 +38,17 @@ def test_package_imports_resolve_to_their_modules():
 
 
 # public names that only tests called, moved to tests/_oracles.py or deleted,
-# and the truncation sweeps, whose checks the exact solve's own pass now feeds
+# the truncation sweeps, whose checks the exact solve's own pass now feeds,
+# and the per-tree limit samplers, root rank and law, which the level-wise
+# laws replaced
 TEST_ONLY = ("local_distance", "truncate_neighborhood", "UsageDepthError",
              "InvalidNeighborhood", "parse_edgelist", "sample_gw_limit",
-             "tree_neighborhood", "truncation_sweep", "solve_and_sweep", "read_tail_csv")
+             "tree_neighborhood", "truncation_sweep", "solve_and_sweep", "read_tail_csv",
+             "TreeLaw", "sample_polya_limit", "sample_ctbp_limit", "root_pagerank")
 TEST_ONLY_METHODS = {"DirectedMultigraph": ("edge_triples", "has_dangling"),
                      "MarkedNeighborhood": ("validate", "max_node_depth"),
-                     "BiDegreeLaw": ("star_entries",)}
+                     "BiDegreeLaw": ("star_entries",),
+                     "LimitForest": ("of_trees",)}
 
 
 def test_test_only_api_left_the_library():
@@ -57,9 +61,14 @@ def test_test_only_api_left_the_library():
     for check in (pagerank_limits.truncation_gap, pagerank_limits.lower_bound_check):
         params = inspect.signature(check).parameters.values()
         assert [p.name for p in params if p.default is not p.empty] == [], check.__name__
-    # gw forests are drawn level by level, with no probe of the stream
-    assert [n for n in ("_gw_tree_starts", "_tree_chain", "_PROBE_CHUNK")
-            if hasattr(pagerank_limits.limits, n)] == []
+    # every limit law is drawn level by level by one LimitLaw, with no probe
+    # of the stream and no per-tree fold
+    assert [n for n in ("_gw_tree_starts", "_tree_chain", "_PROBE_CHUNK", "GwLaw",
+                        "_fold", "_resolve_depth") if hasattr(pagerank_limits.limits, n)] == []
+    model = {"law": pagerank_limits.BiDegreeLaw([(1, 1, 1.0)]), "theta": 1.0, "m": 2,
+             "delta": 1.0}
+    assert {type(make(model)) for _, make in pagerank_limits.limits.LIMIT_LAWS.values()} \
+        == {pagerank_limits.limits.LimitLaw}
     # one pass feeds every truncation check: no sweep, and no R^(N) vectors
     assert not hasattr(pagerank_limits.pagerank._OrderedSystem, "sweep")
     assert list(inspect.signature(pagerank_limits.pagerank.check_invariants).parameters) \

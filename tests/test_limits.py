@@ -5,47 +5,53 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pagerank_limits.census import census_limit
+from pagerank_limits.census import census_limit, tv_distance
 from pagerank_limits.errors import ConfigError, ResourceError, UsageError
 from pagerank_limits.generators import BiDegreeLaw, RngStream
 from pagerank_limits.graph import canonical_code
 from pagerank_limits.pagerank import GeneralizedWeights
+from pagerank_limits import limits
 from pagerank_limits.limits import (
-    LimitForest,
+    LimitLaw,
     LimitTree,
-    GwLaw,
     PolyaParams,
-    TreeLaw,
+    _ctbp_levels,
+    _forest,
+    _polya_levels,
     gw_root_rank_pool,
+    limit_law,
     malthusian,
     read_pool_csv,
-    root_pagerank,
-    sample_ctbp_limit,
     sample_gw_forest,
-    sample_polya_limit,
     solve_fixed_point_mc,
     write_pool_csv,
     write_tree_edgelist,
 )
 
 from _oracles import (
+    TreeLaw,
     exact_gw_mean,
+    forest_of_trees,
+    root_pagerank,
+    sample_ctbp_limit,
     sample_gw_limit,
     sample_gw_trees,
+    sample_polya_limit,
     tree_census,
     tree_neighborhood,
-    tree_root_rank_descending,
     tree_root_rank_enum,
     tree_root_rank_enum_generalized,
+    trees_of_levels,
     validate_neighborhood,
 )
 
 UNIFORM33 = BiDegreeLaw([(h, l, 1 / 9) for h in (1, 2, 3) for l in (1, 2, 3)])
 PATH_LAW = BiDegreeLaw([(1, 1, 1.0)])
+TREE_COLUMNS = ("parent", "mark", "node_depth")
 
 
-def assert_same_forest(got, want):
-    for name in ("parent", "mark", "node_depth", "start"):
+def assert_same_forest(got, want, names=("parent", "mark", "node_depth", "start")):
+    for name in names:
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype and np.array_equal(a, b), name
 
@@ -134,10 +140,10 @@ class TestGwForest:
                 forest = sample_gw_forest(law, depth, M, rf)
                 trees = sample_gw_trees(law, depth, M, rs)
                 assert forest.roots.size == M and forest.truncation_depth == depth
-                assert_same_forest(forest, LimitForest.of_trees(trees, depth))
+                assert_same_forest(forest, forest_of_trees(trees, depth))
                 assert rf.random() == rs.random()
                 rc, ro = RngStream(61, i).generator(), RngStream(61, i).generator()
-                got = census_limit(GwLaw(law), depth, M, rc)
+                got = census_limit(LimitLaw.gw(law), depth, M, rc)
                 assert got.counts == tree_census(sample_gw_trees(law, depth, M, ro), depth)
                 assert rc.random() == ro.random()
 
@@ -146,18 +152,19 @@ class TestGwForest:
         law = BiDegreeLaw([(1, 0, 0.9), (10, 19, 0.1)])
         rf, rs = RngStream(61).generator(), RngStream(61).generator()
         forest = sample_gw_forest(law, 3, 50, rf)
-        assert_same_forest(forest, LimitForest.of_trees(sample_gw_trees(law, 3, 50, rs), 3))
+        assert_same_forest(forest, forest_of_trees(sample_gw_trees(law, 3, 50, rs), 3))
         assert forest.start[-1] > 1000 and rf.random() == rs.random()
 
     def test_of_trees_truncates(self):
+        # the oracle forest of given trees, which the per-tree laws draw
         rng = RngStream(62).generator()
         trees = [sample_ctbp_limit(1.0, 2.0, rng) for _ in range(30)]
-        forest = LimitForest.of_trees(trees, 2)
+        forest = forest_of_trees(trees, 2)
         for j, t in enumerate(trees):
             cut = int((t.node_depth <= 2).sum())
             assert np.array_equal(forest.tree(j).parent, t.parent[:cut])
         with pytest.raises(UsageError):
-            LimitForest.of_trees([sample_gw_limit(UNIFORM33, 1, rng)], 2)
+            forest_of_trees([sample_gw_limit(UNIFORM33, 1, rng)], 2)
 
     def test_bad_arguments(self):
         with pytest.raises(ConfigError):
@@ -228,7 +235,7 @@ class TestRootRank:
 
 
 def _draw_weights(t, c_sampler, b_sampler, rng):
-    """Per-node (C, B) of tree ``t``, C drawn before B as a TreeLaw pool does."""
+    """Per-node (C, B) of tree ``t``, C drawn before B."""
     return GeneralizedWeights(C=c_sampler(rng, t.size), B=b_sampler(rng, t.size))
 
 
@@ -299,94 +306,135 @@ class TestGeneralizedRank:
         assert root_pagerank(t, w) == first
 
 
+def _levels_and_b(levels, b_sampler, rng):
+    """The levels ``levels`` yields, each level's B drawn right after it, as
+    a level pool draws them."""
+    drawn, B = [], []
+    for level in levels:
+        drawn.append(level)
+        B.append(b_sampler(rng, level[1].size))
+    return drawn, B
+
+
+def _ranks_with_level_weights(trees, B, c_sampler, rng):
+    """:func:`root_pagerank` of each of ``trees`` with the level pool's
+    weights: level d's nodes, tree by tree in breadth-first order, take
+    level d's B values ``B`` and C values, which are drawn here, one level
+    at a time from the deepest up (the roots draw none)."""
+    C = [np.zeros(B[0].size)] + [c_sampler(rng, b.size) for b in B[:0:-1]][::-1]
+    seen = [0] * len(B)  # each level's nodes of the trees so far
+    want = []
+    for t in trees:
+        weights = [np.empty(t.size), np.empty(t.size)]
+        for d in range(t.max_depth + 1):
+            idx = np.flatnonzero(t.node_depth == d)
+            for w, drawn in zip(weights, (C, B)):
+                w[idx] = drawn[d][seen[d]:seen[d] + idx.size]
+            seen[d] += idx.size
+        want.append(root_pagerank(t, GeneralizedWeights(*weights)))
+    assert seen == [b.size for b in B]
+    return want
+
+
 class TestFold:
-    """TreeLaw pools fold a block of trees at once, bit for bit as each tree
-    alone, and each tree in descending node order."""
+    """Level pools rank a block of trees at once, as :func:`root_pagerank`
+    ranks the trees their levels make; only the summation order differs."""
 
     POLYA = PolyaParams(m=2, delta=1.0)
     C_LAW = staticmethod(lambda r, s: r.uniform(0.0, 0.85, s))
     B_LAW = staticmethod(lambda r, s: r.exponential(0.15, s))
 
-    def _polya_trees(self, depth, M, seed, weights=False):
-        """M point trees, each paired with its drawn (C, B) when ``weights``."""
-        rng = RngStream(seed).generator()
-        trees = []
-        for _ in range(M):
-            t = sample_polya_limit(self.POLYA, depth, rng)
-            trees.append((t, _draw_weights(t, self.C_LAW, self.B_LAW, rng))
-                         if weights else t)
-        return trees
-
     def test_polya_block_matches_per_tree(self):
-        trees = self._polya_trees(9, 300, 150)
+        # constant weights draw nothing: the pool's stream is its levels'
+        got = LimitLaw.polya(2, 1.0).pool(0.85, 9, 300, RngStream(150).generator())
+        trees = trees_of_levels(_polya_levels(self.POLYA, 9, 300, RngStream(150).generator()), 9)
         assert max(t.size for t in trees) > 256
-        want = [root_pagerank(t, 0.85) for t in trees]
-        got = TreeLaw.polya(2, 1.0).pool(0.85, 9, 300, RngStream(150).generator())
-        assert got.tolist() == want
-        assert want == [tree_root_rank_descending(t, 0.85) for t in trees]
+        assert got.tolist() == pytest.approx([root_pagerank(t, 0.85) for t in trees], rel=1e-12)
 
     def test_polya_generalized_block_matches_per_tree(self):
-        trees = self._polya_trees(9, 300, 151, weights=True)
-        assert max(t.size for t, _ in trees) > 256
-        want = [root_pagerank(t, w) for t, w in trees]
-        got = TreeLaw.polya(2, 1.0).pool(0.85, 9, 300, RngStream(151).generator(),
-                                         c_sampler=self.C_LAW, b_sampler=self.B_LAW)
-        assert got.tolist() == want
-        assert want == [tree_root_rank_descending(t, (w.C, w.B)) for t, w in trees]
+        rp, rng = RngStream(151).generator(), RngStream(151).generator()
+        got = LimitLaw.polya(2, 1.0).pool(0.85, 7, 300, rp,
+                                          c_sampler=self.C_LAW, b_sampler=self.B_LAW)
+        levels, B = _levels_and_b(_polya_levels(self.POLYA, 7, 300, rng), self.B_LAW, rng)
+        trees = trees_of_levels(levels, 7)
+        assert max(t.size for t in trees) > 256
+        want = _ranks_with_level_weights(trees, B, self.C_LAW, rng)
+        assert rp.random() == rng.random()
+        assert got.tolist() == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("law", [LimitLaw.gw(UNIFORM33), LimitLaw.polya(2, 1.0),
+                                     LimitLaw.ctbp(1.0)], ids=["gw", "polya", "ctbp"])
+    def test_blocks_draw_as_pools_in_turn(self, law, monkeypatch):
+        # 100-root blocks: a pool of 350 draws as pools of 100, 100, 100 and 50
+        monkeypatch.setattr(limits, "_FOREST_TREES", 100)
+        ra, rb = RngStream(159).generator(), RngStream(159).generator()
+        got = law.pool(None, 4, 350, ra, c_sampler=self.C_LAW, b_sampler=self.B_LAW)
+        want = [law.pool(None, 4, m, rb, c_sampler=self.C_LAW, b_sampler=self.B_LAW)
+                for m in (100, 100, 100, 50)]
+        assert got.tobytes() == np.concatenate(want).tobytes()
+        assert ra.random() == rb.random()
 
     def test_depth_zero(self):
-        trees = self._polya_trees(0, 50, 152)
-        got = TreeLaw.polya(2, 1.0).pool(0.85, 0, 50, RngStream(152).generator())
-        assert got.tolist() == [root_pagerank(t, 0.85) for t in trees]
+        got = LimitLaw.polya(2, 1.0).pool(0.85, 0, 50, RngStream(152).generator())
         assert np.all(got == 1.0 - 0.85)
 
     def test_one_node_tree(self):
-        one = LimitTree(parent=np.array([-1]), mark=np.array([3]),
-                        node_depth=np.array([0]), truncation_depth=None)
-        law = TreeLaw(lambda depth, r: one)
-        assert law.pool(0.3, 4, 5, RngStream(153).generator()).tolist() == \
-            [root_pagerank(one, 0.3)] * 5
+        # a law of lone roots of mark 3: each rank is its root's B
+        law = LimitLaw(lambda depth, M, r: iter([(None, np.full(M, 3))]))
+        assert law.pool(0.3, 4, 5, RngStream(153).generator()).tolist() == [1.0 - 0.3] * 5
         got = law.pool(0.3, 4, 5, RngStream(154).generator(),
                        c_sampler=self.C_LAW, b_sampler=self.B_LAW)
-        rng = RngStream(154).generator()
-        want = [root_pagerank(one, _draw_weights(one, self.C_LAW, self.B_LAW, rng))
-                for _ in range(5)]
-        assert got.tolist() == want
+        assert got.tolist() == self.B_LAW(RngStream(154).generator(), 5).tolist()
 
     @pytest.mark.parametrize("value", [1.0, np.nan])
     def test_pool_rejects_c_at_least_one(self, value):
         with pytest.raises(ConfigError, match="max node C must be < 1"):
-            TreeLaw.polya(2, 1.0).pool(0.5, 3, 50, RngStream(155).generator(),
-                                       c_sampler=lambda r, s: np.full(s, value),
-                                       b_sampler=self.B_LAW)
+            LimitLaw.polya(2, 1.0).pool(0.5, 3, 50, RngStream(155).generator(),
+                                        c_sampler=lambda r, s: np.full(s, value),
+                                        b_sampler=self.B_LAW)
 
     @pytest.mark.parametrize("value", [1.0, np.nan])
     @pytest.mark.parametrize("direct", [False, True], ids=["fixed_point", "gw"])
     def test_gw_pools_reject_c_at_least_one(self, direct, value):
-        law = GwLaw(UNIFORM33, direct=direct)
+        law = LimitLaw.gw(UNIFORM33, fixed_point=not direct)
         with pytest.raises(ConfigError, match="max node C must be < 1"):
             law.pool(None, 3, 50, RngStream(157).generator(),
                      c_sampler=lambda r, s: np.full(s, value), b_sampler=self.B_LAW)
 
     def test_pool_rejects_bad_damping(self):
         with pytest.raises(ConfigError, match="need damping c in"):
-            TreeLaw.ctbp(1.0).pool(1.0, 3, 5, RngStream(156).generator())
+            LimitLaw.ctbp(1.0).pool(1.0, 3, 5, RngStream(156).generator())
 
     @pytest.mark.parametrize("M", [0, -1])
     def test_every_pool_rejects_empty_sizes(self, M):
-        laws = [GwLaw(UNIFORM33), GwLaw(UNIFORM33, direct=True), TreeLaw.polya(2, 1.0),
-                TreeLaw.ctbp(1.0)]
+        laws = [LimitLaw.gw(UNIFORM33, fixed_point=True), LimitLaw.gw(UNIFORM33),
+                LimitLaw.polya(2, 1.0), LimitLaw.ctbp(1.0)]
         for law in laws:
             with pytest.raises(ConfigError, match=rf"^pool size must be >= 1, got {M}$"):
                 law.pool(0.5, 3, M, RngStream(158).generator())
 
+    @pytest.mark.parametrize("sampler,model", [
+        ("fixed_point", {"name": "dcm", "law": UNIFORM33}),
+        ("gw", {"name": "dcm", "law": UNIFORM33}),
+        ("ctbp", {"name": "ctbp", "theta": 1.0}),
+        ("polya", {"name": "dpa", "m": 2, "delta": 1.0}),
+    ])
+    def test_every_law_rejects_negative_depth(self, sampler, model):
+        law = limit_law(sampler, model)
+        draws = [lambda r: law.tree(-3, r), lambda r: law.forest(-3, 5, r),
+                 lambda r: law.pool(0.5, -3, 5, r)]
+        for draw in draws:
+            with pytest.raises(ConfigError, match=r"^depth must be >= 0, got -3$"):
+                draw(RngStream(160).generator())
+
 
 class TestCtbpLimit:
     def test_root_only_probability(self):
-        # P(no birth before the window) = a*/(a* + theta) = 2/3 for theta=1
-        rng = RngStream(58).generator()
+        # P(no birth before the window) = a*/(a* + theta) = 2/3 for theta=1,
+        # read from the level-wise forest
         M = 6000
-        lone = sum(sample_ctbp_limit(1.0, 2.0, rng).size == 1 for _ in range(M))
+        forest = LimitLaw.ctbp(1.0).forest(1, M, RngStream(58).generator())
+        lone = int((np.diff(forest.start) == 1).sum())
         assert abs(lone / M - 2 / 3) < 3 * np.sqrt(2 / 9 / M)
 
     def test_window_distribution(self):
@@ -402,19 +450,41 @@ class TestCtbpLimit:
             assert (t.birth_time < t.window).all()
 
     def test_rank_collapses_to_generation_sum(self):
-        rng = RngStream(61).generator()
-        c = 0.5
-        for _ in range(50):
-            t = sample_ctbp_limit(1.0, 2.0, rng)
-            zs = np.bincount(t.node_depth)
+        # the pool ranks whole trees, whatever the depth
+        c, law = 0.5, LimitLaw.ctbp(1.0)
+        got = law.pool(c, 0, 300, RngStream(61).generator())
+        forest = _forest(law.levels(None, 300, RngStream(61).generator()), None)
+        assert forest.node_depth.max() >= 3
+        for i, value in enumerate(got.tolist()):
+            zs = np.bincount(forest.tree(i).node_depth)
             want = (1 - c) * sum((c ** k) * z for k, z in enumerate(zs.tolist()))
-            assert root_pagerank(t, c) == pytest.approx(want, abs=1e-12)
+            assert value == pytest.approx(want, abs=1e-12)
 
     def test_node_cap(self):
-        rng = RngStream(62).generator()
-        with pytest.raises(ResourceError):
-            for _ in range(5000):
-                sample_ctbp_limit(1.0, 2.0, rng, max_nodes=3)
+        # past its cap the generator raises, and a law draws the block again,
+        # up to 10 attempts, each from where the last left the stream
+        with pytest.raises(ResourceError, match="exceeded 3 nodes"):
+            list(_ctbp_levels(1.0, 2.0, 50, RngStream(62).generator(), max_nodes=3))
+        attempts = []
+
+        def levels(depth, M, rng):
+            attempts.append(M)
+            return _ctbp_levels(1.0, 2.0, M, rng, max_nodes=2)
+
+        law = LimitLaw(levels, finite=True)
+        ra, rb = RngStream(66).generator(), RngStream(66).generator()
+        tree = law.tree(5, ra)
+        for failed in range(10):
+            try:
+                want = _forest(_ctbp_levels(1.0, 2.0, 1, rb, max_nodes=2), None).tree(0)
+                break
+            except ResourceError:
+                pass
+        assert failed == 2 and attempts == [1] * 3 and ra.random() == rb.random()
+        assert_same_forest(tree, want, TREE_COLUMNS)
+        with pytest.raises(ResourceError, match="^limit population kept exceeding the node cap$"):
+            law.forest(2, 50, ra)
+        assert attempts == [1] * 3 + [50] * 10
 
     def test_rank_monotone_up_to_full_value(self):
         rng = RngStream(76).generator()
@@ -427,6 +497,76 @@ class TestCtbpLimit:
                 assert prev - 1e-12 <= v <= full + 1e-12
                 prev = v
             assert prev == pytest.approx(full, abs=1e-12)
+
+
+class TestLevelLaws:
+    """The level-wise polya and ctbp laws against the per-tree samplers
+    they replaced, kept in tests/_oracles.py: the same laws, drawn in
+    another order."""
+
+    POLYA = PolyaParams(m=2, delta=1.0)
+    LAWS = {"polya": (LimitLaw.polya(2, 1.0), 2,
+                      TreeLaw(lambda depth, r: sample_polya_limit(PolyaParams(2, 1.0), depth, r))),
+            "ctbp": (LimitLaw.ctbp(1.0), 1,
+                     TreeLaw(lambda depth, r: sample_ctbp_limit(1.0, 2.0, r)))}
+
+    @staticmethod
+    def _ks_critical(n, m):
+        """Two-sample KS critical value at the 1% level."""
+        return 1.628 * np.sqrt((n + m) / (n * m))
+
+    @pytest.mark.parametrize("sampler,depth", [("polya", 1), ("polya", 3), ("polya", 5),
+                                               ("ctbp", 3)])
+    def test_pool_matches_per_tree_pool(self, sampler, depth):
+        from pagerank_limits.census import TailSample, ks_distance
+
+        law, _, oracle = self.LAWS[sampler]
+        new = law.pool(0.5, depth, 20_000, RngStream(170, depth).generator())
+        old = oracle.pool(0.5, depth, 3000, RngStream(171, depth).generator())
+        ks = ks_distance(TailSample(new), TailSample(old))
+        assert ks < self._ks_critical(new.size, old.size), ks
+
+    @pytest.mark.parametrize("sampler", ["polya", "ctbp"])
+    def test_tree_sizes_match_per_tree_sizes(self, sampler):
+        # depth-3 tree sizes see where children sit, which the root's census
+        # class and the damped ranks barely do
+        from pagerank_limits.census import TailSample, ks_distance
+
+        law, _, oracle = self.LAWS[sampler]
+        new = np.diff(law.forest(3, 20_000, RngStream(174).generator()).start)
+        old = np.diff(oracle.forest(3, 3000, RngStream(175).generator()).start)
+        ks = ks_distance(TailSample(new.astype(float)), TailSample(old.astype(float)))
+        assert ks < self._ks_critical(new.size, old.size), ks
+
+    @pytest.mark.parametrize("sampler,bound", [("polya", 0.045), ("ctbp", 0.035)])
+    def test_census_matches_per_tree_census(self, sampler, bound):
+        # two per-tree censuses of 5000 trees each, over 15 seed pairs, were
+        # at most 0.034 (polya) and 0.026 (ctbp) apart in TV at k = 1
+        law, _, oracle = self.LAWS[sampler]
+        new = census_limit(law, 1, 5000, RngStream(172, 0).generator())
+        old = census_limit(oracle, 1, 5000, RngStream(172, 1).generator())
+        assert tv_distance(new, old) < bound
+
+    @pytest.mark.parametrize("sampler", ["polya", "ctbp"])
+    def test_forest_structure(self, sampler):
+        # trees back to back from `start`, breadth-first, each parent one
+        # level up in its own tree, every mark the law's; the node-at-a-time
+        # assembly of the same levels agrees
+        law, mark, _ = self.LAWS[sampler]
+        forest = law.forest(4, 500, RngStream(173).generator())
+        sizes = np.diff(forest.start)
+        assert forest.start[0] == 0 and (sizes >= 1).all() and sizes.max() > 20
+        tree_of = np.repeat(np.arange(500), sizes)
+        inner = forest.node_depth > 0
+        assert (forest.parent[forest.roots] == -1).all() and inner.sum() == forest.parent.size - 500
+        parent = forest.parent[inner]
+        assert (tree_of[parent] == tree_of[inner]).all()
+        assert (forest.node_depth[parent] == forest.node_depth[inner] - 1).all()
+        assert (parent[1:] >= parent[:-1]).all() and (parent < np.flatnonzero(inner)).all()
+        assert (forest.mark == mark).all() and forest.truncation_depth == 4
+        assert forest.node_depth.max() == 4
+        want = forest_of_trees(trees_of_levels(law.levels(4, 500, RngStream(173).generator()), 4), 4)
+        assert_same_forest(forest, want)
 
 
 class TestPolyaLimit:
@@ -528,19 +668,8 @@ class TestFixedPointPool:
         rp, rng, B = RngStream(72).generator(), RngStream(72).generator(), []
         got = gw_root_rank_pool(law, None, 3, 60, rp, c_sampler=cs, b_sampler=bs)
         trees = sample_gw_trees(law, 3, 60, rng, on_level=lambda n: B.append(bs(rng, n)))
-        # the roots draw no C; each other level draws its C, deepest first
-        C = [np.zeros(B[0].size)] + [cs(rng, b.size) for b in B[:0:-1]][::-1]
-        seen = [0] * len(B)  # each level's nodes of the trees so far
-        want = []
-        for t in trees:
-            weights = [np.empty(t.size), np.empty(t.size)]
-            for d in range(t.max_depth + 1):
-                idx = np.flatnonzero(t.node_depth == d)
-                for w, drawn in zip(weights, (C, B)):
-                    w[idx] = drawn[d][seen[d]:seen[d] + idx.size]
-                seen[d] += idx.size
-            want.append(root_pagerank(t, GeneralizedWeights(*weights)))
-        assert seen == [b.size for b in B] and rp.random() == rng.random()
+        want = _ranks_with_level_weights(trees, B, cs, rng)
+        assert rp.random() == rng.random()
         assert got.tolist() == pytest.approx(want, rel=1e-12)
 
     def test_generalized_pool_matches_generalized_direct(self):
@@ -561,8 +690,8 @@ class TestFixedPointPool:
 
 
 class TestGwLawTree:
-    """``GwLaw.tree`` draws a forest of one tree: the per-tree sampler's
-    tree, column dtypes, file bytes and stream position."""
+    """``LimitLaw.gw(law).tree`` draws a forest of one tree: the per-tree
+    sampler's tree, column dtypes, file bytes and stream position."""
 
     LAW_BAL = BiDegreeLaw([(1, 1, 0.5), (2, 2, 0.5)])
 
@@ -571,10 +700,8 @@ class TestGwLawTree:
     def test_matches_the_per_tree_sampler(self, tmp_path, law, depth):
         for seed in range(40):
             ra, rb = RngStream(seed).generator(), RngStream(seed).generator()
-            got, want = GwLaw(law).tree(depth, ra), sample_gw_limit(law, depth, rb)
-            for name in ("parent", "mark", "node_depth"):
-                a, b = getattr(got, name), getattr(want, name)
-                assert a.dtype == b.dtype and np.array_equal(a, b), (seed, name)
+            got, want = LimitLaw.gw(law).tree(depth, ra), sample_gw_limit(law, depth, rb)
+            assert_same_forest(got, want, TREE_COLUMNS)
             assert got.truncation_depth == want.truncation_depth == depth
             write_tree_edgelist(got, tmp_path / "got.txt")
             write_tree_edgelist(want, tmp_path / "want.txt")

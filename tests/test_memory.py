@@ -5,11 +5,12 @@ buffers to ``tracemalloc``) on a LAW33 dcm graph of n = 30 000 vertices and
 bounds it by a multiple of the bytes the call returns, so a layer that
 starts holding a few more graph-sized temporaries fails here.  ``gen_irg``'s
 bound is a multiple of its graph's bytes plus a few n-length arrays, at
-n = 3000 and n = 200 000.  The measured ratios, and those of the
-argsort-and-gather build, whole-text edge-list scan, ``StringIO`` CSV read,
-full-array checks and dense IRG draw they replaced, are in README's "Memory"
-section; the bounds sit 5-40% above the measured ratios and below the
-replaced ones.
+n = 3000 and n = 200 000.  The gw root-rank pool's bound is a multiple of
+one block's expected node count, whatever the pool size.  The measured
+ratios, and those of the argsort-and-gather build, whole-text edge-list
+scan, ``StringIO`` CSV read, full-array checks, dense IRG draw and
+unblocked gw pool they replaced, are in README's "Memory" section; the
+bounds sit 5-40% above the measured ratios and below the replaced ones.
 """
 
 import tracemalloc
@@ -26,6 +27,7 @@ from pagerank_limits.generators import (
     sample_bidegree_sequence,
 )
 from pagerank_limits.graph import read_edgelist, write_edgelist
+from pagerank_limits.limits import _FOREST_TREES, gw_root_rank_pool
 
 N = 30_000
 LAW33 = BiDegreeLaw([(h, l, 1 / 9) for h in (1, 2, 3) for l in (1, 2, 3)])
@@ -118,3 +120,15 @@ def test_gen_irg_peak():
                                           RngStream(43).generator()))
         assert g.total_multiplicity > 0
         assert peak <= 1.1 * graph_bytes(g) + 4 * 8 * n, n
+
+
+def test_gw_pool_peak():
+    # the pool folds one block of trees at a time: LAW33's mean in-degree is
+    # 2, so a depth-6 block holds about 127 nodes per root, and the peak is
+    # about 4.2 float columns of them (the unblocked pool held 30 000 roots'
+    # levels at once, 5.9 times this bound)
+    depth = 6
+    pool, peak = peak_of(lambda: gw_root_rank_pool(LAW33, 0.5, depth, 30_000,
+                                                   RngStream(7).generator()))
+    assert pool.size == 30_000
+    assert peak <= 5.0 * 8 * _FOREST_TREES * (2 ** (depth + 1) - 1)

@@ -48,7 +48,6 @@ from .limits import (
     gw_root_rank_pool,
     limit_law,
     malthusian,
-    sample_gw_forest,
     solve_fixed_point_mc,
 )
 from .pagerank import (

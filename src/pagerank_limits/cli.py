@@ -264,7 +264,7 @@ def generate_model(model, n, rng):
     else:
         g, births = gen.gen_ctbp_tree(gen.CtbpParams(model["theta"]), n, rng)
         meta = {"model": "ctbp", "theta": model["theta"],
-                "last_birth_time": float(births[-1]) if n > 1 else 0.0}
+                "last_birth_time": float(births[-1])}
     meta.update(degree_stats(g))
     return g, meta
 

@@ -3,9 +3,12 @@
 Four models: the directed configuration model (uniform matching of out- to
 in-half-edges), a directed inhomogeneous random graph with independent
 edges (sampled exactly in O(n + E) work by geometric skips over targets
-sorted by in-weight), sequential directed preferential attachment with
-affine weights, and genealogical trees of a continuous-time pure-birth
-branching process.
+sorted by in-weight), directed preferential attachment with affine weights,
+and genealogical trees of a continuous-time pure-birth branching process.
+The last two are one affine attachment process, a vertex's weight being
+its in-degree plus a constant, and share one array sampler: each edge
+copies the target of a uniform earlier edge or takes a uniform older
+vertex, and the copies are resolved by pointer jumping.
 
 Every generator consumes a ``numpy.random.Generator`` of any bit generator
 and gives the same output from the same generator state; use
@@ -15,7 +18,6 @@ and gives the same output from the same generator state; use
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 
 import numpy as np
@@ -305,43 +307,49 @@ class PamParams:
 def gen_dpa(n: int, p: PamParams, rng) -> DirectedMultigraph:
     """Sequential preferential attachment, edges directed young -> old.
 
-    Starts from two vertices with m edges 1 -> 0; each new vertex attaches m
-    edges one at a time to old vertex i with probability proportional to
-    (total degree of i) + delta, degrees updating within the batch.
+    Starts from two vertices with m edges 1 -> 0; each new vertex v attaches
+    m edges one at a time to old vertex i with probability proportional to
+    (total degree of i) + delta, degrees updating within the batch.  Vertex
+    i's out-degree is m (for vertex 0, its m initial in-edges stand in), so
+    its weight is m + delta plus its in-edges from vertices 2, 3, ...: the
+    affine attachment of :func:`_affine_targets` with w = m + delta, whose
+    copies skip the m initial edges.  Valid for every delta > -m.
     Multi-edges arise naturally; self-loops never.
     """
     if n < 2:
         raise ConfigError(f"n must be >= 2, got {n}")
-    m, delta = p.m, p.delta
-    srcs = np.empty(m * (n - 1), dtype=np.int64)
-    tgts = np.empty(m * (n - 1), dtype=np.int64)
-    srcs[:m] = 1
-    tgts[:m] = 0
-    # one pool entry per unit of old-vertex degree; P(i) ~ degree_i + delta
-    pool = [0] * m + [1] * m
-    deg = [m, m] + [0] * (n - 2)
-    nxt = m
-    uniform = rng.random
-    randint = rng.integers
-    for v in range(2, n):
-        for l in range(1, m + 1):
-            T = len(pool)
-            if delta >= 0:
-                r = uniform() * (T + v * delta)
-                tgt = pool[int(r)] if r < T else int(randint(v))
-            else:
-                while True:
-                    tgt = pool[int(randint(T))]
-                    if uniform() * deg[tgt] < deg[tgt] + delta:
-                        break
-            srcs[nxt] = v
-            tgts[nxt] = tgt
-            nxt += 1
-            pool.append(tgt)
-            deg[tgt] += 1
-        pool.extend([v] * m)
-        deg[v] += m
-    return build_graph((srcs, tgts), n)
+    owner = np.repeat(np.arange(1, n, dtype=np.int64), p.m)
+    return build_graph((owner, _affine_targets(owner, p.m, p.m + p.delta, rng)), n)
+
+
+def _affine_targets(owner, first, w, rng):
+    """Targets of edges owned by the nondecreasing vertices ``owner``, each
+    attaching to vertex i < owner with probability proportional to w plus
+    the number of edges in [first, e) that point to i.
+
+    Edge e, owned by v, copies the target of a uniform edge in [first, e)
+    with probability A / (A + v w), A = max(e - first, 0), and otherwise
+    takes a uniform vertex in [0, v); one uniform per edge decides both.
+    Every copy points to an earlier edge, so pointer jumping resolves the
+    copies in log2(longest copy chain) rounds.  This is the pool-array
+    method of Batagelj and Brandes, "Efficient generation of large random
+    networks" (Phys. Rev. E 2005), with every edge drawn at once.
+    """
+    e = np.arange(owner.size)
+    a = np.maximum(e - first, 0)
+    r = rng.random(owner.size)
+    r *= a + owner * w
+    copy = r < a
+    ptr = e  # a direct edge points to itself
+    ptr[copy] = first + r[copy].astype(np.int64)
+    r -= a
+    r /= w
+    target = np.minimum(r.astype(np.int64), owner - 1)  # the division can round up to v
+    live = np.flatnonzero(copy)
+    while live.size:
+        ptr[live] = ptr[ptr[live]]
+        live = live[copy[ptr[live]]]
+    return target[ptr]
 
 
 @dataclass(frozen=True)
@@ -359,33 +367,20 @@ def gen_ctbp_tree(p: CtbpParams, target_n: int, rng):
     """Simulate the branching population to target_n individuals.
 
     Returns the genealogical tree (edges child -> parent) and per-vertex
-    birth times.  Event ordering uses exact exponential clocks via a global
-    priority queue; no discretization.
+    birth times, exact in law with no discretization.  With N individuals
+    alive, k_i children each, the next birth comes after an Exp((N - 1) +
+    N rate_base) gap and its parent is i with probability proportional to
+    k_i + rate_base: the affine random recursive tree (Rudas, Toth and
+    Valko, "Random trees and general branching processes", Random Struct.
+    Algorithms 2007), drawn by :func:`_affine_targets` with one edge per
+    child, every edge copyable, and w = rate_base.
     """
     if target_n < 1:
         raise ConfigError(f"target_n must be >= 1, got {target_n}")
     theta = p.rate_base
-    parents = [-1]
-    births = [0.0]
-    state = [0]
-    heap = [(rng.exponential(1.0 / theta), 0, 0)]
-    seq = 1
-    while len(parents) < target_n:
-        t, _, parent = heapq.heappop(heap)
-        child = len(parents)
-        parents.append(parent)
-        births.append(t)
-        state[parent] += 1
-        heapq.heappush(
-            heap, (t + rng.exponential(1.0 / (state[parent] + theta)), seq, parent)
-        )
-        seq += 1
-        state.append(0)
-        heapq.heappush(heap, (t + rng.exponential(1.0 / theta), seq, child))
-        seq += 1
-    if target_n == 1:
-        g = build_graph([], 1)
-    else:
-        child_ids = np.arange(1, target_n, dtype=np.int64)
-        g = build_graph((child_ids, np.asarray(parents[1:], dtype=np.int64)), target_n)
-    return g, np.asarray(births, dtype=np.float64)
+    child = np.arange(1, target_n, dtype=np.int64)
+    g = build_graph((child, _affine_targets(child, 0, theta, rng)), target_n)
+    births = np.zeros(target_n)
+    np.cumsum(rng.standard_exponential(child.size) / ((child - 1) + child * theta),
+              out=births[1:])
+    return g, births

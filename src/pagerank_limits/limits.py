@@ -41,7 +41,6 @@ __all__ = [
     "limit_law",
     "PolyaParams",
     "malthusian",
-    "sample_gw_forest",
     "solve_fixed_point_mc",
     "gw_root_rank_pool",
     "write_pool_csv",
@@ -51,7 +50,7 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-DEFAULT_CTBP_NODE_CAP = 10_000_000
+DEFAULT_NODE_CAP = 10_000_000
 # a polya root below this position is redrawn: its offspring rate x^-psi - 1 explodes
 POSITION_FLOOR = 1e-12
 
@@ -207,7 +206,7 @@ def _gw_levels(law, depth, M, rng):
         yield parent_ptr, mark
 
 
-def _ctbp_levels(rate_base, alpha_star, M, rng, max_nodes=DEFAULT_CTBP_NODE_CAP):
+def _ctbp_levels(rate_base, alpha_star, M, rng, max_nodes=DEFAULT_NODE_CAP):
     """Yield ``(parent_ptr, mark)`` for each level of M branching
     populations, until a level is empty, as :func:`_gw_levels` does.
 
@@ -248,7 +247,7 @@ def _ctbp_levels(rate_base, alpha_star, M, rng, max_nodes=DEFAULT_CTBP_NODE_CAP)
         yield parent_ptr, np.ones(order.size, dtype=np.int64)
 
 
-def _polya_levels(params, depth, M, rng):
+def _polya_levels(params, depth, M, rng, max_nodes=DEFAULT_NODE_CAP):
     """Yield ``(parent_ptr, mark)`` for each level 0..depth of M point trees,
     until a level is empty, as :func:`_gw_levels` does.
 
@@ -258,7 +257,8 @@ def _polya_levels(params, depth, M, rng):
     positions i.i.d. with CDF (t^psi - x^psi)/(1 - x^psi) on [x, 1].  All
     marks equal m.  Positions are kept as y = x^psi, which takes no power
     per node: the root's y is U^(chi psi) = U^(1 - chi), and a child's y is
-    uniform on [y, 1].
+    uniform on [y, 1].  Tree sizes are heavy-tailed: past ``max_nodes``
+    nodes it raises ``ResourceError``, and the caller may redraw.
     """
     y = rng.random(M) ** (1.0 - params.chi)
     floor = POSITION_FLOOR ** params.psi
@@ -268,11 +268,15 @@ def _polya_levels(params, depth, M, rng):
         y[low] = rng.random(low.size) ** (1.0 - params.chi)
         low = low[y[low] < floor]
     yield None, np.full(M, params.m, dtype=np.int64)
+    nodes = M
     for _ in range(depth):
         strength = rng.gamma(params.gamma_shape, size=y.size)
         parent_ptr = np.repeat(np.arange(y.size), rng.poisson(strength * (1.0 / y - 1.0)))
         if not parent_ptr.size:
             return
+        nodes += parent_ptr.size
+        if nodes > max_nodes:
+            raise ResourceError(f"point trees exceeded {max_nodes} nodes")
         y = y[parent_ptr]
         y += rng.random(y.size) * (1.0 - y)
         yield parent_ptr, np.full(y.size, params.m, dtype=np.int64)
@@ -303,14 +307,6 @@ def _forest(levels, depth) -> LimitForest:
                        mark=np.concatenate([mark for _, mark in levels])[order],
                        node_depth=node_depth[order], start=np.append(pos[:M], first[-1]),
                        truncation_depth=depth)
-
-
-def sample_gw_forest(law: BiDegreeLaw, depth: int, M: int, rng) -> LimitForest:
-    """M marked branching trees, the forest of :meth:`LimitLaw.gw`: root
-    (mark, in-degree) ~ p, other nodes ~ p*, every node spawning in-degree
-    children down to ``depth`` (nodes there keep their marks but spawn
-    nothing), one draw per level for every tree at once."""
-    return LimitLaw.gw(law).forest(depth, M, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -402,8 +398,8 @@ def gw_root_rank_pool(law: BiDegreeLaw, c: float | None, depth: int, M: int, rng
                       c_sampler=None, b_sampler=None) -> np.ndarray:
     """M independent root-rank samples by direct level-wise tree sampling.
 
-    The pool of :meth:`LimitLaw.gw`: each block of trees drawn as
-    :func:`sample_gw_forest` draws them and folded level by level, so
+    The pool of :meth:`LimitLaw.gw`: each block of trees drawn as its
+    :meth:`LimitLaw.forest` draws them and folded level by level, so
     memory is bounded by one block's trees.  Independent of the
     pool-resampling route, which it serves as an oracle for.
     """

@@ -7,13 +7,15 @@ PageRank recurrence, Fraction arithmetic for the branching-tree mean,
 one exploration plus one canonical code per root or tree for censuses,
 color refinement ranked by multi-key ``lexsort``, the line-by-line
 str-method edge-list parser, the line-at-a-time file writers and
-float-CSV readers, the dense IRG sampler, and the argsort-and-gather
-graph build.
+float-CSV readers, the dense IRG sampler, the per-edge preferential
+attachment and event-heap branching-population samplers (with the
+enumerated law of their graphs on a few vertices), and the
+argsort-and-gather graph build.
 None of these shares code with the implementation paths it checks.
 
 It also holds what only tests call: the local pseudodistance and the
 truncations it compares, the node-at-a-time branching-tree sampler that
-``sample_gw_forest`` must match (and a law drawing with it), the per-tree
+the gw law's forests must match (and a law drawing with it), the per-tree
 point-tree and branching-population samplers, the per-tree root rank and
 the per-tree limit law they make up (the references for the level-wise
 laws), limit trees as neighborhoods, small views of library objects (edge
@@ -22,6 +24,7 @@ invariants), the tail-CSV reader, and the identity checks with any missing
 score vector solved for.
 """
 
+import heapq
 import math
 import re
 from collections import Counter
@@ -43,7 +46,7 @@ from pagerank_limits.graph import (
     explore_neighborhood,
 )
 from pagerank_limits.limits import (
-    DEFAULT_CTBP_NODE_CAP,
+    DEFAULT_NODE_CAP,
     POSITION_FLOOR,
     LimitForest,
     LimitTree,
@@ -404,6 +407,123 @@ def gen_irg_dense(w_out, w_in, theta, rng):
     return build_graph((src.astype(np.int64), tgt.astype(np.int64)), n)
 
 
+def gen_dpa_sequential(n: int, p, rng) -> DirectedMultigraph:
+    """Sequential preferential attachment, edges directed young -> old.
+
+    Starts from two vertices with m edges 1 -> 0; each new vertex attaches m
+    edges one at a time to old vertex i with probability proportional to
+    (total degree of i) + delta, degrees updating within the batch.
+    Multi-edges arise naturally; self-loops never.
+    """
+    if n < 2:
+        raise ConfigError(f"n must be >= 2, got {n}")
+    m, delta = p.m, p.delta
+    srcs = np.empty(m * (n - 1), dtype=np.int64)
+    tgts = np.empty(m * (n - 1), dtype=np.int64)
+    srcs[:m] = 1
+    tgts[:m] = 0
+    # one pool entry per unit of old-vertex degree; P(i) ~ degree_i + delta
+    pool = [0] * m + [1] * m
+    deg = [m, m] + [0] * (n - 2)
+    nxt = m
+    uniform = rng.random
+    randint = rng.integers
+    for v in range(2, n):
+        for l in range(1, m + 1):
+            T = len(pool)
+            if delta >= 0:
+                r = uniform() * (T + v * delta)
+                tgt = pool[int(r)] if r < T else int(randint(v))
+            else:
+                while True:
+                    tgt = pool[int(randint(T))]
+                    if uniform() * deg[tgt] < deg[tgt] + delta:
+                        break
+            srcs[nxt] = v
+            tgts[nxt] = tgt
+            nxt += 1
+            pool.append(tgt)
+            deg[tgt] += 1
+        pool.extend([v] * m)
+        deg[v] += m
+    return build_graph((srcs, tgts), n)
+
+
+def gen_ctbp_tree_sequential(p, target_n: int, rng):
+    """Simulate the branching population to target_n individuals.
+
+    Returns the genealogical tree (edges child -> parent) and per-vertex
+    birth times.  Event ordering uses exact exponential clocks via a global
+    priority queue; no discretization.
+    """
+    if target_n < 1:
+        raise ConfigError(f"target_n must be >= 1, got {target_n}")
+    theta = p.rate_base
+    parents = [-1]
+    births = [0.0]
+    state = [0]
+    heap = [(rng.exponential(1.0 / theta), 0, 0)]
+    seq = 1
+    while len(parents) < target_n:
+        t, _, parent = heapq.heappop(heap)
+        child = len(parents)
+        parents.append(parent)
+        births.append(t)
+        state[parent] += 1
+        heapq.heappush(
+            heap, (t + rng.exponential(1.0 / (state[parent] + theta)), seq, parent)
+        )
+        seq += 1
+        state.append(0)
+        heapq.heappush(heap, (t + rng.exponential(1.0 / theta), seq, child))
+        seq += 1
+    if target_n == 1:
+        g = build_graph([], 1)
+    else:
+        child_ids = np.arange(1, target_n, dtype=np.int64)
+        g = build_graph((child_ids, np.asarray(parents[1:], dtype=np.int64)), target_n)
+    return g, np.asarray(births, dtype=np.float64)
+
+
+def affine_graph_probabilities(n: int, m: int, first_weights, w: float) -> dict:
+    """Every graph of the sequential attachment definition on n vertices,
+    mapped to its probability: edge triples ``(src, tgt, mult)`` in
+    (src, tgt) order.
+
+    Vertices 2..n-1 (``first_weights`` given for vertices 0 and 1 at the
+    start) or 1..n-1 (``first_weights`` of vertex 0 alone) each attach m
+    edges one at a time to an older vertex i with probability proportional
+    to its weight, and each attached edge adds 1 to its target's weight;
+    each new vertex starts at weight w.  Preferential attachment with
+    (m, delta) is ``first_weights = (m + delta, m + delta)`` and
+    ``w = m + delta``, prefixed by the m edges 1 -> 0; the branching
+    population's genealogy with rate_base theta is m = 1,
+    ``first_weights = (theta,)`` and ``w = theta``.
+    """
+    start = len(first_weights)
+    init = [(1, 0)] * m if start == 2 else []
+    out = Counter()
+
+    def grow(v, weights, edges, prob):
+        if v == n:
+            out[tuple((s, t, k) for (s, t), k in sorted(Counter(edges).items()))] += prob
+            return
+
+        def attach(left, weights, edges, prob):
+            if not left:
+                grow(v + 1, weights + [w], edges, prob)
+                return
+            total = sum(weights)
+            for i, x in enumerate(weights):
+                bumped = weights[:i] + [x + 1] + weights[i + 1:]
+                attach(left - 1, bumped, edges + [(v, i)], prob * x / total)
+
+        attach(m, weights, edges, prob)
+
+    grow(start, list(first_weights), init, 1.0)
+    return dict(out)
+
+
 _INT64_MAX = 2**63 - 1
 
 
@@ -574,7 +694,7 @@ def local_distance(a: MarkedNeighborhood, b: MarkedNeighborhood) -> Fraction:
 
 def sample_gw_trees(law, depth: int, M: int, rng, on_level=None) -> list:
     """M marked branching trees, one Python node at a time, in the draw order
-    of ``sample_gw_forest``: the M roots' (mark, in-degree) ~ p, then each
+    of the gw law's forests: the M roots' (mark, in-degree) ~ p, then each
     level of all M trees at once ~ p*, every node spawning in-degree
     children, cut at ``depth`` (nodes there keep their marks but spawn
     nothing).  ``on_level(n)``, when given, is called after each level's n
@@ -705,7 +825,7 @@ class SampledTree(LimitTree):
 
 
 def sample_ctbp_limit(rate_base: float, alpha_star: float, rng,
-                      max_nodes: int = DEFAULT_CTBP_NODE_CAP) -> SampledTree:
+                      max_nodes: int = DEFAULT_NODE_CAP) -> SampledTree:
     """Branching population restricted to an Exp(alpha_star) window, one
     Python node at a time.
 

@@ -24,7 +24,6 @@ from pagerank_limits import (
     gen_irg,
     gw_root_rank_pool,
     limit_law,
-    lower_bound_check,
     malthusian,
     pagerank_truncated,
     sample_bidegree_sequence,

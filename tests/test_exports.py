@@ -39,12 +39,13 @@ def test_package_imports_resolve_to_their_modules():
 
 # public names that only tests called, moved to tests/_oracles.py or deleted,
 # the truncation sweeps, whose checks the exact solve's own pass now feeds,
-# and the per-tree limit samplers, root rank and law, which the level-wise
-# laws replaced
+# the per-tree limit samplers, root rank and law, which the level-wise laws
+# replaced, and the gw forest wrapper over ``LimitLaw.gw(law).forest``
 TEST_ONLY = ("local_distance", "truncate_neighborhood", "UsageDepthError",
              "InvalidNeighborhood", "parse_edgelist", "sample_gw_limit",
              "tree_neighborhood", "truncation_sweep", "solve_and_sweep", "read_tail_csv",
-             "TreeLaw", "sample_polya_limit", "sample_ctbp_limit", "root_pagerank")
+             "TreeLaw", "sample_polya_limit", "sample_ctbp_limit", "root_pagerank",
+             "sample_gw_forest")
 TEST_ONLY_METHODS = {"DirectedMultigraph": ("edge_triples", "has_dangling"),
                      "MarkedNeighborhood": ("validate", "max_node_depth"),
                      "BiDegreeLaw": ("star_entries",),
@@ -73,6 +74,42 @@ def test_test_only_api_left_the_library():
     assert not hasattr(pagerank_limits.pagerank._OrderedSystem, "sweep")
     assert list(inspect.signature(pagerank_limits.pagerank.check_invariants).parameters) \
         == ["g", "params", "exact"]
+
+
+def _unused_imports(path):
+    """Names ``path`` imports and never reads: no load of the name, no
+    ``__all__`` entry, and no ``# noqa: F401`` on the import's line."""
+    text = path.read_text(encoding="utf-8")
+    tree = ast.parse(text)
+    lines = text.splitlines()
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            read |= set(ast.literal_eval(node.value))
+    unused = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)) or \
+                getattr(node, "module", None) == "__future__":
+            continue
+        for alias in node.names:
+            name = alias.asname or alias.name.split(".")[0]
+            if "# noqa: F401" in lines[alias.lineno - 1]:
+                continue
+            if name not in read:
+                unused.append(f"{path.name}:{alias.lineno} {name}")
+    return unused
+
+
+def test_no_unused_imports():
+    # the package's __init__ imports to re-export, so it is left out
+    root = Path(__file__).resolve().parents[1]
+    paths = [p for p in sorted((root / "src" / "pagerank_limits").glob("*.py"))
+             if p.name != "__init__.py"]
+    paths += sorted((root / "tests").glob("*.py"))
+    assert len(paths) > 20
+    assert [u for path in paths for u in _unused_imports(path)] == []
 
 
 def _overview_rows():

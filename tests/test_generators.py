@@ -4,6 +4,7 @@ import scipy.stats
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from pagerank_limits import generators
 from pagerank_limits.errors import ConfigError
 from pagerank_limits.generators import (
     BiDegreeLaw,
@@ -19,7 +20,15 @@ from pagerank_limits.generators import (
 )
 from pagerank_limits.graph import write_edgelist
 
-from _oracles import edge_triples, gen_irg_dense, irg_cell_probabilities, star_entries
+from _oracles import (
+    affine_graph_probabilities,
+    edge_triples,
+    gen_ctbp_tree_sequential,
+    gen_dpa_sequential,
+    gen_irg_dense,
+    irg_cell_probabilities,
+    star_entries,
+)
 
 UNIFORM33 = BiDegreeLaw([(h, l, 1 / 9) for h in (1, 2, 3) for l in (1, 2, 3)])
 
@@ -404,6 +413,93 @@ class TestCtbp:
         assert g.total_multiplicity == 799
         assert g.d_out[0] == 0 and (g.d_out[1:] == 1).all()
         assert (np.diff(births) > 0).all()  # birth order is the vertex order
+
+
+# the sequential definition's graphs on 4 vertices: (name, sampler, first
+# vertex weights, m, new-vertex weight)
+AFFINE_CASES = [
+    *((f"dpa-m{m}-delta{delta}", lambda r, m=m, delta=delta: gen_dpa(4, PamParams(m, delta), r),
+       (m + delta,) * 2, m, m + delta)
+      for m, deltas in ((1, (-0.5, 0.0, 1.0)), (2, (-1.5, 0.0, 1.0))) for delta in deltas),
+    ("ctbp-theta0.5", lambda r: gen_ctbp_tree(CtbpParams(0.5), 4, r)[0], (0.5,), 1, 0.5),
+]
+
+
+def _affine_pvalue(sample, first_weights, m, w, graphs=2000):
+    """Chi-square p-value of ``graphs`` draws of ``sample`` against the
+    enumerated law of the sequential definition at n = 4; every graph has
+    at least 5 expected draws."""
+    law = affine_graph_probabilities(4, m, first_weights, w)
+    counts = dict.fromkeys(law, 0)
+    rng = RngStream(41).generator()
+    for _ in range(graphs):
+        key = tuple(edge_triples(sample(rng)))
+        assert key in counts, key
+        counts[key] += 1
+    expected = graphs * np.array(list(law.values()))
+    assert expected.min() >= 5
+    return scipy.stats.chisquare(list(counts.values()), expected).pvalue
+
+
+class TestAffineAgainstSequential:
+    """``gen_dpa`` and ``gen_ctbp_tree`` against the sequential definition:
+    the per-edge and event-heap samplers of ``_oracles`` and the enumerated
+    law of every graph on 4 vertices."""
+
+    # the 7 cases share a family-wise level of 1e-6
+    LEVEL = 1e-6 / len(AFFINE_CASES)
+
+    @pytest.mark.parametrize("case", AFFINE_CASES, ids=[c[0] for c in AFFINE_CASES])
+    def test_exact_law_n4(self, case):
+        assert _affine_pvalue(*case[1:]) >= self.LEVEL
+
+    def test_copying_initial_edges_fails(self, monkeypatch):
+        # a planted defect: the m initial edges 1 -> 0 join the copy pool,
+        # which gives vertex 0 m extra units of weight; half the graphs of
+        # the exact-law test suffice to reject it
+        affine_targets = generators._affine_targets
+        monkeypatch.setattr(generators, "_affine_targets",
+                            lambda owner, first, w, rng: affine_targets(owner, 0, w, rng))
+        for case in AFFINE_CASES[:-1]:
+            assert _affine_pvalue(*case[1:], graphs=1000) < self.LEVEL, case[0]
+
+    @pytest.mark.parametrize("ours,oracle", [
+        pytest.param(lambda r: gen_dpa(20_000, PamParams(2, -1.0), r),
+                     lambda r: gen_dpa_sequential(20_000, PamParams(2, -1.0), r),
+                     id="dpa-m2-delta-1"),
+        pytest.param(lambda r: gen_dpa(20_000, PamParams(1, 0.5), r),
+                     lambda r: gen_dpa_sequential(20_000, PamParams(1, 0.5), r),
+                     id="dpa-m1-delta0.5"),
+        pytest.param(lambda r: gen_ctbp_tree(CtbpParams(1.0), 20_000, r)[0],
+                     lambda r: gen_ctbp_tree_sequential(CtbpParams(1.0), 20_000, r)[0],
+                     id="ctbp-theta1"),
+    ])
+    def test_in_degree_histograms(self, ours, oracle):
+        # in-degrees 0..11 and a pooled tail, over two graphs of each
+        # sampler; the 3 cases share a family-wise level of 1e-6
+        hists = []
+        for k, sample in enumerate((ours, oracle)):
+            d_in = np.concatenate([sample(RngStream(42, (k, i)).generator()).d_in
+                                   for i in range(2)])
+            hists.append(np.bincount(np.minimum(d_in, 12), minlength=13))
+        table = np.array(hists)
+        table = table[:, table.min(axis=0) >= 5]
+        assert table.shape[1] >= 6
+        assert scipy.stats.chi2_contingency(table).pvalue >= 1e-6 / 3, table
+
+    def test_last_birth_time(self):
+        # the last of 50 birth times: two-sample KS over 300 seeds each, and
+        # both means against E = sum of 1 / ((N - 1) + N theta), N = 1..49
+        theta, n, runs = 0.5, 50, 300
+        ours, oracle = (
+            np.array([make(CtbpParams(theta), n, RngStream(43, (k, i)).generator())[1][-1]
+                      for i in range(runs)])
+            for k, make in enumerate((gen_ctbp_tree, gen_ctbp_tree_sequential)))
+        assert scipy.stats.ks_2samp(ours, oracle).pvalue >= 1e-6
+        N = np.arange(1, n)
+        mean = (1.0 / ((N - 1) + N * theta)).sum()
+        for times in (ours, oracle):
+            assert abs(times.mean() - mean) < 5 * times.std() / np.sqrt(runs)
 
 
 class TestReproducibility:

@@ -2,8 +2,6 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from pagerank_limits.census import census_limit, tv_distance
 from pagerank_limits.errors import ConfigError, ResourceError, UsageError
@@ -22,7 +20,6 @@ from pagerank_limits.limits import (
     limit_law,
     malthusian,
     read_pool_csv,
-    sample_gw_forest,
     solve_fixed_point_mc,
     write_pool_csv,
     write_tree_edgelist,
@@ -137,7 +134,7 @@ class TestGwForest:
         for i, law in enumerate(self.LAWS):
             for M in (1, 400):
                 rf, rs = RngStream(60, i).generator(), RngStream(60, i).generator()
-                forest = sample_gw_forest(law, depth, M, rf)
+                forest = LimitLaw.gw(law).forest(depth, M, rf)
                 trees = sample_gw_trees(law, depth, M, rs)
                 assert forest.roots.size == M and forest.truncation_depth == depth
                 assert_same_forest(forest, forest_of_trees(trees, depth))
@@ -151,7 +148,7 @@ class TestGwForest:
         # mostly single nodes, now and then a tree of thousands
         law = BiDegreeLaw([(1, 0, 0.9), (10, 19, 0.1)])
         rf, rs = RngStream(61).generator(), RngStream(61).generator()
-        forest = sample_gw_forest(law, 3, 50, rf)
+        forest = LimitLaw.gw(law).forest(3, 50, rf)
         assert_same_forest(forest, forest_of_trees(sample_gw_trees(law, 3, 50, rs), 3))
         assert forest.start[-1] > 1000 and rf.random() == rs.random()
 
@@ -168,9 +165,9 @@ class TestGwForest:
 
     def test_bad_arguments(self):
         with pytest.raises(ConfigError):
-            sample_gw_forest(UNIFORM33, -1, 5, RngStream(63).generator())
+            LimitLaw.gw(UNIFORM33).forest(-1, 5, RngStream(63).generator())
         with pytest.raises(ConfigError):
-            sample_gw_forest(UNIFORM33, 2, 0, RngStream(63).generator())
+            LimitLaw.gw(UNIFORM33).forest(2, 0, RngStream(63).generator())
 
 
 class TestGwTreeStarts:
@@ -179,7 +176,7 @@ class TestGwTreeStarts:
     def test_roots_only_law(self):
         law = BiDegreeLaw([(0, 0, 1.0)])
         rf, rs = RngStream(71).generator(), RngStream(71).generator()
-        forest = sample_gw_forest(law, 3, 50, rf)
+        forest = LimitLaw.gw(law).forest(3, 50, rf)
         assert forest.start.tolist() == list(range(51)) and not forest.mark.any()
         assert all(t.size == 1 for t in sample_gw_trees(law, 3, 50, rs))
         assert rf.random() == rs.random()
@@ -188,8 +185,8 @@ class TestGwTreeStarts:
         # mean out-degree 0 leaves p* undefined, yet roots may have in-degree 1
         law = BiDegreeLaw([(0, 1, 0.5), (0, 0, 0.5)], mean_tol=1.0)
         with pytest.raises(ConfigError, match="size-biased law undefined"):
-            sample_gw_forest(law, 1, 50, RngStream(72).generator())
-        assert sample_gw_forest(law, 0, 50, RngStream(72).generator()).start[-1] == 50
+            LimitLaw.gw(law).forest(1, 50, RngStream(72).generator())
+        assert LimitLaw.gw(law).forest(0, 50, RngStream(72).generator()).start[-1] == 50
 
 
 class TestRootRank:
@@ -461,30 +458,40 @@ class TestCtbpLimit:
             assert value == pytest.approx(want, abs=1e-12)
 
     def test_node_cap(self):
-        # past its cap the generator raises, and a law draws the block again,
-        # up to 10 attempts, each from where the last left the stream
-        with pytest.raises(ResourceError, match="exceeded 3 nodes"):
-            list(_ctbp_levels(1.0, 2.0, 50, RngStream(62).generator(), max_nodes=3))
-        attempts = []
+        # past its cap a level generator raises, and a law draws the block
+        # again, up to 10 attempts, each from where the last left the stream
+        polya = PolyaParams(2, 1.0)
+        cases = {  # name: (levels with a cap, whether the law is finite)
+            "ctbp": (lambda depth, M, rng, cap: _ctbp_levels(1.0, 2.0, M, rng, max_nodes=cap),
+                     True),
+            "polya": (lambda depth, M, rng, cap: _polya_levels(polya, depth, M, rng,
+                                                               max_nodes=cap), False),
+        }
+        for name, (capped, finite) in cases.items():
+            with pytest.raises(ResourceError, match="exceeded 3 nodes"):
+                list(capped(5, 50, RngStream(62).generator(), 3))
+            attempts = []
 
-        def levels(depth, M, rng):
-            attempts.append(M)
-            return _ctbp_levels(1.0, 2.0, M, rng, max_nodes=2)
+            def levels(depth, M, rng):
+                attempts.append(M)
+                return capped(depth, M, rng, 2)
 
-        law = LimitLaw(levels, finite=True)
-        ra, rb = RngStream(66).generator(), RngStream(66).generator()
-        tree = law.tree(5, ra)
-        for failed in range(10):
-            try:
-                want = _forest(_ctbp_levels(1.0, 2.0, 1, rb, max_nodes=2), None).tree(0)
-                break
-            except ResourceError:
-                pass
-        assert failed == 2 and attempts == [1] * 3 and ra.random() == rb.random()
-        assert_same_forest(tree, want, TREE_COLUMNS)
-        with pytest.raises(ResourceError, match="^limit population kept exceeding the node cap$"):
-            law.forest(2, 50, ra)
-        assert attempts == [1] * 3 + [50] * 10
+            law = LimitLaw(levels, finite=finite)
+            ra, rb = RngStream(66).generator(), RngStream(66).generator()
+            tree = law.tree(5, ra)
+            depth = None if finite else 5
+            for failed in range(10):
+                try:
+                    want = _forest(capped(depth, 1, rb, 2), depth).tree(0)
+                    break
+                except ResourceError:
+                    pass
+            assert failed == 2 and attempts == [1] * 3 and ra.random() == rb.random(), name
+            assert_same_forest(tree, want, TREE_COLUMNS)
+            with pytest.raises(ResourceError,
+                               match="^limit population kept exceeding the node cap$"):
+                law.forest(2, 50, ra)
+            assert attempts == [1] * 3 + [50] * 10
 
     def test_rank_monotone_up_to_full_value(self):
         rng = RngStream(76).generator()

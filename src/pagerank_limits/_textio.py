@@ -179,24 +179,32 @@ def _shortest(bits):
     return d, k + fewer
 
 
-def _words(texts):
-    """ASCII strings of at most 8 bytes as little-endian uint64 words, NUL-padded."""
-    return np.frombuffer(b"".join(t.encode().ljust(8, b"\0") for t in texts), dtype="<u8")
-
-
 @functools.cache
 def _layout_tables():
     """Word tables of :func:`_floats`: the four ASCII digits of 0..9999 (one
     little-endian uint32 each) and their trailing zeros (4 for 0); for 0..17
     digits shown, masks keeping the shown ones of digits 2-9 and of 10-17;
-    and the exponents ``e-330``..``e+330`` after an empty entry 0."""
-    quads = _words(f"{i:04d}" for i in range(10000)).astype("<u4")
-    n = np.arange(10000)
-    zeros = sum((n % p == 0).astype(np.uint8) for p in (10, 100, 1000, 10000))
+    and the exponents ``e-330``..``e+330`` after an empty entry 0, as
+    NUL-padded little-endian uint64 words.  The words are viewed from byte
+    matrices built in integer array arithmetic, once, on the first float
+    written."""
+    n = np.arange(10000, dtype=np.uint32)
+    quads = np.empty((n.size, 4), dtype=np.uint8)
+    for j in range(4):
+        quads[:, j] = n // np.uint32(10 ** (3 - j)) % np.uint32(10) + np.uint32(48)
+    zeros = sum((n % np.uint32(p) == 0).view(np.uint8) for p in (10, 100, 1000, 10000))
     keep = np.array([[(1 << 8 * min(max(shown - first, 0), 8)) - 1 for shown in range(18)]
                      for first in (1, 9)], dtype=np.uint64)
-    exponents = _words([""] + [f"e{i:+03d}" for i in range(-330, 331)])
-    return quads, zeros, keep, exponents
+    e = np.arange(-330, 331)
+    a = np.abs(e)[:, None]
+    width = 2 + (a >= 100)  # exponent digits, at least two
+    place = np.arange(3)
+    text = np.zeros((e.size + 1, 8), dtype=np.uint8)  # row 0 is the empty entry
+    text[1:, 0] = ord("e")
+    text[1:, 1] = np.where(e < 0, ord("-"), ord("+"))
+    text[1:, 2:5] = np.where(place < width,
+                             a // 10 ** np.maximum(width - 1 - place, 0) % 10 + 48, 0)
+    return quads.view("<u4").ravel(), zeros, keep, text.view("<u8").ravel()
 
 
 def _floats(values):

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import math
 import sys
@@ -569,7 +570,11 @@ def _cmd_run(args):
 # argument parsing
 
 
+@functools.cache
 def build_parser():
+    """The argument parser of every subcommand, built on the first :func:`main`
+    call of a process and reused: parsing keeps no state in it, and
+    ``--sampler`` reads the live ``LIMIT_LAWS`` registry on each parse."""
     ap = argparse.ArgumentParser(
         prog="pagerank-limits",
         description="PageRank on directed multigraphs and samplers of their local limits",
@@ -611,7 +616,7 @@ def build_parser():
     p.set_defaults(fn=_cmd_census)
 
     p = sub.add_parser("limit-sample", help="sample a limiting object")
-    p.add_argument("--sampler", required=True, choices=list(limits_mod.LIMIT_LAWS))
+    p.add_argument("--sampler", required=True, choices=limits_mod.LIMIT_LAWS)
     p.add_argument("--mode", choices=["pool", "census", "tree"], default="pool")
     p.add_argument("--M", type=int, help="trees or pool size (pool and census modes)")
     p.add_argument("--depth", type=int, default=10)
@@ -648,8 +653,7 @@ def build_parser():
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except InvariantViolation as e:

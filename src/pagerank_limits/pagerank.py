@@ -329,15 +329,30 @@ def check_invariants(g: DirectedMultigraph, params, exact: PageRankVector):
     when it holds) for ``teleport-floor`` (R >= B), ``mass-identity``,
     ``truncation-bound-N<k>`` for k = 0..N (``gap`` from
     :func:`truncation_gap`) and ``lower-bound``.  The tolerances are
-    :func:`_slack`'s, derived in README.
+    :func:`_slack`'s, derived in README, once for the whole pass.
     """
     below = int((exact.values < _coefficients(g, params)[1]).sum())
     yield "teleport-floor", f"{below} vertices below B" if below else None, None
+    exact = _CheckedVector(**vars(exact), slack=_slack(g, params, exact))
     yield ("mass-identity", None if generalized_mass_ok(g, params, exact)
            else f"sum R = {float(exact.values.sum())!r} off the identity", None)
     for k in range(len(exact.means) - 1):
         yield f"truncation-bound-N{k}", *_outcome(truncation_gap, g, params, exact, k)
     yield "lower-bound", _outcome(lower_bound_check, g, params, exact)[0], None
+
+
+@dataclass
+class _CheckedVector(PageRankVector):
+    """``exact`` inside one :func:`check_invariants` pass, with the pass's
+    :func:`_slack`, which every check of the pass reads instead of deriving
+    it again (an n-length pass over the graph's rows each time)."""
+
+    slack: tuple = ()
+
+
+def _tolerances(g, params, exact):
+    """:func:`_slack`, or the one ``exact`` carries from its pass."""
+    return exact.slack if isinstance(exact, _CheckedVector) else _slack(g, params, exact)
 
 
 def _outcome(check, *args):
@@ -391,7 +406,7 @@ def truncation_gap(g: DirectedMultigraph, params, exact: PageRankVector, N: int)
         bound = params.c ** (N + 1)
     else:
         bound = params.c_max ** (N + 1) * _mean(params.B) / (1.0 - params.c_max)
-    rounding, _, lag = _slack(g, params, exact)
+    rounding, _, lag = _tolerances(g, params, exact)
     scale = 2 * rounding * abs(exact.means[-1])
     if not -(lag + scale) <= mean_gap <= bound + scale:
         raise InvariantViolation(f"truncation gap {mean_gap!r} outside [0, {bound!r}]")
@@ -410,7 +425,7 @@ def generalized_mass_ok(g: DirectedMultigraph, params, exact: PageRankVector) ->
     total = float(exact.values.sum())
     # einsum, not BLAS: a threaded ddot costs more than all the other checks
     rhs = float(B.sum()) + float(np.einsum("i,i->", C[linked], exact.values[linked]))
-    rounding, mass, _ = _slack(g, params, exact)
+    rounding, mass, _ = _tolerances(g, params, exact)
     return bool(abs(total - rhs) <= mass + rounding * (abs(total) + abs(rhs)))
 
 
@@ -434,7 +449,7 @@ def lower_bound_check(g: DirectedMultigraph, params, exact: PageRankVector) -> f
     np.add.at(bound, g.tgt, weight)
     del weight
     bound += B
-    bad = np.nonzero(exact.values < bound - _slack(g, params, exact)[0] * bound)[0]
+    bad = np.nonzero(exact.values < bound - _tolerances(g, params, exact)[0] * bound)[0]
     if bad.size:
         head = ", ".join(str(int(v)) for v in bad[:10])
         raise InvariantViolation(

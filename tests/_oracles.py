@@ -7,10 +7,10 @@ PageRank recurrence, Fraction arithmetic for the branching-tree mean,
 one exploration plus one canonical code per root or tree for censuses,
 color refinement ranked by multi-key ``lexsort``, the line-by-line
 str-method edge-list parser, the line-at-a-time file writers and
-float-CSV readers, the dense IRG sampler, the per-edge preferential
-attachment and event-heap branching-population samplers (with the
-enumerated law of their graphs on a few vertices), and the
-argsort-and-gather graph build.
+float-CSV readers, the float writer's word tables from formatted strings,
+the dense IRG sampler, the per-edge preferential attachment and event-heap
+branching-population samplers (with the enumerated law of their graphs on a
+few vertices), and the argsort-and-gather graph build.
 None of these shares code with the implementation paths it checks.
 
 It also holds what only tests call: the local pseudodistance and the
@@ -349,6 +349,24 @@ def write_tail_csv_reference(thresholds, fractions, path) -> None:
         fh.write("r,ccdf\n")
         for r, f in zip(np.asarray(thresholds).tolist(), fractions.tolist()):
             fh.write(f"{r!r},{f!r}\n")
+
+
+def layout_tables_reference():
+    """``_textio._layout_tables`` from formatted strings: ``f"{i:04d}"`` for
+    the quads and their trailing zeros, byte strings for the masks, and
+    ``f"e{i:+03d}"`` for the exponents, each NUL-padded to its word."""
+    def words(texts, size):
+        return b"".join(t.encode().ljust(size, b"\0") for t in texts)
+
+    fours = [f"{i:04d}" for i in range(10000)]
+    quads = np.frombuffer(words(fours, 4), dtype="<u4")
+    zeros = np.array([len(t) - len(t.rstrip("0")) for t in fours], dtype=np.uint8)
+    keep = np.frombuffer(b"".join(bytes([255] * min(max(shown - first, 0), 8)).ljust(8, b"\0")
+                                  for first in (1, 9) for shown in range(18)),
+                         dtype="<u8").reshape(2, 18)
+    exponents = np.frombuffer(words([""] + [f"e{i:+03d}" for i in range(-330, 331)], 8),
+                              dtype="<u8")
+    return quads, zeros, keep, exponents
 
 
 def read_float_csv_reference(path, header) -> np.ndarray:

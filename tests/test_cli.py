@@ -1,3 +1,4 @@
+import argparse
 import json
 import warnings
 
@@ -656,6 +657,67 @@ def test_limit_law_error_lists_the_registry(monkeypatch):
         limit_law("nope", {"name": "dcm"})
     for sampler, (model, _) in LIMIT_LAWS.items():
         assert f"{model}: " in str(err.value) and sampler in str(err.value)
+
+
+# commands whose flags share names: --m and --output default differently, and
+# each sets one shared flag (--seed, --m) that the other leaves at its default
+SHARED_FLAGS = {
+    "generate": ["generate", "--model", "dpa", "--n", "300", "--seed", "4"],
+    "limit-sample": ["limit-sample", "--sampler", "polya", "--M", "300", "--depth", "3",
+                     "--m", "3"],
+}
+
+
+class TestOneParser:
+    """``main`` builds its parser once a process; no parse leaks into the next."""
+
+    @staticmethod
+    def _outputs(path, monkeypatch, capsys, commands):
+        """(stdout of each command, bytes of each file written) for ``commands``
+        run in order in the new directory ``path``."""
+        path.mkdir()
+        monkeypatch.chdir(path)
+        printed = []
+        for argv in commands:
+            assert cli.main(argv) == 0
+            printed.append(capsys.readouterr().out)
+        return printed, {f.name: f.read_bytes() for f in path.iterdir()}
+
+    def test_main_builds_the_parser_once(self, tmp_path, monkeypatch, capsys):
+        progs = []
+        init = argparse.ArgumentParser.__init__
+
+        def counted(self, *args, **kwargs):
+            progs.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        cli.build_parser.cache_clear()
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        self._outputs(tmp_path / "out", monkeypatch, capsys,
+                      [*SHARED_FLAGS.values(), SHARED_FLAGS["generate"]])
+        assert progs.count("pagerank-limits") == 1
+
+    def test_shared_flags_alike_in_either_order_and_alone(self, tmp_path, monkeypatch, capsys):
+        alone = {}
+        for name, argv in SHARED_FLAGS.items():
+            cli.build_parser.cache_clear()
+            alone[name] = self._outputs(tmp_path / name, monkeypatch, capsys, [argv])
+        for order in (["generate", "limit-sample"], ["limit-sample", "generate"]):
+            printed, files = self._outputs(tmp_path / "-".join(order), monkeypatch, capsys,
+                                           [SHARED_FLAGS[name] for name in order])
+            assert printed == [alone[name][0][0] for name in order]
+            assert files == {**alone["generate"][1], **alone["limit-sample"][1]}
+
+    def test_sampler_accepts_a_law_registered_after_the_first_call(self, tmp_path,
+                                                                   monkeypatch, capsys):
+        def argv(sampler):
+            return ["limit-sample", "--sampler", sampler, "--M", "200", "--depth", "3",
+                    *LIMIT_ARGS["gw"]]
+
+        _, want = self._outputs(tmp_path / "gw", monkeypatch, capsys, [argv("gw")])
+        monkeypatch.setitem(LIMIT_LAWS, "gw-copy", LIMIT_LAWS["gw"])
+        _, got = self._outputs(tmp_path / "copy", monkeypatch, capsys, [argv("gw-copy")])
+        assert got["pool.csv"] == want["pool.csv"]
 
 
 def _library_law(sampler):

@@ -148,8 +148,14 @@ def test_cli_import_loads_no_scipy_and_no_multiprocessing(tmp_path):
     # each command pays its imports: scipy.sparse cost about 0.25 s of start-up,
     # multiprocessing 15-27 ms, numpy.ma 16-21 ms, and none is needed by a
     # default command; census imports its process pool only for workers > 1
-    loaded = _run_python("import sys, pagerank_limits.cli; print(*sys.modules)",
-                         tmp_path).split()
+    # nor does importing build the argument parser or the float writer's
+    # tables: each is built on first use, by the command that needs it
+    out = _run_python(
+        "import sys, pagerank_limits.cli as cli, pagerank_limits._textio as t\n"
+        "print(*(f.cache_info().currsize for f in (cli.build_parser, t._layout_tables,"
+        " t._schubfach_tables)), *sys.modules)", tmp_path).split()
+    built, loaded = out[:3], out[3:]
+    assert built == ["0", "0", "0"]
     assert "pagerank_limits.cli" in loaded
     assert [m for m in loaded if m.split(".")[0] in ("scipy", "multiprocessing")] == []
     assert [m for m in loaded if m.startswith("concurrent.futures")] == []

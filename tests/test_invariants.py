@@ -78,6 +78,21 @@ class TestCheckInvariants:
         assert gaps == [pr.truncation_gap(g, params, exact, k) for k in orders]
         assert results[0][2] is results[1][2] is results[-1][2] is None
 
+    @pytest.mark.parametrize("generalized", [False, True])
+    def test_one_slack_per_pass(self, monkeypatch, generalized):
+        # the mass identity, 21 truncation orders and the lower bound all
+        # read one derivation of the tolerances, where each derived its own
+        g = build_graph([(0, 1), (1, 2), (2, 0), (2, 1), (0, 3)], 4)
+        params = (GeneralizedWeights(C=np.array([0.2, 0.5, 0.8, 0.4]), B=np.full(4, 0.3))
+                  if generalized else PageRankParams(c=0.85))
+        exact = pr.solve_pagerank(g, params, with_order=20)
+        calls = []
+        slack = pr._slack
+        monkeypatch.setattr(pr, "_slack", lambda *args: calls.append(args) or slack(*args))
+        results = list(check_invariants(g, params, exact))
+        assert len(results) == 24 and [e for _, e, _ in results if e is not None] == []
+        assert len(calls) == 1
+
     @SETTINGS
     @given(cases())
     def test_floor_catches_one_score_one_ulp_below_b(self, case):

@@ -28,6 +28,7 @@ from pagerank_limits.pagerank import PageRankVector, read_scores_csv, write_scor
 
 from _oracles import (
     edge_triples,
+    layout_tables_reference,
     read_float_csv_reference,
     read_tail_csv,
     write_edgelist_reference,
@@ -189,6 +190,12 @@ def assert_reprs(tmp_path, values):
 
 def floats_of(bits):
     return np.asarray(bits, dtype=np.uint64).view(np.float64)
+
+
+def test_layout_tables_match_formatted_strings():
+    for got, want in zip(_textio._layout_tables(), layout_tables_reference(), strict=True):
+        assert (got.dtype.str, got.shape) == (want.dtype.str, want.shape)
+        assert got.tobytes() == want.tobytes()
 
 
 def test_floats_match_repr_on_random_bits(tmp_path):

@@ -54,10 +54,8 @@ from .pagerank import (
     GeneralizedWeights,
     PageRankParams,
     PageRankVector,
-    lower_bound_check,
     pagerank_truncated,
     solve_pagerank,
-    truncation_gap,
 )
 
 __version__ = "0.1.0"

@@ -173,7 +173,8 @@ def validate_config(raw):
     _require(isinstance(sizes, list) and sizes, "sizes", "expected a nonempty list")
     sizes = [_integer(s, "sizes") for s in sizes]
     _require(all(s >= 1 for s in sizes), "sizes", "sizes must be >= 1")
-    _require(sizes == sorted(sizes), "sizes", "sizes must be ascending")
+    _require(all(a < b for a, b in zip(sizes, sizes[1:])), "sizes",
+             "sizes must be strictly ascending")
     cfg["sizes"] = sizes
 
     prk = _block(raw, "pagerank", "pagerank")
@@ -217,6 +218,8 @@ def validate_config(raw):
     _require(isinstance(depths, list), "comparison.census_depths", "expected a list")
     depths = [_integer(k, "comparison.census_depths") for k in depths]
     _require(all(k >= 0 for k in depths), "comparison.census_depths", "depths must be >= 0")
+    _require(len(set(depths)) == len(depths), "comparison.census_depths",
+             "depths must be distinct")
     thresholds = comp.get("thresholds")
     if thresholds is not None:
         _require(isinstance(thresholds, list) and thresholds,
@@ -547,8 +550,7 @@ def _cmd_verify(args):
     params = pr.PageRankParams(c=args.c)
     totals = (int(g.d_out.sum()), int(g.d_in.sum()), g.total_multiplicity)
     degrees = None if len(set(totals)) == 1 else f"degree sums {totals} disagree"
-    exact = pr.solve_pagerank(g, params,
-                              with_order=args.max_order if args.max_order >= 0 else None)
+    exact = pr.solve_pagerank(g, params, with_order=args.max_order)
     failures = 0
     for name, error, _ in chain([("degree-consistency", degrees, None)],
                                 pr.check_invariants(g, params, exact)):

@@ -33,7 +33,7 @@ from itertools import islice
 import numpy as np
 
 from ._textio import read_table, write_json, write_table
-from .errors import ConfigError, ConvergenceError, InvariantViolation, UsageError
+from .errors import ConfigError, ConvergenceError
 from .graph import DirectedMultigraph
 
 __all__ = [
@@ -42,9 +42,6 @@ __all__ = [
     "GeneralizedWeights",
     "solve_pagerank",
     "pagerank_truncated",
-    "truncation_gap",
-    "generalized_mass_ok",
-    "lower_bound_check",
     "check_invariants",
     "write_scores_csv",
     "read_scores_csv",
@@ -327,40 +324,19 @@ def check_invariants(g: DirectedMultigraph, params, exact: PageRankVector):
     ``params`` is :class:`GeneralizedWeights`, or :class:`PageRankParams`
     read as C = c, B = 1 - c.  Yields ``(name, error, gap)`` (``error`` None
     when it holds) for ``teleport-floor`` (R >= B), ``mass-identity``,
-    ``truncation-bound-N<k>`` for k = 0..N (``gap`` from
-    :func:`truncation_gap`) and ``lower-bound``.  The tolerances are
-    :func:`_slack`'s, derived in README, once for the whole pass.
+    ``truncation-bound-N<k>`` for k = 0..N (``gap`` the ``(mean_gap, bound)``
+    of a bound that holds) and ``lower-bound``.  The coefficients and
+    :func:`_slack`'s tolerances, derived in README, are taken once for the
+    whole pass.
     """
-    below = int((exact.values < _coefficients(g, params)[1]).sum())
+    C, B = _coefficients(g, params)
+    below = int((exact.values < B).sum())
     yield "teleport-floor", f"{below} vertices below B" if below else None, None
-    exact = _CheckedVector(**vars(exact), slack=_slack(g, params, exact))
-    yield ("mass-identity", None if generalized_mass_ok(g, params, exact)
-           else f"sum R = {float(exact.values.sum())!r} off the identity", None)
+    rounding, mass, lag = _slack(g, params, exact)
+    yield "mass-identity", _mass_error(g, C, B, exact, rounding, mass), None
     for k in range(len(exact.means) - 1):
-        yield f"truncation-bound-N{k}", *_outcome(truncation_gap, g, params, exact, k)
-    yield "lower-bound", _outcome(lower_bound_check, g, params, exact)[0], None
-
-
-@dataclass
-class _CheckedVector(PageRankVector):
-    """``exact`` inside one :func:`check_invariants` pass, with the pass's
-    :func:`_slack`, which every check of the pass reads instead of deriving
-    it again (an n-length pass over the graph's rows each time)."""
-
-    slack: tuple = ()
-
-
-def _tolerances(g, params, exact):
-    """:func:`_slack`, or the one ``exact`` carries from its pass."""
-    return exact.slack if isinstance(exact, _CheckedVector) else _slack(g, params, exact)
-
-
-def _outcome(check, *args):
-    """(error, result) of a check that raises :class:`InvariantViolation`."""
-    try:
-        return None, check(*args)
-    except InvariantViolation as e:
-        return str(e), None
+        yield f"truncation-bound-N{k}", *_truncation_outcome(params, exact, k, rounding, lag)
+    yield "lower-bound", _lower_bound_error(g, params, C, B, exact, rounding), None
 
 
 def _coefficients(g, params):
@@ -390,52 +366,51 @@ def _slack(g, params, exact):
     return rounding, c_max * g.n * residual, residual * c_max / (1.0 - c_max)
 
 
-def truncation_gap(g: DirectedMultigraph, params, exact: PageRankVector, N: int):
-    """mean(R) - mean(R^(N)) and its bound, sum_{k>N} c_max^k mean(B); checks
-    0 <= gap <= bound, which is c^(N+1) for standard params.
+def _mass_error(g, C, B, exact, rounding, mass):
+    """The error of sum R = sum B + sum_{d_out_j > 0} C_j R_j, None when it
+    holds within the slack.
+
+    Column j of the pull system sums to C_j when j has out-edges and to 0
+    otherwise, so a fixed point satisfies the identity exactly.  With
+    standard params and no dangling vertex it reads (1-c) sum R = (1-c) n.
+    """
+    linked = g.d_out > 0
+    total = float(exact.values.sum())
+    # einsum, not BLAS: a threaded ddot costs more than all the other checks
+    rhs = float(B.sum()) + float(np.einsum("i,i->", C[linked], exact.values[linked]))
+    if abs(total - rhs) <= mass + rounding * (abs(total) + abs(rhs)):
+        return None
+    return f"sum R = {total!r} off the identity"
+
+
+def _truncation_outcome(params, exact, N, rounding, lag):
+    """(error, (mean_gap, bound)) at order N: mean(R) - mean(R^(N)) must lie in
+    [0, bound], bound = sum_{k>N} c_max^k mean(B), which is c^(N+1) for
+    standard params; a gap that fails has no value.
 
     Both means are those ``exact`` recorded in its solve, each numpy's pairwise
     mean over the iterate in the solver's row order.  Summed in one order over
     iterates that rise entry by entry, the gap is exactly >= 0 for N up to the
     iteration count; past it, the mean of R lags by at most ``_slack``'s lag.
     """
-    if not 0 <= N < len(exact.means) - 1:
-        raise UsageError(f"no mean of R^({N}) recorded: solve with with_order >= {N}")
     mean_gap = exact.means[-1] - exact.means[N]
     if isinstance(params, PageRankParams):
         bound = params.c ** (N + 1)
     else:
         bound = params.c_max ** (N + 1) * _mean(params.B) / (1.0 - params.c_max)
-    rounding, _, lag = _tolerances(g, params, exact)
     scale = 2 * rounding * abs(exact.means[-1])
     if not -(lag + scale) <= mean_gap <= bound + scale:
-        raise InvariantViolation(f"truncation gap {mean_gap!r} outside [0, {bound!r}]")
-    return mean_gap, bound
+        return f"truncation gap {mean_gap!r} outside [0, {bound!r}]", None
+    return None, (mean_gap, bound)
 
 
-def generalized_mass_ok(g: DirectedMultigraph, params, exact: PageRankVector) -> bool:
-    """Whether sum R = sum B + sum_{d_out_j > 0} C_j R_j holds for ``exact``.
-
-    Column j of the pull system sums to C_j when j has out-edges and to 0
-    otherwise, so a fixed point satisfies the identity exactly.  With
-    standard params and no dangling vertex it reads (1-c) sum R = (1-c) n.
-    """
-    C, B = _coefficients(g, params)
-    linked = g.d_out > 0
-    total = float(exact.values.sum())
-    # einsum, not BLAS: a threaded ddot costs more than all the other checks
-    rhs = float(B.sum()) + float(np.einsum("i,i->", C[linked], exact.values[linked]))
-    rounding, mass, _ = _tolerances(g, params, exact)
-    return bool(abs(total - rhs) <= mass + rounding * (abs(total) + abs(rhs)))
-
-
-def lower_bound_check(g: DirectedMultigraph, params, exact: PageRankVector) -> float:
-    """Verify R_i >= R^(1)_i = B_i + sum_j C_j e_{j,i}/d_out_j B_j for every vertex.
+def _lower_bound_error(g, params, C, B, exact, rounding):
+    """The vertices with R_i < R^(1)_i = B_i + sum_j C_j e_{j,i}/d_out_j B_j,
+    past the rounding.
 
     The bound is the order-1 truncation, hence valid by monotonicity of the
-    path sums.  Returns 1.0; any violation raises with the offending vertices.
+    path sums.
     """
-    C, B = _coefficients(g, params)
     # the rows of the pull system times B, added in the same (source) order;
     # the edge weight mult / d_out * C B is formed in place, and standard
     # params' C B is the one product c (1 - c).  np.add.at sums in edge
@@ -449,13 +424,11 @@ def lower_bound_check(g: DirectedMultigraph, params, exact: PageRankVector) -> f
     np.add.at(bound, g.tgt, weight)
     del weight
     bound += B
-    bad = np.nonzero(exact.values < bound - _tolerances(g, params, exact)[0] * bound)[0]
-    if bad.size:
-        head = ", ".join(str(int(v)) for v in bad[:10])
-        raise InvariantViolation(
-            f"{bad.size} vertices below the order-1 lower bound (first: {head})"
-        )
-    return 1.0
+    bad = np.nonzero(exact.values < bound - rounding * bound)[0]
+    if not bad.size:
+        return None
+    head = ", ".join(str(int(v)) for v in bad[:10])
+    return f"{bad.size} vertices below the order-1 lower bound (first: {head})"
 
 
 # ---------------------------------------------------------------------------
@@ -464,7 +437,8 @@ def lower_bound_check(g: DirectedMultigraph, params, exact: PageRankVector) -> f
 
 def write_scores_csv(vec: PageRankVector, path, gap=None) -> None:
     """Write `vertex,score` at full precision plus a JSON metadata sidecar,
-    with the ``(mean_gap, gap_bound)`` of :func:`truncation_gap` if given."""
+    with a truncation order's ``(mean_gap, gap_bound)`` from
+    :func:`check_invariants` if given."""
     write_table(path, "vertex,score", [np.arange(vec.values.size), vec.values])
     meta = {
         "order": vec.order,

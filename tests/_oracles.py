@@ -37,7 +37,13 @@ import numpy as np
 import scipy.sparse as sp
 
 from pagerank_limits._textio import parse_edges, read_table
-from pagerank_limits.errors import ConfigError, InputError, ResourceError, UsageError
+from pagerank_limits.errors import (
+    ConfigError,
+    InputError,
+    InvariantViolation,
+    ResourceError,
+    UsageError,
+)
 from pagerank_limits.graph import (
     DirectedMultigraph,
     MarkedNeighborhood,
@@ -55,9 +61,8 @@ from pagerank_limits.limits import (
 from pagerank_limits.pagerank import (
     GeneralizedWeights,
     PageRankParams,
-    lower_bound_check,
+    check_invariants,
     solve_pagerank,
-    truncation_gap,
 )
 
 
@@ -639,14 +644,32 @@ def parse_edgelist(text):
     return list(zip(src.tolist(), tgt.tolist(), mult.tolist())), n
 
 
+def checks(g, params, exact):
+    """Each check of ``check_invariants`` on ``exact`` by name, as ``(error,
+    value)``: ``error`` None when the identity holds, ``value`` a truncation
+    order's ``(mean_gap, bound)``."""
+    return {name: (error, value) for name, error, value in check_invariants(g, params, exact)}
+
+
+def checked_gap(g, params, exact, N):
+    """The ``(mean_gap, bound)`` of ``check_invariants`` at order N; raises
+    :class:`InvariantViolation` with its error when the bound fails."""
+    error, gap = checks(g, params, exact)[f"truncation-bound-N{N}"]
+    if error is not None:
+        raise InvariantViolation(error)
+    return gap
+
+
 def solved_truncation_gap(g, params, N):
-    """``truncation_gap`` at order N of a solve that records the means up to N."""
-    return truncation_gap(g, params, solve_pagerank(g, params, with_order=N), N)
+    """:func:`checked_gap` at order N of a solve that records the means up to N."""
+    return checked_gap(g, params, solve_pagerank(g, params, with_order=N), N)
 
 
-def solved_lower_bound_check(g, params, exact=None):
-    """``lower_bound_check`` with a missing exact vector solved for."""
-    return lower_bound_check(g, params, solve_pagerank(g, params) if exact is None else exact)
+def solved_lower_bound_error(g, params, exact=None):
+    """The lower-bound error of ``check_invariants``, None when it holds, with
+    a missing exact vector solved for."""
+    exact = solve_pagerank(g, params) if exact is None else exact
+    return checks(g, params, exact)["lower-bound"][0]
 
 
 def validate_neighborhood(nbhd: MarkedNeighborhood) -> None:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from pagerank_limits import cli
-from pagerank_limits.errors import ConfigError, InvariantViolation
+from pagerank_limits.errors import ConfigError
 from pagerank_limits.limits import LIMIT_LAWS, limit_law
 
 from _oracles import GwOracleLaw, sample_gw_limit, solved_truncation_gap
@@ -305,15 +305,29 @@ class TestSubcommands:
         cli.main(["generate", "--model", "dcm", "--law", json.dumps(DCM_LAW),
                   "--n", "100", "--seed", "8", "--output", str(g)])
 
-        def broken_gap(*args, **kwargs):
-            raise InvariantViolation("synthetic violation")
+        def broken_checks(*args, **kwargs):
+            yield "truncation-bound-N0", "synthetic violation", None
 
-        monkeypatch.setattr(cli.pr, "truncation_gap", broken_gap)
+        monkeypatch.setattr(cli.pr, "check_invariants", broken_checks)
         capsys.readouterr()
         rc = cli.main(["verify", "--graph", str(g), "--c", "0.5", "--max-order", "2"])
         out = capsys.readouterr().out
         assert rc == cli.EXIT_INVARIANT
         assert "FAIL truncation-bound-N0: synthetic violation" in out
+
+    def test_verify_negative_order_rejected_like_pagerank(self, tmp_path, capsys):
+        g = tmp_path / "g.txt"
+        cli.main(["generate", "--model", "dcm", "--law", json.dumps(DCM_LAW),
+                  "--n", "100", "--seed", "8", "--output", str(g)])
+        capsys.readouterr()
+        scores = tmp_path / "s.csv"
+        for argv in (["verify", "--graph", str(g), "--max-order", "-1"],
+                     ["pagerank", "--graph", str(g), "--N", "-1", "--output", str(scores)]):
+            rc = cli.main(argv)
+            captured = capsys.readouterr()
+            assert rc == 1 and captured.out == ""
+            assert "truncation order must be >= 0, got -1" in captured.err
+        assert not scores.exists()
 
 
 class TestConfigValidation:
@@ -341,6 +355,25 @@ class TestConfigValidation:
         rc = cli.main(["run", "--config", str(cfg), "--output-dir", str(tmp_path / "o")])
         assert rc == 1
         assert "sizes" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("override,message", [
+        ({"sizes": [200, 200]}, "sizes: sizes must be strictly ascending"),
+        ({"sizes": [100, 200, 200]}, "sizes: sizes must be strictly ascending"),
+        ({"comparison": {"census_depths": [1, 1]}},
+         "comparison.census_depths: depths must be distinct"),
+        ({"comparison": {"census_depths": [2, 0, 2]}},
+         "comparison.census_depths: depths must be distinct"),
+    ])
+    def test_repeated_sizes_and_depths_rejected(self, tmp_path, capsys, override, message):
+        # a repeated size or depth would overwrite its files and merge its timings
+        cfg = tmp_path / "config.json"
+        write_config(cfg, **override)
+        with pytest.raises(ConfigError, match=message):
+            cli.validate_config(json.loads(cfg.read_text()))
+        rc = cli.main(["run", "--config", str(cfg), "--output-dir", str(tmp_path / "o")])
+        assert rc == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_irg_nan_theta_rejected(self, tmp_path, capsys):
         out = tmp_path / "g.txt"
@@ -461,10 +494,10 @@ class TestRunExperiment:
         cfg = tmp_path / "config.json"
         write_config(cfg, sizes=[200])
 
-        def broken_gap(*args, **kwargs):
-            raise InvariantViolation("synthetic violation")
+        def broken_checks(*args, **kwargs):
+            yield "truncation-bound-N0", "synthetic violation", None
 
-        monkeypatch.setattr(cli.pr, "truncation_gap", broken_gap)
+        monkeypatch.setattr(cli.pr, "check_invariants", broken_checks)
         record, code = cli.run_experiment(cfg, tmp_path / "out")
         assert code == cli.EXIT_INVARIANT
         assert record["status"] == "FAILED"

@@ -58,10 +58,11 @@ def test_test_only_api_left_the_library():
     assert [(o.__name__, n) for o in owners for n in TEST_ONLY if hasattr(o, n)] == []
     assert [(c, n) for c, names in TEST_ONLY_METHODS.items() for n in names
             if hasattr(getattr(pagerank_limits, c), n)] == []
-    # the identity checks take the vectors they check and never solve
-    for check in (pagerank_limits.truncation_gap, pagerank_limits.lower_bound_check):
-        params = inspect.signature(check).parameters.values()
-        assert [p.name for p in params if p.default is not p.empty] == [], check.__name__
+    # check_invariants is the one check of the identities: no standalone
+    # check, and no carrier of one pass's tolerances
+    assert [(o.__name__, n) for o in (pagerank_limits, pagerank_limits.pagerank)
+            for n in ("truncation_gap", "generalized_mass_ok", "lower_bound_check",
+                      "_CheckedVector", "_tolerances", "_outcome") if hasattr(o, n)] == []
     # every limit law is drawn level by level by one LimitLaw, with no probe
     # of the stream and no per-tree fold
     assert [n for n in ("_gw_tree_starts", "_tree_chain", "_PROBE_CHUNK", "GwLaw",

@@ -22,7 +22,7 @@ from pagerank_limits.pagerank import (
     check_invariants,
 )
 
-from _oracles import solved_truncation_gap
+from _oracles import checks, solved_truncation_gap
 
 SETTINGS = settings(max_examples=60, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -74,24 +74,35 @@ class TestCheckInvariants:
             "teleport-floor", "mass-identity",
             *(f"truncation-bound-N{k}" for k in orders), "lower-bound"]
         assert [(name, error) for name, error, _ in results if error is not None] == []
-        gaps = [gap for _, _, gap in results[2:-1]]
-        assert gaps == [pr.truncation_gap(g, params, exact, k) for k in orders]
+        # each gap is the difference of the recorded means, each bound the
+        # tail sum_{k>N} c_max^k mean(B), exactly
+        if isinstance(params, PageRankParams):
+            bounds = [params.c ** (k + 1) for k in orders]
+        else:
+            c_max = params.c_max
+            bounds = [c_max ** (k + 1) * float(params.B.mean()) / (1.0 - c_max)
+                      for k in orders]
+        assert [gap for _, _, gap in results[2:-1]] == [
+            (exact.means[-1] - exact.means[k], bound) for k, bound in zip(orders, bounds)]
         assert results[0][2] is results[1][2] is results[-1][2] is None
 
     @pytest.mark.parametrize("generalized", [False, True])
     def test_one_slack_per_pass(self, monkeypatch, generalized):
         # the mass identity, 21 truncation orders and the lower bound all
-        # read one derivation of the tolerances, where each derived its own
+        # read one derivation of the tolerances and of the per-vertex (C, B)
         g = build_graph([(0, 1), (1, 2), (2, 0), (2, 1), (0, 3)], 4)
         params = (GeneralizedWeights(C=np.array([0.2, 0.5, 0.8, 0.4]), B=np.full(4, 0.3))
                   if generalized else PageRankParams(c=0.85))
         exact = pr.solve_pagerank(g, params, with_order=20)
-        calls = []
-        slack = pr._slack
-        monkeypatch.setattr(pr, "_slack", lambda *args: calls.append(args) or slack(*args))
+        calls = {"_slack": [], "_coefficients": []}
+        for name, seen in calls.items():
+            spied = getattr(pr, name)
+            monkeypatch.setattr(pr, name, lambda *args, seen=seen, spied=spied:
+                                seen.append(args) or spied(*args))
         results = list(check_invariants(g, params, exact))
         assert len(results) == 24 and [e for _, e, _ in results if e is not None] == []
-        assert len(calls) == 1
+        assert {name: len(seen) for name, seen in calls.items()} == \
+            {"_slack": 1, "_coefficients": 1}
 
     @SETTINGS
     @given(cases())
@@ -125,7 +136,7 @@ class TestCheckInvariants:
         g, params, rng = case
         exact = solved_past_convergence(g, params, 3)
         N = int(rng.integers(len(exact.means) - 1))
-        mean_gap, bound = pr.truncation_gap(g, params, exact, N)
+        mean_gap, bound = checks(g, params, exact)[f"truncation-bound-N{N}"][1]
         rounding, _, lag = pr._slack(g, params, exact)
         scale = 2 * rounding * abs(exact.means[-1])
         # past the slack by as much again, plus the rounding of the shift

@@ -10,30 +10,28 @@ from pagerank_limits.errors import (
     ConfigError,
     ConvergenceError,
     InvariantViolation,
-    UsageError,
 )
 from pagerank_limits.graph import build_graph
 from pagerank_limits.pagerank import (
     GeneralizedWeights,
     PageRankParams,
     PageRankVector,
-    lower_bound_check,
     pagerank_truncated,
-    generalized_mass_ok,
     read_scores_csv,
     solve_pagerank,
-    truncation_gap,
     write_scores_csv,
 )
 
 from _oracles import (
+    checked_gap,
+    checks,
     dense_exact_pagerank,
     dense_generalized,
     enum_truncated_pagerank,
     has_dangling,
     pull_matrix,
     random_small_graph,
-    solved_lower_bound_check,
+    solved_lower_bound_error,
     solved_truncation_gap,
 )
 
@@ -436,7 +434,7 @@ class TestGeneralizedMass:
             g = random_graph(rng, 300, dangling)
             w = GeneralizedWeights(C=rng.uniform(0, 0.85, 300), B=rng.exponential(0.15, 300))
             exact = solve_pagerank(g, w)
-            assert generalized_mass_ok(g, w, exact)
+            assert checks(g, w, exact)["mass-identity"][0] is None
             linked = g.d_out > 0
             rhs = w.B.sum() + (w.C[linked] * exact.values[linked]).sum()
             assert exact.values.sum() == pytest.approx(rhs, rel=1e-12)
@@ -448,11 +446,12 @@ class TestGeneralizedMass:
         exact = solve_pagerank(g, w)
         exact.values = exact.values.copy()
         exact.values[7] += 1e-6
-        assert not generalized_mass_ok(g, w, exact)
+        assert checks(g, w, exact)["mass-identity"][0] is not None
 
     def test_empty_graph(self):
         w = GeneralizedWeights(C=np.zeros(0), B=np.zeros(0))
-        assert generalized_mass_ok(build_graph([], 0), w, solve_pagerank(build_graph([], 0), w))
+        g = build_graph([], 0)
+        assert checks(g, w, solve_pagerank(g, w))["mass-identity"][0] is None
 
 
 class TestTruncationGap:
@@ -475,15 +474,15 @@ class TestTruncationGap:
         exact = solve_pagerank(cycle3(), p, with_order=5)
         # corrupt R^(5)'s mean to exceed the exact solution's
         exact.means = (*exact.means[:5], exact.means[5] + 1.0, *exact.means[6:])
-        with pytest.raises(InvariantViolation):
-            truncation_gap(cycle3(), p, exact, 5)
+        with pytest.raises(InvariantViolation, match="truncation gap .* outside"):
+            checked_gap(cycle3(), p, exact, 5)
 
-    def test_unrecorded_order_raises(self):
+    def test_unrecorded_orders_are_not_checked(self):
         p = PageRankParams(c=0.5)
-        for exact, N in ((solve_pagerank(cycle3(), p), 0),
-                         (solve_pagerank(cycle3(), p, with_order=3), 4)):
-            with pytest.raises(UsageError, match=f"no mean of R\\^\\({N}\\) recorded"):
-                truncation_gap(cycle3(), p, exact, N)
+        for exact, orders in ((solve_pagerank(cycle3(), p), 0),
+                              (solve_pagerank(cycle3(), p, with_order=3), 4)):
+            names = [n for n in checks(cycle3(), p, exact) if n.startswith("truncation")]
+            assert names == [f"truncation-bound-N{k}" for k in range(orders)]
 
 
 class TestGapBoundEverywhere:
@@ -496,7 +495,7 @@ class TestGapBoundEverywhere:
                 p = PageRankParams(c=c)
                 exact = solve_pagerank(g, p, with_order=8)
                 for N in range(0, 9, 2):
-                    gap, bound = truncation_gap(g, p, exact, N)
+                    gap, bound = checked_gap(g, p, exact, N)
                     assert -1e-10 <= gap <= bound + 1e-10
 
 
@@ -602,28 +601,27 @@ class TestLowerBound:
             p = PageRankParams(c=0.85)
             bound = (1.0 - p.c) * (1.0 + p.c * (pull_matrix(g) @ np.ones(g.n)))
             on = PageRankVector(bound, "exact", p, 0)
-            assert lower_bound_check(g, p, exact=on) == 1.0
+            assert solved_lower_bound_error(g, p, exact=on) is None
             below = PageRankVector(bound - 1e-9 * (1.0 + bound), "exact", p, 0)
-            with pytest.raises(InvariantViolation, match="300 vertices"):
-                lower_bound_check(g, p, exact=below)
+            assert solved_lower_bound_error(g, p, exact=below).startswith(
+                "300 vertices below the order-1 lower bound")
 
     def test_examples(self):
-        assert solved_lower_bound_check(build_graph([], 3), PageRankParams(c=0.85)) == 1.0
-        assert solved_lower_bound_check(cycle3(), PageRankParams(c=0.5)) == 1.0
+        assert solved_lower_bound_error(build_graph([], 3), PageRankParams(c=0.85)) is None
+        assert solved_lower_bound_error(cycle3(), PageRankParams(c=0.5)) is None
 
     def test_random_graphs(self):
         rng = RngStream(19).generator()
         for _ in range(20):
             g = random_small_graph(rng)
-            assert solved_lower_bound_check(g, PageRankParams(c=0.85)) == 1.0
+            assert solved_lower_bound_error(g, PageRankParams(c=0.85)) is None
 
     def test_violation_detected(self):
         g = cycle3()
         p = PageRankParams(c=0.5)
         fake = solve_pagerank(g, p)
         fake.values = fake.values * 0.5
-        with pytest.raises(InvariantViolation, match="vertices below"):
-            lower_bound_check(g, p, exact=fake)
+        assert "vertices below" in solved_lower_bound_error(g, p, exact=fake)
 
 
 class TestScoresCsv:

@@ -154,11 +154,12 @@ def _parse_model(model):
                 "w_in": model.get("w_in", 1.0),
                 "theta": None if theta is None else _number(theta, "model.theta")}
     if name == "dpa":
-        params = gen.PamParams(m=_integer(model.get("m", 1), "model.m"),
-                               delta=_number(model.get("delta", 0.0), "model.delta"))
+        delta = _number(model.get("delta", 0.0), "model.delta")
+        _require(math.isfinite(delta), "model.delta", f"must be finite, got {delta}")
+        params = gen.PamParams(m=_integer(model.get("m", 1), "model.m"), delta=delta)
         return {"name": name, "m": params.m, "delta": params.delta}
     theta = _number(model.get("theta", 1.0), "model.theta")
-    _require(theta > 0, "model.theta", "must be positive")
+    _require(0 < theta < math.inf, "model.theta", f"must be positive and finite, got {theta}")
     return {"name": name, "theta": theta}
 
 
@@ -382,8 +383,8 @@ def run_experiment(config_path, output_dir, threads=None):
                 entry["census_tv"][str(k)] = tv_distance(cen, limit_censuses[k])
 
             top_k = max(2, int(np.sqrt(n)))
-            entry["hill_pagerank"] = _try_hill(exact.values, top_k)
-            entry["hill_in_degree"] = _try_hill(g.d_in.astype(float), top_k)
+            entry["hill_pagerank"] = _try_hill(graph_tail, top_k)
+            entry["hill_in_degree"] = _try_hill(TailSample(g.d_in), top_k)
             entry["seconds"] = time.perf_counter() - t0
             record["per_size"].append(entry)
     except PagerankLimitsError as e:
@@ -407,9 +408,9 @@ def _checked(g, params, exact, where=""):
     return gap
 
 
-def _try_hill(values, top_k):
+def _try_hill(tail, top_k):
     try:
-        return hill_estimator(TailSample(values), top_k)
+        return hill_estimator(tail, top_k)
     except UsageError:
         return None
 

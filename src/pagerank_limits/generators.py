@@ -300,8 +300,9 @@ class PamParams:
     def __post_init__(self):
         if int(self.m) != self.m or self.m < 1:
             raise ConfigError(f"m must be an integer >= 1, got {self.m}")
-        if not self.delta > -self.m:
-            raise ConfigError(f"delta must exceed -m, got delta={self.delta}, m={self.m}")
+        if not -self.m < self.delta < np.inf:
+            raise ConfigError(f"delta must be finite and exceed -m, got delta={self.delta}, "
+                              f"m={self.m}")
 
 
 def gen_dpa(n: int, p: PamParams, rng) -> DirectedMultigraph:
@@ -359,8 +360,8 @@ class CtbpParams:
     rate_base: float
 
     def __post_init__(self):
-        if not self.rate_base > 0:
-            raise ConfigError(f"rate_base must be positive, got {self.rate_base}")
+        if not 0 < self.rate_base < np.inf:
+            raise ConfigError(f"rate_base must be positive and finite, got {self.rate_base}")
 
 
 def gen_ctbp_tree(p: CtbpParams, target_n: int, rng):

@@ -117,8 +117,8 @@ class PolyaParams:
     def __post_init__(self):
         if int(self.m) != self.m or self.m < 2:
             raise ConfigError(f"point-tree limit requires integer m >= 2, got {self.m}")
-        if not self.delta > -self.m:
-            raise ConfigError(f"delta must exceed -m, got {self.delta}")
+        if not -self.m < self.delta < np.inf:
+            raise ConfigError(f"delta must be finite and exceed -m, got {self.delta}")
 
     @property
     def chi(self) -> float:
@@ -134,54 +134,19 @@ class PolyaParams:
 
 
 # ---------------------------------------------------------------------------
-# Malthusian parameter
+# Malthusian parameter of the affine birth process, in closed form
 
 
-def malthusian(rate_base: float, tol: float = 1e-12) -> float:
-    """Rate a* with E[births before an Exp(a*) time] = 1, by bisection.
+def malthusian(rate_base: float) -> float:
+    """Rate a* with E[births before an Exp(a*) time] = 1: exactly 1 + rate_base.
 
-    The expected count is m(a) = sum_{k>=1} prod_{i<k} (i+t)/(i+t+a) for
-    t = rate_base.  Terms are summed until small; the remainder is added in
-    closed form (the sum telescopes exactly), so the evaluation is accurate
-    for every a > 1 without astronomically many terms.
+    With t = rate_base the expected count is m(a) = sum_{k>=1} a_k, a_k =
+    prod_{i<k} (i+t)/(i+t+a), and a_k (k+t) - a_{k+1} (k+1+t) = (a-1) a_{k+1},
+    so for a > 1 the sum telescopes to m(a) = a_1 + a_1 (1+t)/(a-1) = t/(a-1).
     """
-    theta = rate_base
-    if not theta > 0:
-        raise ConfigError(f"rate_base must be positive, got {theta}")
-    if not tol > 0:
-        raise ConfigError("tol must be positive")
-
-    def mhat(alpha):
-        total = 0.0
-        term = 1.0
-        k = 0
-        while True:
-            term *= (k + theta) / (k + theta + alpha)
-            k += 1
-            total += term
-            # telescoped remainder sum_{j>k} a_j = a_k (k+theta)/(alpha-1) is
-            # exact, so truncation leaves only roundoff; 64 terms is plenty
-            rest = term * (k + theta) / (alpha - 1.0)
-            if rest < tol * max(total, 1.0) or k >= 64:
-                return total + rest
-
-    lo, hi = 1.0 + 1e-12, 1.0 + 2.0 * theta
-    if mhat(hi) > 1.0:
-        raise ConfigError(f"bisection bracket failed for rate_base={theta}")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mhat(mid) > 1.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < tol:
-            break
-    alpha_star = 0.5 * (lo + hi)
-    if abs(mhat(alpha_star) - 1.0) > 10.0 * max(tol, 1e-15):
-        raise ConfigError(
-            f"root verification failed: |m(a*)-1| > 10 tol at a*={alpha_star}"
-        )
-    return alpha_star
+    if not 0 < rate_base < np.inf:
+        raise ConfigError(f"rate_base must be positive and finite, got {rate_base}")
+    return 1.0 + rate_base
 
 
 # ---------------------------------------------------------------------------

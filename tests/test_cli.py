@@ -150,6 +150,34 @@ class TestSubcommands:
         assert field in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv,field", [
+        (["generate", "--model", "ctbp", "--n", "50", "--theta={}"], "model.theta"),
+        (["generate", "--model", "dpa", "--m", "2", "--n", "50", "--delta={}"], "model.delta"),
+        (["limit-sample", "--sampler", "ctbp", "--M", "10", "--theta={}"], "model.theta"),
+        (["limit-sample", "--sampler", "polya", "--m", "2", "--M", "10", "--delta={}"],
+         "model.delta"),
+    ])
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    def test_non_finite_attachment_constant_rejected(self, tmp_path, capsys, argv, field,
+                                                     value):
+        out = tmp_path / "out.txt"
+        argv = [a.format(value) for a in argv]
+        assert cli.main([*argv, "--output", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {field}: ") and "finite" in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("mode", ["pool", "census", "tree"])
+    def test_ctbp_limit_sample_at_tiny_theta(self, tmp_path, mode):
+        out = tmp_path / "out.csv"
+        assert cli.main(["limit-sample", "--sampler", "ctbp", "--theta", "1e-9",
+                         "--mode", mode, "--M", "200", "--depth", "2",
+                         "--output", str(out)]) == 0
+        assert out.exists()
+        if mode == "pool":
+            meta = json.loads((tmp_path / "out.csv.meta.json").read_text())
+            assert meta["alpha_star"] == 1.0 + 1e-9
+
     @pytest.mark.parametrize("name,text,line", [
         ("scores.csv", "vertex,score\n0,0.5\n1\n", 3),
         ("pool.csv", "value\n0.5\nabc\n", 3),
@@ -583,6 +611,14 @@ class TestRunExperiment:
         assert code == 0
         pool_meta = json.loads((tmp_path / "out" / "limit_pool.meta.json").read_text())
         assert pool_meta["alpha_star"] == pytest.approx(2.0, abs=1e-8)
+
+    def test_ctbp_run_at_tiny_theta(self, tmp_path):
+        cfg = tmp_path / "config.json"
+        write_config(cfg, model={"name": "ctbp", "theta": 1e-9}, sizes=[300],
+                     limit={"sampler": "ctbp", "M": 500, "depth": 4},
+                     comparison={"census_depths": [1]})
+        record, code = cli.run_experiment(cfg, tmp_path / "out")
+        assert code == 0 and record["status"] == "OK"
 
     def test_dpa_polya_run(self, tmp_path):
         cfg = tmp_path / "config.json"

@@ -75,6 +75,9 @@ def test_test_only_api_left_the_library():
     assert not hasattr(pagerank_limits.pagerank._OrderedSystem, "sweep")
     assert list(inspect.signature(pagerank_limits.pagerank.check_invariants).parameters) \
         == ["g", "params", "exact"]
+    # the Malthusian rate is the closed form 1 + rate_base: no solver tolerance
+    assert list(inspect.signature(pagerank_limits.limits.malthusian).parameters) \
+        == ["rate_base"]
 
 
 def _unused_imports(path):

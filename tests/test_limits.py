@@ -5,7 +5,7 @@ import pytest
 
 from pagerank_limits.census import census_limit, tv_distance
 from pagerank_limits.errors import ConfigError, ResourceError, UsageError
-from pagerank_limits.generators import BiDegreeLaw, RngStream
+from pagerank_limits.generators import BiDegreeLaw, CtbpParams, PamParams, RngStream
 from pagerank_limits.graph import canonical_code
 from pagerank_limits.pagerank import GeneralizedWeights
 from pagerank_limits import limits
@@ -71,6 +71,19 @@ class TestMalthusian:
     def test_bad_rate(self):
         with pytest.raises(ConfigError):
             malthusian(0.0)
+
+
+@pytest.mark.parametrize("theta", [1e-300, 1e-20, 1e-9, 1e-6, 0.5, 1.0, 1.5, 1e6, 1e300])
+def test_malthusian_is_exactly_one_plus_rate(theta):
+    assert malthusian(theta) == 1.0 + theta
+
+
+@pytest.mark.parametrize("make", [malthusian, LimitLaw.ctbp, CtbpParams,
+                                  lambda v: PolyaParams(m=2, delta=v),
+                                  lambda v: PamParams(m=2, delta=v)])
+def test_infinite_attachment_constant_rejected(make):
+    with pytest.raises(ConfigError, match="finite"):
+        make(np.inf)
 
 
 class TestGwSampler:

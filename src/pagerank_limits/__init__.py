@@ -42,10 +42,8 @@ from .graph import (
     write_edgelist,
 )
 from .limits import (
-    LimitForest,
     LimitTree,
     PolyaParams,
-    gw_root_rank_pool,
     limit_law,
     malthusian,
     solve_fixed_point_mc,

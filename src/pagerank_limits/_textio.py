@@ -23,7 +23,7 @@ import warnings
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, UsageError
 
 _BLOCK = 1 << 13  # rows formatted per block; the float formatter's arrays stay in L2
 
@@ -356,10 +356,15 @@ def _jsonable(obj):
 
 def write_json(path, obj) -> None:
     """Write a JSON document (sidecars, configs, records): keys sorted, two-space
-    indent, a final newline; numpy scalars and arrays as their Python values."""
+    indent, a final newline; numpy scalars and arrays as their Python values.
+    JSON has no Infinity or NaN: a non-finite float raises ``UsageError``
+    before the file is opened."""
+    try:
+        text = json.dumps(_jsonable(obj), indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as e:
+        raise UsageError(f"{path}: {e}") from None
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(_jsonable(obj), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 # ---------------------------------------------------------------------------

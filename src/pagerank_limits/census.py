@@ -335,21 +335,20 @@ def _tree_codes(marks, src, tgt, k, roots):
 def census_limit(law, k: int, M: int, rng) -> NeighborhoodCensus:
     """Sample M trees of a limit law (see ``limits.limit_law``), truncated to
     depth k, and tally their codes.  ``law.forest(k, m, rng)`` draws them a
-    block at a time, each classed by the refinement of :func:`census`'s
-    batched path, which composes the same codes.
+    block at a time, stacked in level order, whose levels list their nodes
+    by parent: the child -> parent edges come grouped by target, as the
+    refinement of :func:`census`'s batched path takes them, and it composes
+    the same codes.
     """
     if M < 1:
         raise UsageError(f"M must be >= 1, got {M}")
     counts = Counter()
     for first in range(0, M, _FOREST_TREES):
-        forest = law.forest(k, min(_FOREST_TREES, M - first), rng)
-        inner = np.nonzero(forest.node_depth > 0)[0]
-        # breadth-first trees list children in parent order: edges grouped by target
-        parent = forest.parent[inner]
-        if (parent[1:] < parent[:-1]).any():
-            raise UsageError("limit tree nodes are not in breadth-first order")
+        m = min(_FOREST_TREES, M - first)
+        trees = law.forest(k, m, rng)
         # update, not +=, which rescans the whole tally for nonpositive counts
-        counts.update(_tree_codes(forest.mark, inner, parent, k, forest.roots))
+        counts.update(_tree_codes(trees.mark, np.arange(m, trees.size), trees.parent[m:], k,
+                                  np.arange(m)))
     return NeighborhoodCensus(depth=k, counts=counts, total=M,
                               paths={"batched": M, "exact": 0})
 

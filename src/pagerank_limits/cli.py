@@ -159,7 +159,8 @@ def _parse_model(model):
         params = gen.PamParams(m=_integer(model.get("m", 1), "model.m"), delta=delta)
         return {"name": name, "m": params.m, "delta": params.delta}
     theta = _number(model.get("theta", 1.0), "model.theta")
-    _require(0 < theta < math.inf, "model.theta", f"must be positive and finite, got {theta}")
+    _require(0 < theta < math.inf and 1.0 / theta < math.inf, "model.theta",
+             f"must be positive and finite with a finite reciprocal, got {theta}")
     return {"name": name, "theta": theta}
 
 

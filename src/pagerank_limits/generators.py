@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 import numpy.random  # noqa: F401  numpy loads it on first use; load it with the package
 
-from .errors import ConfigError
+from .errors import ConfigError, ResourceError
 from .graph import DirectedMultigraph, build_graph
 
 __all__ = [
@@ -344,8 +344,11 @@ def _affine_targets(owner, first, w, rng):
     ptr = e  # a direct edge points to itself
     ptr[copy] = first + r[copy].astype(np.int64)
     r -= a
-    r /= w
-    target = np.minimum(r.astype(np.int64), owner - 1)  # the division can round up to v
+    # copies, which the pointer jumping overwrites, hold negative values,
+    # which a tiny w takes past int64 or to -inf; the division can round up to v
+    with np.errstate(over="ignore"):
+        r /= w
+    target = np.clip(r, 0, owner - 1, out=r).astype(np.int64)
     live = np.flatnonzero(copy)
     while live.size:
         ptr[live] = ptr[ptr[live]]
@@ -360,8 +363,9 @@ class CtbpParams:
     rate_base: float
 
     def __post_init__(self):
-        if not 0 < self.rate_base < np.inf:
-            raise ConfigError(f"rate_base must be positive and finite, got {self.rate_base}")
+        if not (0 < self.rate_base < np.inf and 1.0 / float(self.rate_base) < np.inf):
+            raise ConfigError("rate_base must be positive and finite with a finite reciprocal, "
+                              f"got {self.rate_base}")
 
 
 def gen_ctbp_tree(p: CtbpParams, target_n: int, rng):
@@ -382,6 +386,9 @@ def gen_ctbp_tree(p: CtbpParams, target_n: int, rng):
     child = np.arange(1, target_n, dtype=np.int64)
     g = build_graph((child, _affine_targets(child, 0, theta, rng)), target_n)
     births = np.zeros(target_n)
-    np.cumsum(rng.standard_exponential(child.size) / ((child - 1) + child * theta),
-              out=births[1:])
+    with np.errstate(over="ignore"):  # the first gap, Exp(theta), can overflow
+        np.cumsum(rng.standard_exponential(child.size) / ((child - 1) + child * theta),
+                  out=births[1:])
+    if not np.isfinite(births[-1]):
+        raise ResourceError(f"birth times overflow at rate_base={theta}")
     return g, births

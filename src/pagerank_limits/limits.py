@@ -7,8 +7,8 @@ the position/strength-driven point tree limiting preferential attachment.
 Each law draws its trees level by level, for every tree of a block at once:
 a private generator (:func:`_gw_levels`, :func:`_ctbp_levels`,
 :func:`_polya_levels`) yields each level's parents and marks.  One builder
-puts the levels of a forest's trees back to back, and one pool folds them
-by the backward recursion
+stacks the levels of a block's trees in level order, and one pool folds
+them by the backward recursion
 
     R(0) = B,    R(j)_v = B_v + sum_children (C_u / mark_u) R(j-1)_u,
 
@@ -31,18 +31,16 @@ import numpy as np
 
 from ._textio import read_table, write_edges, write_table
 from .errors import ConfigError, ResourceError
-from .generators import BiDegreeLaw
+from .generators import BiDegreeLaw, CtbpParams
 
 __all__ = [
     "LimitTree",
-    "LimitForest",
     "LimitLaw",
     "LIMIT_LAWS",
     "limit_law",
     "PolyaParams",
     "malthusian",
     "solve_fixed_point_mc",
-    "gw_root_rank_pool",
     "write_pool_csv",
     "read_pool_csv",
     "write_tree_edgelist",
@@ -57,11 +55,13 @@ POSITION_FLOOR = 1e-12
 
 @dataclass
 class LimitTree:
-    """Rooted marked tree sampled from a limiting law.
+    """Rooted marked trees sampled from a limiting law, in level order.
 
-    Nodes are indexed in breadth-first order (parents before children), node
-    0 is the root, ``parent[0] = -1``.  ``truncation_depth`` is the depth at
-    which sampling was cut off, or None for a fully sampled finite tree.
+    The roots come first, with parent -1, then each level's nodes listed by
+    parent, so parents come before children.  A single tree is in
+    breadth-first order with its root at node 0.  ``truncation_depth`` is
+    the depth at which sampling was cut off, or None for fully sampled
+    finite trees.
     """
 
     parent: np.ndarray
@@ -76,35 +76,6 @@ class LimitTree:
     @property
     def max_depth(self) -> int:
         return int(self.node_depth.max()) if self.size else 0
-
-
-@dataclass
-class LimitForest:
-    """Rooted marked trees stored back to back.
-
-    Tree i is nodes ``start[i]:start[i+1]``, parents before children, rooted
-    at node ``start[i]``; ``parent`` holds forest-wide indices and -1 at the
-    roots.  ``truncation_depth`` is as for :class:`LimitTree`, shared by all
-    trees.
-    """
-
-    parent: np.ndarray
-    mark: np.ndarray
-    node_depth: np.ndarray
-    start: np.ndarray
-    truncation_depth: int | None
-
-    @property
-    def roots(self) -> np.ndarray:
-        return self.start[:-1]
-
-    def tree(self, i: int) -> LimitTree:
-        a, b = int(self.start[i]), int(self.start[i + 1])
-        parent = self.parent[a:b] - a
-        parent[0] = -1
-        return LimitTree(parent=parent, mark=self.mark[a:b],
-                         node_depth=self.node_depth[a:b],
-                         truncation_depth=self.truncation_depth)
 
 
 @dataclass(frozen=True)
@@ -144,13 +115,11 @@ def malthusian(rate_base: float) -> float:
     prod_{i<k} (i+t)/(i+t+a), and a_k (k+t) - a_{k+1} (k+1+t) = (a-1) a_{k+1},
     so for a > 1 the sum telescopes to m(a) = a_1 + a_1 (1+t)/(a-1) = t/(a-1).
     """
-    if not 0 < rate_base < np.inf:
-        raise ConfigError(f"rate_base must be positive and finite, got {rate_base}")
-    return 1.0 + rate_base
+    return 1.0 + CtbpParams(rate_base).rate_base  # CtbpParams checks the rate
 
 
 # ---------------------------------------------------------------------------
-# limit samplers: one level generator per law, one forest builder
+# limit samplers: one level generator per law, one stacker of levels
 
 
 def _gw_levels(law, depth, M, rng):
@@ -247,31 +216,17 @@ def _polya_levels(params, depth, M, rng, max_nodes=DEFAULT_NODE_CAP):
         yield parent_ptr, np.full(y.size, params.m, dtype=np.int64)
 
 
-def _forest(levels, depth) -> LimitForest:
-    """The trees whose levels ``levels`` yields, back to back, cut at
-    ``depth`` (None for whole trees).
-
-    Each level lists its nodes by parent, so a stable sort by tree puts
-    every tree's nodes in breadth-first order.  A forest of one tree draws
-    as that tree alone would.
-    """
+def _stack(levels, depth) -> LimitTree:
+    """The trees whose levels ``levels`` yields, stacked in level order and
+    cut at ``depth`` (None for whole trees).  One tree stacks as it draws
+    alone, in breadth-first order."""
     levels = list(levels)
-    M = levels[0][1].size
     first = np.cumsum([0] + [mark.size for _, mark in levels])
-    # per level: each node's tree, and its parent's index in level order
-    tree, up = [np.arange(M)], [np.full(M, -1)]
-    for d, (ptr, _) in enumerate(levels[1:]):
-        tree.append(tree[-1][ptr])
-        up.append(first[d] + ptr)
-    order = np.argsort(np.concatenate(tree), kind="stable")
-    pos = np.empty_like(order)
-    pos[order] = np.arange(order.size)
-    up = np.concatenate(up)[order]
-    node_depth = np.repeat(np.arange(len(levels), dtype=np.int32), np.diff(first))
-    return LimitForest(parent=np.where(up < 0, -1, pos[up]),
-                       mark=np.concatenate([mark for _, mark in levels])[order],
-                       node_depth=node_depth[order], start=np.append(pos[:M], first[-1]),
-                       truncation_depth=depth)
+    parent = [np.full(first[1], -1)] + [first[d] + ptr for d, (ptr, _) in enumerate(levels[1:])]
+    return LimitTree(parent=np.concatenate(parent),
+                     mark=np.concatenate([mark for _, mark in levels]),
+                     node_depth=np.repeat(np.arange(len(levels), dtype=np.int32), np.diff(first)),
+                     truncation_depth=depth)
 
 
 # ---------------------------------------------------------------------------
@@ -359,18 +314,6 @@ def _pool_step(draw, prev_marks, prev_vals, c_sampler, b_sampler, rng, M):
     return h, new_vals
 
 
-def gw_root_rank_pool(law: BiDegreeLaw, c: float | None, depth: int, M: int, rng,
-                      c_sampler=None, b_sampler=None) -> np.ndarray:
-    """M independent root-rank samples by direct level-wise tree sampling.
-
-    The pool of :meth:`LimitLaw.gw`: each block of trees drawn as its
-    :meth:`LimitLaw.forest` draws them and folded level by level, so
-    memory is bounded by one block's trees.  Independent of the
-    pool-resampling route, which it serves as an oracle for.
-    """
-    return LimitLaw.gw(law).pool(c, depth, M, rng, c_sampler=c_sampler, b_sampler=b_sampler)
-
-
 # ---------------------------------------------------------------------------
 # limit laws
 
@@ -420,13 +363,14 @@ class LimitLaw:
 
     def tree(self, depth: int, rng) -> LimitTree:
         depth = self._reach(depth)
-        return _redrawn(lambda: _forest(self.levels(depth, 1, rng), depth)).tree(0)
+        return _redrawn(lambda: _stack(self.levels(depth, 1, rng), depth))
 
-    def forest(self, depth: int, M: int, rng) -> LimitForest:
+    def forest(self, depth: int, M: int, rng) -> LimitTree:
+        """M trees cut at ``depth``, stacked in level order (roots 0..M-1)."""
         _check_depth(depth)
         if M < 1:
             raise ConfigError(f"forest needs M >= 1 trees, got {M}")
-        return _redrawn(lambda: _forest(self.levels(depth, M, rng), depth))
+        return _redrawn(lambda: _stack(self.levels(depth, M, rng), depth))
 
     def pool(self, c, depth, M, rng, c_sampler=None, b_sampler=None) -> np.ndarray:
         """M independent root ranks, a block of ``_FOREST_TREES`` trees at a

@@ -18,7 +18,8 @@ truncations it compares, the node-at-a-time branching-tree sampler that
 the gw law's forests must match (and a law drawing with it), the per-tree
 point-tree and branching-population samplers, the per-tree root rank and
 the per-tree limit law they make up (the references for the level-wise
-laws), limit trees as neighborhoods, small views of library objects (edge
+laws), limit trees as neighborhoods, level-order stacks of given trees
+and each node's tree in a stack, small views of library objects (edge
 triples, dangling vertices, the star law, parsed edge lists, neighborhood
 invariants), the tail-CSV reader, and the identity checks with any missing
 score vector solved for.
@@ -54,7 +55,6 @@ from pagerank_limits.graph import (
 from pagerank_limits.limits import (
     DEFAULT_NODE_CAP,
     POSITION_FLOOR,
-    LimitForest,
     LimitTree,
     PolyaParams,
 )
@@ -776,7 +776,7 @@ def sample_gw_limit(law, depth: int, rng) -> LimitTree:
 
 
 class GwOracleLaw:
-    """``GwLaw``'s trees and forests drawn by :func:`sample_gw_trees`."""
+    """The gw law's trees and forests drawn by :func:`sample_gw_trees`."""
 
     def __init__(self, law):
         self.law = law
@@ -808,24 +808,33 @@ def tree_neighborhood(t: LimitTree, k: int) -> MarkedNeighborhood:
     )
 
 
-def forest_of_trees(trees, k: int) -> LimitForest:
-    """Depth-k truncations of the given trees, back to back."""
-    parents, marks, depths = [], [], []
+def forest_of_trees(trees, k: int) -> LimitTree:
+    """Depth-k truncations of the given trees, stacked in level order: every
+    tree's root, then every tree's depth-1 nodes, and so on, each depth's
+    nodes tree by tree and in each tree's own order."""
+    trees = list(trees)
     for t in trees:
         if t.truncation_depth is not None and k > t.truncation_depth:
             raise UsageError(f"tree truncated at depth {t.truncation_depth}, "
                              f"cannot take depth {k}")
-        cut = int(np.searchsorted(t.node_depth, k, side="right"))
-        parents.append(t.parent[:cut])
-        marks.append(t.mark[:cut])
-        depths.append(t.node_depth[:cut])
-    sizes = np.array([p.size for p in parents], dtype=np.int64)
-    start = np.zeros(sizes.size + 1, dtype=np.int64)
-    np.cumsum(sizes, out=start[1:])
-    parent = np.concatenate(parents) + np.repeat(start[:-1], sizes)
-    parent[start[:-1]] = -1
-    return LimitForest(parent=parent, mark=np.concatenate(marks),
-                       node_depth=np.concatenate(depths), start=start, truncation_depth=k)
+    nodes = sorted((int(t.node_depth[v]), i, v) for i, t in enumerate(trees)
+                   for v in range(t.size) if t.node_depth[v] <= k)
+    index = {(i, v): j for j, (_, i, v) in enumerate(nodes)}
+    return LimitTree(
+        parent=np.asarray([index.get((i, int(trees[i].parent[v])), -1) for _, i, v in nodes],
+                          dtype=np.int64),
+        mark=np.asarray([trees[i].mark[v] for _, i, v in nodes], dtype=trees[0].mark.dtype),
+        node_depth=np.asarray([d for d, _, _ in nodes], dtype=trees[0].node_depth.dtype),
+        truncation_depth=k)
+
+
+def tree_index(stack: LimitTree) -> np.ndarray:
+    """Each node's tree in a level-order stack of trees: its root's index."""
+    tree = np.arange(stack.size)
+    for d in range(1, stack.max_depth + 1):
+        at = np.flatnonzero(stack.node_depth == d)
+        tree[at] = tree[stack.parent[at]]
+    return tree
 
 
 def trees_of_levels(levels, depth) -> list:
@@ -1002,12 +1011,12 @@ def root_pagerank(t: LimitTree, c, N: int | None = None) -> float:
 class TreeLaw:
     """A limit law drawn one tree at a time by ``tree(depth, rng)``, the
     per-tree reference for ``limits.LimitLaw``: its forest cuts sequential
-    draws at the depth, and its pool ranks each tree with
+    draws at the depth and stacks them in level order, and its pool ranks each tree with
     :func:`root_pagerank` at damping ``c``."""
 
     tree: Callable
 
-    def forest(self, depth: int, M: int, rng) -> LimitForest:
+    def forest(self, depth: int, M: int, rng) -> LimitTree:
         return forest_of_trees((self.tree(depth, rng) for _ in range(M)), depth)
 
     def pool(self, c, depth: int, M: int, rng) -> np.ndarray:

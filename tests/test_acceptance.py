@@ -22,7 +22,6 @@ from pagerank_limits import (
     gen_dcm,
     gen_dpa,
     gen_irg,
-    gw_root_rank_pool,
     limit_law,
     malthusian,
     pagerank_truncated,
@@ -30,6 +29,7 @@ from pagerank_limits import (
     solve_fixed_point_mc,
     solve_pagerank,
 )
+from pagerank_limits.limits import LimitLaw
 from pagerank_limits.census import (
     TailSample,
     census,
@@ -105,7 +105,7 @@ def small_graph_corpus():
 def gw_direct_pool():
     # direct (independent-tree) sampler: M = 1e5 draws of the depth-5 root rank
     rng = RngStream(106, 1).generator()
-    return gw_root_rank_pool(LAW33, 0.5, 5, 100_000, rng)
+    return LimitLaw.gw(LAW33).pool(0.5, 5, 100_000, rng)
 
 
 @pytest.fixture(scope="module")
@@ -311,7 +311,7 @@ def test_criterion_09_polya_self_consistency(dpa_graphs):
 def test_criterion_10_fixed_point_equivalence():
     c, depth, M = 0.5, 5, 100_000
     pool = solve_fixed_point_mc(LAW33, c, depth, M, RngStream(114, 1).generator())
-    direct = gw_root_rank_pool(LAW33, c, depth, M, RngStream(114, 2).generator())
+    direct = LimitLaw.gw(LAW33).pool(c, depth, M, RngStream(114, 2).generator())
     ks = ks_distance(TailSample(pool), TailSample(direct))
     assert ks < 0.01, ks
     record_criterion(10, True,
@@ -344,8 +344,8 @@ def test_criterion_11_generalized(model_instances, small_graph_corpus,
     N = dcm_tail_artifacts["N"]
     const_c = lambda r, s: np.full(s, c)
     const_b = lambda r, s: np.full(s, 1 - c)
-    vals = gw_root_rank_pool(LAW33, None, 5, 100_000, RngStream(115, 1).generator(),
-                             c_sampler=const_c, b_sampler=const_b)
+    vals = LimitLaw.gw(LAW33).pool(None, 5, 100_000, RngStream(115, 1).generator(),
+                                   c_sampler=const_c, b_sampler=const_b)
     se = float(vals.std() / np.sqrt(vals.size))
     assert abs(float(vals.mean()) - (1 - c ** 6)) <= 3 * se
 

@@ -42,7 +42,7 @@ from pagerank_limits.generators import (
     sample_bidegree_sequence,
 )
 from pagerank_limits.graph import TREE_PREFIX, build_graph, canonical_code, explore_neighborhood
-from pagerank_limits.limits import LimitLaw, LimitTree, PolyaParams, _ctbp_levels, _polya_levels
+from pagerank_limits.limits import LimitLaw, PolyaParams, _ctbp_levels, _polya_levels
 
 # the package attribute `census` is the function, so fetch the module itself
 census_module = importlib.import_module("pagerank_limits.census")
@@ -359,13 +359,6 @@ class TestRefinement:
         census_limit(LimitLaw.gw(UNIFORM33), 2, 300, rng)
         census_limit(LimitLaw.ctbp(1.0), 2, 300, rng)
         assert grouped == [True, True, True]
-
-    def test_limit_tree_out_of_breadth_first_order_rejected(self):
-        # parents before children, but node 4's parent precedes node 3's
-        tree = LimitTree(parent=np.array([-1, 0, 0, 2, 1]), mark=np.ones(5, dtype=np.int64),
-                         node_depth=np.array([0, 1, 1, 2, 2]), truncation_depth=None)
-        with pytest.raises(UsageError, match="breadth-first"):
-            census_limit(TreeLaw(lambda depth, r: tree), 2, 1, RngStream(141).generator())
 
 
 class TestTvDistance:

@@ -167,6 +167,38 @@ class TestSubcommands:
         assert err.startswith(f"error: {field}: ") and "finite" in err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("argv", [
+        ["generate", "--model", "ctbp", "--n", "50"],
+        ["limit-sample", "--sampler", "ctbp", "--M", "10"],
+    ])
+    def test_theta_with_overflowing_reciprocal_rejected(self, tmp_path, capsys, argv):
+        # 1e-320 is positive and finite, but 1/theta is inf
+        assert cli.main([*argv, "--theta", "1e-320", "--output", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: model.theta: ") and "reciprocal" in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [
+        ["--model", "ctbp", "--theta", "1e-300"],
+        ["--model", "dpa", "--m", "1", "--delta", "-0.9999999999999999"],
+    ])
+    def test_tiny_attachment_weight_generates_without_warnings(self, tmp_path, argv):
+        out = tmp_path / "g.txt"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["generate", *argv, "--n", "2000", "--output", str(out)]) == 0
+        meta = json.loads((tmp_path / "g.txt.meta.json").read_text())
+        assert meta["edges"] == 1999
+
+    def test_overflowing_birth_times_rejected(self, tmp_path, capsys):
+        # at theta = 1e-308 the first gap, Exp(theta), overflows for this seed
+        argv = ["generate", "--model", "ctbp", "--theta", "1e-308", "--n", "2000", "--seed", "2"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main([*argv, "--output", str(tmp_path / "g.txt")]) == 1
+        assert capsys.readouterr().err == "error: birth times overflow at rate_base=1e-308\n"
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("mode", ["pool", "census", "tree"])
     def test_ctbp_limit_sample_at_tiny_theta(self, tmp_path, mode):
         out = tmp_path / "out.csv"
@@ -792,16 +824,19 @@ class TestOneParser:
 def _library_law(sampler):
     """(law, pool, sidecar fields) composed directly from the library and
     the oracles, independently of the law registry: dcm trees and forests
-    come from the node-at-a-time oracle and its pools from the pool
-    functions, the other laws from their ``LimitLaw`` constructors."""
+    come from the node-at-a-time oracle and its pools from the level pool
+    of ``LimitLaw.gw`` or from ``solve_fixed_point_mc``, the other laws
+    from their ``LimitLaw`` constructors."""
     from pagerank_limits import limits as lm
     from pagerank_limits.generators import BiDegreeLaw
 
     law = BiDegreeLaw([tuple(row) for row in DCM_LAW])
-    if sampler in ("fixed_point", "fixed-point", "gw"):
-        fn = lm.gw_root_rank_pool if sampler == "gw" else lm.solve_fixed_point_mc
+    if sampler == "gw":
+        return GwOracleLaw(law), lm.LimitLaw.gw(law).pool, {"law": DCM_LAW}
+    if sampler in ("fixed_point", "fixed-point"):
         return (GwOracleLaw(law),
-                (lambda c, depth, M, r, **weights: fn(law, c, depth, M, r, **weights)),
+                (lambda c, depth, M, r, **weights:
+                 lm.solve_fixed_point_mc(law, c, depth, M, r, **weights)),
                 {"law": DCM_LAW})
     if sampler == "ctbp":
         limit = lm.LimitLaw.ctbp(1.5)

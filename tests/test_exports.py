@@ -40,16 +40,17 @@ def test_package_imports_resolve_to_their_modules():
 # public names that only tests called, moved to tests/_oracles.py or deleted,
 # the truncation sweeps, whose checks the exact solve's own pass now feeds,
 # the per-tree limit samplers, root rank and law, which the level-wise laws
-# replaced, and the gw forest wrapper over ``LimitLaw.gw(law).forest``
+# replaced, the gw forest and pool wrappers over ``LimitLaw.gw(law)``, and
+# the back-to-back forest type and its builder, which level-order stacks of
+# limit trees replaced
 TEST_ONLY = ("local_distance", "truncate_neighborhood", "UsageDepthError",
              "InvalidNeighborhood", "parse_edgelist", "sample_gw_limit",
              "tree_neighborhood", "truncation_sweep", "solve_and_sweep", "read_tail_csv",
              "TreeLaw", "sample_polya_limit", "sample_ctbp_limit", "root_pagerank",
-             "sample_gw_forest")
+             "sample_gw_forest", "gw_root_rank_pool", "LimitForest", "_forest")
 TEST_ONLY_METHODS = {"DirectedMultigraph": ("edge_triples", "has_dangling"),
                      "MarkedNeighborhood": ("validate", "max_node_depth"),
-                     "BiDegreeLaw": ("star_entries",),
-                     "LimitForest": ("of_trees",)}
+                     "BiDegreeLaw": ("star_entries",)}
 
 
 def test_test_only_api_left_the_library():

@@ -1,22 +1,23 @@
+import hashlib
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from pagerank_limits.census import census_limit, tv_distance
+from pagerank_limits.census import census_limit, tv_distance, write_census_csv
 from pagerank_limits.errors import ConfigError, ResourceError, UsageError
 from pagerank_limits.generators import BiDegreeLaw, CtbpParams, PamParams, RngStream
 from pagerank_limits.graph import canonical_code
 from pagerank_limits.pagerank import GeneralizedWeights
 from pagerank_limits import limits
 from pagerank_limits.limits import (
+    LIMIT_LAWS,
     LimitLaw,
     LimitTree,
     PolyaParams,
     _ctbp_levels,
-    _forest,
     _polya_levels,
-    gw_root_rank_pool,
+    _stack,
     limit_law,
     malthusian,
     read_pool_csv,
@@ -35,6 +36,7 @@ from _oracles import (
     sample_gw_trees,
     sample_polya_limit,
     tree_census,
+    tree_index,
     tree_neighborhood,
     tree_root_rank_enum,
     tree_root_rank_enum_generalized,
@@ -47,8 +49,8 @@ PATH_LAW = BiDegreeLaw([(1, 1, 1.0)])
 TREE_COLUMNS = ("parent", "mark", "node_depth")
 
 
-def assert_same_forest(got, want, names=("parent", "mark", "node_depth", "start")):
-    for name in names:
+def assert_same_forest(got, want):
+    for name in TREE_COLUMNS:
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype and np.array_equal(a, b), name
 
@@ -84,6 +86,13 @@ def test_malthusian_is_exactly_one_plus_rate(theta):
 def test_infinite_attachment_constant_rejected(make):
     with pytest.raises(ConfigError, match="finite"):
         make(np.inf)
+
+
+@pytest.mark.parametrize("make", [malthusian, LimitLaw.ctbp, CtbpParams])
+@pytest.mark.parametrize("theta", [1e-320, np.float64(5e-324)])
+def test_rate_with_overflowing_reciprocal_rejected(make, theta):
+    with pytest.raises(ConfigError, match="finite reciprocal"):
+        make(theta)
 
 
 class TestGwSampler:
@@ -149,7 +158,8 @@ class TestGwForest:
                 rf, rs = RngStream(60, i).generator(), RngStream(60, i).generator()
                 forest = LimitLaw.gw(law).forest(depth, M, rf)
                 trees = sample_gw_trees(law, depth, M, rs)
-                assert forest.roots.size == M and forest.truncation_depth == depth
+                assert np.flatnonzero(forest.parent < 0).tolist() == list(range(M))
+                assert forest.truncation_depth == depth
                 assert_same_forest(forest, forest_of_trees(trees, depth))
                 assert rf.random() == rs.random()
                 rc, ro = RngStream(61, i).generator(), RngStream(61, i).generator()
@@ -163,16 +173,16 @@ class TestGwForest:
         rf, rs = RngStream(61).generator(), RngStream(61).generator()
         forest = LimitLaw.gw(law).forest(3, 50, rf)
         assert_same_forest(forest, forest_of_trees(sample_gw_trees(law, 3, 50, rs), 3))
-        assert forest.start[-1] > 1000 and rf.random() == rs.random()
+        assert forest.size > 1000 and rf.random() == rs.random()
 
     def test_of_trees_truncates(self):
         # the oracle forest of given trees, which the per-tree laws draw
         rng = RngStream(62).generator()
         trees = [sample_ctbp_limit(1.0, 2.0, rng) for _ in range(30)]
-        forest = forest_of_trees(trees, 2)
-        for j, t in enumerate(trees):
-            cut = int((t.node_depth <= 2).sum())
-            assert np.array_equal(forest.tree(j).parent, t.parent[:cut])
+        cuts = [int((t.node_depth <= 2).sum()) for t in trees]
+        assert np.bincount(tree_index(forest_of_trees(trees, 2))).tolist() == cuts
+        for t, cut in zip(trees, cuts):
+            assert np.array_equal(forest_of_trees([t], 2).parent, t.parent[:cut])
         with pytest.raises(UsageError):
             forest_of_trees([sample_gw_limit(UNIFORM33, 1, rng)], 2)
 
@@ -184,13 +194,13 @@ class TestGwForest:
 
 
 class TestGwTreeStarts:
-    """Where the forest's trees start when few or no nodes have children."""
+    """Forests whose nodes have few or no children."""
 
     def test_roots_only_law(self):
         law = BiDegreeLaw([(0, 0, 1.0)])
         rf, rs = RngStream(71).generator(), RngStream(71).generator()
         forest = LimitLaw.gw(law).forest(3, 50, rf)
-        assert forest.start.tolist() == list(range(51)) and not forest.mark.any()
+        assert forest.parent.tolist() == [-1] * 50 and not forest.mark.any()
         assert all(t.size == 1 for t in sample_gw_trees(law, 3, 50, rs))
         assert rf.random() == rs.random()
 
@@ -199,7 +209,7 @@ class TestGwTreeStarts:
         law = BiDegreeLaw([(0, 1, 0.5), (0, 0, 0.5)], mean_tol=1.0)
         with pytest.raises(ConfigError, match="size-biased law undefined"):
             LimitLaw.gw(law).forest(1, 50, RngStream(72).generator())
-        assert LimitLaw.gw(law).forest(0, 50, RngStream(72).generator()).start[-1] == 50
+        assert LimitLaw.gw(law).forest(0, 50, RngStream(72).generator()).size == 50
 
 
 class TestRootRank:
@@ -444,7 +454,7 @@ class TestCtbpLimit:
         # read from the level-wise forest
         M = 6000
         forest = LimitLaw.ctbp(1.0).forest(1, M, RngStream(58).generator())
-        lone = int((np.diff(forest.start) == 1).sum())
+        lone = int((np.bincount(tree_index(forest)) == 1).sum())
         assert abs(lone / M - 2 / 3) < 3 * np.sqrt(2 / 9 / M)
 
     def test_window_distribution(self):
@@ -463,10 +473,11 @@ class TestCtbpLimit:
         # the pool ranks whole trees, whatever the depth
         c, law = 0.5, LimitLaw.ctbp(1.0)
         got = law.pool(c, 0, 300, RngStream(61).generator())
-        forest = _forest(law.levels(None, 300, RngStream(61).generator()), None)
+        forest = _stack(law.levels(None, 300, RngStream(61).generator()), None)
         assert forest.node_depth.max() >= 3
+        tree = tree_index(forest)
         for i, value in enumerate(got.tolist()):
-            zs = np.bincount(forest.tree(i).node_depth)
+            zs = np.bincount(forest.node_depth[tree == i])
             want = (1 - c) * sum((c ** k) * z for k, z in enumerate(zs.tolist()))
             assert value == pytest.approx(want, abs=1e-12)
 
@@ -495,12 +506,12 @@ class TestCtbpLimit:
             depth = None if finite else 5
             for failed in range(10):
                 try:
-                    want = _forest(capped(depth, 1, rb, 2), depth).tree(0)
+                    want = _stack(capped(depth, 1, rb, 2), depth)
                     break
                 except ResourceError:
                     pass
             assert failed == 2 and attempts == [1] * 3 and ra.random() == rb.random(), name
-            assert_same_forest(tree, want, TREE_COLUMNS)
+            assert_same_forest(tree, want)
             with pytest.raises(ResourceError,
                                match="^limit population kept exceeding the node cap$"):
                 law.forest(2, 50, ra)
@@ -553,8 +564,8 @@ class TestLevelLaws:
         from pagerank_limits.census import TailSample, ks_distance
 
         law, _, oracle = self.LAWS[sampler]
-        new = np.diff(law.forest(3, 20_000, RngStream(174).generator()).start)
-        old = np.diff(oracle.forest(3, 3000, RngStream(175).generator()).start)
+        new = np.bincount(tree_index(law.forest(3, 20_000, RngStream(174).generator())))
+        old = np.bincount(tree_index(oracle.forest(3, 3000, RngStream(175).generator())))
         ks = ks_distance(TailSample(new.astype(float)), TailSample(old.astype(float)))
         assert ks < self._ks_critical(new.size, old.size), ks
 
@@ -569,18 +580,17 @@ class TestLevelLaws:
 
     @pytest.mark.parametrize("sampler", ["polya", "ctbp"])
     def test_forest_structure(self, sampler):
-        # trees back to back from `start`, breadth-first, each parent one
-        # level up in its own tree, every mark the law's; the node-at-a-time
-        # assembly of the same levels agrees
+        # trees in level order: the roots first, then each level's nodes
+        # listed by parent, each parent one level up, every mark the law's;
+        # the node-at-a-time assembly of the same levels, stacked, agrees
         law, mark, _ = self.LAWS[sampler]
         forest = law.forest(4, 500, RngStream(173).generator())
-        sizes = np.diff(forest.start)
-        assert forest.start[0] == 0 and (sizes >= 1).all() and sizes.max() > 20
-        tree_of = np.repeat(np.arange(500), sizes)
+        sizes = np.bincount(tree_index(forest))
+        assert sizes.size == 500 and sizes.max() > 20
         inner = forest.node_depth > 0
-        assert (forest.parent[forest.roots] == -1).all() and inner.sum() == forest.parent.size - 500
+        assert (forest.parent[:500] == -1).all() and inner.sum() == forest.parent.size - 500
+        assert (np.diff(forest.node_depth) >= 0).all()
         parent = forest.parent[inner]
-        assert (tree_of[parent] == tree_of[inner]).all()
         assert (forest.node_depth[parent] == forest.node_depth[inner] - 1).all()
         assert (parent[1:] >= parent[:-1]).all() and (parent < np.flatnonzero(inner)).all()
         assert (forest.mark == mark).all() and forest.truncation_depth == 4
@@ -666,14 +676,14 @@ class TestFixedPointPool:
 
         rng = RngStream(68).generator()
         pool = solve_fixed_point_mc(UNIFORM33, 0.5, 4, 30_000, rng)
-        direct = gw_root_rank_pool(UNIFORM33, 0.5, 4, 30_000, rng)
+        direct = LimitLaw.gw(UNIFORM33).pool(0.5, 4, 30_000, rng)
         assert ks_distance(TailSample(pool), TailSample(direct)) < 0.02
 
     def test_direct_matches_object_sampler(self):
         from pagerank_limits.census import TailSample, ks_distance
 
         rng = RngStream(69).generator()
-        direct = gw_root_rank_pool(UNIFORM33, 0.5, 3, 5000, rng)
+        direct = LimitLaw.gw(UNIFORM33).pool(0.5, 3, 5000, rng)
         objs = np.array([
             root_pagerank(sample_gw_limit(UNIFORM33, 3, rng), 0.5, 3)
             for _ in range(5000)
@@ -686,7 +696,7 @@ class TestFixedPointPool:
         # from the deepest up; only the summation order differs from the oracle
         cs, bs = TestFold.C_LAW, TestFold.B_LAW
         rp, rng, B = RngStream(72).generator(), RngStream(72).generator(), []
-        got = gw_root_rank_pool(law, None, 3, 60, rp, c_sampler=cs, b_sampler=bs)
+        got = LimitLaw.gw(law).pool(None, 3, 60, rp, c_sampler=cs, b_sampler=bs)
         trees = sample_gw_trees(law, 3, 60, rng, on_level=lambda n: B.append(bs(rng, n)))
         want = _ranks_with_level_weights(trees, B, cs, rng)
         assert rp.random() == rng.random()
@@ -700,8 +710,8 @@ class TestFixedPointPool:
         b_sampler = lambda r, s: r.exponential(0.15, s)
         pool = solve_fixed_point_mc(UNIFORM33, None, 4, 30_000, rng,
                                     c_sampler=c_sampler, b_sampler=b_sampler)
-        direct = gw_root_rank_pool(UNIFORM33, None, 4, 30_000, rng,
-                                   c_sampler=c_sampler, b_sampler=b_sampler)
+        direct = LimitLaw.gw(UNIFORM33).pool(None, 4, 30_000, rng,
+                                             c_sampler=c_sampler, b_sampler=b_sampler)
         assert ks_distance(TailSample(pool), TailSample(direct)) < 0.02
 
     def test_needs_c_or_samplers(self):
@@ -710,7 +720,7 @@ class TestFixedPointPool:
 
 
 class TestGwLawTree:
-    """``LimitLaw.gw(law).tree`` draws a forest of one tree: the per-tree
+    """``LimitLaw.gw(law).tree`` stacks one tree's levels: the per-tree
     sampler's tree, column dtypes, file bytes and stream position."""
 
     LAW_BAL = BiDegreeLaw([(1, 1, 0.5), (2, 2, 0.5)])
@@ -721,7 +731,7 @@ class TestGwLawTree:
         for seed in range(40):
             ra, rb = RngStream(seed).generator(), RngStream(seed).generator()
             got, want = LimitLaw.gw(law).tree(depth, ra), sample_gw_limit(law, depth, rb)
-            assert_same_forest(got, want, TREE_COLUMNS)
+            assert_same_forest(got, want)
             assert got.truncation_depth == want.truncation_depth == depth
             write_tree_edgelist(got, tmp_path / "got.txt")
             write_tree_edgelist(want, tmp_path / "want.txt")
@@ -755,3 +765,44 @@ class TestPoolCsv:
         write_pool_csv(vals, tmp_path / "pool.csv")
         back = read_pool_csv(tmp_path / "pool.csv")
         assert np.array_equal(back, vals)
+
+
+class TestSeededOutputsPinned:
+    """Each sampler's census of 5000 trees (two blocks), eight trees drawn
+    after it and the stream's next draw, pinned as SHA-256 prefixes of the
+    census CSV and of the trees' edge lists back to back: how limit trees
+    are held in memory must move no output byte and no draw."""
+
+    LAW = BiDegreeLaw([(1, 1, 0.3), (2, 3, 0.4), (3, 1, 0.2), (4, 4, 0.1)])
+    MODELS = {"dcm": {"name": "dcm", "law": LAW}, "ctbp": {"name": "ctbp", "theta": 1.0},
+              "dpa": {"name": "dpa", "m": 2, "delta": 1.0}}
+    # by model: the three dcm samplers draw the same trees
+    PINNED = {
+        ("dcm", 0): ("e741891f96a08936", "fb80f6cb412da28e", 0.5236686365921709),
+        ("dcm", 1): ("bb80aaced044d588", "e2a4c4771c86101a", 0.3229016219375752),
+        ("dcm", 2): ("09c190ea410d5eb4", "574358bd467db7ee", 0.7980048272428787),
+        ("dcm", 3): ("66513e978a4b5fd4", "589929cfa21bde3b", 0.1956841124037655),
+        ("ctbp", 0): ("547ec25481645b07", "9298c89c6ffded49", 0.19016493648700727),
+        ("ctbp", 1): ("86dc5f59c732992d", "2bc7865111c416e9", 0.4743433183767688),
+        ("ctbp", 2): ("09b189e6a32387b3", "6a964d25f5b91196", 0.34012273244720925),
+        ("ctbp", 3): ("d21b1e1676d22c53", "ef4454fe8600b5b1", 0.8138467474662119),
+        ("dpa", 0): ("6abcd71aa8f254d9", "8c43dc7914090c76", 0.5236686365921709),
+        ("dpa", 1): ("02453357ad946b8d", "ca929ee0e43eacdb", 0.35464790680837255),
+        ("dpa", 2): ("b6822d0bf0a100d3", "243fac3f75427886", 0.39962877268994224),
+        ("dpa", 3): ("81262e4784e1e881", "51f358b2be4dbbea", 0.15716042270076902),
+    }
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 3])
+    @pytest.mark.parametrize("sampler", list(LIMIT_LAWS))
+    def test_census_trees_and_stream(self, tmp_path, sampler, k):
+        model = LIMIT_LAWS[sampler][0]
+        law = limit_law(sampler, self.MODELS[model])
+        rng = RngStream(310, k).generator()
+        write_census_csv(census_limit(law, k, 5000, rng), tmp_path / "census.csv")
+        trees = hashlib.sha256()
+        for _ in range(8):
+            write_tree_edgelist(law.tree(k, rng), tmp_path / "tree.txt")
+            trees.update((tmp_path / "tree.txt").read_bytes())
+        census = hashlib.sha256((tmp_path / "census.csv").read_bytes())
+        got = (census.hexdigest()[:16], trees.hexdigest()[:16], rng.random())
+        assert got == self.PINNED[model, k]

@@ -27,7 +27,7 @@ from pagerank_limits.generators import (
     sample_bidegree_sequence,
 )
 from pagerank_limits.graph import read_edgelist, write_edgelist
-from pagerank_limits.limits import _FOREST_TREES, gw_root_rank_pool
+from pagerank_limits.limits import _FOREST_TREES, LimitLaw
 
 N = 30_000
 LAW33 = BiDegreeLaw([(h, l, 1 / 9) for h in (1, 2, 3) for l in (1, 2, 3)])
@@ -128,7 +128,7 @@ def test_gw_pool_peak():
     # about 4.2 float columns of them (the unblocked pool held 30 000 roots'
     # levels at once, 5.9 times this bound)
     depth = 6
-    pool, peak = peak_of(lambda: gw_root_rank_pool(LAW33, 0.5, depth, 30_000,
-                                                   RngStream(7).generator()))
+    pool, peak = peak_of(lambda: LimitLaw.gw(LAW33).pool(0.5, depth, 30_000,
+                                                         RngStream(7).generator()))
     assert pool.size == 30_000
     assert peak <= 5.0 * 8 * _FOREST_TREES * (2 ** (depth + 1) - 1)

@@ -21,7 +21,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from pagerank_limits import _textio
-from pagerank_limits.errors import InputError
+from pagerank_limits.errors import InputError, UsageError
 from pagerank_limits.graph import build_graph, write_edgelist
 from pagerank_limits.limits import LimitTree, read_pool_csv, write_pool_csv, write_tree_edgelist
 from pagerank_limits.pagerank import PageRankVector, read_scores_csv, write_scores_csv
@@ -337,6 +337,17 @@ def test_reader_header_and_empty_body(tmp_path):
         path.write_bytes(data)
         with pytest.raises(InputError, match="expected 'value' header"):
             read_pool_csv(path)
+
+
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan, np.float64("nan")])
+def test_json_writer_refuses_non_finite_floats(tmp_path, value):
+    # JSON has no Infinity or NaN; nothing is written
+    path = tmp_path / "meta.json"
+    with pytest.raises(UsageError, match=rf"^{re.escape(str(path))}: Out of range float"):
+        _textio.write_json(path, {"ok": 1.5, "nested": [{"x": value}]})
+    assert not path.exists()
+    _textio.write_json(path, {"b": np.float64(1.5), "a": [np.int64(2)]})
+    assert path.read_text() == '{\n  "a": [\n    2\n  ],\n  "b": 1.5\n}\n'
 
 
 # ---------------------------------------------------------------------------

@@ -381,12 +381,24 @@ class TailSample:
 
 
 def ks_distance(a: TailSample, b: TailSample) -> float:
-    """sup_r |fraction(a > r) - fraction(b > r)| by a merge scan."""
+    """sup_r |fraction(a > r) - fraction(b > r)| by one merge.
+
+    A stable sort merges the two sorted samples; at the end of each run of
+    equal values the running counts of a's and of b's values are those of
+    values <= r, and the sup is taken over those run ends only.
+    """
     if a.size == 0 or b.size == 0:
         raise UsageError("KS distance needs nonempty samples")
     pts = np.concatenate([a.values, b.values])
-    fa = np.searchsorted(a.values, pts, side="right") / a.size
-    fb = np.searchsorted(b.values, pts, side="right") / b.size
+    order = np.argsort(pts, kind="stable")
+    merged = pts[order]
+    tie = merged[1:] == merged[:-1]
+    if np.isnan(merged[-1]):
+        tie |= np.isnan(merged[:-1])  # NaNs sort last and tie, as in a binary search
+    ends = np.flatnonzero(np.append(~tie, True))
+    count_a = np.cumsum(order < a.size)[ends]
+    fa = count_a / a.size
+    fb = (ends + 1 - count_a) / b.size
     return float(np.abs(fa - fb).max())
 
 

@@ -439,22 +439,23 @@ def _model_from_args(args, name):
         value = getattr(args, key, None)
         if value is not None:
             raw[key] = (_load_inline_json(value) if key == "law" else
-                        _weight_arg(value, "--" + key.replace("_", "-"))
+                        _weight_arg(value, "--" + key.replace("_", "-"), args.n)
                         if key in ("w_out", "w_in") else value)
     return _parse_model(raw)
 
 
-def _weight_arg(spec, flag):
+def _weight_arg(spec, flag, n):
     if spec.startswith("@"):
-        return _values_file(spec[1:], flag)
+        return _values_file(spec[1:], flag, n)
     try:
         return float(spec)
     except ValueError as e:
         raise InputError(f"{flag}: {e}") from None
 
 
-def _values_file(path, flag):
-    """A per-vertex value file (README, "File formats") as a float array."""
+def _values_file(path, flag, n):
+    """A per-vertex value file (README, "File formats") of ``n`` values, as a
+    float array."""
     try:
         with warnings.catch_warnings():
             # an empty file is an empty array, rejected by the length checks
@@ -466,6 +467,9 @@ def _values_file(path, flag):
         raise InputError(f"{flag} {path}: {e}") from None
     if values.ndim != 1:
         raise InputError(f"{flag} {path}: expected one number per line")
+    if values.size != n:
+        raise InputError(f"{flag} {path}: expected {n} values, one per vertex, "
+                         f"got {values.size}")
     return values
 
 
@@ -481,8 +485,9 @@ def _cmd_pagerank(args):
         if not (args.c_values and args.b_values):
             raise ConfigError("generalized solve needs both --c-values and --b-values")
         params = pr.GeneralizedWeights(
-            C=_values_file(args.c_values, "--c-values"),
-            B=_values_file(args.b_values, "--b-values"), tol=args.tol, max_iter=args.max_iter)
+            C=_values_file(args.c_values, "--c-values", g.n),
+            B=_values_file(args.b_values, "--b-values", g.n), tol=args.tol,
+            max_iter=args.max_iter)
     else:
         params = pr.PageRankParams(c=args.c, tol=args.tol, max_iter=args.max_iter)
     exact = pr.solve_pagerank(g, params, with_order=args.N)

@@ -25,6 +25,7 @@ from __future__ import annotations
 import logging
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import islice
 
 import numpy as np
@@ -286,32 +287,55 @@ def solve_fixed_point_mc(law: BiDegreeLaw, c: float | None, depth: int,
     equation with the un-size-biased law.  The output is distributed as the
     depth-``depth`` root rank; marks are drawn jointly with offspring counts
     so dependent size-biased laws are handled.
+
+    With constant c (no samplers) a level forms (c / mark) R* once per pool
+    member, gathers it per child and adds 1 - c to each owner's sum.  Each
+    term and sum is the same float as in the per-child form, which drawn
+    (C, B) keep, since they draw C per child.
     """
     if depth < 0:
         raise ConfigError(f"depth must be >= 0, got {depth}")
     _check_pool_size(pool_size)
+    constant = c_sampler is None and b_sampler is None
     c_sampler, b_sampler = _weight_samplers(c, c_sampler, b_sampler)
+    step = (partial(_constant_step, c) if constant
+            else partial(_pool_step, c_sampler, b_sampler))
     M = pool_size
     if depth == 0:
         return np.asarray(b_sampler(rng, M), dtype=np.float64)
     marks, _ = law.sample_star(rng, M)
     vals = np.asarray(b_sampler(rng, M), dtype=np.float64)
     for _ in range(depth - 1):
-        marks, vals = _pool_step(law.sample_star(rng, M), marks, vals,
-                                 c_sampler, b_sampler, rng, M)
-    _, vals = _pool_step(law.sample(rng, M), marks, vals, c_sampler, b_sampler, rng, M)
-    return vals
+        marks, vals = step(law.sample_star(rng, M), marks, vals, rng, M)
+    return step(law.sample(rng, M), marks, vals, rng, M)[1]
 
 
-def _pool_step(draw, prev_marks, prev_vals, c_sampler, b_sampler, rng, M):
-    h, l = draw
+def _children(l, M, rng):
+    """Each child's owner (pool members with ``l`` children each) and the
+    previous pool's member it resamples."""
     owners = np.repeat(np.arange(M), l)
-    idx = rng.integers(0, M, owners.size)
+    return owners, rng.integers(0, M, owners.size)
+
+
+def _pool_step(c_sampler, b_sampler, draw, prev_marks, prev_vals, rng, M):
+    h, l = draw
+    owners, idx = _children(l, M, rng)
     coef = _node_c(c_sampler(rng, owners.size)) / prev_marks[idx]
     new_vals = np.asarray(b_sampler(rng, M), dtype=np.float64)
     if owners.size:
         new_vals += np.bincount(owners, weights=coef * prev_vals[idx], minlength=M)
     return h, new_vals
+
+
+def _constant_step(c, draw, prev_marks, prev_vals, rng, M):
+    h, l = draw
+    owners, idx = _children(l, M, rng)
+    weighed = (c / prev_marks) * prev_vals
+    sums = np.bincount(owners, weights=weighed.take(idx), minlength=M)
+    # bincount of no children is int64 zeros
+    sums = sums.astype(np.float64, copy=False)
+    sums += 1.0 - c
+    return h, sums
 
 
 # ---------------------------------------------------------------------------

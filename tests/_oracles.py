@@ -23,6 +23,12 @@ and each node's tree in a stack, small views of library objects (edge
 triples, dangling vertices, the star law, parsed edge lists, neighborhood
 invariants), the tail-CSV reader, and the identity checks with any missing
 score vector solved for.
+
+Three references keep the forms that faster ones replaced, to be matched
+float for float: the solve loop with the full sup-norm step every
+iteration (it runs on the library kernel's iterates, and checks only the
+loop), the fixed-point pool formed per child, and the KS distance by
+binary search.
 """
 
 import heapq
@@ -32,7 +38,7 @@ from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
+from itertools import islice, permutations
 
 import numpy as np
 import scipy.sparse as sp
@@ -40,6 +46,7 @@ import scipy.sparse as sp
 from pagerank_limits._textio import parse_edges, read_table
 from pagerank_limits.errors import (
     ConfigError,
+    ConvergenceError,
     InputError,
     InvariantViolation,
     ResourceError,
@@ -61,6 +68,7 @@ from pagerank_limits.limits import (
 from pagerank_limits.pagerank import (
     GeneralizedWeights,
     PageRankParams,
+    PageRankVector,
     check_invariants,
     solve_pagerank,
 )
@@ -1021,3 +1029,76 @@ class TreeLaw:
 
     def pool(self, c, depth: int, M: int, rng) -> np.ndarray:
         return np.array([root_pagerank(self.tree(depth, rng), c) for _ in range(M)])
+
+
+def solve_full_step(system, params, order=None):
+    """``_OrderedSystem.solve`` with the full sup-norm step taken every
+    iteration: the loop's reference, on the library kernel's iterates.
+    Returns a :class:`PageRankVector` as the solve does, or raises its
+    ``ConvergenceError``."""
+    N = -1 if order is None else order
+    iterates = system.iterates()
+    r = next(iterates)
+    means = [float(r.mean()) if r.size else 0.0] if N >= 0 else []
+    kept = r if N == 0 else None
+    delta = None
+    for k in range(1, params.max_iter + 1):
+        prev, r = r, next(iterates)
+        if k <= N:
+            means.append(float(r.mean()) if r.size else 0.0)
+            if k == N:
+                kept = r
+        delta = float((r - prev).max()) if r.size else 0.0
+        if delta < params.tol:
+            truncated = None
+            if N >= 0:
+                for kept in islice(iterates, max(N - k, 0)):
+                    means.append(float(kept.mean()) if kept.size else 0.0)
+                truncated = PageRankVector(values=system.in_vertex_order(kept), order=N,
+                                           params=params, iterations=N)
+                means.append(float(r.mean()) if r.size else 0.0)
+            return PageRankVector(values=system.in_vertex_order(r), order="exact",
+                                  params=params, iterations=k, residual=delta,
+                                  truncated=truncated, means=tuple(means))
+    desc = (f"pagerank(c={params.c})" if isinstance(params, PageRankParams)
+            else f"generalized(c_max={params.c_max})")
+    raise ConvergenceError(
+        f"{desc} iteration did not reach tol={params.tol} in {params.max_iter} steps "
+        f"(last residual {delta:.3e})", residual=delta, iterations=params.max_iter)
+
+
+def fixed_point_pool_per_child(law, c, depth: int, M: int, rng,
+                               c_sampler=None, b_sampler=None) -> np.ndarray:
+    """``solve_fixed_point_mc`` with every level formed per child: each
+    child's C (c, or drawn) over its resampled mark, times its resampled
+    value, summed by owner onto a fresh B pool."""
+    if c_sampler is None or b_sampler is None:
+        c_sampler = c_sampler or (lambda rng, size: np.full(size, c))
+        b_sampler = b_sampler or (lambda rng, size: np.full(size, 1.0 - c))
+    if depth == 0:
+        return np.asarray(b_sampler(rng, M), dtype=np.float64)
+
+    def step(draw, marks, vals):
+        h, l = draw
+        owners = np.repeat(np.arange(M), l)
+        idx = rng.integers(0, M, owners.size)
+        coef = np.asarray(c_sampler(rng, owners.size), dtype=np.float64) / marks[idx]
+        new_vals = np.asarray(b_sampler(rng, M), dtype=np.float64)
+        if owners.size:
+            new_vals += np.bincount(owners, weights=coef * vals[idx], minlength=M)
+        return h, new_vals
+
+    marks, _ = law.sample_star(rng, M)
+    vals = np.asarray(b_sampler(rng, M), dtype=np.float64)
+    for _ in range(depth - 1):
+        marks, vals = step(law.sample_star(rng, M), marks, vals)
+    return step(law.sample(rng, M), marks, vals)[1]
+
+
+def ks_distance_searchsorted(a, b) -> float:
+    """KS distance of two :class:`~pagerank_limits.census.TailSample`, each
+    sample's right-side count of every point of both found by binary search."""
+    pts = np.concatenate([a.values, b.values])
+    fa = np.searchsorted(a.values, pts, side="right") / a.size
+    fb = np.searchsorted(b.values, pts, side="right") / b.size
+    return float(np.abs(fa - fb).max())

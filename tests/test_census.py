@@ -23,6 +23,7 @@ from pagerank_limits.census import (
 from _oracles import (
     GwOracleLaw,
     TreeLaw,
+    ks_distance_searchsorted,
     per_root_census,
     rank_rows_lexsort,
     read_tail_csv,
@@ -427,6 +428,30 @@ class TestKsDistance:
         b = TailSample(rng.random(70))
         assert ks_distance(a, b) == ks_distance(b, a)
         assert 0.0 <= ks_distance(a, b) <= 1.0
+
+    @pytest.mark.parametrize("tied", [True, False], ids=["tied", "random"])
+    def test_equals_the_searchsorted_oracle(self, tied):
+        # the merge takes the same counts and divisions, so the same float
+        rng = RngStream(93).generator()
+        for _ in range(300):
+            sizes = rng.integers(1, 60, 2)
+            if tied:
+                atoms = rng.random(int(rng.integers(1, 6)))
+                a, b = (TailSample(rng.choice(atoms, s)) for s in sizes)
+            else:
+                a, b = (TailSample(rng.pareto(2.0, s)) for s in sizes)
+            assert ks_distance(a, b) == ks_distance_searchsorted(a, b)
+            assert ks_distance(b, a) == ks_distance_searchsorted(b, a)
+        a, b = TailSample(rng.pareto(2.0, 20_000)), TailSample(rng.pareto(2.0, 30_000))
+        assert ks_distance(a, b) == ks_distance_searchsorted(a, b)
+        # -0 and +0 tie, as in the binary search
+        signed, plain = TailSample([-0.0, 0.0, 1.0]), TailSample([0.0, -0.0, 0.0, 1.0])
+        assert ks_distance(signed, plain) == ks_distance_searchsorted(signed, plain)
+        # NaNs sort last and count as one value
+        for a, b in [([np.nan], [np.nan]), ([np.nan, 1, 2], [1, np.nan, np.nan]),
+                     ([1, np.inf], [np.inf, np.nan])]:
+            a, b = TailSample(a), TailSample(b)
+            assert ks_distance(a, b) == ks_distance_searchsorted(a, b)
 
 
 class TestCcdf:

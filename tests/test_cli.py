@@ -1151,6 +1151,16 @@ class TestMalformedNumbers:
         assert not out.exists()
 
     @pytest.mark.parametrize("flag", ["--w-out", "--w-in", "--c-values", "--b-values"])
+    def test_wrong_length_names_its_flag_and_file(self, tmp_path, capsys, flag):
+        short = tmp_path / "short.txt"
+        short.write_text("0.25\n0.5\n")
+        out = tmp_path / "short.out"
+        assert cli.main([*self._values_argv(tmp_path, flag, short), "--output", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {flag} {short}: expected 3 values, one per vertex, got 2\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--w-out", "--w-in", "--c-values", "--b-values"])
     def test_non_number_names_its_flag(self, tmp_path, capsys, flag):
         if flag in ("--w-out", "--w-in"):
             argv = ["generate", "--model", "irg", flag, "abc", "--n", "20",

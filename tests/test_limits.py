@@ -29,6 +29,7 @@ from pagerank_limits.limits import (
 from _oracles import (
     TreeLaw,
     exact_gw_mean,
+    fixed_point_pool_per_child,
     forest_of_trees,
     root_pagerank,
     sample_ctbp_limit,
@@ -717,6 +718,23 @@ class TestFixedPointPool:
     def test_needs_c_or_samplers(self):
         with pytest.raises(ConfigError):
             solve_fixed_point_mc(UNIFORM33, None, 3, 100, RngStream(71).generator())
+
+    @pytest.mark.parametrize("M", [1, 7, 4097])
+    @pytest.mark.parametrize("depth", [0, 1, 2, 9])
+    @pytest.mark.parametrize("law", [UNIFORM33, BiDegreeLaw([(1, 0, 1.0)], mean_tol=float("inf"))],
+                             ids=["law33", "leaf-only"])
+    @pytest.mark.parametrize("sampled", [False, True], ids=["constant", "sampled"])
+    def test_pool_equals_the_per_child_fold(self, sampled, law, depth, M):
+        # constant c weighs each pool member once; sampled (C, B) draw C per child
+        weights = ({"c_sampler": TestFold.C_LAW, "b_sampler": TestFold.B_LAW} if sampled
+                   else {})
+        c = None if sampled else 0.85
+        rng, oracle_rng = RngStream(74).generator(), RngStream(74).generator()
+        got = solve_fixed_point_mc(law, c, depth, M, rng, **weights)
+        want = fixed_point_pool_per_child(law, c, depth, M, oracle_rng, **weights)
+        assert got.dtype == want.dtype == np.float64
+        assert got.tobytes() == want.tobytes()
+        assert rng.random(4).tolist() == oracle_rng.random(4).tolist()  # the same draws
 
 
 class TestGwLawTree:

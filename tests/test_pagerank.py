@@ -4,7 +4,17 @@ import scipy.sparse as sp
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from pagerank_limits import PamParams, RngStream, gen_dpa, gen_irg
+from pagerank_limits import (
+    BiDegreeLaw,
+    CtbpParams,
+    PamParams,
+    RngStream,
+    gen_ctbp_tree,
+    gen_dcm,
+    gen_dpa,
+    gen_irg,
+    sample_bidegree_sequence,
+)
 from pagerank_limits import pagerank as pr
 from pagerank_limits.errors import (
     ConfigError,
@@ -31,6 +41,7 @@ from _oracles import (
     has_dangling,
     pull_matrix,
     random_small_graph,
+    solve_full_step,
     solved_lower_bound_error,
     solved_truncation_gap,
 )
@@ -98,6 +109,98 @@ class TestExactSolve:
         # self-loop: R = cR + (1-c) has the symmetric solution 1
         looped = solve_pagerank(build_graph([(0, 0)], 1), PageRankParams(c=0.5))
         assert looped.values == pytest.approx([1.0], abs=1e-12)
+
+
+LAW33 = BiDegreeLaw([(h, l, 1 / 9) for h in (1, 2, 3) for l in (1, 2, 3)])
+
+
+def law33_graph(n, sequence_seed, match_seed):
+    return gen_dcm(sample_bidegree_sequence(LAW33, n, np.random.default_rng(sequence_seed)),
+                   np.random.default_rng(match_seed))
+
+
+def stars_and_cycle(stars=5000):
+    """A 3-cycle beside ``stars`` centers of two leaves each: the centers, last
+    in the in-degree order, stop moving after iteration 1, while the cycle's
+    scores move by c^k (1 - c) at iteration k."""
+    center = 3 + 3 * np.arange(stars)
+    edges = [(0, 1), (1, 2), (2, 0)]
+    edges += [(int(v), int(c)) for c in center for v in (c + 1, c + 2)]
+    return build_graph(edges, 3 + 3 * stars)
+
+
+# graphs past the solve's probe rows (``pr._PROBE_ROWS``) and below them;
+# dpa and ctbp graphs are DAGs
+ORACLE_GRAPHS = {
+    "empty": lambda: build_graph([], 0),
+    "cycle3": cycle3,
+    "law33": lambda: law33_graph(6000, 11, 12),
+    "dpa": lambda: gen_dpa(6000, PamParams(m=2, delta=1.0), RngStream(12).generator()),
+    "ctbp": lambda: gen_ctbp_tree(CtbpParams(1.0), 6000, RngStream(13).generator())[0],
+    "stars+cycle": stars_and_cycle,
+}
+
+
+def oracle_params(g, generalized, **stop):
+    if not generalized:
+        return PageRankParams(c=0.85, **stop)
+    rng = np.random.default_rng(g.n)
+    return GeneralizedWeights(C=rng.uniform(0.0, 0.9, g.n), B=rng.exponential(0.1, g.n), **stop)
+
+
+class TestSolveAgainstFullStepOracle:
+    """The solve, which takes the full sup-norm step only when its probe
+    rows' step is below tol, against the loop that takes it every iteration."""
+
+    @staticmethod
+    def assert_same(got, want):
+        assert got.values.tobytes() == want.values.tobytes()
+        assert (got.iterations, got.residual, got.means) == (
+            want.iterations, want.residual, want.means)
+        assert (got.truncated is None) == (want.truncated is None)
+        if want.truncated is not None:
+            assert got.truncated.values.tobytes() == want.truncated.values.tobytes()
+            assert got.truncated.iterations == want.truncated.iterations
+
+    @pytest.mark.parametrize("generalized", [False, True], ids=["standard", "generalized"])
+    @pytest.mark.parametrize("name", list(ORACLE_GRAPHS))
+    def test_results_equal_the_oracle(self, name, generalized):
+        g = ORACLE_GRAPHS[name]()
+        params = oracle_params(g, generalized)
+        system = pr._system(g, params)
+        want = solve_full_step(system, params)
+        # N = 0, inside the iteration count, and past it
+        for N in (None, 0, 3, want.iterations + 5):
+            self.assert_same(solve_pagerank(g, params, with_order=N),
+                             solve_full_step(system, params, N))
+
+    @pytest.mark.parametrize("generalized", [False, True], ids=["standard", "generalized"])
+    @pytest.mark.parametrize("name", ["cycle3", "law33", "dpa", "stars+cycle"])
+    def test_exhausted_budget_equals_the_oracle(self, name, generalized):
+        g = ORACLE_GRAPHS[name]()
+        params = oracle_params(g, generalized, max_iter=3)
+        with pytest.raises(ConvergenceError) as got:
+            solve_pagerank(g, params, with_order=5)
+        with pytest.raises(ConvergenceError) as want:
+            solve_full_step(pr._system(g, params), params, 5)
+        assert str(got.value) == str(want.value)
+        assert (got.value.residual, got.value.iterations) == (
+            want.value.residual, want.value.iterations)
+
+    def test_few_full_steps(self, monkeypatch):
+        # the 30 000-vertex LAW33 graph of test_memory.py: about 175
+        # iterations, of which the last few take the full step
+        g = law33_graph(30_000, 5, 3)
+        full, rise = [], pr._rise
+
+        def counted(r, prev, out=None):
+            full.append(r.size == g.n)
+            return rise(r, prev, out)
+
+        monkeypatch.setattr(pr, "_rise", counted)
+        exact = solve_pagerank(g, PageRankParams(0.85), with_order=20)
+        assert exact.iterations > 100
+        assert 1 <= sum(full) <= 10
 
 
 class TestTruncated:

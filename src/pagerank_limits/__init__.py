@@ -6,6 +6,7 @@ from .census import (
     ccdf,
     census,
     census_limit,
+    censuses,
     hill_estimator,
     ks_distance,
     tv_distance,

@@ -81,12 +81,16 @@ def _schubfach_tables():
     ``g``'s high and low words, ``M = 2**(h + 2)``, ``DL = (2 - lower) *
     2**h`` (the distance from ``4c << h`` to the lower boundary's) and ``k``.
     The table of ``g`` over the 617 decimal exponents is built with Python
-    integers, once, on the first float written.
+    integers, once, on the first float written; each power of ten is the
+    previous one times ten.
     """
     j_min, j_max = -292, 324
+    powers = [1]
+    for _ in range(max(-j_min, j_max)):
+        powers.append(powers[-1] * 10)
     g, log2 = [], []
     for j in range(j_min, j_max + 1):
-        p = 10 ** abs(j)
+        p = powers[abs(j)]
         if j >= 0:
             f = p.bit_length() - 1  # floor(log2(10**j))
             scaled = p >> (f - 127) if f >= 127 else p << (127 - f)
@@ -635,6 +639,15 @@ def read_table(path, header: str, usecols=None) -> np.ndarray:
             lo = mid
     raise InputError(f"{path}: line {lo + 2}: not a '{header}' row: "
                      f"{lines[lo].decode('utf-8', 'replace')!r}")
+
+
+def line_of_row(path, row: int) -> int:
+    """The line number in ``path`` of :func:`read_table`'s row ``row``
+    (counted from 0): empty lines hold no row."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    lines = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n").split(b"\n")
+    return [i for i, line in enumerate(lines) if line and i][row] + 1
 
 
 def _parse_rows(data: bytes, start: int, k: int, usecols):

@@ -34,6 +34,7 @@ __all__ = [
     "NeighborhoodCensus",
     "TailSample",
     "census",
+    "censuses",
     "census_limit",
     "tv_distance",
     "ks_distance",
@@ -79,50 +80,97 @@ def _census_chunk(g, k, roots):
 
 def census(g: DirectedMultigraph, k: int, sample_count: int | None = None,
            rng=None, workers: int = 1) -> NeighborhoodCensus:
-    """Tally canonical codes of depth-k neighborhoods, marks = out-degrees.
+    """Tally canonical codes of depth-k neighborhoods, marks = out-degrees:
+    the one-depth case of :func:`censuses`, which says how roots are drawn
+    and classed."""
+    [(_, cen)] = censuses(g, [k], sample_count, rng, workers)
+    return cen
+
+
+def censuses(g: DirectedMultigraph, depths, sample_count: int | None = None,
+             rng=None, workers: int = 1):
+    """Census of every depth in ``depths`` over one root set, as an iterator
+    of ``(k, NeighborhoodCensus)`` in the order of ``depths``.
 
     Full sweep over all vertices by default; with ``sample_count`` the roots
-    are drawn uniformly without replacement.  Roots whose neighborhood is a
+    are drawn uniformly without replacement, once for all depths (and not at
+    all for an empty ``depths``).  Roots whose depth-k neighborhood is a
     tree of at most ``DEFAULT_CODE_NODE_LIMIT`` nodes take the batched path:
     level-wise color refinement classes them and composes each class's code
     from its children's (see :func:`_tree_codes`).  Every other root takes
     the exact per-root path, explored and canonicalized one by one, which
     ``workers > 1`` splits across processes.
+
+    The depths share their work.  The in-edges are expanded once; the tree
+    test runs at the deepest depth, and each shallower depth re-tests only
+    the roots that failed a deeper one (a tree at depth K is one at every
+    j < K); one refinement to the deepest batched depth feeds every depth's
+    codes.  That shared work runs before the first census is yielded, so a
+    caller timing each step charges it to the first depth of ``depths``.
     """
-    if k < 0:
-        raise UsageError(f"depth must be >= 0, got {k}")
+    depths = list(depths)
+    for k in depths:
+        if k < 0:
+            raise UsageError(f"depth must be >= 0, got {k}")
     if workers < 1:
         raise UsageError(f"workers must be >= 1, got {workers}")
-    if sample_count is None:
-        roots = np.arange(g.n)
-    else:
+    if sample_count is not None:
         if rng is None:
             raise UsageError("sampled census needs an rng")
         if not 1 <= sample_count <= g.n:
             raise UsageError(f"sample_count must be in [1, {g.n}]")
-        roots = rng.choice(g.n, size=sample_count, replace=False)
+    if not depths:
+        return iter(())
+    roots = (np.arange(g.n) if sample_count is None
+             else rng.choice(g.n, size=sample_count, replace=False))
+    return _census_steps(g, depths, roots, workers)
+
+
+def _census_steps(g, depths, roots, workers):
     # in (target, source) order, one edge per unit of multiplicity
     mult = g.mult[g.in_order]
     src = np.repeat(g.src[g.in_order], mult)
     tgt = np.repeat(g.tgt[g.in_order], mult)
-    tree = np.ones(roots.size, dtype=bool) if k == 0 else _tree_roots(src, tgt, g.n, k, roots)
-    exact = roots[~tree]
-    if workers > 1 and exact.size > 4 * workers:
+    # every tree test before the refinement, whose levels outweigh the test's
+    # chunks; a tree at a deeper depth is one here, so only the rest are tested
+    tree, deeper = {}, None
+    for k in sorted(set(depths), reverse=True):
+        if k == 0:
+            tree[k] = np.ones(roots.size, dtype=bool)
+        elif deeper is None:
+            tree[k] = _tree_roots(src, tgt, g.n, k, roots)
+        else:
+            tree[k] = deeper.copy()
+            rest = np.flatnonzero(~deeper)
+            if rest.size:
+                tree[k][rest] = _tree_roots(src, tgt, g.n, k, roots[rest])
+        deeper = tree[k]
+    depth = max((k for k in tree if tree[k].any()), default=0)
+    levels, ptr, src = _refine(g.d_out, src, tgt, depth)
+    del tgt
+    for k in depths:
+        exact, batched = roots[~tree[k]], roots[tree[k]]
+        counts = _exact_counts(g, k, exact, workers)
+        if batched.size:
+            counts += _tree_codes(g.d_out, levels, ptr, src, k, batched)
+        yield k, NeighborhoodCensus(depth=k, counts=counts, total=int(roots.size),
+                                    paths={"batched": int(batched.size),
+                                           "exact": int(exact.size)})
+
+
+def _exact_counts(g, k, roots, workers):
+    """Counter of the roots' canonical codes, one exploration per root."""
+    if workers > 1 and roots.size > 4 * workers:
         # imported here: multiprocessing costs every other caller start-up time
         from concurrent.futures import ProcessPoolExecutor
 
-        chunks = np.array_split(exact, workers)
+        chunks = np.array_split(roots, workers)
         counts = Counter()
         with ProcessPoolExecutor(max_workers=workers) as pool:
             for part in pool.map(_census_chunk, [g] * len(chunks), [k] * len(chunks), chunks):
                 counts += part
-    else:
-        counts = _census_chunk(g, k, exact)
-    batched = roots[tree]
-    if batched.size:
-        counts += _tree_codes(g.d_out, src, tgt, k, batched)
-    return NeighborhoodCensus(depth=k, counts=counts, total=int(roots.size),
-                              paths={"batched": int(batched.size), "exact": int(exact.size)})
+        return counts
+    return _census_chunk(g, k, roots)
 
 
 def _walk_sums(src, tgt, n, k, cap):
@@ -152,9 +200,7 @@ def _tree_roots(src, tgt, n, k, roots, limit=DEFAULT_CODE_NODE_LIMIT):
     given edges ``src -> tgt`` grouped by target, one per unit of multiplicity:
     the root's in-walks of length <= k end at distinct vertices, at most
     ``limit``, and none of length k + 1 ends at one of them (any other edge
-    among them points into a depth-k vertex).  Walks run as keys
-    ``slot * n + v`` per chunk of roots; one sort finds repeated ends, one
-    ``searchsorted`` the closing walks.
+    among them points into a depth-k vertex).
     """
     walks, cost = _walk_sums(src, tgt, n, k, limit + _CHUNK_KEYS)
     cand = np.flatnonzero(walks[roots] <= limit)
@@ -164,21 +210,39 @@ def _tree_roots(src, tgt, n, k, roots, limit=DEFAULT_CODE_NODE_LIMIT):
     bounds = np.searchsorted(np.cumsum(cost), np.arange(_CHUNK_KEYS, int(cost.sum()),
                                                         _CHUNK_KEYS))
     for part in np.split(cand, bounds):
-        keys = np.arange(part.size) * n + roots[part]
-        levels = [keys]
-        for _ in range(k + 1):
-            edges, lens = _in_edges(ptr, keys % n)
-            keys = np.repeat(keys // n * n, lens) + src[edges]
-            levels.append(keys)
-        ball = np.sort(np.concatenate(levels[:-1]))
-        repeated = ball[1:][ball[1:] == ball[:-1]]
-        closing = keys[ball.take(np.searchsorted(ball, keys), mode="clip") == keys]
         mask[part] = True
-        mask[part[np.concatenate((repeated, closing)) // n]] = False
+        mask[part[_failed_slots(src, ptr, n, k, roots[part])]] = False
     return mask
 
 
-def _refine(marks, src, tgt, k):
+def _failed_slots(src, ptr, n, k, starts):
+    """Positions in ``starts`` of the roots that fail :func:`_tree_roots`'
+    test (a repeat among the ends of their in-walks of length <= k, or a
+    walk of length k + 1 ending at one of them), given the sources of v's
+    in-edges at ``src[ptr[v]:ptr[v+1]]``.
+
+    Walks run as keys ``2 * (slot * n + v)``, plus one for a walk of length
+    k + 1, so one sort of all of them puts each closing walk right after its
+    end's key: a key equal to the one before it, or a closing key one above
+    it, fails its slot.
+    """
+    slot, v = np.arange(starts.size), starts
+    levels = [slot * (2 * n) + 2 * v]
+    for length in range(1, k + 2):
+        edges, lens = _in_edges(ptr, v)
+        slot, v = np.repeat(slot, lens), src[edges]
+        levels.append(slot * (2 * n) + 2 * v + (length > k))
+    # drop each chunk-sized array before the next is made: they set the peak
+    slot = v = edges = lens = None
+    keys = np.concatenate(levels)
+    levels = None
+    keys.sort()
+    step = np.diff(keys)
+    step -= keys[1:] & 1
+    return keys[1:][step == 0] // (2 * n)
+
+
+def _refine(marks, src, tgt, k, prefix=None):
     """Colors of every depth 0..k by level-wise color refinement of edges
     src -> tgt, which must come grouped by target (``tgt`` non-decreasing).
 
@@ -189,26 +253,45 @@ def _refine(marks, src, tgt, k):
     so two vertices share a color iff their depth-j in-unfoldings are
     isomorphic marked rooted trees.  Each level sorts its neighbour colors
     within each target by one int64 sort of ``tgt * base + color``, which
-    keeps the grouping.  Level j >= 1 colors are dense from 0.  Returns
-    ``(levels, ptr, src)``: the color arrays ``levels[j]``, and the sources
-    of v's in-edges at ``src[ptr[v]:ptr[v+1]]`` (both None when k is 0).
+    keeps the grouping.  Level j >= 1 colors are dense from 0.
+
+    ``prefix[j]``, when given, limits level j to the vertices
+    ``0..prefix[j]-1``, whose in-edges must come first and whose sources
+    must lie in ``0..prefix[j-1]-1`` (a level-order forest read to a depth
+    cut, where level j only needs the nodes within ``k - j`` of a root);
+    ``levels[j]`` then holds those vertices' colors alone.  Without it every
+    level colors all vertices.  Returns ``(levels, ptr, src)``: the color
+    arrays ``levels[j]``, and the sources of v's in-edges at
+    ``src[ptr[v]:ptr[v+1]]`` (both None when k is 0).
     """
     n = marks.size
     col = np.asarray(marks, dtype=np.int64)
     levels = [col]
     if k == 0:
         return levels, None, None
+    prefix = [n] * (k + 1) if prefix is None else [int(p) for p in prefix]
     indeg = np.bincount(tgt, minlength=n)
     ptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(indeg, out=ptr[1:])
-    by_deg = np.argsort(indeg, kind="stable")
+    # stable, so each group lists its vertices in increasing order; numpy
+    # sorts 16-bit keys by radix, 6-7 times faster than int64 ones
+    key = indeg[:prefix[1]]
+    if key.size and key.max() < 1 << 16:
+        key = key.astype(np.uint16)
+    by_deg = np.argsort(key, kind="stable")
     firsts = np.flatnonzero(np.diff(indeg[by_deg], prepend=-1))
     groups = list(zip(indeg[by_deg[firsts]].tolist(), np.split(by_deg, firsts[1:])))
-    for _ in range(k):
-        nb = _sorted_by_target(col[src], tgt)
-        new = np.empty(n, dtype=np.int64)
+    for j in range(1, k + 1):
+        size = prefix[j]
+        edges = ptr[size]
+        nb = _sorted_by_target(col[src[:edges]], tgt[:edges])
+        new = np.empty(size, dtype=np.int64)
         offset = 0
         for d, verts in groups:
+            if size < n:
+                verts = verts[:np.searchsorted(verts, size)]
+                if not verts.size:
+                    continue
             # row i is vertex verts[i]'s mark and sorted neighbour colors, column-major
             cols = np.empty((d + 1, verts.size), dtype=np.int64)
             cols[0] = marks[verts]
@@ -299,8 +382,9 @@ def _packed_rows(rows):
     return radix @ (cols - lo[:, None]), int(radix[0] * span[0])
 
 
-def _tree_codes(marks, src, tgt, k, roots):
-    """Counter of the canonical codes of the roots' depth-k in-unfoldings.
+def _tree_codes(marks, levels, ptr, src, k, roots):
+    """Counter of the canonical codes of the roots' depth-k in-unfoldings,
+    given :func:`_refine`'s ``(levels, ptr, src)`` to depth k or deeper.
 
     A level-j color's code is :func:`~pagerank_limits.graph.tree_code` of its
     mark and its children's level-(j-1) codes, read off one representative
@@ -309,7 +393,6 @@ def _tree_codes(marks, src, tgt, k, roots):
     the roots' tree neighborhoods may unfold exponentially.  Codes are then
     built bottom-up, one level at a time, so depth costs no recursion.
     """
-    levels, ptr, src = _refine(marks, src, tgt, k)
     top, sizes = np.unique(levels[k][roots], return_counts=True)
     reached, steps = top, []
     for j in range(k, 0, -1):
@@ -338,7 +421,9 @@ def census_limit(law, k: int, M: int, rng) -> NeighborhoodCensus:
     block at a time, stacked in level order, whose levels list their nodes
     by parent: the child -> parent edges come grouped by target, as the
     refinement of :func:`census`'s batched path takes them, and it composes
-    the same codes.
+    the same codes.  A root's depth-k code reads level-j colors only of the
+    nodes within k - j of it, which form a prefix of the stack
+    (``node_depth`` is non-decreasing), so level j refines that prefix alone.
     """
     if M < 1:
         raise UsageError(f"M must be >= 1, got {M}")
@@ -346,9 +431,12 @@ def census_limit(law, k: int, M: int, rng) -> NeighborhoodCensus:
     for first in range(0, M, _FOREST_TREES):
         m = min(_FOREST_TREES, M - first)
         trees = law.forest(k, m, rng)
+        # prefix[j]: the nodes at depth <= k - j
+        prefix = np.searchsorted(trees.node_depth, np.arange(k, -1, -1), side="right")
         # update, not +=, which rescans the whole tally for nonpositive counts
-        counts.update(_tree_codes(trees.mark, np.arange(m, trees.size), trees.parent[m:], k,
-                                  np.arange(m)))
+        counts.update(_tree_codes(trees.mark, *_refine(trees.mark, np.arange(m, trees.size),
+                                                       trees.parent[m:], k, prefix),
+                                  k, np.arange(m)))
     return NeighborhoodCensus(depth=k, counts=counts, total=M,
                               paths={"batched": M, "exact": 0})
 

@@ -28,12 +28,13 @@ import numpy as np
 from . import generators as gen
 from . import limits as limits_mod
 from . import pagerank as pr
-from ._textio import write_json
+from ._textio import line_of_row, write_json
 from .census import (
     TailSample,
     ccdf,
     census,
     census_limit,
+    censuses,
     hill_estimator,
     ks_distance,
     read_census_csv,
@@ -375,13 +376,15 @@ def run_experiment(config_path, output_dir, threads=None):
             entry["census_paths"] = {}
             census_s = {}
             record["timings"].setdefault("census", {})[str(n)] = census_s
-            for k in cfg["comparison"]["census_depths"]:
-                t1 = time.perf_counter()
-                cen = census(g, k, workers=cfg["threads"])
+            # the first depth's step also carries the work all depths share
+            t1 = time.perf_counter()
+            for k, cen in censuses(g, cfg["comparison"]["census_depths"],
+                                   workers=cfg["threads"]):
                 census_s[str(k)] = time.perf_counter() - t1
                 write_census_csv(cen, out / f"census_{n}_{k}.csv")
                 entry["census_paths"][str(k)] = cen.paths
                 entry["census_tv"][str(k)] = tv_distance(cen, limit_censuses[k])
+                t1 = time.perf_counter()
 
             top_k = max(2, int(np.sqrt(n)))
             entry["hill_pagerank"] = _try_hill(graph_tail, top_k)
@@ -531,11 +534,16 @@ def _cmd_limit_sample(args):
 
 
 def _load_tails(path):
+    """A scores or pool file's values; a NaN, which KS would rank above every
+    number, raises ``InputError`` naming its line."""
     with open(path, "r", encoding="utf-8", errors="replace") as fh:
         header = fh.readline().strip()
-    if header == "vertex,score":
-        return TailSample(pr.read_scores_csv(path))
-    return TailSample(limits_mod.read_pool_csv(path))
+    read = pr.read_scores_csv if header == "vertex,score" else limits_mod.read_pool_csv
+    values = read(path)
+    nan = np.isnan(values)
+    if nan.any():
+        raise InputError(f"{path}: line {line_of_row(path, int(nan.argmax()))}: NaN value")
+    return TailSample(values)
 
 
 def _cmd_compare(args):

@@ -32,6 +32,7 @@ binary search.
 """
 
 import heapq
+import importlib
 import math
 import re
 from collections import Counter
@@ -72,6 +73,9 @@ from pagerank_limits.pagerank import (
     check_invariants,
     solve_pagerank,
 )
+
+# the package attribute `census` is the function, so fetch the module itself
+_census = importlib.import_module("pagerank_limits.census")
 
 
 def brute_force_isomorphic(a: MarkedNeighborhood, b: MarkedNeighborhood) -> bool:
@@ -240,6 +244,39 @@ def tree_census(trees, k: int) -> Counter:
     return Counter(canonical_code(tree_neighborhood(t, k)) for t in trees)
 
 
+def census_per_depth(g: DirectedMultigraph, k: int, roots=None):
+    """One depth's census on its own: its own tree test of every root and a
+    refinement to depth k alone, with the exact path run in this process
+    (``census.censuses`` shares both among its depths)."""
+    roots = np.arange(g.n) if roots is None else np.asarray(roots)
+    mult = g.mult[g.in_order]
+    src = np.repeat(g.src[g.in_order], mult)
+    tgt = np.repeat(g.tgt[g.in_order], mult)
+    tree = (np.ones(roots.size, dtype=bool) if k == 0
+            else _census._tree_roots(src, tgt, g.n, k, roots))
+    exact, batched = roots[~tree], roots[tree]
+    counts = _census._census_chunk(g, k, exact)
+    if batched.size:
+        counts += _census._tree_codes(g.d_out, *_census._refine(g.d_out, src, tgt, k), k,
+                                      batched)
+    return _census.NeighborhoodCensus(depth=k, counts=counts, total=int(roots.size),
+                                      paths={"batched": int(batched.size),
+                                             "exact": int(exact.size)})
+
+
+def census_limit_full(law, k: int, M: int, rng):
+    """``census.census_limit`` with every node of each block refined at every
+    level, not only the nodes a depth-k code reads."""
+    counts = Counter()
+    for first in range(0, M, _census._FOREST_TREES):
+        m = min(_census._FOREST_TREES, M - first)
+        trees = law.forest(k, m, rng)
+        refined = _census._refine(trees.mark, np.arange(m, trees.size), trees.parent[m:], k)
+        counts.update(_census._tree_codes(trees.mark, *refined, k, np.arange(m)))
+    return _census.NeighborhoodCensus(depth=k, counts=counts, total=M,
+                                      paths={"batched": M, "exact": 0})
+
+
 def rank_rows_lexsort(rows):
     """Dense lexicographic ranks of the rows by one multi-key ``lexsort``,
     and the number of distinct rows."""
@@ -380,6 +417,34 @@ def layout_tables_reference():
     exponents = np.frombuffer(words([""] + [f"e{i:+03d}" for i in range(-330, 331)], 8),
                               dtype="<u8")
     return quads, zeros, keep, exponents
+
+
+def schubfach_tables_reference():
+    """``_textio._schubfach_tables`` with each power of ten raised on its
+    own, ``10 ** abs(j)`` per decimal exponent j."""
+    j_min, j_max = -292, 324
+    g, log2 = [], []
+    for j in range(j_min, j_max + 1):
+        p = 10 ** abs(j)
+        if j >= 0:
+            f = p.bit_length() - 1  # floor(log2(10**j))
+            scaled = p >> (f - 127) if f >= 127 else p << (127 - f)
+        else:
+            f = -p.bit_length()  # 10**-j is no power of two
+            scaled = (1 << (127 - f)) // p
+        g.append(scaled + 1)
+        log2.append(f)
+    g_hi = np.array([x >> 64 for x in g], dtype=np.uint64)
+    g_lo = np.array([x & (2**64 - 1) for x in g], dtype=np.uint64)
+    log2 = np.array(log2, dtype=np.int64)
+    biased = np.repeat(np.arange(2048), 2)
+    lower = (np.arange(4096) % 2 == 1) & (biased > 1)  # significand bits zero
+    q = np.maximum(biased, 1) - 1075
+    k = (q * 1262611 - lower * 524031) >> 22
+    j = -k - j_min
+    h = q + log2[j] + 1
+    return (g_hi[j], g_lo[j], np.uint64(1) << (h + 2).astype(np.uint64),
+            (2 - lower).astype(np.uint64) << h.astype(np.uint64), k)
 
 
 def read_float_csv_reference(path, header) -> np.ndarray:

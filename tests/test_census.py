@@ -1,3 +1,4 @@
+import functools
 import importlib
 import sys
 from collections import Counter
@@ -14,6 +15,7 @@ from pagerank_limits.census import (
     ccdf,
     census,
     census_limit,
+    censuses,
     hill_estimator,
     ks_distance,
     read_census_csv,
@@ -23,6 +25,8 @@ from pagerank_limits.census import (
 from _oracles import (
     GwOracleLaw,
     TreeLaw,
+    census_limit_full,
+    census_per_depth,
     ks_distance_searchsorted,
     per_root_census,
     rank_rows_lexsort,
@@ -36,10 +40,13 @@ from _oracles import (
 from pagerank_limits.errors import InputError, SizeError, UsageError
 from pagerank_limits.generators import (
     BiDegreeLaw,
+    CtbpParams,
     PamParams,
     RngStream,
+    gen_ctbp_tree,
     gen_dcm,
     gen_dpa,
+    gen_irg,
     sample_bidegree_sequence,
 )
 from pagerank_limits.graph import TREE_PREFIX, build_graph, canonical_code, explore_neighborhood
@@ -158,6 +165,85 @@ class TestBatchedCensus:
             census(g, 1)
 
 
+MODELS = ["dcm-law33", "dcm-bal", "dpa", "ctbp", "irg"]
+DEPTH_LISTS = [[0], [3], [1, 2], [2, 1], [3, 0, 2, 1], [0, 1, 2, 3]]
+
+
+def _model_graph(name):
+    r = RngStream(150, MODELS.index(name)).generator()
+    if name in ("dcm-law33", "dcm-bal"):
+        law = UNIFORM33 if name == "dcm-law33" else BiDegreeLaw([(1, 1, 0.5), (2, 2, 0.5)])
+        return gen_dcm(sample_bidegree_sequence(law, 2000, r), r)
+    if name == "dpa":
+        return gen_dpa(600, PamParams(2, 1.0), r)
+    if name == "ctbp":
+        return gen_ctbp_tree(CtbpParams(1.0), 1500, r)[0]
+    w = 1.0 + r.pareto(2.5, 1500)
+    return gen_irg(w, r.permutation(w), float(w.mean()), r)
+
+
+@functools.cache
+def _model_censuses(name):
+    """The model's graph and its depth-0..3 censuses, each depth on its own."""
+    g = _model_graph(name)
+    return g, [census_per_depth(g, k) for k in range(4)]
+
+
+class TestSharedDepths:
+    """``censuses`` shares one root set, tree test and refinement among its
+    depths; each depth's counts and paths are those of a census on its own."""
+
+    @pytest.mark.parametrize("name", MODELS)
+    def test_every_depth_list_matches_per_depth(self, name):
+        g, want = _model_censuses(name)
+        exact = 0
+        for depths in DEPTH_LISTS:
+            got = list(censuses(g, depths))
+            assert [k for k, _ in got] == depths
+            for k, cen in got:
+                assert cen.depth == k and cen.total == g.n
+                assert cen.counts == want[k].counts and cen.paths == want[k].paths
+                exact += cen.paths["exact"]
+        assert exact > 0 or name == "ctbp"  # a ctbp graph is a tree
+
+    @pytest.mark.parametrize("name", MODELS)
+    def test_sampled_roots_drawn_once(self, name):
+        g = _model_graph(name)
+        rng, ref = RngStream(151).generator(), RngStream(151).generator()
+        got = list(censuses(g, [3, 0, 2, 1], sample_count=400, rng=rng))
+        roots = ref.choice(g.n, size=400, replace=False)
+        for k, cen in got:
+            want = census_per_depth(g, k, roots)
+            assert cen.counts == want.counts and cen.paths == want.paths and cen.total == 400
+        assert rng.random() == ref.random()
+
+    def test_workers_split_exact_roots(self):
+        g, want = _model_censuses("dpa")
+        got = dict(censuses(g, [3, 1, 2], workers=2))
+        assert sorted(got) == [1, 2, 3]
+        assert all(want[k].paths["exact"] > 8 for k in got)  # every depth reaches the pool
+        for k, cen in got.items():
+            assert cen.counts == want[k].counts and cen.paths == want[k].paths
+
+    def test_no_depths_no_work(self, monkeypatch):
+        g = _model_graph("dpa")
+        rng, ref = RngStream(152).generator(), RngStream(152).generator()
+        monkeypatch.setattr(census_module, "_tree_roots", None)
+        monkeypatch.setattr(census_module, "_refine", None)
+        assert list(censuses(g, [])) == []
+        assert list(censuses(g, [], sample_count=10, rng=rng)) == []
+        assert rng.random() == ref.random()  # no roots drawn
+
+    def test_arguments_checked_before_any_work(self):
+        g = _model_graph("dpa")
+        with pytest.raises(UsageError, match="depth must be >= 0, got -1"):
+            censuses(g, [2, -1])
+        with pytest.raises(UsageError, match="workers must be >= 1"):
+            censuses(g, [], workers=0)
+        with pytest.raises(UsageError, match="sampled census needs an rng"):
+            censuses(g, [1], sample_count=5)
+
+
 def _stack_depth():
     frame, depth = sys._getframe(), 0
     while frame is not None:
@@ -232,6 +318,19 @@ class TestCensusLimit:
             got = census_limit(law, k, 1500, RngStream(132, i).generator())
             trees = trees_of_levels(levels(RngStream(132, i).generator()), depth)
             assert got.counts == tree_census(trees, k)
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 3])
+    def test_prefix_refinement_matches_full(self, k):
+        # M = 4097 trees: a full block of _FOREST_TREES and one tree more
+        assert census_module._FOREST_TREES == 4096
+        laws = [LimitLaw.gw(UNIFORM33), LimitLaw.polya(2, 1.0), LimitLaw.ctbp(1.0)]
+        for i, law in enumerate(laws):
+            rng, ref = RngStream(153, i).generator(), RngStream(153, i).generator()
+            got = census_limit(law, k, 4097, rng)
+            want = census_limit_full(law, k, 4097, ref)
+            assert got.counts == want.counts and got.total == want.total == 4097
+            assert got.paths == want.paths
+            assert rng.random() == ref.random()
 
     def test_depth_beyond_truncation_rejected(self):
         law = BiDegreeLaw([(1, 1, 1.0)])
@@ -350,9 +449,9 @@ class TestRefinement:
         grouped = []
         refine = census_module._refine
 
-        def spy(marks, src, tgt, k):
+        def spy(marks, src, tgt, k, prefix=None):
             grouped.append(bool((tgt[1:] >= tgt[:-1]).all()))
-            return refine(marks, src, tgt, k)
+            return refine(marks, src, tgt, k, prefix)
 
         monkeypatch.setattr(census_module, "_refine", spy)
         rng = RngStream(140).generator()

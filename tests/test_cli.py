@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from pagerank_limits import cli
+from pagerank_limits.census import census, read_census_csv, tv_distance, write_census_csv
 from pagerank_limits.errors import ConfigError
+from pagerank_limits.graph import read_edgelist
 from pagerank_limits.limits import LIMIT_LAWS, limit_law
 
 from _oracles import GwOracleLaw, sample_gw_limit, solved_truncation_gap
@@ -224,6 +226,29 @@ class TestSubcommands:
             rc = cli.main(["compare", *map(str, argv)])
             assert rc == 1
             assert capsys.readouterr().err.startswith(f"error: {bad}: line {line}: ")
+
+    @pytest.mark.parametrize("name,text,line", [
+        ("pool.csv", "value\n0.5\n\nnan\n0.25\n", 4),
+        ("scores.csv", "vertex,score\r\n0,0.5\r\n1,nan\r\n2,NaN\r\n", 3),
+    ])
+    def test_compare_nan_tails_rejected(self, tmp_path, capsys, name, text, line):
+        good = tmp_path / "good.csv"
+        good.write_text("value\n0.25\n0.75\n")
+        bad = tmp_path / name
+        bad.write_bytes(text.encode())
+        for argv in (["--graph-tails", bad, "--limit-tails", good],
+                     ["--graph-tails", good, "--limit-tails", bad]):
+            assert cli.main(["compare", *map(str, argv)]) == 1
+            assert capsys.readouterr().err == f"error: {bad}: line {line}: NaN value\n"
+
+    def test_compare_nan_pools_not_ranked(self, tmp_path, capsys):
+        # one NaN against two once printed a KS of 1/3 and exited 0
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        a.write_text("value\n0.5\nnan\n0.25\n")
+        b.write_text("value\nnan\n0.5\nnan\n")
+        assert cli.main(["compare", "--graph-tails", str(a), "--limit-tails", str(b)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {a}: line 3: NaN value\n"
 
     @pytest.mark.parametrize("row", ["zz,1", "0a,-3", "0b,2"])
     def test_compare_malformed_census_named(self, tmp_path, capsys, row):
@@ -549,6 +574,38 @@ class TestRunExperiment:
         for per_depth in [*by_size.values(), timings["census_limit"]]:
             assert sorted(per_depth) == ["0", "1"]
             assert all(isinstance(t, float) and t >= 0.0 for t in per_depth.values())
+
+    def test_no_census_depths(self, tmp_path):
+        cfg = tmp_path / "config.json"
+        write_config(cfg, sizes=[300], comparison={"census_depths": []})
+        record, code = cli.run_experiment(cfg, tmp_path / "out")
+        assert code == 0 and record["status"] == "OK"
+        assert [(e["census_tv"], e["census_paths"]) for e in record["per_size"]] == [({}, {})]
+        assert record["timings"]["census"] == {"300": {}}
+        assert record["timings"]["census_limit"] == {}
+        assert list((tmp_path / "out").glob("*census*")) == []
+
+    def test_census_depths_match_one_census_per_depth(self, tmp_path):
+        cfg = tmp_path / "config.json"
+        write_config(cfg, comparison={"census_depths": [2, 0, 1]})
+        out = tmp_path / "out"
+        record, code = cli.run_experiment(cfg, out)
+        assert code == 0 and record["status"] == "OK"
+        exact = 0
+        for entry in record["per_size"]:
+            n = entry["n"]
+            g = read_edgelist(out / f"graph_{n}.txt")
+            assert list(entry["census_tv"]) == list(entry["census_paths"]) == ["2", "0", "1"]
+            for k in (2, 0, 1):
+                cen = census(g, k)
+                write_census_csv(cen, tmp_path / "want.csv")
+                assert (out / f"census_{n}_{k}.csv").read_bytes() == \
+                    (tmp_path / "want.csv").read_bytes()
+                assert entry["census_paths"][str(k)] == cen.paths
+                limit = read_census_csv(out / f"limit_census_{k}.csv", k)
+                assert entry["census_tv"][str(k)] == tv_distance(cen, limit)
+                exact += cen.paths["exact"]
+        assert exact > 0  # some roots take the exact path
 
     def test_invariant_violation_exit_code(self, tmp_path, monkeypatch):
         cfg = tmp_path / "config.json"

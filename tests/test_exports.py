@@ -140,6 +140,14 @@ def test_readme_overview_names_resolve():
         assert [n for n in names if not hasattr(mod, n)] == [], module
 
 
+def test_censuses_exported():
+    # the package attribute `census` is the function, so fetch the module itself
+    mod = importlib.import_module("pagerank_limits.census")
+    assert "censuses" in mod.__all__
+    assert pagerank_limits.censuses is mod.censuses
+    assert "censuses" in dict(_overview_rows())["pagerank_limits.census"]
+
+
 def _run_python(code, cwd):
     """stdout of ``python -c code`` with this package importable."""
     src = str(Path(pagerank_limits.__file__).resolve().parents[1])

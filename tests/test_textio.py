@@ -31,6 +31,7 @@ from _oracles import (
     layout_tables_reference,
     read_float_csv_reference,
     read_tail_csv,
+    schubfach_tables_reference,
     write_edgelist_reference,
     write_pool_csv_reference,
     write_scores_csv_reference,
@@ -190,6 +191,14 @@ def assert_reprs(tmp_path, values):
 
 def floats_of(bits):
     return np.asarray(bits, dtype=np.uint64).view(np.float64)
+
+
+def test_schubfach_tables_match_per_exponent_powers():
+    got, want = _textio._schubfach_tables(), schubfach_tables_reference()
+    assert len(got) == len(want) == 5
+    for a, b in zip(got, want):
+        assert (a.dtype.str, a.shape) == (b.dtype.str, b.shape)
+        assert np.array_equal(a, b)
 
 
 def test_layout_tables_match_formatted_strings():
